@@ -23,13 +23,11 @@ from .bounds import (
 from .classifier import (
     NuProfile,
     Ranking,
-    StepFn,
     build_nu_profile,
     classify,
     nu,
     order_at,
     ranking_of_values,
-    step_function,
 )
 from .errors import (
     GroupSpecError,
@@ -75,13 +73,11 @@ from .shatter import (
     CriticalSet,
     Dichotomy,
     ShatterCertificate,
-    VCSearchResult,
     check_order_criterion,
     critical_points,
     enumerate_dichotomies,
     is_shattered,
     order_set,
-    vc_search,
 )
 from .synth import (
     SynthConfig,

@@ -15,22 +15,25 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .gfunc import GroupFunction, Measure, convolve, _same_group
+from .gfunc import GroupFunction, Measure, convolve
+
+
+def relu_sum(conv: GroupFunction, mu: Measure, c: Fraction) -> Fraction:
+    """sum_g max(0, conv(g) + c) * mu(g): the definition of nu, given f*K."""
+    total = Fraction(0)
+    for v, w in zip(conv.values, mu.weights):
+        if w != 0 and v + c > 0:
+            total += (v + c) * w
+    return total
 
 
 def nu(
     kernel: GroupFunction, f: GroupFunction, mu: Measure, c: Fraction
 ) -> Fraction:
     """sum_g max(0, (f*K)(g) + c) * mu(g), exactly."""
-    conv = convolve(f, kernel, mu)
-    total = Fraction(0)
-    for g in range(f.group.order):
-        v = conv.values[g] + c
-        if v > 0 and mu.weights[g] != 0:
-            total += v * mu.weights[g]
-    return total
+    return relu_sum(convolve(f, kernel, mu), mu, c)
 
 
 def classify(
@@ -46,24 +49,22 @@ def classify(
 
 @dataclass(frozen=True)
 class NuProfile:
-    """Exact piecewise-affine representation of c -> nu(K, f, mu, c).
+    """One convolution conv = f*K under mu, and the exact structure of nu.
 
-    Piece i covers c in (breakpoints[i-1], breakpoints[i]] going left to
-    right; slopes[i] and offsets[i] give the affine map on that piece.
-    The function is continuous, so either convention at the breakpoints
-    evaluates identically.
+    relu_sum(conv, mu, c) is nu(K, f, mu, c) by definition; the other
+    fields give the same function in closed form.  Piece i covers c in
+    (breakpoints[i-1], breakpoints[i]] going left to right; slopes[i] and
+    offsets[i] give the affine map on that piece.  The function is
+    continuous, so either convention at the breakpoints evaluates
+    identically.  offsets[piece_at(c)] is also the left-continuous step
+    function c -> sum of mu(g) (f*K)(g) over the g with (f*K)(g) > -c.
     """
 
+    conv: GroupFunction
+    mu: Measure
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
     offsets: tuple[Fraction, ...]
-    k: Optional[int] = None
-
-    def __post_init__(self):
-        if len(self.slopes) != len(self.breakpoints) + 1:
-            raise ValueError("need exactly one more slope than breakpoints")
-        if len(self.offsets) != len(self.slopes):
-            raise ValueError("need one offset per slope")
 
     def piece_at(self, c: Fraction) -> int:
         return bisect_left(self.breakpoints, c)
@@ -74,10 +75,7 @@ class NuProfile:
 
 
 def build_nu_profile(
-    kernel: GroupFunction,
-    f: GroupFunction,
-    mu: Measure,
-    k: Optional[int] = None,
+    kernel: GroupFunction, f: GroupFunction, mu: Measure
 ) -> NuProfile:
     """Breakpoints sit at c = -(f*K)(g) for elements with positive weight.
 
@@ -86,17 +84,13 @@ def build_nu_profile(
     the total measure weight of those elements and the offset gains their
     weighted convolution mass.
     """
-    _same_group(kernel.group, f.group, "build_nu_profile")
     conv = convolve(f, kernel, mu)
     by_breakpoint: dict[Fraction, tuple[Fraction, Fraction]] = {}
-    for g in range(f.group.order):
-        w = mu.weights[g]
+    for v, w in zip(conv.values, mu.weights):
         if w == 0:
             continue
-        v = conv.values[g]
-        bp = -v
-        weight, mass = by_breakpoint.get(bp, (Fraction(0), Fraction(0)))
-        by_breakpoint[bp] = (weight + w, mass + w * v)
+        weight, mass = by_breakpoint.get(-v, (Fraction(0), Fraction(0)))
+        by_breakpoint[-v] = (weight + w, mass + w * v)
     breakpoints = sorted(by_breakpoint)
     slopes = [Fraction(0)]
     offsets = [Fraction(0)]
@@ -104,54 +98,7 @@ def build_nu_profile(
         weight, mass = by_breakpoint[bp]
         slopes.append(slopes[-1] + weight)
         offsets.append(offsets[-1] + mass)
-    return NuProfile(tuple(breakpoints), tuple(slopes), tuple(offsets), k=k)
-
-
-@dataclass(frozen=True)
-class StepFn:
-    """A left-continuous step function given by breakpoints and values.
-
-    values[i] is the value on (breakpoints[i-1], breakpoints[i]]; at a
-    breakpoint the term with that exact threshold is still excluded,
-    matching the strict inequality in the defining indicator.
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.breakpoints) + 1:
-            raise ValueError("need exactly one more value than breakpoints")
-
-    def evaluate(self, c: Fraction) -> Fraction:
-        # Number of breakpoints strictly below c picks the piece.
-        return self.values[bisect_left(self.breakpoints, c)]
-
-
-def step_function(
-    kernel: GroupFunction, f: GroupFunction, mu: Measure
-) -> StepFn:
-    """c -> sum_g (f*K)(g) * mu(g) over elements with (f*K)(g) > -c.
-
-    Values are the partial sums of the weighted convolution values taken
-    in activation order (largest convolution value activates first).
-    """
-    _same_group(kernel.group, f.group, "step_function")
-    conv = convolve(f, kernel, mu)
-    by_breakpoint: dict[Fraction, Fraction] = {}
-    for g in range(f.group.order):
-        w = mu.weights[g]
-        if w == 0:
-            continue
-        v = conv.values[g]
-        by_breakpoint[-v] = by_breakpoint.get(-v, Fraction(0)) + w * v
-    breakpoints = sorted(by_breakpoint)
-    values = [Fraction(0)]
-    for bp in breakpoints:
-        values.append(values[-1] + by_breakpoint[bp])
-    n = f.group.order
-    assert len(set(values)) <= n + 1
-    return StepFn(tuple(breakpoints), tuple(values))
+    return NuProfile(conv, mu, tuple(breakpoints), tuple(slopes), tuple(offsets))
 
 
 @dataclass(frozen=True)
@@ -179,14 +126,8 @@ def ranking_of_values(values: Sequence[Fraction]) -> Ranking:
     return Ranking(ranks)
 
 
-def order_at(
-    kernel: GroupFunction,
-    fs: Sequence[GroupFunction],
-    mu: Measure,
-    c: Fraction,
-) -> Ranking:
-    """Ranking of the nu values of the given functions at bias c."""
-    if not fs:
-        raise ValueError("order_at needs at least one function")
-    values = [nu(kernel, f, mu, c) for f in fs]
-    return ranking_of_values(values)
+def order_at(profiles: Sequence[NuProfile], c: Fraction) -> Ranking:
+    """Ranking of the profiles' nu values at bias c, from the definition."""
+    if not profiles:
+        raise ValueError("order_at needs at least one profile")
+    return ranking_of_values([relu_sum(p.conv, p.mu, c) for p in profiles])

@@ -151,10 +151,6 @@ def cmd_orders(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        group = build_group(args.group)
-    except GroupSpecError as exc:
-        return _fail(str(exc), 2)
     if args.m < 1:
         return _fail(f"--m must be >= 1, got {args.m}", 2)
     if args.m > DEFAULT_M_CAP and not args.allow_large:
@@ -170,6 +166,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     if not 0 < b < c:
         return _fail(f"need 0 < B < C, got B={args.b}, C={args.c}", 2)
+    try:
+        group = build_group(args.group)
+    except GroupSpecError as exc:
+        return _fail(str(exc), 2)
 
     if args.mode == "order_two":
         g = find_order_two_element(group)
@@ -197,8 +197,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     result = synth_kernel(group, config)
     report = verify_synth(result, orders)
-    mu = counting_measure(group)
-    cert = is_shattered(result.kernel, result.family(), mu)
+    cert = report.certificate
+    if cert is None:
+        return _fail("the built order set is not complete", 5)
 
     run.write(out_dir / "synth_result.json", synth_result_to_json(result))
     run.write(out_dir / "kernel.json", group_function_to_json(result.kernel))
@@ -237,7 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kernel_data = run.read(args.kernel)
         functions_data = run.read(args.functions)
         kernel = group_function_from_json(kernel_data)
-        if functions_data.get("group") != kernel.group.label:
+        if functions_data["group"] != kernel.group.label:
             return _fail(
                 "kernel and functions files name different groups", 2
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .groups import FiniteGroup
 
@@ -140,20 +140,4 @@ def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunct
         for h, kw in terms:
             acc += f.values[group.mul(g, group.inv(h))] * kw
         values.append(acc)
-    return GroupFunction(group, tuple(values))
-
-
-def linear_combination(
-    group: FiniteGroup,
-    coefficients: Sequence[Fraction],
-    functions: Sequence[GroupFunction],
-) -> GroupFunction:
-    """Pointwise sum of coefficient * function pairs."""
-    if len(coefficients) != len(functions):
-        raise ValueError("need one coefficient per function")
-    values = [Fraction(0)] * group.order
-    for c, f in zip(coefficients, functions):
-        _same_group(group, f.group, "linear_combination")
-        for g in range(group.order):
-            values[g] += c * f.values[g]
     return GroupFunction(group, tuple(values))

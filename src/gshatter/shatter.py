@@ -5,8 +5,8 @@ vector depends on (c1, c2) only through the ranking and values of the
 nu functions at c1.  Those are piecewise affine in c1, so probing one
 rational point inside every maximal piece — plus every breakpoint and
 crossing — visits every realizable label pattern.  Each witnessed
-pattern is re-verified through the classifier itself before it enters a
-certificate.
+pattern is re-verified against the ReLU-sum definition before it enters
+a certificate, not against the piecewise form that found it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .classifier import (
     NuProfile,
     Ranking,
     build_nu_profile,
-    classify,
     ranking_of_values,
+    relu_sum,
 )
 from .gfunc import GroupFunction, Measure
 from .orders import OrderSet, is_complete
@@ -79,7 +79,7 @@ def _profiles(
 ) -> list[NuProfile]:
     if not fs:
         raise ValueError("need at least one function")
-    return [build_nu_profile(kernel, f, mu, k=i) for i, f in enumerate(fs)]
+    return [build_nu_profile(kernel, f, mu) for f in fs]
 
 
 def _critical_from_profiles(profiles: Sequence[NuProfile]) -> CriticalSet:
@@ -128,7 +128,7 @@ def critical_points(
 
 
 def _witnesses(
-    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
+    profiles: Sequence[NuProfile],
 ) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
     """First witness (c1, c2) for every realizable label pattern.
 
@@ -136,7 +136,6 @@ def _witnesses(
     every realizable cut: the pattern labels +1 exactly the functions
     with nu strictly above the cut, so tied values always share a label.
     """
-    profiles = _profiles(kernel, fs, mu)
     critical = _critical_from_profiles(profiles)
     found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
     for c1 in critical.probes:
@@ -155,7 +154,7 @@ def enumerate_dichotomies(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> set[Dichotomy]:
     """The exact set of label patterns realizable by any rational (c1, c2)."""
-    found = _witnesses(kernel, fs, mu)
+    found = _witnesses(_profiles(kernel, fs, mu))
     m = len(fs)
     n = fs[0].group.order
     assert len(found) <= (m + m * (m - 1) // 2) * (m * n + 1)
@@ -167,22 +166,24 @@ def is_shattered(
 ) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns.
 
-    Every witness is re-verified through classify(); a witness that
-    failed re-verification would mean an internal inconsistency, so it
-    raises instead of being silently dropped.
+    Every witness is re-verified by classify's rule, evaluated through
+    the ReLU-sum definition on each profile's stored convolution; a
+    witness that failed re-verification would mean an internal
+    inconsistency, so it raises instead of being silently dropped.
     """
     m = len(fs)
-    found = _witnesses(kernel, fs, mu)
+    profiles = _profiles(kernel, fs, mu)
+    found = _witnesses(profiles)
     entries: list[DichotomyEntry] = []
     for labels in product((-1, 1), repeat=m):
         if labels in found:
             c1, c2 = found[labels]
-            for k, f in enumerate(fs):
-                got = classify(kernel, f, mu, c1, c2)
+            for k, p in enumerate(profiles):
+                got = 1 if relu_sum(p.conv, p.mu, c1) + c2 > 0 else -1
                 if got != labels[k]:
                     raise AssertionError(
                         f"witness ({c1}, {c2}) for {labels} fails on "
-                        f"function {k}: classify returned {got}"
+                        f"function {k}: the classifier gives {got}"
                     )
             entries.append(DichotomyEntry(labels, "witnessed", c1, c2))
         else:
@@ -212,51 +213,3 @@ def check_order_criterion(
     Equivalent to is_shattered(...).shattered.
     """
     return is_complete(order_set(kernel, fs, mu))
-
-
-@dataclass(frozen=True)
-class VCSearchResult:
-    max_size: int
-    subset: tuple[int, ...]
-    certificate: Optional[ShatterCertificate]
-    exhausted: bool  # False when the budget cut the search short
-    tested: int
-
-
-def vc_search(
-    kernel: GroupFunction,
-    candidates: Sequence[GroupFunction],
-    mu: Measure,
-    m_cap: int,
-    budget: int = 100_000,
-) -> VCSearchResult:
-    """Largest shattered subset of the candidates, sizes ascending.
-
-    Subsets of each size are tried in lexicographic index order; if no
-    subset of some size shatters, no larger one can (shattering passes
-    to subsets), so the search stops early.
-    """
-    if m_cap > len(candidates):
-        raise ValueError(
-            f"m_cap {m_cap} exceeds the {len(candidates)} candidates"
-        )
-    best_size = 0
-    best_subset: tuple[int, ...] = ()
-    best_cert: Optional[ShatterCertificate] = None
-    tested = 0
-    for size in range(1, m_cap + 1):
-        found_at_size = False
-        for combo in combinations(range(len(candidates)), size):
-            if tested >= budget:
-                return VCSearchResult(
-                    best_size, best_subset, best_cert, False, tested
-                )
-            tested += 1
-            cert = is_shattered(kernel, [candidates[i] for i in combo], mu)
-            if cert.shattered:
-                best_size, best_subset, best_cert = size, combo, cert
-                found_at_size = True
-                break
-        if not found_at_size:
-            break
-    return VCSearchResult(best_size, best_subset, best_cert, True, tested)

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classifier import nu, order_at
+from .classifier import build_nu_profile, order_at, relu_sum
 from .errors import (
     GroupTooSmallError,
     SynthesisVerificationError,
 )
-from .gfunc import GroupFunction, Measure, convolve, counting_measure, indicator
+from .gfunc import GroupFunction, counting_measure, indicator
 from .groups import FiniteGroup
 from .orders import OrderSet, is_complete
-from .shatter import is_shattered
+from .shatter import ShatterCertificate, is_shattered
 
 MODES = ("order_two", "general")
 
@@ -154,29 +154,9 @@ def solve_k_vector(
     return k
 
 
-def k_vector_diagnostics(
-    tower: UTower, i: int, k: tuple[Fraction, Fraction]
-) -> dict[str, bool]:
-    """Stronger bounds than solve_k_vector guarantees, for inspection.
-
-    Levels strictly below the anchor row i-1 stay inside (-B, B); the
-    anchor itself is pinned to -A < 0, and every level above the solved
-    index is negative outright.
-    """
-    small = all(abs(tower.u_tilde(l, k)) < tower.B for l in range(i - 1))
-    negative = all(
-        tower.u_tilde(l, k) < 0
-        for l in (i - 1, *range(i + 1, 2 * tower.p + 2))
-    )
-    return {"small_below_anchor": small, "negative_elsewhere": negative}
-
-
-def _mode_shifts(mode: str) -> range:
-    # Newly chosen elements must avoid these powers of g applied to the
-    # elements already chosen (and vice versa, hence the symmetric range).
-    if mode == "order_two":
-        return range(0, 2)  # g^0 and g^1 = g^-1
-    return range(-4, 5)
+def _window_offsets(mode: str) -> range:
+    """Powers j of g whose translates g^j h make up the window of centre h."""
+    return range(-1, 1) if mode == "order_two" else range(-2, 3)
 
 
 def choose_subsets(
@@ -195,7 +175,10 @@ def choose_subsets(
     required = (2 if mode == "order_two" else 9) * r * m
     if group.order < required:
         raise GroupTooSmallError(group.order, required, mode)
-    shifts = _mode_shifts(mode)
+    # Windows of two centres are disjoint exactly when no power of g in
+    # the pairwise differences of the window offsets joins them.
+    offsets = _window_offsets(mode)
+    shifts = {a - b for a in offsets for b in offsets}
     blocked: set[int] = set()
     chosen: list[int] = []
     for _ in range(r * m):
@@ -214,10 +197,8 @@ def choose_subsets(
 
 
 def _translate_window(group: FiniteGroup, g: int, h: int, mode: str) -> frozenset[int]:
-    if mode == "order_two":
-        return frozenset({h, group.mul(group.inv(g), h)})
     return frozenset(
-        group.mul(group.power(g, j), h) for j in range(-2, 3)
+        group.mul(group.power(g, j), h) for j in _window_offsets(mode)
     )
 
 
@@ -343,9 +324,6 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
         raise ValueError(
             f"element {g} does not satisfy the {mode} mode requirement"
         )
-    required = (2 if mode == "order_two" else 9) * r * m
-    if group.order < required:
-        raise GroupTooSmallError(group.order, required, mode)
 
     tower = build_u_tower(group, g, B, C, p=m)
     subsets = choose_subsets(group, g, r, m, mode)
@@ -470,6 +448,8 @@ class SynthCheck:
 @dataclass(frozen=True)
 class SynthReport:
     checks: tuple[SynthCheck, ...]
+    # What the "shattering" check computed; None when it did not run.
+    certificate: Optional[ShatterCertificate] = None
 
     @property
     def passed(self) -> bool:
@@ -491,7 +471,9 @@ def verify_synth(
 
     Only the finished kernel, the tower functions and the group are
     consulted; the level values m_l, the spreads M_l and the thresholds
-    are recomputed through nu/convolve rather than trusted.
+    are recomputed rather than trusted.  Each function is convolved with
+    the kernel once, and every nu value is taken from the ReLU-sum
+    definition on that convolution.
     """
     checks: list[SynthCheck] = []
 
@@ -504,6 +486,12 @@ def verify_synth(
     mu = counting_measure(group)
     fs = result.family()
     kernel = result.kernel
+    profiles = [build_nu_profile(kernel, f, mu) for f in fs]
+    convs = [p.conv for p in profiles]
+
+    def nus(c: Fraction) -> list[Fraction]:
+        return [relu_sum(conv, mu, c) for conv in convs]
+
     epsilon = result.epsilon
     B, C = result.B, result.C
 
@@ -550,7 +538,7 @@ def verify_synth(
             recursion_ok = False
             detail = f"round {l}: recorded m_l disagrees with recursion"
             break
-        values = [nu(kernel, f, mu, -m_cur + epsilon) for f in fs]
+        values = nus(-m_cur + epsilon)
         big_m_cur = max(values) - min(values)
         big_ms.append(big_m_cur)
         m_prev, big_m_prev = m_cur, big_m_cur
@@ -589,7 +577,7 @@ def verify_synth(
     orders_ok = True
     detail = ""
     for l in range(r):
-        got = order_at(kernel, fs, mu, -result.thresholds[l])
+        got = order_at(profiles, -result.thresholds[l])
         if got.ranks != orders.rankings[l].ranks:
             orders_ok = False
             detail = (
@@ -602,7 +590,7 @@ def verify_synth(
     gaps_ok = True
     detail = ""
     for l in range(r):
-        values = [nu(kernel, f, mu, -result.thresholds[l]) for f in fs]
+        values = nus(-result.thresholds[l])
         for a in range(m):
             for b in range(a + 1, m):
                 if abs(values[a] - values[b]) < epsilon:
@@ -610,7 +598,6 @@ def verify_synth(
                     detail = f"level {l + 1}: gap below eps"
     add("pairwise-gaps", gaps_ok, detail or "all nu gaps >= eps at each -c_l")
 
-    convs = [convolve(f, kernel, mu) for f in fs]
     band_ok = True
     detail = ""
     for l in range(r):
@@ -682,6 +669,7 @@ def verify_synth(
             "convolutions are <= 0 on every guarded translate",
         )
 
+    cert = None
     if include_shattering:
         if is_complete(orders):
             cert = is_shattered(kernel, fs, mu)
@@ -697,4 +685,4 @@ def verify_synth(
                 "target orders not complete; shattering not required",
             )
 
-    return SynthReport(tuple(checks))
+    return SynthReport(tuple(checks), cert)

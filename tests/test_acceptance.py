@@ -25,7 +25,7 @@ from gshatter.bounds import (
     upper_bound_implicit,
     upper_bound_refined,
 )
-from gshatter.classifier import classify, nu, step_function
+from gshatter.classifier import build_nu_profile, classify, nu
 from gshatter.cli import main
 from gshatter.gfunc import GroupFunction, counting_measure, translate
 from gshatter.groups import build_group
@@ -254,7 +254,7 @@ def test_criterion_06_counting_bounds():
         patterns = enumerate_dichotomies(kernel, fs, mu)
         assert len(patterns) <= (m + m * (m - 1) // 2) * (m * n + 1)
         for f in fs:
-            assert len(set(step_function(kernel, f, mu).values)) <= n + 1
+            assert len(set(build_nu_profile(kernel, f, mu).offsets)) <= n + 1
         checked += 1
     assert checked == 300
     print("criterion 6: counting bounds hold on 300 fresh instances")

@@ -15,7 +15,6 @@ from gshatter.classifier import (
     nu,
     order_at,
     ranking_of_values,
-    step_function,
 )
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
@@ -113,25 +112,42 @@ class TestNuProfile:
         for bp in profile.breakpoints:
             assert profile.evaluate(bp) == nu(k, f, mu, bp)
 
+    def test_keeps_its_convolution(self):
+        g = build_group("cyclic:5")
+        f = GroupFunction.from_values(g, [1, -2, 0, 3, Fraction(1, 2)])
+        k = GroupFunction.from_values(g, [0, 1, 0, -1, 2])
+        mu = counting_measure(g)
+        from gshatter.gfunc import convolve
+
+        profile = build_nu_profile(k, f, mu)
+        assert profile.conv.values == convolve(f, k, mu).values
+        assert profile.mu is mu
+
+
+def step_at(profile, c):
+    """The step function c -> sum of mu(g)(f*K)(g) over (f*K)(g) > -c."""
+    return profile.offsets[profile.piece_at(c)]
+
 
 class TestStepFunction:
+    # The step function is the profile's offsets, read piece by piece.
     def test_partial_sums(self):
         g = build_group("cyclic:3")
         f, k, mu = _instance(g, [1, 2, 0], [1, 0, 0])
-        step = step_function(k, f, mu)
+        profile = build_nu_profile(k, f, mu)
         # conv values 2 > 1 > 0 activate in that order as c grows.
-        assert step.breakpoints == (Fraction(-2), Fraction(-1), Fraction(0))
-        assert step.values == (0, 2, 3, 3)
+        assert profile.breakpoints == (Fraction(-2), Fraction(-1), Fraction(0))
+        assert profile.offsets == (0, 2, 3, 3)
 
     def test_left_continuity_at_breakpoints(self):
         g = build_group("cyclic:3")
         f, k, mu = _instance(g, [1, 2, 0], [1, 0, 0])
-        step = step_function(k, f, mu)
+        profile = build_nu_profile(k, f, mu)
         # At c = -2 the term with value 2 needs (f*K)(g) > 2: excluded.
-        assert step.evaluate(Fraction(-2)) == 0
-        assert step.evaluate(Fraction(-1)) == 2  # value 1 still excluded
-        assert step.evaluate(Fraction(-1, 2)) == 3
-        assert step.evaluate(Fraction(1)) == 3
+        assert step_at(profile, Fraction(-2)) == 0
+        assert step_at(profile, Fraction(-1)) == 2  # value 1 still excluded
+        assert step_at(profile, Fraction(-1, 2)) == 3
+        assert step_at(profile, Fraction(1)) == 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -139,8 +155,8 @@ class TestStepFunction:
         g = build_group("cyclic:6")
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
-        step = step_function(k, f, counting_measure(g))
-        assert len(set(step.values)) <= g.order + 1
+        profile = build_nu_profile(k, f, counting_measure(g))
+        assert len(set(profile.offsets)) <= g.order + 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -151,14 +167,14 @@ class TestStepFunction:
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(5)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(5)])
         mu = counting_measure(g)
-        step = step_function(k, f, mu)
+        profile = build_nu_profile(k, f, mu)
         conv = convolve(f, k, mu)
         c = data.draw(rationals(max_den=16, max_num=48))
         direct = sum(
             (conv.values[g_] for g_ in range(5) if conv.values[g_] > -c),
             Fraction(0),
         )
-        assert step.evaluate(c) == direct
+        assert step_at(profile, c) == direct
 
 
 class TestRankings:
@@ -186,12 +202,12 @@ class TestRankings:
             GroupFunction.from_values(g, [1, 0]),  # nu(0) = 1
             GroupFunction.from_values(g, [0, 2]),  # nu(0) = 2
         ]
-        assert order_at(k, fs, mu, Fraction(0)).ranks == (3, 1, 2)
+        profiles = [build_nu_profile(k, f, mu) for f in fs]
+        assert order_at(profiles, Fraction(0)).ranks == (3, 1, 2)
 
     def test_order_at_rejects_empty(self):
-        g = build_group("cyclic:2")
         with pytest.raises(ValueError):
-            order_at(indicator(g, 0), [], counting_measure(g), Fraction(0))
+            order_at([], Fraction(0))
 
     def test_ranking_is_strict_is_permutation_test(self):
         assert Ranking((2, 3, 1)).is_strict()

@@ -6,9 +6,13 @@ import json
 
 import pytest
 
+from gshatter.classifier import NuProfile
+from gshatter.gfunc import counting_measure
 from gshatter.cli import main
 from gshatter.jsonio import (
     certificate_from_json,
+    function_family_from_json,
+    group_function_from_json,
     read_json,
     sha256_of_file,
     synth_result_from_json,
@@ -145,6 +149,24 @@ class TestSynthCommand:
         )
         assert code == 2
 
+    def test_golden_digests(self, capsys, tmp_path):
+        # Artifacts of the reference release; any refactor must keep them.
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:18", "--m", "3",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        golden = {
+            "functions.json": "4a4b4faab32198f801b7a8cd23f4995cbd058d3906e4df8e31ae7671126d8f35",
+            "kernel.json": "d034bd723a2d68d06ed33825ab6351ba77367765aa987c218990316df63683f4",
+            "orders.json": "3fb305159dd92b86e5b8ab8b541b39e5d608dc70bcfdc10123e150d448b145d3",
+            "shatter_certificate.json": "8b8ba8b18ff9b9068e39a5406a827d7d5193e4b855045448688310e1d578fe85",
+            "synth_result.json": "6c39658a1033e911cc072c91d76a309c1f755fb3a5aa5f523e5e964116a6fc20",
+            "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
+        }
+        for name, digest in golden.items():
+            assert sha256_of_file(tmp_path / name) == digest, name
+
 
 class TestVerifyCommand:
     @pytest.fixture()
@@ -208,6 +230,51 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "cannot read inputs" in err
+
+    @pytest.mark.parametrize("which", ["kernel", "functions"])
+    def test_list_shaped_input(self, capsys, bundle, tmp_path, which):
+        paths = {
+            "kernel": bundle / "kernel.json",
+            "functions": bundle / "functions.json",
+        }
+        paths[which] = tmp_path / "list.json"
+        write_json_atomic(paths[which], [1, 2, 3])
+        code, _, err = run(
+            capsys,
+            "verify",
+            "--kernel", str(paths["kernel"]),
+            "--functions", str(paths["functions"]),
+        )
+        assert code == 2
+        assert "error: cannot read inputs" in err
+        assert "Traceback" not in err
+
+    def test_certificate_is_checked_against_the_definition(
+        self, capsys, bundle, monkeypatch
+    ):
+        # The sweep finds witnesses through NuProfile.evaluate; the
+        # re-check must not, so a wrong sweep cannot pass unnoticed.
+        from gshatter.shatter import is_shattered
+
+        kernel = group_function_from_json(read_json(bundle / "kernel.json"))
+        fs = function_family_from_json(
+            read_json(bundle / "functions.json"), kernel.group
+        )
+        mu = counting_measure(kernel.group)
+        true_evaluate = NuProfile.evaluate
+        monkeypatch.setattr(
+            NuProfile, "evaluate", lambda self, c: true_evaluate(self, c) + 1
+        )
+        with pytest.raises(AssertionError):
+            is_shattered(kernel, fs, mu)
+        code, _, err = run(
+            capsys,
+            "verify",
+            "--kernel", str(bundle / "kernel.json"),
+            "--functions", str(bundle / "functions.json"),
+        )
+        assert code == 5
+        assert "witness re-verification failed" in err
 
     def test_mismatched_groups(self, capsys, bundle, tmp_path):
         functions = read_json(bundle / "functions.json")

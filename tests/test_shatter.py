@@ -6,8 +6,6 @@ import random
 from fractions import Fraction
 from math import lcm
 
-import pytest
-
 from gshatter.classifier import classify, nu
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
@@ -17,7 +15,6 @@ from gshatter.shatter import (
     enumerate_dichotomies,
     is_shattered,
     order_set,
-    vc_search,
 )
 
 
@@ -223,43 +220,3 @@ class TestOrderCriterion:
             assert check_order_criterion(kernel, fs, mu) == is_shattered(
                 kernel, fs, mu
             ).shattered
-
-
-class TestVCSearch:
-    def test_duplicate_candidate_caps_dimension(self):
-        g = build_group("cyclic:2")
-        f1 = GroupFunction.from_values(g, [4, 0])
-        f2 = GroupFunction.from_values(g, [3, 3])
-        k = indicator(g, 0)
-        result = vc_search(k, [f1, f2, f1], counting_measure(g), m_cap=3)
-        assert result.max_size == 2
-        assert result.exhausted
-        assert result.certificate is not None and result.certificate.shattered
-
-    def test_budget_cuts_search_short(self):
-        g = build_group("cyclic:2")
-        f1 = GroupFunction.from_values(g, [4, 0])
-        f2 = GroupFunction.from_values(g, [3, 3])
-        k = indicator(g, 0)
-        result = vc_search(k, [f1, f2], counting_measure(g), m_cap=2, budget=1)
-        assert not result.exhausted
-        assert result.max_size == 1
-        assert result.tested == 1
-
-    def test_zero_kernel_has_dimension_one(self):
-        g = build_group("cyclic:3")
-        k = constant(g, 0)
-        cands = [GroupFunction.from_values(g, [i, 0, 1]) for i in range(3)]
-        result = vc_search(k, cands, counting_measure(g), m_cap=3)
-        assert result.max_size == 1
-        assert result.exhausted
-
-    def test_cap_larger_than_candidates_rejected(self):
-        g = build_group("cyclic:2")
-        with pytest.raises(ValueError):
-            vc_search(
-                indicator(g, 0),
-                [constant(g, 1)],
-                counting_measure(g),
-                m_cap=2,
-            )
