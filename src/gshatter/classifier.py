@@ -124,10 +124,3 @@ def ranking_of_values(values: Sequence[Fraction]) -> Ranking:
         1 + sum(1 for other in values if other < v) for v in values
     )
     return Ranking(ranks)
-
-
-def order_at(profiles: Sequence[NuProfile], c: Fraction) -> Ranking:
-    """Ranking of the profiles' nu values at bias c, from the definition."""
-    if not profiles:
-        raise ValueError("order_at needs at least one profile")
-    return ranking_of_values([relu_sum(p.conv, p.mu, c) for p in profiles])

@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .bounds import build_bound_report, required_group_size
-from .classifier import Ranking
+from .classifier import build_nu_profile
 from .errors import (
     GroupSpecError,
     GroupTooSmallError,
@@ -53,8 +53,8 @@ from .jsonio import (
     write_json_atomic,
 )
 from .orders import build_complete_orders, completeness_lower_bound, is_complete
-from .shatter import check_order_criterion, is_shattered
-from .synth import SynthConfig, synth_kernel, verify_synth
+from .shatter import attained_orders, certificate, critical_set
+from .synth import SynthConfig, synth_kernel
 
 DEFAULT_M_CAP = 8
 
@@ -196,7 +196,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         m=args.m, g=g, orders=orders, mode=args.mode, B=b, C=c
     )
     result = synth_kernel(group, config)
-    report = verify_synth(result, orders)
+    report = result.report
     cert = report.certificate
     if cert is None:
         return _fail("the built order set is not complete", 5)
@@ -249,11 +249,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not fs:
         return _fail("functions file contains no functions", 2)
     mu = counting_measure(kernel.group)
+    # One sweep, two independent conclusions: the certificate is re-checked
+    # against the ReLU-sum definition, the criterion decided from rankings.
+    critical = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
     try:
-        cert = is_shattered(kernel, fs, mu)
+        cert = certificate(critical)
     except AssertionError as exc:
         return _fail(f"witness re-verification failed: {exc}", 5)
-    criterion = check_order_criterion(kernel, fs, mu)
+    criterion = is_complete(attained_orders(critical))
     agreement = criterion == cert.shattered
     data = {
         "certificate": certificate_to_json(cert, group_label=kernel.group.label),

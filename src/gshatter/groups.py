@@ -199,6 +199,8 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     """Build the group a spec describes; identical specs yield identical tables."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
+    elif not isinstance(spec, GroupSpec):
+        raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
     if spec.kind == "cyclic":
         assert spec.n is not None
         return cyclic_group(spec.n)

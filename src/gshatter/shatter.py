@@ -67,11 +67,14 @@ class CriticalSet:
     the open intervals between them (midpoints) and both unbounded ends.
     Between consecutive points every nu is affine, so the ranking is
     constant there and the probes reach every ranking attained on the
-    whole real line.
+    whole real line.  `values[i][k]` is the nu of `profiles[k]` at
+    `probes[i]`; every reader of the sweep takes its values from here.
     """
 
+    profiles: tuple[NuProfile, ...]
     points: tuple[Fraction, ...]
     probes: tuple[Fraction, ...]
+    values: tuple[list[Fraction], ...]
 
 
 def _profiles(
@@ -82,7 +85,8 @@ def _profiles(
     return [build_nu_profile(kernel, f, mu) for f in fs]
 
 
-def _critical_from_profiles(profiles: Sequence[NuProfile]) -> CriticalSet:
+def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
+    """Critical points and probes of the profiles, with nu at every probe."""
     criticals: set[Fraction] = set()
     for p in profiles:
         criticals.update(p.breakpoints)
@@ -109,26 +113,24 @@ def _critical_from_profiles(profiles: Sequence[NuProfile]) -> CriticalSet:
             if (lo is None or lo < c) and (hi is None or c < hi):
                 criticals.add(c)
     points = tuple(sorted(criticals))
-    if not points:
-        return CriticalSet(points=(), probes=(Fraction(0),))
-    probes: list[Fraction] = [points[0] - 1]
-    for idx, p in enumerate(points):
-        probes.append(p)
-        if idx + 1 < len(points):
-            probes.append((p + points[idx + 1]) / 2)
-    probes.append(points[-1] + 1)
-    return CriticalSet(points=points, probes=tuple(probes))
+    probes = [points[0] - 1] if points else [Fraction(0)]
+    for lo, hi in zip(points, points[1:]):
+        probes += [lo, (lo + hi) / 2]
+    if points:
+        probes += [points[-1], points[-1] + 1]
+    values = tuple([[p.evaluate(c) for p in profiles] for c in probes])
+    return CriticalSet(tuple(profiles), points, tuple(probes), values)
 
 
 def critical_points(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> CriticalSet:
     """Bias values at which the ranking of the nu functions can change."""
-    return _critical_from_profiles(_profiles(kernel, fs, mu))
+    return critical_set(_profiles(kernel, fs, mu))
 
 
 def _witnesses(
-    profiles: Sequence[NuProfile],
+    critical: CriticalSet,
 ) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
     """First witness (c1, c2) for every realizable label pattern.
 
@@ -136,10 +138,8 @@ def _witnesses(
     every realizable cut: the pattern labels +1 exactly the functions
     with nu strictly above the cut, so tied values always share a label.
     """
-    critical = _critical_from_profiles(profiles)
     found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
-    for c1 in critical.probes:
-        values = [p.evaluate(c1) for p in profiles]
+    for c1, values in zip(critical.probes, critical.values):
         cuts = sorted(set(values), reverse=True)
         # One threshold per distinct value (that value lands on -1), plus
         # a cut below the minimum that labels everything +1.
@@ -154,26 +154,24 @@ def enumerate_dichotomies(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> set[Dichotomy]:
     """The exact set of label patterns realizable by any rational (c1, c2)."""
-    found = _witnesses(_profiles(kernel, fs, mu))
+    found = _witnesses(critical_set(_profiles(kernel, fs, mu)))
     m = len(fs)
     n = fs[0].group.order
     assert len(found) <= (m + m * (m - 1) // 2) * (m * n + 1)
     return {Dichotomy(labels) for labels in found}
 
 
-def is_shattered(
-    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
-) -> ShatterCertificate:
-    """Certificate covering all 2^m label patterns.
+def certificate(critical: CriticalSet) -> ShatterCertificate:
+    """Certificate covering all 2^m label patterns of a critical set.
 
-    Every witness is re-verified by classify's rule, evaluated through
-    the ReLU-sum definition on each profile's stored convolution; a
-    witness that failed re-verification would mean an internal
+    Every witness is re-verified by classify's rule through the ReLU-sum
+    definition on each profile's stored convolution, not the sweep's
+    values; a witness that failed re-verification would mean an internal
     inconsistency, so it raises instead of being silently dropped.
     """
-    m = len(fs)
-    profiles = _profiles(kernel, fs, mu)
-    found = _witnesses(profiles)
+    profiles = critical.profiles
+    m = len(profiles)
+    found = _witnesses(critical)
     entries: list[DichotomyEntry] = []
     for labels in product((-1, 1), repeat=m):
         if labels in found:
@@ -192,17 +190,26 @@ def is_shattered(
     return ShatterCertificate(m=m, entries=tuple(entries), shattered=shattered)
 
 
+def attained_orders(critical: CriticalSet) -> OrderSet:
+    """Every ranking the nu values of a critical set attain, in probe order."""
+    seen: dict[Ranking, None] = {}
+    for values in critical.values:
+        seen.setdefault(ranking_of_values(values))
+    return OrderSet(len(critical.profiles), tuple(seen))
+
+
+def is_shattered(
+    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
+) -> ShatterCertificate:
+    """Certificate covering all 2^m label patterns; see `certificate`."""
+    return certificate(critical_set(_profiles(kernel, fs, mu)))
+
+
 def order_set(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> OrderSet:
     """Every ranking the nu values attain over all bias values."""
-    profiles = _profiles(kernel, fs, mu)
-    critical = _critical_from_profiles(profiles)
-    seen: dict[Ranking, None] = {}
-    for c1 in critical.probes:
-        values = [p.evaluate(c1) for p in profiles]
-        seen.setdefault(ranking_of_values(values))
-    return OrderSet(len(profiles), tuple(seen))
+    return attained_orders(critical_set(_profiles(kernel, fs, mu)))
 
 
 def check_order_criterion(

@@ -14,11 +14,11 @@ the finished kernel alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classifier import build_nu_profile, order_at, relu_sum
+from .classifier import build_nu_profile, ranking_of_values, relu_sum
 from .errors import (
     GroupTooSmallError,
     SynthesisVerificationError,
@@ -26,7 +26,7 @@ from .errors import (
 from .gfunc import GroupFunction, counting_measure, indicator
 from .groups import FiniteGroup
 from .orders import OrderSet, is_complete
-from .shatter import ShatterCertificate, is_shattered
+from .shatter import ShatterCertificate, certificate, critical_set
 
 MODES = ("order_two", "general")
 
@@ -273,6 +273,8 @@ class SynthResult:
     mode: str
     B: Fraction
     C: Fraction
+    # verify_synth's report on the kernel; None when read back from JSON.
+    report: Optional[SynthReport]
 
     @property
     def group(self) -> FiniteGroup:
@@ -312,9 +314,10 @@ def _mode_element_ok(group: FiniteGroup, g: int, mode: str) -> bool:
 def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
     """Build a kernel realizing each target order o_l at bias -c_l.
 
-    Raises SynthesisVerificationError if any of the construction's
-    claimed properties fails its final re-check; a returned result has
-    passed them all.
+    The finished kernel goes through verify_synth once, and the result
+    carries that report.  Raises SynthesisVerificationError if any check
+    other than shattering fails; a failed shattering check is a verdict
+    on the kernel, left to the caller to read from the report.
     """
     m, g, mode = config.m, config.g, config.mode
     B, C = Fraction(config.B), Fraction(config.C)
@@ -423,19 +426,17 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
         mode=mode,
         B=B,
         C=C,
+        report=None,
     )
-    _post_check(result, config.orders)
-    return result
-
-
-def _post_check(result: SynthResult, orders: OrderSet) -> None:
-    """Re-check every claimed property of a freshly built kernel."""
-    report = verify_synth(result, orders, include_shattering=False)
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
+    report = verify_synth(result, config.orders)
+    failed = [
+        c.name for c in report.checks if not c.passed and c.name != "shattering"
+    ]
+    if failed:
         raise SynthesisVerificationError(
-            f"synthesized kernel failed self-checks: {failed}"
+            f"synthesized kernel failed self-checks: {', '.join(failed)}"
         )
+    return replace(result, report=report)
 
 
 @dataclass(frozen=True)
@@ -448,7 +449,7 @@ class SynthCheck:
 @dataclass(frozen=True)
 class SynthReport:
     checks: tuple[SynthCheck, ...]
-    # What the "shattering" check computed; None when it did not run.
+    # The "shattering" check's certificate; None for incomplete orders.
     certificate: Optional[ShatterCertificate] = None
 
     @property
@@ -462,18 +463,15 @@ class SynthReport:
         ]
 
 
-def verify_synth(
-    result: SynthResult,
-    orders: OrderSet,
-    include_shattering: bool = True,
-) -> SynthReport:
+def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
     """Re-derive every claim about a synthesized kernel from scratch.
 
     Only the finished kernel, the tower functions and the group are
     consulted; the level values m_l, the spreads M_l and the thresholds
     are recomputed rather than trusted.  Each function is convolved with
-    the kernel once, and every nu value is taken from the ReLU-sum
-    definition on that convolution.
+    the kernel once, and every nu value a check reads is taken from the
+    ReLU-sum definition on that convolution; the shattering certificate's
+    witnesses are re-checked against the same definition.
     """
     checks: list[SynthCheck] = []
 
@@ -484,9 +482,8 @@ def verify_synth(
     m = result.m
     r = len(orders.rankings)
     mu = counting_measure(group)
-    fs = result.family()
     kernel = result.kernel
-    profiles = [build_nu_profile(kernel, f, mu) for f in fs]
+    profiles = [build_nu_profile(kernel, f, mu) for f in result.family()]
     convs = [p.conv for p in profiles]
 
     def nus(c: Fraction) -> list[Fraction]:
@@ -574,10 +571,11 @@ def verify_synth(
     )
     add("thresholds", thresholds_ok, "c_l = m_l - eps/2 for every level")
 
+    level_nus = [nus(-result.thresholds[l]) for l in range(r)]
     orders_ok = True
     detail = ""
     for l in range(r):
-        got = order_at(profiles, -result.thresholds[l])
+        got = ranking_of_values(level_nus[l])
         if got.ranks != orders.rankings[l].ranks:
             orders_ok = False
             detail = (
@@ -590,7 +588,7 @@ def verify_synth(
     gaps_ok = True
     detail = ""
     for l in range(r):
-        values = nus(-result.thresholds[l])
+        values = level_nus[l]
         for a in range(m):
             for b in range(a + 1, m):
                 if abs(values[a] - values[b]) < epsilon:
@@ -670,19 +668,11 @@ def verify_synth(
         )
 
     cert = None
-    if include_shattering:
-        if is_complete(orders):
-            cert = is_shattered(kernel, fs, mu)
-            add(
-                "shattering",
-                cert.shattered,
-                f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed",
-            )
-        else:
-            add(
-                "shattering",
-                True,
-                "target orders not complete; shattering not required",
-            )
+    if is_complete(orders):
+        cert = certificate(critical_set(profiles))
+        detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
+        add("shattering", cert.shattered, detail)
+    else:
+        add("shattering", True, "target orders not complete; shattering not required")
 
     return SynthReport(tuple(checks), cert)

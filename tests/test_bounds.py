@@ -173,7 +173,3 @@ class TestReport:
         assert report.lower_order_two is None
         assert report.lower_general is None
         assert report.implicit_upper == 10
-
-    def test_required_size_helpers(self):
-        assert build_bound_report(48).required_size_order_two(4) == 48
-        assert build_bound_report(81).required_size_general(3) == 81

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from gshatter.classifier import (
     build_nu_profile,
     classify,
     nu,
-    order_at,
     ranking_of_values,
 )
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
@@ -192,22 +190,6 @@ class TestRankings:
         r = ranking_of_values([Fraction(5), Fraction(5), Fraction(1)])
         assert r.ranks == (2, 2, 1)
         assert not r.is_strict()
-
-    def test_order_at(self):
-        g = build_group("cyclic:2")
-        k = indicator(g, 0)
-        mu = counting_measure(g)
-        fs = [
-            GroupFunction.from_values(g, [1, 2]),  # nu(0) = 3
-            GroupFunction.from_values(g, [1, 0]),  # nu(0) = 1
-            GroupFunction.from_values(g, [0, 2]),  # nu(0) = 2
-        ]
-        profiles = [build_nu_profile(k, f, mu) for f in fs]
-        assert order_at(profiles, Fraction(0)).ranks == (3, 1, 2)
-
-    def test_order_at_rejects_empty(self):
-        with pytest.raises(ValueError):
-            order_at([], Fraction(0))
 
     def test_ranking_is_strict_is_permutation_test(self):
         assert Ranking((2, 3, 1)).is_strict()

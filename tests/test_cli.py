@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+import gshatter.classifier
+import gshatter.gfunc
+import gshatter.synth
 from gshatter.classifier import NuProfile
+from gshatter.errors import SynthesisVerificationError
+from gshatter.groups import build_group
 from gshatter.gfunc import counting_measure
 from gshatter.cli import main
 from gshatter.jsonio import (
@@ -18,12 +24,43 @@ from gshatter.jsonio import (
     synth_result_from_json,
     write_json_atomic,
 )
+from gshatter.orders import build_complete_orders
+from gshatter.synth import SynthConfig, synth_kernel
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_convolutions(monkeypatch):
+    """Count convolve calls at both of its bindings; returns the call list."""
+    calls = []
+    original = gshatter.gfunc.convolve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gshatter.gfunc, "convolve", counting)
+    monkeypatch.setattr(gshatter.classifier, "convolve", counting)
+    return calls
+
+
+def fail_check(monkeypatch, name):
+    """Make verify_synth report the check `name` as failed."""
+    original = gshatter.synth.verify_synth
+
+    def failing(result, orders):
+        report = original(result, orders)
+        checks = tuple(
+            dataclasses.replace(c, passed=False) if c.name == name else c
+            for c in report.checks
+        )
+        return dataclasses.replace(report, checks=checks)
+
+    monkeypatch.setattr(gshatter.synth, "verify_synth", failing)
 
 
 class TestGroupCommand:
@@ -167,6 +204,53 @@ class TestSynthCommand:
         for name, digest in golden.items():
             assert sha256_of_file(tmp_path / name) == digest, name
 
+    def test_one_convolution_per_function(self, capsys, tmp_path, monkeypatch):
+        calls = count_convolutions(monkeypatch)
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:18", "--m", "3",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert len(calls) == 3
+        calls.clear()
+        code, _, _ = run(
+            capsys,
+            "verify",
+            "--kernel", str(tmp_path / "kernel.json"),
+            "--functions", str(tmp_path / "functions.json"),
+        )
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_failed_self_check_exits_5_without_artifacts(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        fail_check(monkeypatch, "pairwise-gaps")
+        config = SynthConfig(m=2, g=4, orders=build_complete_orders(2))
+        with pytest.raises(SynthesisVerificationError, match="pairwise-gaps"):
+            synth_kernel(build_group("cyclic:8"), config)
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(out),
+        )
+        assert code == 5
+        assert "pairwise-gaps" in err
+        assert not out.exists()
+
+    def test_failed_shattering_exits_1_with_artifacts(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        fail_check(monkeypatch, "shattering")
+        code, out, _ = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "FAIL  shattering" in out
+        assert read_json(tmp_path / "verify_report.json")["passed"] is False
+        assert (tmp_path / "shatter_certificate.json").exists()
+
 
 class TestVerifyCommand:
     @pytest.fixture()
@@ -276,6 +360,21 @@ class TestVerifyCommand:
         assert code == 5
         assert "witness re-verification failed" in err
 
+    @pytest.mark.parametrize("group", [5, ["cyclic:8"]])
+    def test_non_string_group(self, capsys, bundle, tmp_path, group):
+        kernel = read_json(bundle / "kernel.json")
+        kernel["group"] = group
+        path = tmp_path / "kernel.json"
+        write_json_atomic(path, kernel)
+        code, _, err = run(
+            capsys,
+            "verify",
+            "--kernel", str(path),
+            "--functions", str(bundle / "functions.json"),
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_mismatched_groups(self, capsys, bundle, tmp_path):
         functions = read_json(bundle / "functions.json")
         functions["group"] = "cyclic:9"
@@ -340,6 +439,17 @@ class TestBoundsCommand:
         assert code == 0
         row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
         assert row8.split()[-1] == "2"
+
+
+    @pytest.mark.parametrize("group", [5, ["cyclic:8"]])
+    def test_non_string_group_in_achieved(self, capsys, tmp_path, group):
+        path = tmp_path / "certificate.json"
+        write_json_atomic(
+            path, {"group": group, "dichotomies": [], "shattered": True, "m": 2}
+        )
+        code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestParser:
