@@ -34,6 +34,7 @@ from .errors import (
     GShatterError,
     MissingElementError,
     SynthesisVerificationError,
+    WitnessVerificationError,
 )
 from .gfunc import (
     GroupFunction,

@@ -21,12 +21,20 @@ from .gfunc import GroupFunction, Measure, convolve
 
 
 def relu_sum(conv: GroupFunction, mu: Measure, c: Fraction) -> Fraction:
-    """sum_g max(0, conv(g) + c) * mu(g): the definition of nu, given f*K."""
-    total = Fraction(0)
+    """sum_g max(0, conv(g) + c) * mu(g): the definition of nu, given f*K.
+
+    The terms with conv(g) > -c add up to the sum of their conv(g) mu(g)
+    plus c times the sum of their mu(g): the same exact rational, without
+    forming conv(g) + c for every g.
+    """
+    floor = -c
+    mass = Fraction(0)
+    weight = Fraction(0)
     for v, w in zip(conv.values, mu.weights):
-        if w != 0 and v + c > 0:
-            total += (v + c) * w
-    return total
+        if w != 0 and v > floor:
+            mass += v * w
+            weight += w
+    return mass + c * weight
 
 
 def nu(
@@ -72,6 +80,18 @@ class NuProfile:
     def evaluate(self, c: Fraction) -> Fraction:
         i = self.piece_at(c)
         return self.slopes[i] * c + self.offsets[i]
+
+    def evaluate_sorted(self, cs: Sequence[Fraction]) -> list[Fraction]:
+        """[evaluate(c) for c in cs] for ascending cs, in one forward walk."""
+        breakpoints, slopes, offsets = self.breakpoints, self.slopes, self.offsets
+        end = len(breakpoints)
+        i = 0
+        values = []
+        for c in cs:
+            while i < end and breakpoints[i] < c:
+                i += 1
+            values.append(slopes[i] * c + offsets[i])
+        return values
 
 
 def build_nu_profile(
@@ -120,7 +140,6 @@ class Ranking:
 
 
 def ranking_of_values(values: Sequence[Fraction]) -> Ranking:
-    ranks = tuple(
-        1 + sum(1 for other in values if other < v) for v in values
-    )
-    return Ranking(ranks)
+    """rank(k) = 1 + #{l : value_l < value_k}, read off one sorted copy."""
+    ordered = sorted(values)
+    return Ranking(tuple(1 + bisect_left(ordered, v) for v in values))

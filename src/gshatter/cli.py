@@ -30,6 +30,7 @@ from .errors import (
     GroupTooSmallError,
     MissingElementError,
     SynthesisVerificationError,
+    WitnessVerificationError,
 )
 from .gfunc import counting_measure
 from .groups import (
@@ -252,10 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # One sweep, two independent conclusions: the certificate is re-checked
     # against the ReLU-sum definition, the criterion decided from rankings.
     critical = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
-    try:
-        cert = certificate(critical)
-    except AssertionError as exc:
-        return _fail(f"witness re-verification failed: {exc}", 5)
+    cert = certificate(critical)
     criterion = is_complete(attained_orders(critical))
     agreement = criterion == cert.shattered
     data = {
@@ -438,6 +436,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc), 4)
     except SynthesisVerificationError as exc:
         return _fail(f"internal verification failure: {exc}", 5)
+    except WitnessVerificationError as exc:
+        return _fail(f"witness re-verification failed: {exc}", 5)
 
 
 if __name__ == "__main__":

@@ -39,3 +39,12 @@ class SynthesisVerificationError(GShatterError):
     This is never silenced: a kernel is only returned once every claimed
     property has been re-checked against the definitions.
     """
+
+
+class WitnessVerificationError(GShatterError):
+    """The sweep's witness table failed an independent check.
+
+    Either a witness (c1, c2) does not give its labels under the ReLU-sum
+    definition, or the sweep found more label patterns than the counting
+    bound allows.  Both mean an internal inconsistency, never bad input.
+    """

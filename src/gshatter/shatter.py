@@ -23,6 +23,7 @@ from .classifier import (
     ranking_of_values,
     relu_sum,
 )
+from .errors import WitnessVerificationError
 from .gfunc import GroupFunction, Measure
 from .orders import OrderSet, is_complete
 
@@ -86,30 +87,48 @@ def _profiles(
 
 
 def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
-    """Critical points and probes of the profiles, with nu at every probe."""
-    criticals: set[Fraction] = set()
-    for p in profiles:
-        criticals.update(p.breakpoints)
-    grid = sorted(criticals)
-    # Representative point inside each maximal piece of the common grid.
-    reps: list[Fraction] = []
-    if grid:
-        reps.append(grid[0] - 1)
-        for lo, hi in zip(grid, grid[1:]):
-            reps.append((lo + hi) / 2)
-        reps.append(grid[-1] + 1)
-    for rep_index, rep in enumerate(reps):
-        lo = grid[rep_index - 1] if rep_index > 0 else None
-        hi = grid[rep_index] if rep_index < len(grid) else None
-        for i, j in combinations(range(len(profiles)), 2):
-            pi, pj = profiles[i], profiles[j]
-            si = pi.slopes[pi.piece_at(rep)]
-            oi = pi.offsets[pi.piece_at(rep)]
-            sj = pj.slopes[pj.piece_at(rep)]
-            oj = pj.offsets[pj.piece_at(rep)]
-            if si == sj:
-                continue  # parallel or identical on this piece: no crossing
-            c = (oj - oi) / (si - sj)
+    """Critical points and probes of the profiles, with nu at every probe.
+
+    One left-to-right walk over the common grid of breakpoints.  Each
+    profile keeps a piece index that only moves forward, at its own
+    breakpoints, so on each open piece of the grid its (slope, offset)
+    is read once.  Two profiles with different slopes there cross at one
+    point, which is critical when it lies strictly inside the piece.  A
+    pair's crossing is recomputed only when one of the two enters a new
+    piece; the strict-interior test runs on every piece.
+    """
+    m = len(profiles)
+    # The profiles whose piece index advances at each grid point.
+    advancing: dict[Fraction, list[int]] = {}
+    for k, p in enumerate(profiles):
+        for bp in p.breakpoints:
+            advancing.setdefault(bp, []).append(k)
+    grid = sorted(advancing)
+    criticals = set(grid)
+    pieces = [0] * m
+    lines = [(p.slopes[0], p.offsets[0]) for p in profiles]
+    crossings: dict[tuple[int, int], Fraction] = {}
+
+    def cross(i: int, j: int) -> None:
+        (si, oi), (sj, oj) = lines[i], lines[j]
+        if si == sj:  # parallel or identical on this piece: no crossing
+            crossings.pop((i, j), None)
+        else:
+            crossings[i, j] = (oj - oi) / (si - sj)
+
+    for i, j in combinations(range(m), 2):
+        cross(i, j)
+    for lo, hi in zip([None, *grid], [*grid, None]):
+        if lo is not None:
+            moved = advancing[lo]
+            for k in moved:
+                pieces[k] += 1
+                p = profiles[k]
+                lines[k] = (p.slopes[pieces[k]], p.offsets[pieces[k]])
+            for i, j in {(min(k, l), max(k, l)) for k in moved for l in range(m)}:
+                if i != j:
+                    cross(i, j)
+        for c in crossings.values():
             if (lo is None or lo < c) and (hi is None or c < hi):
                 criticals.add(c)
     points = tuple(sorted(criticals))
@@ -118,7 +137,8 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
         probes += [lo, (lo + hi) / 2]
     if points:
         probes += [points[-1], points[-1] + 1]
-    values = tuple([[p.evaluate(c) for p in profiles] for c in probes])
+    columns = [p.evaluate_sorted(probes) for p in profiles]
+    values = tuple(list(row) for row in zip(*columns))
     return CriticalSet(tuple(profiles), points, tuple(probes), values)
 
 
@@ -140,13 +160,21 @@ def _witnesses(
     """
     found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
     for c1, values in zip(critical.probes, critical.values):
-        cuts = sorted(set(values), reverse=True)
+        # The distinct values from the top, and the index of each value's
+        # own cut: a value lies above cut j exactly when that index is < j.
+        cuts: list[Fraction] = []
+        places = [0] * len(values)
+        for k in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+            if not cuts or values[k] != cuts[-1]:
+                cuts.append(values[k])
+            places[k] = len(cuts) - 1
         # One threshold per distinct value (that value lands on -1), plus
         # a cut below the minimum that labels everything +1.
-        cuts.append(cuts[-1] - 1)
-        for threshold in cuts:
-            labels = tuple(1 if v > threshold else -1 for v in values)
-            found.setdefault(labels, (c1, -threshold))
+        for j in range(len(cuts) + 1):
+            labels = tuple(1 if i < j else -1 for i in places)
+            if labels not in found:
+                threshold = cuts[j] if j < len(cuts) else cuts[-1] - 1
+                found[labels] = (c1, -threshold)
     return found
 
 
@@ -157,7 +185,11 @@ def enumerate_dichotomies(
     found = _witnesses(critical_set(_profiles(kernel, fs, mu)))
     m = len(fs)
     n = fs[0].group.order
-    assert len(found) <= (m + m * (m - 1) // 2) * (m * n + 1)
+    bound = (m + m * (m - 1) // 2) * (m * n + 1)
+    if len(found) > bound:
+        raise WitnessVerificationError(
+            f"{len(found)} label patterns exceed the counting bound {bound}"
+        )
     return {Dichotomy(labels) for labels in found}
 
 
@@ -167,7 +199,8 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
     Every witness is re-verified by classify's rule through the ReLU-sum
     definition on each profile's stored convolution, not the sweep's
     values; a witness that failed re-verification would mean an internal
-    inconsistency, so it raises instead of being silently dropped.
+    inconsistency, so it raises WitnessVerificationError instead of
+    being silently dropped.
     """
     profiles = critical.profiles
     m = len(profiles)
@@ -179,7 +212,7 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
             for k, p in enumerate(profiles):
                 got = 1 if relu_sum(p.conv, p.mu, c1) + c2 > 0 else -1
                 if got != labels[k]:
-                    raise AssertionError(
+                    raise WitnessVerificationError(
                         f"witness ({c1}, {c2}) for {labels} fails on "
                         f"function {k}: the classifier gives {got}"
                     )

@@ -246,6 +246,23 @@ def test_criterion_05_order_criterion_equivalence():
     )
 
 
+def test_fast_paths_match_references_on_criterion_05_instances():
+    """Convolution, critical set and witnesses equal their slow references."""
+    from test_fast_paths import assert_matches_references
+
+    for kernel, fs, mu in random_instances(seed=42, count=1000):
+        assert_matches_references(kernel, fs, mu)
+
+
+def test_fast_paths_match_references_on_bundles(bundles):
+    from test_fast_paths import assert_matches_references
+
+    for bundle in bundles.values():
+        kernel = bundle.kernel
+        fs = bundle.family(kernel.group)
+        assert_matches_references(kernel, fs, counting_measure(kernel.group))
+
+
 def test_criterion_06_counting_bounds():
     """Pattern count and step-value count stay under their closed forms."""
     checked = 0

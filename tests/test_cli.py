@@ -11,7 +11,7 @@ import gshatter.classifier
 import gshatter.gfunc
 import gshatter.synth
 from gshatter.classifier import NuProfile
-from gshatter.errors import SynthesisVerificationError
+from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
 from gshatter.groups import build_group
 from gshatter.gfunc import counting_measure
 from gshatter.cli import main
@@ -46,6 +46,16 @@ def count_convolutions(monkeypatch):
     monkeypatch.setattr(gshatter.gfunc, "convolve", counting)
     monkeypatch.setattr(gshatter.classifier, "convolve", counting)
     return calls
+
+
+def shift_sweep_values(monkeypatch):
+    """Make the sweep's nu values wrong by 1; the definition stays right."""
+    true_evaluate_sorted = NuProfile.evaluate_sorted
+    monkeypatch.setattr(
+        NuProfile,
+        "evaluate_sorted",
+        lambda self, cs: [v + 1 for v in true_evaluate_sorted(self, cs)],
+    )
 
 
 def fail_check(monkeypatch, name):
@@ -188,21 +198,41 @@ class TestSynthCommand:
 
     def test_golden_digests(self, capsys, tmp_path):
         # Artifacts of the reference release; any refactor must keep them.
-        code, _, _ = run(
-            capsys, "synth", "--group", "cyclic:18", "--m", "3",
-            "--out-dir", str(tmp_path),
-        )
-        assert code == 0
-        golden = {
-            "functions.json": "4a4b4faab32198f801b7a8cd23f4995cbd058d3906e4df8e31ae7671126d8f35",
-            "kernel.json": "d034bd723a2d68d06ed33825ab6351ba77367765aa987c218990316df63683f4",
+        shared = {
             "orders.json": "3fb305159dd92b86e5b8ab8b541b39e5d608dc70bcfdc10123e150d448b145d3",
-            "shatter_certificate.json": "8b8ba8b18ff9b9068e39a5406a827d7d5193e4b855045448688310e1d578fe85",
-            "synth_result.json": "6c39658a1033e911cc072c91d76a309c1f755fb3a5aa5f523e5e964116a6fc20",
-            "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
         }
-        for name, digest in golden.items():
-            assert sha256_of_file(tmp_path / name) == digest, name
+        golden = {
+            ("cyclic:18", "order_two"): {
+                "functions.json": "4a4b4faab32198f801b7a8cd23f4995cbd058d3906e4df8e31ae7671126d8f35",
+                "kernel.json": "d034bd723a2d68d06ed33825ab6351ba77367765aa987c218990316df63683f4",
+                "shatter_certificate.json": "8b8ba8b18ff9b9068e39a5406a827d7d5193e4b855045448688310e1d578fe85",
+                "synth_result.json": "6c39658a1033e911cc072c91d76a309c1f755fb3a5aa5f523e5e964116a6fc20",
+                "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
+            },
+            ("dihedral:9", "order_two"): {
+                "functions.json": "b71166475c9111bc5ffb34d2d68faf5443e275ff8c5e8f547c553785fac6c81a",
+                "kernel.json": "7e94d0cde42b01feffe2803c578fe9b38c1d0d452e1c635a7d7ec24150f15ebb",
+                "shatter_certificate.json": "dab2b916719e9fc3856a682773a919575bb40777e50173971a89022a79bde629",
+                "synth_result.json": "9c0e1c2f01864f8009a6d4598f3569f1bcf203f7a76a623fad3896e61a5d6892",
+                "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
+            },
+            ("cyclic:81", "general"): {
+                "functions.json": "a34259f1c3d8c05abaad483d73d882599ed37bd256d645175df2532e483a782a",
+                "kernel.json": "fdf470d0c2461cfae23b2af877dfb7f5cfe233b6c31a25a7c5d722e15c867f34",
+                "shatter_certificate.json": "a8fa59ce0ecf4ba36f838c291103cb084756c90a08e416cd8126917122b278e8",
+                "synth_result.json": "3333d67a22d8443d456f040236a25fe1cef9c52206a7f0b8b2211dc7cadac68d",
+                "verify_report.json": "107099ed7beb7d8d8beca105b0d639ede38af62c64bd5c0cf3cd7d598f55f673",
+            },
+        }
+        for (spec, mode), digests in golden.items():
+            out = tmp_path / spec.replace(":", "_")
+            code, _, _ = run(
+                capsys, "synth", "--group", spec, "--m", "3", "--mode", mode,
+                "--out-dir", str(out),
+            )
+            assert code == 0, spec
+            for name, digest in {**shared, **digests}.items():
+                assert sha256_of_file(out / name) == digest, (spec, name)
 
     def test_one_convolution_per_function(self, capsys, tmp_path, monkeypatch):
         calls = count_convolutions(monkeypatch)
@@ -236,6 +266,20 @@ class TestSynthCommand:
         )
         assert code == 5
         assert "pairwise-gaps" in err
+        assert not out.exists()
+
+    def test_failed_witness_recheck_exits_5_without_artifacts(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        shift_sweep_values(monkeypatch)
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(out),
+        )
+        assert code == 5
+        assert err.startswith("error: witness re-verification failed")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_failed_shattering_exits_1_with_artifacts(
@@ -336,7 +380,7 @@ class TestVerifyCommand:
     def test_certificate_is_checked_against_the_definition(
         self, capsys, bundle, monkeypatch
     ):
-        # The sweep finds witnesses through NuProfile.evaluate; the
+        # The sweep finds witnesses through NuProfile.evaluate_sorted; the
         # re-check must not, so a wrong sweep cannot pass unnoticed.
         from gshatter.shatter import is_shattered
 
@@ -345,11 +389,8 @@ class TestVerifyCommand:
             read_json(bundle / "functions.json"), kernel.group
         )
         mu = counting_measure(kernel.group)
-        true_evaluate = NuProfile.evaluate
-        monkeypatch.setattr(
-            NuProfile, "evaluate", lambda self, c: true_evaluate(self, c) + 1
-        )
-        with pytest.raises(AssertionError):
+        shift_sweep_values(monkeypatch)
+        with pytest.raises(WitnessVerificationError):
             is_shattered(kernel, fs, mu)
         code, _, err = run(
             capsys,

@@ -17,7 +17,7 @@ from gshatter.gfunc import (
     indicator,
     translate,
 )
-from gshatter.groups import build_group
+from gshatter.groups import FiniteGroup, build_group
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -100,6 +100,21 @@ class TestConvolution:
         k = GroupFunction.from_values(build_group("cyclic:4"), [1, 2, 3, 4])
         with pytest.raises(ValueError):
             convolve(f, k, counting_measure(f.group))
+
+    def test_custom_tables_of_one_order_are_told_apart(self):
+        # Both tables are labelled "table:4"; only their content differs.
+        z4 = FiniteGroup([[(a + b) % 4 for b in range(4)] for a in range(4)])
+        klein = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+        assert z4.label == klein.label == "table:4"
+        f = GroupFunction.from_values(z4, [1, 2, 3, 4])
+        k = GroupFunction.from_values(klein, [1, 0, 0, 5])
+        with pytest.raises(ValueError, match="group mismatch"):
+            convolve(f, k, counting_measure(z4))
+        with pytest.raises(ValueError, match="group mismatch"):
+            convolve(f, f, counting_measure(klein))
+        same = FiniteGroup([[(a + b) % 4 for b in range(4)] for a in range(4)])
+        g = GroupFunction.from_values(same, [1, 0, 0, 0])
+        assert convolve(f, g, counting_measure(z4)).values == f.values
 
 
 class TestTranslation:
