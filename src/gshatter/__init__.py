@@ -32,6 +32,7 @@ from .errors import (
     GroupSpecError,
     GroupTooSmallError,
     GShatterError,
+    InvariantError,
     MissingElementError,
     SynthesisVerificationError,
     WitnessVerificationError,
@@ -47,14 +48,13 @@ from .gfunc import (
 )
 from .groups import (
     FiniteGroup,
-    GroupSpec,
     build_group,
     cyclic_group,
     dihedral_group,
     find_order_ge3_element,
     find_order_two_element,
-    parse_group_spec,
     product_group,
+    table_group,
     validate_group,
 )
 from .orders import (

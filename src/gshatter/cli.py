@@ -28,6 +28,7 @@ from .classifier import build_nu_profile
 from .errors import (
     GroupSpecError,
     GroupTooSmallError,
+    InvariantError,
     MissingElementError,
     SynthesisVerificationError,
     WitnessVerificationError,
@@ -438,6 +439,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(f"internal verification failure: {exc}", 5)
     except WitnessVerificationError as exc:
         return _fail(f"witness re-verification failed: {exc}", 5)
+    except InvariantError as exc:
+        return _fail(f"internal invariant violated: {exc}", 5)
 
 
 if __name__ == "__main__":

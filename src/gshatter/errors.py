@@ -41,6 +41,10 @@ class SynthesisVerificationError(GShatterError):
     """
 
 
+class InvariantError(GShatterError):
+    """An internal invariant of a construction failed; never bad input."""
+
+
 class WitnessVerificationError(GShatterError):
     """The sweep's witness table failed an independent check.
 

@@ -25,14 +25,7 @@ def _as_fraction(x: object, what: str) -> Fraction:
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
-    if a is b:
-        return
-    # Custom tables share the label "table:n" whatever their content.
-    if (
-        a.label == b.label
-        and a.order == b.order
-        and (not a.label.startswith("table:") or a.mul_table == b.mul_table)
-    ):
+    if a is b or a.key == b.key:
         return
     raise ValueError(
         f"{what}: group mismatch ({a.label!r} vs {b.label!r})"
@@ -136,6 +129,7 @@ def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunct
     _same_group(f.group, kernel.group, "convolve")
     _same_group(f.group, mu.group, "convolve")
     group = f.group
+    mul = group.mul
     terms = [
         (h, kernel.values[h] * mu.weights[h])
         for h in range(group.order)
@@ -145,5 +139,5 @@ def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunct
     for a, fa in enumerate(f.values):
         if fa != 0:
             for h, kw in terms:
-                values[group.mul(a, h)] += fa * kw
+                values[mul(a, h)] += fa * kw
     return GroupFunction(group, tuple(values))

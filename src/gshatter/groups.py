@@ -1,8 +1,11 @@
-"""Finite groups with explicit multiplication tables.
+"""Finite groups given by their operations.
 
-Elements are dense indices ``0..n-1``.  Groups are built from spec strings
+Elements are dense indices ``0..n-1``.  A group is its order, its
+identity, ``mul``, ``inv`` and a label.  Groups built from spec strings
 such as ``"cyclic:12"``, ``"dihedral:4"`` (order 8) or
-``"product:cyclic:2,cyclic:3"`` and are immutable after construction.
+``"product:cyclic:2,cyclic:3"`` compute ``mul`` and ``inv`` in closed
+form and store no table; only ``table_group`` keeps an explicit n x n
+multiplication table.  Groups are immutable after construction.
 The only action used anywhere in the package is the left-regular action of
 a group on itself, so functions on the acted-on space are simply functions
 on the group.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import GroupSpecError
 
@@ -22,66 +25,31 @@ EXHAUSTIVE_VALIDATION_LIMIT = 512
 RANDOM_TRIPLE_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Parsed form of a group spec string."""
-
-    kind: str  # "cyclic" | "dihedral" | "product"
-    n: Optional[int] = None
-    factors: Optional[tuple["GroupSpec", "GroupSpec"]] = None
-
-    def __str__(self) -> str:
-        if self.kind == "product":
-            assert self.factors is not None
-            return f"product:{self.factors[0]},{self.factors[1]}"
-        return f"{self.kind}:{self.n}"
-
-
+@dataclass(frozen=True, eq=False, repr=False)
 class FiniteGroup:
-    """A finite group given by its multiplication table.
+    """A finite group given by its operations on the indices 0..order-1.
 
-    The table representation is deliberately plain: every construction in
-    this package only ever needs ``mul``, ``inv``, the identity, and
-    element enumeration.
+    ``key`` decides whether two groups are the same group: the label (the
+    canonical spec string) for spec-built groups, and the label together
+    with the stored table for ``table_group``.
     """
 
-    def __init__(self, mul_table: list[list[int]], label: str = ""):
-        n = len(mul_table)
-        if n == 0:
-            raise GroupSpecError("a group must have at least one element")
-        for row in mul_table:
-            if len(row) != n:
-                raise GroupSpecError("multiplication table must be square")
-        self.order = n
-        self.mul_table = tuple(tuple(row) for row in mul_table)
-        self.label = label or f"table:{n}"
-        self.identity = self._find_identity()
-        self.inv_table = tuple(self._find_inverse(g) for g in range(n))
+    order: int
+    identity: int
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]
+    label: str
+    key: Hashable = None  # None means the label
 
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(
-                self.mul_table[e][g] == g and self.mul_table[g][e] == g
-                for g in range(self.order)
-            ):
-                return e
-        raise GroupSpecError(f"table for '{self.label}' has no identity element")
+    def __post_init__(self):
+        if self.key is None:
+            object.__setattr__(self, "key", self.label)
 
-    def _find_inverse(self, g: int) -> int:
-        for h in range(self.order):
-            if self.mul_table[g][h] == self.identity:
-                if self.mul_table[h][g] != self.identity:
-                    raise GroupSpecError(
-                        f"element {h} is only a one-sided inverse of {g}"
-                    )
-                return h
-        raise GroupSpecError(f"element {g} has no inverse in '{self.label}'")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inv_table[a]
+    @property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n multiplication table, computed from ``mul``."""
+        mul, n = self.mul, self.order
+        return tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.order))
@@ -95,51 +63,81 @@ class FiniteGroup:
             acc = self.mul(acc, g)
         return acc
 
-    def element_order(self, g: int) -> int:
-        acc = g
-        k = 1
-        while acc != self.identity:
-            acc = self.mul(acc, g)
-            k += 1
-        return k
-
     def is_abelian(self) -> bool:
+        mul, n = self.mul, self.order
         return all(
-            self.mul_table[a][b] == self.mul_table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
+            mul(a, b) == mul(b, a) for a in range(n) for b in range(a + 1, n)
         )
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
+def table_group(mul_table: Sequence[Sequence[int]], label: str = "") -> FiniteGroup:
+    """The group an explicit multiplication table describes.
+
+    The identity and the inverses are found by search; a table without a
+    two-sided identity or inverse is rejected.  The stored table is part
+    of the group's key, so two different tables never count as one group.
+    """
+    n = len(mul_table)
+    if n == 0:
+        raise GroupSpecError("a group must have at least one element")
+    for row in mul_table:
+        if len(row) != n:
+            raise GroupSpecError("multiplication table must be square")
+    table = tuple(tuple(row) for row in mul_table)
+    label = label or f"table:{n}"
+
+    for identity in range(n):
+        if all(table[identity][g] == g and table[g][identity] == g for g in range(n)):
+            break
+    else:
+        raise GroupSpecError(f"table for '{label}' has no identity element")
+
+    def find_inverse(g: int) -> int:
+        for h in range(n):
+            if table[g][h] == identity:
+                if table[h][g] != identity:
+                    raise GroupSpecError(
+                        f"element {h} is only a one-sided inverse of {g}"
+                    )
+                return h
+        raise GroupSpecError(f"element {g} has no inverse in '{label}'")
+
+    inverses = tuple(find_inverse(g) for g in range(n))
+    return FiniteGroup(
+        n, identity, lambda a, b: table[a][b], inverses.__getitem__, label, (label, table)
+    )
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """The integers mod n under addition."""
     if n < 1:
         raise GroupSpecError(f"cyclic group needs n >= 1, got {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, label=f"cyclic:{n}")
+    return FiniteGroup(n, 0, lambda a, b: (a + b) % n, lambda a: -a % n, f"cyclic:{n}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of a regular n-gon; group order 2n.
 
     Element ``i + n*e`` is the rotation by i steps composed with e
-    reflections (e in {0, 1}).
+    reflections (e in {0, 1}).  Reflections are their own inverses.
     """
     if n < 1:
         raise GroupSpecError(f"dihedral group needs n >= 1, got {n}")
-    order = 2 * n
 
-    def compose(x: int, y: int) -> int:
-        i1, e1 = x % n, x // n
-        i2, e2 = y % n, y // n
-        i = (i1 - i2) % n if e1 else (i1 + i2) % n
-        return i + n * ((e1 + e2) % 2)
+    def mul(x: int, y: int) -> int:
+        # Rotations add, a reflection x reverses y's rotation, and the
+        # reflection bits add mod 2: (i1 +- i2) % n + n * (e1 xor e2).
+        if x < n:
+            return (x + y) % n if y < n else (x + y) % n + n
+        return (x - y) % n + n if y < n else (x - y) % n
 
-    table = [[compose(x, y) for y in range(order)] for x in range(order)]
-    return FiniteGroup(table, label=f"dihedral:{n}")
+    def inv(x: int) -> int:
+        return x if x >= n else -x % n
+
+    return FiniteGroup(2 * n, 0, mul, inv, f"dihedral:{n}")
 
 
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -147,70 +145,58 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
     The pair (a, b) gets index ``a * g2.order + b``.
     """
-    n1, n2 = g1.order, g2.order
+    n2 = g2.order
+    mul1, mul2, inv1, inv2 = g1.mul, g2.mul, g1.inv, g2.inv
 
-    def compose(x: int, y: int) -> int:
-        a1, b1 = divmod(x, n2)
-        a2, b2 = divmod(y, n2)
-        return g1.mul(a1, a2) * n2 + g2.mul(b1, b2)
+    def mul(x: int, y: int) -> int:
+        return mul1(x // n2, y // n2) * n2 + mul2(x % n2, y % n2)
 
-    table = [[compose(x, y) for y in range(n1 * n2)] for x in range(n1 * n2)]
-    return FiniteGroup(table, label=f"product:{g1.label},{g2.label}")
+    def inv(x: int) -> int:
+        return inv1(x // n2) * n2 + inv2(x % n2)
 
-
-def parse_group_spec(text: str) -> GroupSpec:
-    """Parse a spec string like ``product:cyclic:2,dihedral:3``."""
-    spec, pos = _parse_spec_at(text, 0)
-    if pos != len(text):
-        raise GroupSpecError(
-            f"trailing characters {text[pos:]!r} after group spec"
-        )
-    return spec
+    label = f"product:{g1.label},{g2.label}"
+    # A factor's stored table is part of the product's key.
+    key = None if (g1.key, g2.key) == (g1.label, g2.label) else (label, g1.key, g2.key)
+    return FiniteGroup(
+        g1.order * n2, g1.identity * n2 + g2.identity, mul, inv, label, key=key
+    )
 
 
-def _parse_spec_at(text: str, pos: int) -> tuple[GroupSpec, int]:
-    for kind in ("cyclic", "dihedral"):
+def build_group(spec: str) -> FiniteGroup:
+    """Build the group a spec string like ``product:cyclic:2,dihedral:3`` names."""
+    if not isinstance(spec, str):
+        raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
+    group, pos = _group_at(spec, 0)
+    if pos != len(spec):
+        raise GroupSpecError(f"trailing characters {spec[pos:]!r} after group spec")
+    return group
+
+
+def _group_at(text: str, pos: int) -> tuple[FiniteGroup, int]:
+    for kind, factory in (("cyclic", cyclic_group), ("dihedral", dihedral_group)):
         head = kind + ":"
         if text.startswith(head, pos):
             pos += len(head)
             end = pos
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and text[end] in "0123456789":
                 end += 1
-            if end == pos:
-                raise GroupSpecError(f"expected an integer at position {pos} in {text!r}")
-            n = int(text[pos:end])
-            if n < 1:
-                raise GroupSpecError(f"{kind} group needs n >= 1, got {n}")
-            return GroupSpec(kind, n=n), end
+            try:
+                n = int(text[pos:end])
+            except ValueError:  # no digits, or more than int() converts
+                raise GroupSpecError(
+                    f"expected an integer at position {pos} in {text!r}"
+                ) from None
+            return factory(n), end
     if text.startswith("product:", pos):
-        pos += len("product:")
-        first, pos = _parse_spec_at(text, pos)
+        first, pos = _group_at(text, pos + len("product:"))
         if pos >= len(text) or text[pos] != ",":
             raise GroupSpecError(f"product spec needs ',' at position {pos} in {text!r}")
-        second, pos = _parse_spec_at(text, pos + 1)
-        return GroupSpec("product", factors=(first, second)), pos
+        second, pos = _group_at(text, pos + 1)
+        return product_group(first, second), pos
     raise GroupSpecError(
         f"unknown group spec at position {pos} in {text!r}; "
         "expected cyclic:N, dihedral:N or product:<spec>,<spec>"
     )
-
-
-def build_group(spec: GroupSpec | str) -> FiniteGroup:
-    """Build the group a spec describes; identical specs yield identical tables."""
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
-    elif not isinstance(spec, GroupSpec):
-        raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
-    if spec.kind == "cyclic":
-        assert spec.n is not None
-        return cyclic_group(spec.n)
-    if spec.kind == "dihedral":
-        assert spec.n is not None
-        return dihedral_group(spec.n)
-    if spec.kind == "product":
-        assert spec.factors is not None
-        return product_group(build_group(spec.factors[0]), build_group(spec.factors[1]))
-    raise GroupSpecError(f"unknown group kind {spec.kind!r}")
 
 
 def find_order_two_element(group: FiniteGroup) -> Optional[int]:
@@ -249,31 +235,31 @@ class GroupReport:
 
 
 def validate_group(group: FiniteGroup, seed: int = 0) -> GroupReport:
-    """Check the group axioms on the stored tables.
+    """Check the group axioms through ``mul`` and ``inv``.
 
-    Associativity is checked on every triple for groups of order at most
-    EXHAUSTIVE_VALIDATION_LIMIT and on RANDOM_TRIPLE_SAMPLES seeded random
-    triples above that.
+    Closure and the bijectivity of left translations are read from one
+    pass over each element's row of products.  Associativity is checked
+    on every triple for groups of order at most EXHAUSTIVE_VALIDATION_LIMIT
+    and on RANDOM_TRIPLE_SAMPLES seeded random triples above that.
     """
     n = group.order
+    mul, inv, e = group.mul, group.inv, group.identity
     failures: list[str] = []
 
-    closure_ok = all(
-        0 <= group.mul_table[a][b] < n for a in range(n) for b in range(n)
-    )
+    closure_ok = translations_bijective = True
+    for a in range(n):
+        row = [mul(a, b) for b in range(n)]
+        closure_ok = closure_ok and 0 <= min(row) and max(row) < n
+        translations_bijective = translations_bijective and len(set(row)) == n
     if not closure_ok:
         failures.append("closure: table entry out of range")
 
-    e = group.identity
-    identity_ok = all(
-        group.mul(e, g) == g and group.mul(g, e) == g for g in range(n)
-    )
+    identity_ok = all(mul(e, g) == g and mul(g, e) == g for g in range(n))
     if not identity_ok:
         failures.append("identity: e does not act neutrally")
 
     inverses_ok = all(
-        group.mul(g, group.inv(g)) == e and group.mul(group.inv(g), g) == e
-        for g in range(n)
+        mul(g, inv(g)) == e and mul(inv(g), g) == e for g in range(n)
     )
     if not inverses_ok:
         failures.append("inverses: some g lacks a two-sided inverse")
@@ -291,14 +277,11 @@ def validate_group(group: FiniteGroup, seed: int = 0) -> GroupReport:
         )
     associativity_ok = True
     for a, b, c in triples:
-        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
             associativity_ok = False
             failures.append(f"associativity: fails on triple ({a}, {b}, {c})")
             break
 
-    translations_bijective = all(
-        len(set(group.mul_table[g])) == n for g in range(n)
-    )
     if not translations_bijective:
         failures.append("translation: left multiplication not bijective")
 

@@ -17,6 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .classifier import Ranking
+from .errors import InvariantError
 
 
 def mask_from_elements(elements) -> int:
@@ -118,21 +119,22 @@ def sigma_tilde(mask: int, m: int) -> dict[int, int]:
     The element dropped first gets rank 1; survivors of k peels always
     rank above everything already dropped.
     """
-    q = mask.bit_count()
-    _check_subset(mask, q, m, "sigma_tilde")
-    if q == 0:
+    _check_subset(mask, mask.bit_count(), m, "sigma_tilde")
+    if not mask:
         raise ValueError("sigma_tilde needs a nonempty subset")
+    return _chain_ranks(peel_chain(mask, m))
+
+
+def _chain_ranks(chain: list[int]) -> dict[int, int]:
+    """sigma_tilde read off a peel chain; each step must drop one element."""
     ranks: dict[int, int] = {}
-    cur = mask
-    for k in range(1, q + 1):
-        nxt = f_map(cur.bit_count(), m, cur)
+    for k, (cur, nxt) in enumerate(zip(chain, chain[1:]), 1):
         dropped = cur & ~nxt
         if dropped.bit_count() != 1 or nxt & ~cur:
-            raise AssertionError(
-                f"peeling map broke the chain at step {k} for mask {mask:#x}"
+            raise InvariantError(
+                f"peeling map broke the chain at step {k} for mask {chain[0]:#x}"
             )
-        ranks[mask_elements(dropped)[0]] = k
-        cur = nxt
+        ranks[dropped.bit_length()] = k
     return ranks
 
 
@@ -197,26 +199,23 @@ def completeness_lower_bound(m: int) -> int:
     return comb(m, m // 2)
 
 
-def _ranking_for(mask: int, m: int) -> Ranking:
-    """Strict ranking that separates `mask` and its whole peel chain.
+def _ranking_for(chain: list[int], m: int) -> Ranking:
+    """Strict ranking that separates a subset A and its whole peel chain.
 
-    Elements of A occupy ranks 1..|A| in reverse peel order (the longest
-    survivor ranks lowest), so every bottom prefix of the ranking is a
-    chain set.  The complement occupies the top ranks, mirrored the same
-    way.
+    `chain` is A's peel chain.  Elements of A occupy ranks 1..|A| in
+    reverse peel order (the longest survivor ranks lowest), so every
+    bottom prefix of the ranking is a chain set.  The complement occupies
+    the top ranks, mirrored the same way.
     """
+    mask = chain[0]
     s = mask.bit_count()
     ranks = [0] * m
-    if s:
-        st = sigma_tilde(mask, m)
-        for a, k in st.items():
-            ranks[a - 1] = s + 1 - k
+    for a, k in _chain_ranks(chain).items():
+        ranks[a - 1] = s + 1 - k
     comp = ((1 << m) - 1) & ~mask
     csize = comp.bit_count()
-    if csize:
-        stc = sigma_tilde(comp, m)
-        for b, k in stc.items():
-            ranks[b - 1] = s + (csize + 1 - k)
+    for b, k in _chain_ranks(peel_chain(comp, m)).items():
+        ranks[b - 1] = s + (csize + 1 - k)
     return Ranking(tuple(ranks))
 
 
@@ -240,9 +239,12 @@ def build_complete_orders(m: int) -> OrderSet:
         for mask in layer:
             if mask in separated:
                 continue
-            ranking = _ranking_for(mask, m)
-            assert ranking.is_strict()
+            chain = peel_chain(mask, m)
+            ranking = _ranking_for(chain, m)
+            if not ranking.is_strict():
+                raise InvariantError(f"ranking {ranking.ranks} is not strict")
             rankings.append(ranking)
-            separated.update(peel_chain(mask, m))
-    assert len(rankings) == comb(m, m // 2)
+            separated.update(chain)
+    if len(rankings) != comb(m, m // 2):
+        raise InvariantError(f"built {len(rankings)} rankings, not C({m}, {m // 2})")
     return OrderSet(m, tuple(rankings))

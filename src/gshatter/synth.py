@@ -70,8 +70,9 @@ def build_u_tower(
     epsilons = tuple(
         4 * C / B + 1 + (p - q) * (B / C + 1) for q in range(1, p + 1)
     )
-    for a, b in zip(epsilons, epsilons[1:]):
-        assert b < a - B / C
+    for q, (a, b) in enumerate(zip(epsilons, epsilons[1:]), 1):
+        if not b < a - B / C:
+            raise SynthesisVerificationError(f"eps_{q + 1} is not below eps_{q} - B/C")
     coeffs: list[tuple[Fraction, Fraction]] = [
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
@@ -93,7 +94,8 @@ def build_u_tower(
         )
     for q in range(1, p + 1):
         a1, a2 = coeffs[2 * q]
-        assert a1 > 0 and a2 > 0
+        if not (a1 > 0 and a2 > 0):
+            raise SynthesisVerificationError(f"u_{2 * q} has a coefficient <= 0")
     one_e = indicator(group, group.identity)
     one_g = indicator(group, g)
     functions = tuple(
@@ -137,7 +139,8 @@ def solve_k_vector(
     rhs0 = 2 * A / tower.epsilons[half - 1]
     rhs1 = -A
     det = r0[0] * r1[1] - r0[1] * r1[0]
-    assert det != 0
+    if det == 0:
+        raise SynthesisVerificationError(f"singular system for u~_{i}")
     k = (
         (rhs0 * r1[1] - r0[1] * rhs1) / det,
         (r0[0] * rhs1 - rhs0 * r1[0]) / det,
@@ -146,9 +149,9 @@ def solve_k_vector(
         value = tower.u_tilde(l, k)
         if l == i:
             if value != A:
-                raise AssertionError(f"u~_{i}(k) = {value}, expected {A}")
+                raise SynthesisVerificationError(f"u~_{i}(k) = {value}, expected {A}")
         elif not value < tower.B:
-            raise AssertionError(
+            raise SynthesisVerificationError(
                 f"u~_{l}(k) = {value} is not below B = {tower.B}"
             )
     return k
@@ -185,7 +188,8 @@ def choose_subsets(
         pick = next(
             (x for x in range(group.order) if x not in blocked), None
         )
-        assert pick is not None, "greedy selection ran out of elements"
+        if pick is None:
+            raise SynthesisVerificationError("greedy selection ran out of elements")
         chosen.append(pick)
         for j in shifts:
             blocked.add(group.mul(group.power(g, j), pick))
@@ -377,9 +381,8 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
             sum((a_by_round[p][k] + probe) for p in range(l))
             for k in range(m)
         ]
-        assert all(
-            a_by_round[p][k] + probe > 0 for p in range(l) for k in range(m)
-        )
+        if not all(a_by_round[p][k] + probe > 0 for p in range(l) for k in range(m)):
+            raise SynthesisVerificationError(f"round {l}: a spike is inactive at the probe")
         big_m_cur = max(nu_hat) - min(nu_hat)
         if not B < m_cur - m * (big_m_cur + epsilon):
             raise SynthesisVerificationError(

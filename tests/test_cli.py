@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
+import tracemalloc
 
 import pytest
 
 import gshatter.classifier
 import gshatter.gfunc
+import gshatter.orders
 import gshatter.synth
 from gshatter.classifier import NuProfile
 from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
@@ -46,6 +49,19 @@ def count_convolutions(monkeypatch):
     monkeypatch.setattr(gshatter.gfunc, "convolve", counting)
     monkeypatch.setattr(gshatter.classifier, "convolve", counting)
     return calls
+
+
+def run_bounded(capsys, *argv):
+    """run() that also returns its wall time and its peak traced memory."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (*result, elapsed, peak)
 
 
 def shift_sweep_values(monkeypatch):
@@ -121,6 +137,15 @@ class TestOrdersCommand:
         assert code == 2
         assert "error" in err
 
+    def test_broken_peel_chain_exits_5(self, capsys, tmp_path, monkeypatch):
+        # A peeling map that drops nothing breaks every chain.
+        monkeypatch.setattr(gshatter.orders, "f_map", lambda q, m, mask: mask)
+        code, _, err = run(capsys, "orders", "--m", "4", "--out-dir", str(tmp_path))
+        assert code == 5
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "order_set_m4.json").exists()
+
 
 class TestSynthCommand:
     def test_small_pipeline(self, capsys, tmp_path):
@@ -188,6 +213,17 @@ class TestSynthCommand:
         )
         assert code == 2
         assert "allow-large" in err
+
+    def test_required_size_checked_before_allocating(self, capsys, tmp_path):
+        # m = 9 needs |G| >= 2268; the group of order 2000 is never tabled.
+        code, _, err, elapsed, peak = run_bounded(
+            capsys, "synth", "--group", "cyclic:2000", "--m", "9",
+            "--allow-large", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert err.startswith("error: ") and "2268" in err
+        assert elapsed < 1.0
+        assert peak < 1_000_000
 
     def test_bad_interval(self, capsys, tmp_path):
         code, _, _ = run(
@@ -376,6 +412,25 @@ class TestVerifyCommand:
         assert code == 2
         assert "error: cannot read inputs" in err
         assert "Traceback" not in err
+
+    def test_huge_group_with_few_values(self, capsys, tmp_path):
+        # A file naming a group of order 10^9 but holding 4 values is
+        # rejected without building anything of the group's size.
+        kernel = tmp_path / "kernel.json"
+        functions = tmp_path / "functions.json"
+        write_json_atomic(
+            kernel, {"group": "cyclic:1000000000", "values": ["1", "0", "0", "2"]}
+        )
+        write_json_atomic(
+            functions, {"group": "cyclic:1000000000", "functions": [["1"] * 4]}
+        )
+        code, _, err, elapsed, peak = run_bounded(
+            capsys, "verify", "--kernel", str(kernel), "--functions", str(functions),
+        )
+        assert code == 2
+        assert "error: cannot read inputs" in err
+        assert elapsed < 1.0
+        assert peak < 1_000_000
 
     def test_certificate_is_checked_against_the_definition(
         self, capsys, bundle, monkeypatch

@@ -17,7 +17,7 @@ from gshatter.gfunc import (
     indicator,
     translate,
 )
-from gshatter.groups import FiniteGroup, build_group
+from gshatter.groups import build_group, product_group, table_group
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -103,8 +103,8 @@ class TestConvolution:
 
     def test_custom_tables_of_one_order_are_told_apart(self):
         # Both tables are labelled "table:4"; only their content differs.
-        z4 = FiniteGroup([[(a + b) % 4 for b in range(4)] for a in range(4)])
-        klein = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+        z4 = table_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
+        klein = table_group([[a ^ b for b in range(4)] for a in range(4)])
         assert z4.label == klein.label == "table:4"
         f = GroupFunction.from_values(z4, [1, 2, 3, 4])
         k = GroupFunction.from_values(klein, [1, 0, 0, 5])
@@ -112,9 +112,40 @@ class TestConvolution:
             convolve(f, k, counting_measure(z4))
         with pytest.raises(ValueError, match="group mismatch"):
             convolve(f, f, counting_measure(klein))
-        same = FiniteGroup([[(a + b) % 4 for b in range(4)] for a in range(4)])
+        same = table_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
         g = GroupFunction.from_values(same, [1, 0, 0, 0])
         assert convolve(f, g, counting_measure(z4)).values == f.values
+        # The same explicit label does not make two tables one group.
+        z4_named = table_group(z4.mul_table, label="g4")
+        klein_named = table_group(klein.mul_table, label="g4")
+        f = GroupFunction.from_values(z4_named, [1, 2, 3, 4])
+        k = GroupFunction.from_values(klein_named, [1, 0, 0, 5])
+        with pytest.raises(ValueError, match="group mismatch"):
+            convolve(f, k, counting_measure(z4_named))
+
+    def test_tables_never_pass_for_spec_groups(self):
+        spec = build_group("cyclic:4")
+        table = table_group(spec.mul_table, label="cyclic:4")
+        f = GroupFunction.from_values(spec, [1, 2, 3, 4])
+        k = GroupFunction.from_values(table, [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="group mismatch"):
+            convolve(f, k, counting_measure(spec))
+        # Products carry their factors' tables into their key.
+        z4 = table_group(spec.mul_table)
+        klein = table_group([[a ^ b for b in range(4)] for a in range(4)])
+        p1 = product_group(z4, spec)
+        p2 = product_group(klein, spec)
+        assert p1.label == p2.label
+        f = GroupFunction.from_values(p1, range(16))
+        k = GroupFunction.from_values(p2, range(16))
+        with pytest.raises(ValueError, match="group mismatch"):
+            convolve(f, k, counting_measure(p1))
+        # Spec groups built twice are one group.
+        again = build_group("cyclic:4")
+        k = GroupFunction.from_values(again, [1, 0, 0, 0])
+        assert convolve(GroupFunction.from_values(spec, [1, 2, 3, 4]), k,
+                        counting_measure(again)).values == tuple(
+            Fraction(v) for v in (1, 2, 3, 4))
 
 
 class TestTranslation:

@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from gshatter.errors import GroupSpecError
 from gshatter.groups import (
-    FiniteGroup,
     build_group,
     cyclic_group,
     dihedral_group,
     find_order_ge3_element,
     find_order_two_element,
-    parse_group_spec,
     product_group,
+    table_group,
     validate_group,
 )
 
@@ -77,15 +79,52 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "bad",
         ["", "cyclic:", "cyclic:0", "foo:3", "cyclic:4x",
-         "product:cyclic:2", "product:cyclic:2;cyclic:3", "dihedral:-1"],
+         "product:cyclic:2", "product:cyclic:2;cyclic:3", "dihedral:-1",
+         "cyclic:\u00b2", 5, None,
+         pytest.param("cyclic:" + "9" * 5000, id="cyclic:5000-digits")],
     )
     def test_malformed_specs(self, bad):
         with pytest.raises(GroupSpecError):
-            parse_group_spec(bad)
+            build_group(bad)
 
     def test_spec_string_round_trip(self):
-        spec = parse_group_spec("product:cyclic:2,dihedral:3")
-        assert str(spec) == "product:cyclic:2,dihedral:3"
+        assert build_group("product:cyclic:2,dihedral:3").label == (
+            "product:cyclic:2,dihedral:3"
+        )
+        assert build_group("cyclic:007").label == "cyclic:7"
+
+    @pytest.mark.parametrize(
+        "spec", ["cyclic:6", "dihedral:1", "dihedral:2", "dihedral:5",
+                 "product:dihedral:3,cyclic:4",
+                 "product:cyclic:2,product:cyclic:3,dihedral:2"],
+    )
+    def test_closed_forms_match_their_table(self, spec):
+        """Each spec group equals the table group built from its products."""
+        g = build_group(spec)
+        t = table_group(g.mul_table)
+        assert g.identity == t.identity
+        assert [g.inv(x) for x in g.elements()] == [t.inv(x) for x in t.elements()]
+        assert validate_group(g).passed
+
+    @pytest.mark.parametrize(
+        "spec, order",
+        [("cyclic:1000000000", 10**9),
+         ("product:dihedral:500000000,cyclic:1000000000", 10**18)],
+    )
+    def test_huge_groups_are_built_at_once(self, spec, order):
+        # Spec groups store no table, so their size costs neither time nor memory.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            g = build_group(spec)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.order == order
+        assert g.mul(g.inv(123456789), 123456789) == g.identity
+        assert elapsed < 0.5
+        assert peak < 100_000
 
 
 class TestElementQueries:
@@ -113,8 +152,8 @@ class TestElementQueries:
     def test_element_order_divides_group_order(self):
         g = build_group("dihedral:6")
         for x in g.elements():
-            assert g.order % g.element_order(x) == 0
-            assert g.power(x, g.element_order(x)) == g.identity
+            assert g.power(x, g.order) == g.identity
+            assert g.mul(g.power(x, -1), x) == g.identity
 
 
 class TestValidation:
@@ -127,7 +166,7 @@ class TestValidation:
     def test_corrupted_table_flags_associativity(self):
         table = [list(row) for row in cyclic_group(4).mul_table]
         table[1][1] = 3
-        broken = FiniteGroup(table, label="corrupted")
+        broken = table_group(table, label="corrupted")
         report = validate_group(broken)
         assert not report.associativity_ok
         assert any("associativity" in f for f in report.failures)
@@ -143,4 +182,22 @@ class TestValidation:
     def test_one_sided_table_rejected(self):
         # A left-neutral row without the matching column has no identity.
         with pytest.raises(GroupSpecError):
-            FiniteGroup([[0, 1], [0, 1]])
+            table_group([[0, 1], [0, 1]])
+
+    def test_one_sided_inverse_rejected(self):
+        # 0 is the identity; 1*2 = 0 but 2*1 = 1, so 2 is only a one-sided
+        # inverse of 1.
+        with pytest.raises(GroupSpecError, match="one-sided"):
+            table_group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+    def test_non_square_table_rejected(self):
+        with pytest.raises(GroupSpecError, match="square"):
+            table_group([[0, 1], [1]])
+        with pytest.raises(GroupSpecError):
+            table_group([])
+
+    def test_corrupted_closed_form_is_flagged(self):
+        g = replace(cyclic_group(6), mul=lambda a, b: (a + b) % 7)
+        report = validate_group(g)
+        assert not report.closure_ok
+        assert report.failures[0].startswith("closure")
