@@ -1,0 +1,104 @@
+"""Time `gshatter synth` + `gshatter verify` at the minimum group orders.
+
+Run from anywhere; it measures the checkout it lives in:
+
+    python3 demos/bench_point.py --label my-change --append BENCH_gshatter.json
+
+Cases: order_two mode for m = 2..8 on cyclic groups of the minimum order
+(8, 18, 48, 100, 240, 490, 1120) and general mode for m = 8 on
+cyclic:5040.  Each command runs in a fresh interpreter with this
+checkout's `src` first on PYTHONPATH, in a temporary directory that is
+removed afterwards.  A case records wall seconds and the peak resident
+set size of each command, from wait4 (Linux carries the parent's peak
+across exec, so sizes below this script's own, about 10 MB, are not
+resolved).  The point is printed as JSON, and with --append it is added
+to the "points" list of a BENCH file.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = (
+    *(("order_two", m, n) for m, n in
+      ((2, 8), (3, 18), (4, 48), (5, 100), (6, 240), (7, 490), (8, 1120))),
+    ("general", 8, 5040),
+)
+
+
+def timed(argv: list[str], cwd: str, env: dict[str, str]) -> tuple[int, float, float]:
+    """(exit code, wall seconds, peak RSS in MB) of one command."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    return proc.returncode, elapsed, usage.ru_maxrss / 1024
+
+
+def commit() -> str:
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def measure(label: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    cli = [sys.executable, "-m", "gshatter.cli"]
+    cases = []
+    for mode, m, n in CASES:
+        with tempfile.TemporaryDirectory() as work:
+            row: dict = {"mode": mode, "m": m, "group": f"cyclic:{n}"}
+            for name, args in (
+                ("synth", ["synth", "--group", row["group"], "--m", str(m),
+                           "--mode", mode, "--out-dir", "out"]),
+                ("verify", ["verify", "--kernel", "out/kernel.json",
+                            "--functions", "out/functions.json"]),
+            ):
+                code, seconds, rss = timed(cli + args, work, env)
+                row[f"{name}_exit"] = code
+                row[f"{name}_s"] = round(seconds, 2)
+                row[f"{name}_peak_rss_mb"] = round(rss, 1)
+            cases.append(row)
+            print(json.dumps(row), file=sys.stderr, flush=True)
+    return {
+        "label": label,
+        "commit": commit(),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "cases": cases,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="", help="name of this point")
+    parser.add_argument("--append", metavar="FILE",
+                        help="add the point to FILE's \"points\" list")
+    args = parser.parse_args()
+    point = measure(args.label)
+    print(json.dumps(point, indent=2))
+    if args.append:
+        path = Path(args.append)
+        data = json.loads(path.read_text()) if path.exists() else {"points": []}
+        data["points"].append(point)
+        path.write_text(json.dumps(data, indent=2) + "\n")
+    return 0 if all(c["synth_exit"] == 0 == c["verify_exit"] for c in point["cases"]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,7 +33,6 @@ from .errors import (
     GroupTooSmallError,
     GShatterError,
     InvariantError,
-    MissingElementError,
     SynthesisVerificationError,
     WitnessVerificationError,
 )

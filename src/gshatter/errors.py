@@ -29,10 +29,6 @@ class GroupTooSmallError(GShatterError):
         )
 
 
-class MissingElementError(GShatterError):
-    """The group has no element of the kind the requested mode needs."""
-
-
 class SynthesisVerificationError(GShatterError):
     """An internal consistency check failed after kernel synthesis.
 

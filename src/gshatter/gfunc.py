@@ -3,15 +3,17 @@
 Everything here is exact: values are `fractions.Fraction` and floats are
 rejected outright, because downstream constructions compare quantities
 whose gaps shrink super-exponentially and a single rounding step could
-flip an order comparison.
+flip an order comparison.  The convolution runs on integers over one
+denominator (`convolve_ints`); `convolve` gives its values as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational as _RationalABC
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .groups import FiniteGroup
 
@@ -118,26 +120,40 @@ def translate(f: GroupFunction, a: int) -> GroupFunction:
     return GroupFunction(group, values)
 
 
-def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
-    """Generalized group convolution (f * K)(g) = sum_h f(g h^-1) K(h) mu(h).
+def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den): values[i] = nums[i] / den, den the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    With a = g h^-1 each term is f(a) K(h) mu(h) at g = a h, so only pairs
-    of a support point of f and one of K mu are visited: time
-    O(|supp f| * |supp K mu|), at most O(n * min(|supp f|, |supp K mu|)).
-    Fraction addition is exact, so the order of the terms changes no value.
+
+def convolve_ints(
+    f: GroupFunction, kernel: GroupFunction, mu: Measure
+) -> tuple[list[int], int]:
+    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den), value nums[g]/den.
+
+    Each term f(a) K(h) mu(h) lands at g = a h, so only pairs of a support
+    point of f and one of K mu are visited: O(|supp f| * |supp K mu|).
+    With f, K and mu as integers over their own denominators every term
+    is an integer; one gcd at the end leaves den the lcm of the reduced
+    denominators of the values.
     """
     _same_group(f.group, kernel.group, "convolve")
     _same_group(f.group, mu.group, "convolve")
-    group = f.group
-    mul = group.mul
-    terms = [
-        (h, kernel.values[h] * mu.weights[h])
-        for h in range(group.order)
-        if kernel.values[h] != 0 and mu.weights[h] != 0
-    ]
-    values = [Fraction(0)] * group.order
-    for a, fa in enumerate(f.values):
-        if fa != 0:
+    mul = f.group.mul
+    f_nums, f_den = as_integers(f.values)
+    k_nums, k_den = as_integers(kernel.values)
+    weights, w_den = as_integers(mu.weights)
+    terms = [(h, k * w) for h, (k, w) in enumerate(zip(k_nums, weights)) if k and w]
+    acc = [0] * f.group.order
+    for a, fa in enumerate(f_nums):
+        if fa:
             for h, kw in terms:
-                values[mul(a, h)] += fa * kw
-    return GroupFunction(group, tuple(values))
+                acc[mul(a, h)] += fa * kw
+    common = gcd(f_den * k_den * w_den, *acc)
+    return [x // common for x in acc], f_den * k_den * w_den // common
+
+
+def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
+    """Generalized group convolution (f * K)(g) = sum_h f(g h^-1) K(h) mu(h)."""
+    nums, den = convolve_ints(f, kernel, mu)
+    return GroupFunction(f.group, tuple(Fraction(x, den) for x in nums))

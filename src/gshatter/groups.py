@@ -200,7 +200,10 @@ def _group_at(text: str, pos: int) -> tuple[FiniteGroup, int]:
 
 
 def find_order_two_element(group: FiniteGroup) -> Optional[int]:
-    """Smallest g != e with g*g = e, or None if the group has no involution."""
+    """Smallest g != e with g*g = e, or None if the group has no involution
+    (by Lagrange's theorem none when the order is odd, so no scan then)."""
+    if group.order % 2:
+        return None
     for g in group.elements():
         if g != group.identity and group.mul(g, g) == group.identity:
             return g

@@ -96,25 +96,13 @@ def order_set_from_json(data: dict[str, Any]) -> OrderSet:
 def certificate_to_json(
     cert: ShatterCertificate, group_label: str | None = None
 ) -> dict[str, Any]:
-    data: dict[str, Any] = {
-        "m": cert.m,
-        "dichotomies": [
-            {
-                "labels": list(entry.labels),
-                "status": entry.status,
-                **(
-                    {
-                        "c1": fraction_to_str(entry.c1),
-                        "c2": fraction_to_str(entry.c2),
-                    }
-                    if entry.status == "witnessed"
-                    else {}
-                ),
-            }
-            for entry in cert.entries
-        ],
-        "shattered": cert.shattered,
-    }
+    dichotomies = []
+    for entry in cert.entries:
+        item = {"labels": list(entry.labels), "status": entry.status}
+        if entry.status == "witnessed":
+            item.update(c1=fraction_to_str(entry.c1), c2=fraction_to_str(entry.c2))
+        dichotomies.append(item)
+    data = {"m": cert.m, "dichotomies": dichotomies, "shattered": cert.shattered}
     if group_label is not None:
         data["group"] = group_label
     return data

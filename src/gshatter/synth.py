@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from .classifier import build_nu_profile, ranking_of_values, relu_sum
-from .errors import (
-    GroupTooSmallError,
-    SynthesisVerificationError,
-)
-from .gfunc import GroupFunction, counting_measure, indicator
+from .errors import GroupTooSmallError, SynthesisVerificationError
+from .gfunc import GroupFunction, counting_measure
 from .groups import FiniteGroup
 from .orders import OrderSet, is_complete
 from .shatter import ShatterCertificate, certificate, critical_set
@@ -96,25 +94,20 @@ def build_u_tower(
         a1, a2 = coeffs[2 * q]
         if not (a1 > 0 and a2 > 0):
             raise SynthesisVerificationError(f"u_{2 * q} has a coefficient <= 0")
-    one_e = indicator(group, group.identity)
-    one_g = indicator(group, g)
-    functions = tuple(
-        GroupFunction(
-            group,
-            tuple(
-                a1 * one_e.values[x] + a2 * one_g.values[x]
-                for x in range(group.order)
-            ),
-        )
-        for a1, a2 in coeffs
-    )
+    # u_i = a1 1_e + a2 1_g is a1 at e, a2 at g and zero elsewhere.
+    zeros = [Fraction(0)] * group.order
+    functions = []
+    for a1, a2 in coeffs:
+        values = zeros.copy()
+        values[group.identity], values[g] = a1, a2
+        functions.append(GroupFunction(group, tuple(values)))
     return UTower(
         group=group,
         g=g,
         B=B,
         C=C,
         p=p,
-        functions=functions,
+        functions=tuple(functions),
         coeffs=tuple(coeffs),
         epsilons=epsilons,
     )
@@ -487,37 +480,23 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
     mu = counting_measure(group)
     kernel = result.kernel
     profiles = [build_nu_profile(kernel, f, mu) for f in result.family()]
-    convs = [p.conv for p in profiles]
 
     def nus(c: Fraction) -> list[Fraction]:
-        return [relu_sum(conv, mu, c) for conv in convs]
+        return [relu_sum(p, c) for p in profiles]
 
     epsilon = result.epsilon
     B, C = result.B, result.C
 
-    add(
-        "epsilon-formula",
-        epsilon == synth_epsilon(B, C, m, r),
-        f"epsilon = {epsilon}",
-    )
+    add("epsilon-formula", epsilon == synth_epsilon(B, C, m, r), f"epsilon = {epsilon}")
 
     tower = build_u_tower(group, result.g, B, C, p=m)
-    add(
-        "u-tower-structure",
-        all(
-            got.values == want.values
-            for got, want in zip(result.u, tower.functions)
-        )
-        and len(result.u) == 2 * m + 2,
-        f"{len(result.u)} tower functions",
+    tower_ok = len(result.u) == 2 * m + 2 and all(
+        got.values == want.values for got, want in zip(result.u, tower.functions)
     )
+    add("u-tower-structure", tower_ok, f"{len(result.u)} tower functions")
 
     mode_ok = _mode_element_ok(group, result.g, result.mode)
-    add(
-        "mode-element",
-        mode_ok,
-        f"g = {result.g} suits mode {result.mode}",
-    )
+    add("mode-element", mode_ok, f"g = {result.g} suits mode {result.mode}")
     try:
         _check_subsets(group, result.g, result.subsets, result.mode)
         add("subset-disjointness", True, f"{r} rounds x {m} centres")
@@ -542,29 +521,14 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
         big_m_cur = max(values) - min(values)
         big_ms.append(big_m_cur)
         m_prev, big_m_prev = m_cur, big_m_cur
-    add(
-        "level-recursion",
-        recursion_ok and len(result.ms) == r,
-        detail or f"m_l chain of length {r} reproduced",
-    )
+    chain_ok = recursion_ok and len(result.ms) == r
+    add("level-recursion", chain_ok, detail or f"m_l chain of length {r} reproduced")
 
     if recursion_ok:
-        cond_ok = all(
-            B < result.ms[l] - m * (big_ms[l] + epsilon) for l in range(r)
-        )
-        add(
-            "level-condition",
-            cond_ok,
-            "B < m_l - m(M_l + eps) at every level",
-        )
-        spread_ok = all(
-            big_ms[l] <= epsilon * (m ** (l + 1) - 1) for l in range(r)
-        )
-        add(
-            "spread-bound",
-            spread_ok,
-            "M_l <= eps (m^l - 1) at every level",
-        )
+        cond_ok = all(B < result.ms[l] - m * (big_ms[l] + epsilon) for l in range(r))
+        add("level-condition", cond_ok, "B < m_l - m(M_l + eps) at every level")
+        spread_ok = all(big_ms[l] <= epsilon * (m ** (l + 1) - 1) for l in range(r))
+        add("spread-bound", spread_ok, "M_l <= eps (m^l - 1) at every level")
     else:
         add("level-condition", False, "skipped: level recursion broken")
         add("spread-bound", False, "skipped: level recursion broken")
@@ -599,20 +563,28 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
                     detail = f"level {l + 1}: gap below eps"
     add("pairwise-gaps", gaps_ok, detail or "all nu gaps >= eps at each -c_l")
 
+    # Value checks on each profile's integers x = v * den: for an integer
+    # x, v > lo exactly when x > floor(lo * den), and v < hi exactly when
+    # x < ceil(hi * den).
     band_ok = True
     detail = ""
     for l in range(r):
         lo, hi = result.ms[l] - epsilon, result.ms[l]
-        for conv in convs:
-            for v in conv.values:
-                if lo < v < hi:
+        for p in profiles:
+            x_lo, x_hi = floor(lo * p.den), ceil(hi * p.den)
+            for x in p.nums:
+                if x_lo < x < x_hi:
                     band_ok = False
-                    detail = f"value {v} inside the band around m_{l + 1}"
+                    detail = f"value {Fraction(x, p.den)} inside the band around m_{l + 1}"
     add("forbidden-band", band_ok, detail or "no convolution value in any band")
 
-    min_over_b = min(
-        (v for conv in convs for v in conv.values if v > B), default=None
-    )
+    x_bs = [floor(B * p.den) for p in profiles]
+    above_b = [
+        Fraction(min(xs), p.den)
+        for p, x_b in zip(profiles, x_bs)
+        if (xs := [x for x in p.nums if x > x_b])
+    ]
+    min_over_b = min(above_b, default=None)
     add(
         "kernel-minimum-level",
         min_over_b == result.ms[-1],
@@ -662,7 +634,7 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
         for h in centres:
             for shift in (-2, -1, 1, 2):
                 x = group.mul(group.power(result.g, shift), h)
-                if any(conv.values[x] > 0 for conv in convs):
+                if any(p.nums[x] > 0 for p in profiles):
                     translate_ok = False
         add(
             "guard-translates",

@@ -1,18 +1,24 @@
 """Slow reference implementations that the package's fast paths must match.
 
 Each function here is the straightforward form of something the package
-computes faster: the dense convolution loop, the bisect-based crossing
+computes faster: the dense convolution loop, the sparse convolution,
+nu profile, ReLU sum and forward-walk sweep in Fractions (the package
+runs them on integers over one denominator), the bisect-based crossing
 search over every pair on every grid piece, the ReLU sum term by term,
-the witness table by comparing every value with every cut, and ranks by
-counting.  The differential tests assert identical results.
+the witness table by comparing every value with every cut, ranks by
+counting, and the u-tower functions by their dense formula.  The
+differential tests assert identical results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
-from gshatter.gfunc import GroupFunction, Measure
+from gshatter.gfunc import GroupFunction, Measure, indicator
 
 
 def dense_convolve(
@@ -34,8 +40,169 @@ def dense_convolve(
     return tuple(values)
 
 
+def fraction_convolve(
+    f: GroupFunction, kernel: GroupFunction, mu: Measure
+) -> tuple[Fraction, ...]:
+    """(f * K)(g) over pairs of a support point of f and one of K mu, in Fractions."""
+    group = f.group
+    terms = [
+        (h, kernel.values[h] * mu.weights[h])
+        for h in range(group.order)
+        if kernel.values[h] != 0 and mu.weights[h] != 0
+    ]
+    values = [Fraction(0)] * group.order
+    for a, fa in enumerate(f.values):
+        if fa != 0:
+            for h, kw in terms:
+                values[group.mul(a, h)] += fa * kw
+    return tuple(values)
+
+
+@dataclass(frozen=True)
+class FractionProfile:
+    """nu of one convolution in Fractions: piece i covers c in
+    (breakpoints[i-1], breakpoints[i]], where nu(c) = slopes[i] c + offsets[i]."""
+
+    conv: GroupFunction
+    mu: Measure
+    breakpoints: tuple[Fraction, ...]
+    slopes: tuple[Fraction, ...]
+    offsets: tuple[Fraction, ...]
+
+    def piece_at(self, c: Fraction) -> int:
+        return bisect_left(self.breakpoints, c)
+
+    def evaluate(self, c: Fraction) -> Fraction:
+        i = self.piece_at(c)
+        return self.slopes[i] * c + self.offsets[i]
+
+    def evaluate_sorted(self, cs: Sequence[Fraction]) -> list[Fraction]:
+        """[evaluate(c) for c in cs] for ascending cs, in one forward walk."""
+        breakpoints, slopes, offsets = self.breakpoints, self.slopes, self.offsets
+        end = len(breakpoints)
+        i = 0
+        values = []
+        for c in cs:
+            while i < end and breakpoints[i] < c:
+                i += 1
+            values.append(slopes[i] * c + offsets[i])
+        return values
+
+
+def fraction_build_nu_profile(
+    kernel: GroupFunction, f: GroupFunction, mu: Measure
+) -> FractionProfile:
+    """Breakpoints at c = -(f*K)(g) for weighted g; slopes and offsets summed."""
+    conv = GroupFunction(f.group, fraction_convolve(f, kernel, mu))
+    by_breakpoint: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    for v, w in zip(conv.values, mu.weights):
+        if w == 0:
+            continue
+        weight, mass = by_breakpoint.get(-v, (Fraction(0), Fraction(0)))
+        by_breakpoint[-v] = (weight + w, mass + w * v)
+    breakpoints = sorted(by_breakpoint)
+    slopes = [Fraction(0)]
+    offsets = [Fraction(0)]
+    for bp in breakpoints:
+        weight, mass = by_breakpoint[bp]
+        slopes.append(slopes[-1] + weight)
+        offsets.append(offsets[-1] + mass)
+    return FractionProfile(
+        conv, mu, tuple(breakpoints), tuple(slopes), tuple(offsets)
+    )
+
+
+def fraction_relu_sum(conv: GroupFunction, mu: Measure, c: Fraction) -> Fraction:
+    """sum over conv(g) > -c of conv(g) mu(g), plus c times the sum of their mu(g)."""
+    floor = -c
+    mass = Fraction(0)
+    weight = Fraction(0)
+    for v, w in zip(conv.values, mu.weights):
+        if w != 0 and v > floor:
+            mass += v * w
+            weight += w
+    return mass + c * weight
+
+
+def fraction_critical_set(profiles: Sequence[FractionProfile]):
+    """(points, probes, values) of one forward walk over the grid, in Fractions.
+
+    Each profile's piece index only moves forward; a pair's crossing is
+    recomputed when one of the two enters a new piece and kept when it
+    lies strictly inside the grid piece.
+    """
+    m = len(profiles)
+    advancing: dict[Fraction, list[int]] = {}
+    for k, p in enumerate(profiles):
+        for bp in p.breakpoints:
+            advancing.setdefault(bp, []).append(k)
+    grid = sorted(advancing)
+    criticals = set(grid)
+    pieces = [0] * m
+    lines = [(p.slopes[0], p.offsets[0]) for p in profiles]
+    crossings: dict[tuple[int, int], Fraction] = {}
+
+    def cross(i: int, j: int) -> None:
+        (si, oi), (sj, oj) = lines[i], lines[j]
+        if si == sj:
+            crossings.pop((i, j), None)
+        else:
+            crossings[i, j] = (oj - oi) / (si - sj)
+
+    for i, j in combinations(range(m), 2):
+        cross(i, j)
+    for lo, hi in zip([None, *grid], [*grid, None]):
+        if lo is not None:
+            moved = advancing[lo]
+            for k in moved:
+                pieces[k] += 1
+                p = profiles[k]
+                lines[k] = (p.slopes[pieces[k]], p.offsets[pieces[k]])
+            for i, j in {(min(k, l), max(k, l)) for k in moved for l in range(m)}:
+                if i != j:
+                    cross(i, j)
+        for c in crossings.values():
+            if (lo is None or lo < c) and (hi is None or c < hi):
+                criticals.add(c)
+    points = tuple(sorted(criticals))
+    probes = [points[0] - 1] if points else [Fraction(0)]
+    for lo, hi in zip(points, points[1:]):
+        probes += [lo, (lo + hi) / 2]
+    if points:
+        probes += [points[-1], points[-1] + 1]
+    columns = [p.evaluate_sorted(probes) for p in profiles]
+    values = tuple(list(row) for row in zip(*columns))
+    return points, tuple(probes), values
+
+
+def profile_value(profile, c: Fraction) -> Fraction:
+    """nu(c) from an integer NuProfile's closed form, by bisect."""
+    t = c * profile.den
+    i = bisect_left(profile.breakpoints, t)
+    return (profile.slopes[i] * t + profile.offsets[i]) / (
+        profile.den * profile.wden
+    )
+
+
+def dense_u_tower_functions(group, g: int, coeffs) -> tuple[GroupFunction, ...]:
+    """u_i = a1 1_e + a2 1_g, formed at every element."""
+    one_e = indicator(group, group.identity)
+    one_g = indicator(group, g)
+    return tuple(
+        GroupFunction(
+            group,
+            tuple(
+                a1 * one_e.values[x] + a2 * one_g.values[x]
+                for x in range(group.order)
+            ),
+        )
+        for a1, a2 in coeffs
+    )
+
+
 def bisect_critical_set(profiles):
-    """(points, probes, values): every pair tested on every grid piece.
+    """(points, probes, values) of FractionProfiles: every pair tested on
+    every grid piece.
 
     Each profile's piece on a grid piece is found by bisecting at a
     representative point inside it, and every probe is evaluated with
@@ -101,3 +268,43 @@ def cut_witnesses(probes, values):
 def counted_ranks(values) -> tuple[int, ...]:
     """rank(k) = 1 + #{l : value_l < value_k}, counted pair by pair."""
     return tuple(1 + sum(1 for other in values if other < v) for v in values)
+
+
+def fraction_value_checks(result) -> dict[str, tuple[bool, str]]:
+    """verify_synth's forbidden-band, kernel-minimum-level and
+    guard-translates checks, comparing Fraction convolution values."""
+    from gshatter.gfunc import counting_measure
+
+    group = result.group
+    mu = counting_measure(group)
+    convs = [fraction_convolve(f, result.kernel, mu) for f in result.family()]
+    epsilon = result.epsilon
+    checks: dict[str, tuple[bool, str]] = {}
+    band_ok = True
+    detail = ""
+    for l in range(len(result.ms)):
+        lo, hi = result.ms[l] - epsilon, result.ms[l]
+        for conv in convs:
+            for v in conv:
+                if lo < v < hi:
+                    band_ok = False
+                    detail = f"value {v} inside the band around m_{l + 1}"
+    checks["forbidden-band"] = (band_ok, detail or "no convolution value in any band")
+    min_over_b = min(
+        (v for conv in convs for v in conv if v > result.B), default=None
+    )
+    checks["kernel-minimum-level"] = (
+        min_over_b == result.ms[-1],
+        f"smallest convolution value above B is {min_over_b}",
+    )
+    if result.mode == "general":
+        translate_ok = True
+        for h in (h for sub in result.subsets for h in sub):
+            for shift in (-2, -1, 1, 2):
+                x = group.mul(group.power(result.g, shift), h)
+                if any(conv[x] > 0 for conv in convs):
+                    translate_ok = False
+        checks["guard-translates"] = (
+            translate_ok, "convolutions are <= 0 on every guarded translate"
+        )
+    return checks

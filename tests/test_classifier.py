@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from gshatter.classifier import (
     classify,
     nu,
     ranking_of_values,
+    relu_sum,
 )
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
+
+from references import profile_value
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -81,16 +85,35 @@ class TestNuProfile:
         f, k, mu = _instance(g, [1, -1, 2], [1, 0, 0])
         profile = build_nu_profile(k, f, mu)
         # conv = f = (1, -1, 2) so breakpoints at -2 < -1 < 1
-        assert profile.breakpoints == (Fraction(-2), Fraction(-1), Fraction(1))
+        assert (profile.den, profile.wden) == (1, 1)
+        assert profile.breakpoints == (-2, -1, 1)
         assert profile.slopes == (0, 1, 2, 3)
-        assert profile.evaluate(Fraction(0)) == 3
+        assert profile_value(profile, Fraction(0)) == 3
+        assert relu_sum(profile, Fraction(0)) == 3
+
+    def test_values_and_weights_share_one_denominator(self):
+        g = build_group("cyclic:3")
+        f = GroupFunction.from_values(g, [Fraction(1, 2), Fraction(-1, 3), 2])
+        k = indicator(g, 0)
+        from gshatter.gfunc import Measure
+
+        mu = Measure.from_weights(g, [Fraction(1, 2), 0, Fraction(3, 4)])
+        profile = build_nu_profile(k, f, mu)
+        # conv = f mu(e) = (1/4, -1/6, 1) over den 12; weights over wden 4.
+        assert (profile.nums, profile.den) == ((3, -2, 12), 12)
+        assert (profile.weights, profile.wden) == ((2, 0, 3), 4)
+        # The zero weight drops the breakpoint at t = 2.
+        assert profile.breakpoints == (-12, -3)
+        assert profile.slopes == (0, 3, 5)
+        assert profile.offsets == (0, 36, 42)
+        assert relu_sum(profile, Fraction(0)) == Fraction(7, 8)
 
     def test_constant_convolution_single_breakpoint(self):
         g = build_group("cyclic:4")
         f = constant(g, 1)
         k = constant(g, 1)
         profile = build_nu_profile(k, f, counting_measure(g))
-        assert profile.breakpoints == (Fraction(-4),)
+        assert profile.breakpoints == (-4,)
         assert profile.slopes == (0, 4)
 
     @settings(max_examples=40, deadline=None)
@@ -105,10 +128,11 @@ class TestNuProfile:
         profile = build_nu_profile(k, f, mu)
         for _ in range(6):
             c = data.draw(rationals(max_den=16, max_num=48))
-            assert profile.evaluate(c) == nu(k, f, mu, c)
+            assert profile_value(profile, c) == nu(k, f, mu, c)
         # including exactly at each breakpoint
         for bp in profile.breakpoints:
-            assert profile.evaluate(bp) == nu(k, f, mu, bp)
+            c = Fraction(bp, profile.den)
+            assert profile_value(profile, c) == nu(k, f, mu, c)
 
     def test_keeps_its_convolution(self):
         g = build_group("cyclic:5")
@@ -118,13 +142,16 @@ class TestNuProfile:
         from gshatter.gfunc import convolve
 
         profile = build_nu_profile(k, f, mu)
-        assert profile.conv.values == convolve(f, k, mu).values
-        assert profile.mu is mu
+        conv = tuple(Fraction(x, profile.den) for x in profile.nums)
+        assert conv == convolve(f, k, mu).values
+        weights = tuple(Fraction(w, profile.wden) for w in profile.weights)
+        assert weights == mu.weights
 
 
 def step_at(profile, c):
     """The step function c -> sum of mu(g)(f*K)(g) over (f*K)(g) > -c."""
-    return profile.offsets[profile.piece_at(c)]
+    piece = bisect_left(profile.breakpoints, c * profile.den)
+    return Fraction(profile.offsets[piece], profile.den * profile.wden)
 
 
 class TestStepFunction:
@@ -134,7 +161,7 @@ class TestStepFunction:
         f, k, mu = _instance(g, [1, 2, 0], [1, 0, 0])
         profile = build_nu_profile(k, f, mu)
         # conv values 2 > 1 > 0 activate in that order as c grows.
-        assert profile.breakpoints == (Fraction(-2), Fraction(-1), Fraction(0))
+        assert profile.breakpoints == (-2, -1, 0)
         assert profile.offsets == (0, 2, 3, 3)
 
     def test_left_continuity_at_breakpoints(self):

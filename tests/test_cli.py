@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -38,16 +42,16 @@ def run(capsys, *argv):
 
 
 def count_convolutions(monkeypatch):
-    """Count convolve calls at both of its bindings; returns the call list."""
+    """Count integer convolutions at both bindings; returns the call list."""
     calls = []
-    original = gshatter.gfunc.convolve
+    original = gshatter.gfunc.convolve_ints
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(gshatter.gfunc, "convolve", counting)
-    monkeypatch.setattr(gshatter.classifier, "convolve", counting)
+    monkeypatch.setattr(gshatter.gfunc, "convolve_ints", counting)
+    monkeypatch.setattr(gshatter.classifier, "convolve_ints", counting)
     return calls
 
 
@@ -65,13 +69,19 @@ def run_bounded(capsys, *argv):
 
 
 def shift_sweep_values(monkeypatch):
-    """Make the sweep's nu values wrong by 1; the definition stays right."""
-    true_evaluate_sorted = NuProfile.evaluate_sorted
-    monkeypatch.setattr(
-        NuProfile,
-        "evaluate_sorted",
-        lambda self, cs: [v + 1 for v in true_evaluate_sorted(self, cs)],
-    )
+    """Make the sweep's nu values wrong by 1; the definition stays right.
+
+    The sweep reads every value from NuProfile.scaled, where nu * scale *
+    wscale = slope * t + offset, so adding scale * wscale to each offset
+    adds 1 to nu everywhere; relu_sum never reads the scaled form.
+    """
+    true_scaled = NuProfile.scaled
+
+    def shifted(self, scale, wscale):
+        breakpoints, slopes, offsets = true_scaled(self, scale, wscale)
+        return breakpoints, slopes, [o + scale * wscale for o in offsets]
+
+    monkeypatch.setattr(NuProfile, "scaled", shifted)
 
 
 def fail_check(monkeypatch, name):
@@ -205,6 +215,18 @@ class TestSynthCommand:
             "--out-dir", str(tmp_path),
         )
         assert code == 4
+
+    def test_odd_order_has_no_involution_without_a_scan(self, capsys, tmp_path):
+        # Lagrange: an element of order 2 needs 2 | |G|, so the odd group
+        # of order 20000001 is rejected without looking at its elements.
+        code, _, err, elapsed, peak = run_bounded(
+            capsys, "synth", "--group", "cyclic:20000001", "--m", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 4
+        assert err.startswith("error: ") and "order_two" in err
+        assert elapsed < 0.1
+        assert peak < 1_000_000
 
     def test_m_cap_without_allow_large(self, capsys, tmp_path):
         code, _, err = run(
@@ -435,8 +457,8 @@ class TestVerifyCommand:
     def test_certificate_is_checked_against_the_definition(
         self, capsys, bundle, monkeypatch
     ):
-        # The sweep finds witnesses through NuProfile.evaluate_sorted; the
-        # re-check must not, so a wrong sweep cannot pass unnoticed.
+        # The sweep finds witnesses through NuProfile.scaled; the re-check
+        # must not, so a wrong sweep cannot pass unnoticed.
         from gshatter.shatter import is_shattered
 
         kernel = group_function_from_json(read_json(bundle / "kernel.json"))
@@ -546,6 +568,44 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestOptimizedInterpreter:
+    """The acceptance path under `python -O`, where `assert` is stripped."""
+
+    @staticmethod
+    def pipeline(directory: Path, *flags: str) -> list[str]:
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(gshatter.gfunc.__file__).parent.parent),
+        }
+        outputs = []
+        for argv in (
+            ["synth", "--group", "cyclic:18", "--m", "3", "--out-dir", "out"],
+            ["verify", "--kernel", "out/kernel.json",
+             "--functions", "out/functions.json"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "gshatter.cli", *argv],
+                cwd=directory, env=env, capture_output=True, text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        return outputs
+
+    def test_synth_and_verify_match_the_plain_run(self, tmp_path):
+        plain, optimized = tmp_path / "plain", tmp_path / "optimized"
+        plain.mkdir()
+        optimized.mkdir()
+        assert self.pipeline(optimized, "-O") == self.pipeline(plain)
+        names = sorted(p.name for p in (plain / "out").iterdir())
+        assert names == sorted(p.name for p in (optimized / "out").iterdir())
+        for name in names:
+            if name != "run_manifest.json":  # holds timestamps
+                assert sha256_of_file(optimized / "out" / name) == sha256_of_file(
+                    plain / "out" / name
+                ), name
 
 
 class TestParser:

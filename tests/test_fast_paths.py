@@ -1,27 +1,46 @@
 """Differential tests: every fast path against its slow reference.
 
-The references live in `references.py`.  Fraction arithmetic is exact,
-so the fast paths must give identical values, not merely close ones.
+The references live in `references.py`.  The package computes on
+integers over one denominator and the references in Fractions; both are
+exact, so the fast paths must give identical values, not merely close
+ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gshatter.classifier import build_nu_profile, ranking_of_values, relu_sum
-from gshatter.gfunc import GroupFunction, Measure, convolve, indicator
+from gshatter.gfunc import (
+    GroupFunction,
+    Measure,
+    convolve,
+    convolve_ints,
+    counting_measure,
+    indicator,
+)
 from gshatter.groups import build_group
 from gshatter.shatter import _witnesses, critical_set
+from gshatter.orders import build_complete_orders
+from gshatter.synth import SynthConfig, build_u_tower, synth_kernel, verify_synth
 
 from references import (
     bisect_critical_set,
     counted_ranks,
     cut_witnesses,
     dense_convolve,
+    dense_u_tower_functions,
+    fraction_build_nu_profile,
+    fraction_convolve,
+    fraction_critical_set,
+    fraction_relu_sum,
+    fraction_value_checks,
     termwise_relu_sum,
 )
 
@@ -48,42 +67,77 @@ nonzero_rationals = st.builds(
     st.integers(min_value=1, max_value=8),
 )
 
+# Denominators up to 2^40, so that a common denominator is a large integer.
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**40), max_value=2**40).filter(bool),
+    st.integers(min_value=1, max_value=2**40),
+)
+
+# Measure weights: zeros, whole numbers and fractions (weight denominator > 1).
+weights_strategy = st.one_of(
+    st.integers(min_value=0, max_value=3).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=5),
+    ),
+)
+
 
 @st.composite
 def group_values(draw, n: int) -> list[Fraction]:
     """Values on n elements with a drawn support, from empty to full."""
     support = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    return [
-        draw(nonzero_rationals) if g in support else Fraction(0)
-        for g in range(n)
-    ]
+    values = st.one_of(nonzero_rationals, wide_rationals)
+    return [draw(values) if g in support else Fraction(0) for g in range(n)]
 
 
 @st.composite
 def instances(draw):
-    """(kernel, functions, measure); zeros in all three are common."""
+    """(kernel, functions, measure); zeros in all three are common, and
+    values and weights may carry large or non-unit denominators."""
     group = GROUPS[draw(st.sampled_from(SPECS))]
     n = group.order
     kernel = GroupFunction(group, tuple(draw(group_values(n))))
     m = draw(st.integers(min_value=1, max_value=4))
     fs = [GroupFunction(group, tuple(draw(group_values(n)))) for _ in range(m)]
-    weights = draw(
-        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
-    )
+    weights = draw(st.lists(weights_strategy, min_size=n, max_size=n))
     if not any(weights):
-        weights[draw(st.integers(min_value=0, max_value=n - 1))] = 1
+        weights[draw(st.integers(min_value=0, max_value=n - 1))] = Fraction(1, 2)
     return kernel, fs, Measure.from_weights(group, weights)
+
+
+def sweep_values_in_nu(crit):
+    """The sweep's integer values, divided back into nu units."""
+    return tuple(
+        [Fraction(v, q * crit.scale * crit.wscale) for v in row]
+        for (_, q), row in zip(crit.probe_ts, crit.values)
+    )
 
 
 def assert_matches_references(kernel, fs, mu) -> None:
     for f in fs:
-        assert convolve(f, kernel, mu).values == dense_convolve(f, kernel, mu)
+        nums, den = convolve_ints(f, kernel, mu)
+        values = convolve(f, kernel, mu).values
+        assert values == dense_convolve(f, kernel, mu)
+        assert values == fraction_convolve(f, kernel, mu)
+        assert values == tuple(Fraction(x, den) for x in nums)
+        # One denominator, no larger than the values need.
+        assert den == lcm(*(v.denominator for v in values))
     profiles = [build_nu_profile(kernel, f, mu) for f in fs]
+    refs = [fraction_build_nu_profile(kernel, f, mu) for f in fs]
+    for p, ref in zip(profiles, refs):
+        assert tuple(Fraction(bp, p.den) for bp in p.breakpoints) == ref.breakpoints
+        assert tuple(Fraction(s, p.wden) for s in p.slopes) == ref.slopes
+        scale = p.den * p.wden
+        assert tuple(Fraction(o, scale) for o in p.offsets) == ref.offsets
     crit = critical_set(profiles)
-    points, probes, values = bisect_critical_set(profiles)
+    points, probes, values = bisect_critical_set(refs)
+    assert fraction_critical_set(refs) == (points, probes, values)
     assert crit.points == points
     assert crit.probes == probes
-    assert crit.values == values
+    assert sweep_values_in_nu(crit) == values
     assert _witnesses(crit) == cut_witnesses(probes, values)
 
 
@@ -99,8 +153,72 @@ class TestAgainstReferences:
         kernel, fs, mu = instance
         for f in fs:
             conv = convolve(f, kernel, mu)
+            profile = build_nu_profile(kernel, f, mu)
             for c in {-v + shift for v in conv.values} | {-v for v in conv.values}:
-                assert relu_sum(conv, mu, c) == termwise_relu_sum(conv, mu, c)
+                want = termwise_relu_sum(conv, mu, c)
+                assert relu_sum(profile, c) == want
+                assert fraction_relu_sum(conv, mu, c) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances())
+    def test_relu_sum_at_and_around_the_floor_threshold(self, instance):
+        # c = -x/den sits exactly on a breakpoint; c = (-7x -+ 1)/(7 den)
+        # has a denominator that does not divide den and puts -c*den just
+        # above or below x, on either side of the integer threshold.
+        kernel, fs, mu = instance
+        for f in fs:
+            conv = convolve(f, kernel, mu)
+            profile = build_nu_profile(kernel, f, mu)
+            den = profile.den
+            for x in profile.nums:
+                for c in (
+                    Fraction(-x, den),
+                    Fraction(-7 * x - 1, 7 * den),
+                    Fraction(-7 * x + 1, 7 * den),
+                ):
+                    assert relu_sum(profile, c) == termwise_relu_sum(conv, mu, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances(), st.data())
+    def test_profiles_under_different_measures(self, instance, data):
+        # Weight denominators differ between profiles, so the sweep's
+        # common weight scale is a proper multiple of some of them.
+        kernel, fs, mu = instance
+        n = kernel.group.order
+        weights = [Fraction(w, 3) for w in range(1, n + 1)]
+        other = Measure.from_weights(kernel.group, data.draw(st.permutations(weights)))
+        mus = [mu if k % 2 else other for k in range(len(fs))]
+        profiles = [build_nu_profile(kernel, f, m) for f, m in zip(fs, mus)]
+        refs = [fraction_build_nu_profile(kernel, f, m) for f, m in zip(fs, mus)]
+        crit = critical_set(profiles)
+        points, probes, values = bisect_critical_set(refs)
+        assert (crit.points, crit.probes) == (points, probes)
+        assert sweep_values_in_nu(crit) == values
+        assert _witnesses(crit) == cut_witnesses(probes, values)
+
+    def test_crossing_on_a_grid_point(self):
+        # nu_1 = (4+c)^+ + c^+ and nu_2 = 2(3+c)^+ cross at c = -2 on both
+        # of their shared pieces (-3, -2] and (-2, 0], and -2 is the
+        # breakpoint of nu_3 = 2(2+c)^+: the crossing is a grid point, so
+        # it is not an interior crossing and appears once.
+        group = GROUPS["cyclic:2"]
+        fs = [
+            GroupFunction.from_values(group, row)
+            for row in ([4, 0], [3, 3], [2, 2])
+        ]
+        kernel = indicator(group, group.identity)
+        mu = counting_measure(group)
+        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        assert crit.points == (-4, -3, -2, 0)
+        assert Fraction(-2) in crit.probes
+        assert_matches_references(kernel, fs, mu)
+        # Scaled by a common denominator the crossing still lands on the grid.
+        thirds = [
+            GroupFunction.from_values(group, [v / 3 for v in f.values]) for f in fs
+        ]
+        crit = critical_set([build_nu_profile(kernel, f, mu) for f in thirds])
+        assert crit.points == tuple(Fraction(c, 3) for c in (-4, -3, -2, 0))
+        assert_matches_references(kernel, thirds, mu)
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6"])
     def test_sparse_function_against_dense_kernel(self, spec):
@@ -141,3 +259,85 @@ class TestRanking:
     )
     def test_matches_counted_ranks_with_ties(self, values):
         assert ranking_of_values(values).ranks == counted_ranks(values)
+
+
+class TestUTower:
+    @pytest.mark.parametrize("spec, g", [("cyclic:12", 6), ("dihedral:6", 7)])
+    def test_sparse_functions_match_the_dense_formula(self, spec, g):
+        group = GROUPS[spec]
+        tower = build_u_tower(group, g, Fraction(1), Fraction(2), p=3)
+        dense = dense_u_tower_functions(group, g, tower.coeffs)
+        assert [f.values for f in tower.functions] == [f.values for f in dense]
+
+
+def assert_value_checks_match(result, orders) -> dict[str, tuple[bool, str]]:
+    """verify_synth's integer value checks equal their Fraction forms."""
+    want = fraction_value_checks(result)
+    got = {
+        c.name: (c.passed, c.detail)
+        for c in verify_synth(result, orders).checks
+        if c.name in want
+    }
+    assert got == want
+    return got
+
+
+class TestVerifySynthValueChecks:
+    """The integer band, minimum-level and guard checks against Fractions."""
+
+    @pytest.mark.parametrize(
+        "spec, g, mode", [("cyclic:18", 9, "order_two"), ("cyclic:81", 1, "general")]
+    )
+    def test_checks_match_on_perturbed_kernels(self, spec, g, mode):
+        group = build_group(spec)
+        orders = build_complete_orders(3)
+        result = synth_kernel(group, SynthConfig(m=3, g=g, orders=orders, mode=mode))
+        eps = result.epsilon
+        centres = [h for sub in result.subsets for h in sub]
+        # Each kernel is the synthesized one with one entry moved: spikes by
+        # fractions of eps (into and out of the level bands), the zero
+        # entries next to a centre, and every guard made positive.
+        kernels = [list(result.kernel.values)]
+        for position in (centres[0], centres[1], group.mul(g, centres[1])):
+            for delta in (eps / 4, -eps / 3, -eps / 12, -eps / 42, Fraction(-1, 7)):
+                values = list(result.kernel.values)
+                values[position] += delta
+                kernels.append(values)
+        kernels.append([abs(v) for v in result.kernel.values])
+        failed = set()
+        for values in kernels:
+            broken = dataclasses.replace(
+                result, kernel=GroupFunction(group, tuple(values))
+            )
+            got = assert_value_checks_match(broken, orders)
+            failed |= {name for name, (passed, _) in got.items() if not passed}
+        assert failed == set(got)  # every check is seen failing
+
+    @pytest.mark.parametrize(
+        "spec, g, mode", [("cyclic:18", 9, "order_two"), ("cyclic:81", 1, "general")]
+    )
+    def test_checks_match_at_their_boundaries(self, spec, g, mode):
+        # With every tower function 1_e the convolutions are the kernel
+        # itself.  1/D pins the denominator to D, and lo * D, hi * D are
+        # not integers, so ceil(lo D)/D and floor(hi D)/D are the values
+        # nearest the band's ends; lo, hi and B themselves are outside.
+        # In general mode 1/D sits on a guarded translate, the smallest
+        # positive value there.
+        group = build_group(spec)
+        orders = build_complete_orders(3)
+        result = synth_kernel(group, SynthConfig(m=3, g=g, orders=orders, mode=mode))
+        delta = indicator(group, group.identity)
+        result = dataclasses.replace(result, u=(delta,) * len(result.u))
+        D = 10007
+        lo, hi = result.ms[0] - result.epsilon, result.ms[0]
+        assert (lo * D).denominator != 1 and (hi * D).denominator != 1
+        pin, spot = group.mul(g, result.subsets[0][0]), group.identity
+        assert pin != spot
+        for value in (Fraction(ceil(lo * D), D), Fraction(floor(hi * D), D),
+                      lo, hi, result.B):
+            values = [Fraction(0)] * group.order
+            values[pin], values[spot] = Fraction(1, D), value
+            broken = dataclasses.replace(
+                result, kernel=GroupFunction(group, tuple(values))
+            )
+            assert_value_checks_match(broken, orders)
