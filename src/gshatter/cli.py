@@ -294,6 +294,8 @@ _BOUND_COLUMNS = (
 
 def _achieved_from_file(run: _Run, path: str) -> Optional[tuple[int, int]]:
     data = run.read(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if "group" not in data:
         return None
     group = build_group(data["group"])
@@ -318,7 +320,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     for path in args.achieved or []:
         try:
             pair = _achieved_from_file(run, path)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError,
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
                 GroupSpecError) as exc:
             return _fail(f"cannot read certificate {path}: {exc}", 2)
         if pair is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -31,16 +32,26 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def fraction_from_str(text: str) -> Fraction:
+    """Parse "p" or "p/q": ASCII digits, an optional leading '-', q > 0."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
     num, sep, den = text.partition("/")
     try:
-        if sep:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        return Fraction(int(num), int(den) if sep else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
+
+
+def _json_list(data: Any, what: str) -> list[Any]:
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(data).__name__}")
+    return data
 
 
 def group_function_to_json(f: GroupFunction) -> dict[str, Any]:
@@ -55,7 +66,7 @@ def group_function_from_json(
 ) -> GroupFunction:
     if group is None:
         group = build_group(data["group"])
-    values = tuple(fraction_from_str(v) for v in data["values"])
+    values = tuple(fraction_from_str(v) for v in _json_list(data["values"], "values"))
     return GroupFunction(group, values)
 
 
@@ -74,8 +85,10 @@ def function_family_from_json(
     if group is None:
         group = build_group(data["group"])
     return [
-        GroupFunction(group, tuple(fraction_from_str(v) for v in row))
-        for row in data["functions"]
+        GroupFunction(
+            group, tuple(fraction_from_str(v) for v in _json_list(row, "a function row"))
+        )
+        for row in _json_list(data["functions"], "functions")
     ]
 
 

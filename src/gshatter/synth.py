@@ -7,9 +7,10 @@ to l are active and the ranking of the nu values equals the l-th target
 order.  Spikes of later rounds are too small to matter at -c_l, and an
 open value band below each level stays empty so the levels never blur.
 
-Every property claimed of the output is re-checked before the result is
-returned, and `verify_synth` re-derives the whole chain of claims from
-the finished kernel alone.
+The construction checks only the preconditions its next step needs.
+Every property claimed of the output is checked once, by `verify_synth`,
+which re-derives the whole chain of claims from the finished kernel
+alone before `synth_kernel` returns.
 """
 
 from __future__ import annotations
@@ -300,6 +301,15 @@ def synth_epsilon(B: Fraction, C: Fraction, m: int, r: int) -> Fraction:
     return (C - B) * (m - 1) / (2 * m * (m - 1 + m ** (r + 1) - 1))
 
 
+def _guard_value(tower: UTower, k_max: Fraction) -> Fraction:
+    """General mode's guard value -K_max s_max / s_min, where s ranges over
+    the coefficients of u_2, u_4, ..., u_2p and K_max is the largest spike."""
+    even_entries = [
+        tower.coeffs[2 * q][j] for q in range(1, tower.p + 1) for j in (0, 1)
+    ]
+    return -k_max * max(even_entries) / min(even_entries)
+
+
 def _mode_element_ok(group: FiniteGroup, g: int, mode: str) -> bool:
     if g == group.identity:
         return False
@@ -341,50 +351,31 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
                 f"cannot assign {value}"
             )
 
-    # a_by_round[l][k] = spike target of function k+1 in round l+1.
-    a_by_round: list[list[Fraction]] = []
+    # totals[k] = sum of function k+1's spike targets over the rounds so far.
+    totals = [Fraction(0)] * m
     ms: list[Fraction] = []
     thresholds: list[Fraction] = []
     m_prev, big_m_prev = C, Fraction(0)
     g_inv = group.inv(g)
     for l in range(1, r + 1):
-        o = orders[l - 1].ranks
-        o_inv = {o[k]: k + 1 for k in range(m)}
-        targets = [
-            m_prev - (m - i + 1) * (big_m_prev + epsilon)
-            for i in range(1, m + 1)
-        ]
+        o_inv = {rank: k for k, rank in enumerate(orders[l - 1].ranks)}
+        targets = [m_prev - (m - i) * (big_m_prev + epsilon) for i in range(m)]
+        # For l > 1 this is round l-1's level condition B < m - m(M + eps).
         if not B < targets[0]:
             raise SynthesisVerificationError(
                 f"round {l}: smallest spike target {targets[0]} fell below B"
             )
-        round_a = [Fraction(0)] * m
-        for i in range(1, m + 1):
-            k_func = o_inv[i]
-            target = targets[i - 1]
-            k1, k2 = solve_k_vector(tower, 2 * k_func, target)
-            centre = subsets[l - 1][i - 1]
+        for i in range(m):
+            k = o_inv[i + 1]
+            k1, k2 = solve_k_vector(tower, 2 * (k + 1), targets[i])
+            centre = subsets[l - 1][i]
             assign(centre, k1, "spike")
             assign(group.mul(g_inv, centre), k2, "spike")
-            round_a[k_func - 1] = target
-        a_by_round.append(round_a)
+            totals[k] += targets[i]
         m_cur = targets[0]
-        probe = -m_cur + epsilon
-        nu_hat = [
-            sum((a_by_round[p][k] + probe) for p in range(l))
-            for k in range(m)
-        ]
-        if not all(a_by_round[p][k] + probe > 0 for p in range(l) for k in range(m)):
-            raise SynthesisVerificationError(f"round {l}: a spike is inactive at the probe")
-        big_m_cur = max(nu_hat) - min(nu_hat)
-        if not B < m_cur - m * (big_m_cur + epsilon):
-            raise SynthesisVerificationError(
-                f"round {l}: level condition B < m_l - m(M_l + eps) failed"
-            )
-        if not big_m_cur <= epsilon * (m**l - 1):
-            raise SynthesisVerificationError(
-                f"round {l}: spread bound M_l <= eps(m^l - 1) failed"
-            )
+        # Every target so far is >= m_l, so at the probe -m_l + eps each nu
+        # is its total plus the common l(-m_l + eps): M_l is the totals' spread.
+        big_m_cur = max(totals) - min(totals)
         if l == 1 and big_m_cur != (m - 1) * epsilon:
             raise SynthesisVerificationError(
                 "round 1 spread must equal (m-1) * eps exactly"
@@ -394,12 +385,7 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
         m_prev, big_m_prev = m_cur, big_m_cur
 
     if mode == "general":
-        k_max = max(abs(v) for v in kernel_values.values())
-        even_entries = [
-            tower.coeffs[2 * q][j] for q in range(1, m + 1) for j in (0, 1)
-        ]
-        s_min, s_max = min(even_entries), max(even_entries)
-        guard = -k_max * s_max / s_min
+        guard = _guard_value(tower, max(abs(v) for v in kernel_values.values()))
         for sub in subsets:
             for centre in sub:
                 assign(group.mul(group.power(g, -2), centre), guard, "guard")
@@ -612,11 +598,9 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
             for h in centres
             for shift in (-2, 1)
         }
-        k_max = max(abs(kernel.values[x]) for x in spike_positions)
-        even_entries = [
-            tower.coeffs[2 * q][j] for q in range(1, m + 1) for j in (0, 1)
-        ]
-        guard = -k_max * max(even_entries) / min(even_entries)
+        guard = _guard_value(
+            tower, max(abs(kernel.values[x]) for x in spike_positions)
+        )
         guards_ok = all(
             kernel.values[x] == guard for x in guard_positions
         )

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,27 @@ class TestSynthCommand:
         assert "pairwise-gaps" in err
         assert not out.exists()
 
+    def test_construction_fault_caught_before_return(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # With eps = 1/8 on cyclic:8, m = 2, every step of the construction
+        # goes through (round 2's smallest target is 5/4 > B = 1), but the
+        # last level condition 2 - 10/8 > B fails; only verify_synth sees it.
+        monkeypatch.setattr(
+            gshatter.synth, "synth_epsilon", lambda B, C, m, r: Fraction(1, 8)
+        )
+        config = SynthConfig(m=2, g=4, orders=build_complete_orders(2))
+        with pytest.raises(SynthesisVerificationError, match="level-condition"):
+            synth_kernel(build_group("cyclic:8"), config)
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(out),
+        )
+        assert code == 5
+        assert "level-condition" in err
+        assert not out.exists()
+
     def test_failed_witness_recheck_exits_5_without_artifacts(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -434,6 +456,27 @@ class TestVerifyCommand:
         assert code == 2
         assert "error: cannot read inputs" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["values", "row"])
+    def test_string_shaped_values(self, capsys, tmp_path, which):
+        # A string of digits is not a list of values: "1000" must not load
+        # as (1, 0, 0, 0), neither as a kernel nor as a function row.
+        kernel = tmp_path / "kernel.json"
+        functions = tmp_path / "functions.json"
+        values = ["1", "0", "0", "0"]
+        write_json_atomic(
+            kernel,
+            {"group": "cyclic:4", "values": "1000" if which == "values" else values},
+        )
+        write_json_atomic(
+            functions,
+            {"group": "cyclic:4", "functions": ["1000" if which == "row" else values]},
+        )
+        code, _, err = run(
+            capsys, "verify", "--kernel", str(kernel), "--functions", str(functions),
+        )
+        assert code == 2
+        assert "error: cannot read inputs" in err
 
     def test_huge_group_with_few_values(self, capsys, tmp_path):
         # A file naming a group of order 10^9 but holding 4 values is
@@ -558,6 +601,21 @@ class TestBoundsCommand:
         row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
         assert row8.split()[-1] == "2"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            5,
+            {"group": "cyclic:8", "dichotomies": [], "shattered": True, "m": [2]},
+            {"group": "cyclic:8", "kernel": {}, "m": None},
+        ],
+        ids=["not-an-object", "certificate-list-m", "bundle-null-m"],
+    )
+    def test_malformed_achieved_file(self, capsys, tmp_path, data):
+        path = tmp_path / "achieved.json"
+        write_json_atomic(path, data)
+        code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read certificate {path}")
 
     @pytest.mark.parametrize("group", [5, ["cyclic:8"]])
     def test_non_string_group_in_achieved(self, capsys, tmp_path, group):

@@ -45,7 +45,13 @@ class TestFractions:
         assert fraction_to_str(value) == text
         assert fraction_from_str(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "a/b", "1/0", "1.5", "3/", None, 7])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "", "a/b", "1/0", "1.5", "3/", None, 7,
+            " 3", "3 ", "1_000", "+3", "\u0663", "3/ 4", "1/-2", "3\n", "--3",
+        ],
+    )
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             fraction_from_str(bad)
