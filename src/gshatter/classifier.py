@@ -143,4 +143,4 @@ class Ranking:
 def ranking_of_values(values: Sequence[Fraction]) -> Ranking:
     """rank(k) = 1 + #{l : value_l < value_k}, read off one sorted copy."""
     ordered = sorted(values)
-    return Ranking(tuple(1 + bisect_left(ordered, v) for v in values))
+    return Ranking(tuple([1 + bisect_left(ordered, v) for v in values]))

@@ -172,6 +172,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except GroupSpecError as exc:
         return _fail(str(exc), 2)
 
+    # The size test is one comparison; the mode-element test may scan.
+    required = required_group_size(args.m, args.mode)
+    if group.order < required:
+        return _fail(
+            f"group {group.label} too small: mode '{args.mode}' with "
+            f"m={args.m} requires |G| >= {required}, got {group.order}",
+            3,
+        )
     if args.mode == "order_two":
         g = find_order_two_element(group)
     else:
@@ -181,13 +189,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"group {group.label} has no suitable element for mode "
             f"'{args.mode}'",
             4,
-        )
-    required = required_group_size(args.m, args.mode)
-    if group.order < required:
-        return _fail(
-            f"group {group.label} too small: mode '{args.mode}' with "
-            f"m={args.m} requires |G| >= {required}, got {group.order}",
-            3,
         )
 
     run = _Run("synth", args)
@@ -300,12 +301,17 @@ def _achieved_from_file(run: _Run, path: str) -> Optional[tuple[int, int]]:
         return None
     group = build_group(data["group"])
     if "dichotomies" in data:  # a shatter certificate
-        if not data.get("shattered"):
-            return None
-        return group.order, int(data["m"])
-    if "kernel" in data:  # a synth bundle
-        return group.order, int(data["m"])
-    return None
+        counts = bool(data.get("shattered"))
+    elif "kernel" in data:  # a synth bundle
+        if not isinstance(data["kernel"], dict):
+            raise ValueError("a synth bundle's kernel must be a JSON object")
+        counts = True
+    else:
+        return None
+    m = data["m"]
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    return (group.order, m) if counts else None
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

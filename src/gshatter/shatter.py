@@ -8,17 +8,17 @@ crossing — visits every realizable label pattern.  Each witnessed
 pattern is re-verified against the ReLU-sum definition before it enters
 a certificate, not against the piecewise form that found it.
 
-The sweep runs on integers over one common denominator; Fractions
-appear only for crossings and for emitted (c1, c2) witnesses, and no
-float is used anywhere.
+The sweep runs on integers over one common denominator: Fractions
+appear only in emitted (c1, c2) witnesses, and floats nowhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .classifier import (
@@ -75,16 +75,16 @@ class CriticalSet:
     (the critical points), the midpoints between them and one point past
     either end.  Between consecutive points every nu is affine, so the
     ranking is constant there and the probes reach every ranking attained
-    on the whole real line.  `values[i][k]` is nu of `profiles[k]` at
-    probe i times q * scale * wscale, an integer; every reader of the
-    sweep takes its values from here.
+    on the whole real line.  `rows` maps each attained ranking, in probe
+    order, to its first probe i and values, `values[k]` being nu of
+    `profiles[k]` at probe i times q * scale * wscale, an integer.
     """
 
     profiles: tuple[NuProfile, ...]
     scale: int
     wscale: int
     probe_ts: tuple[tuple[int, int], ...]
-    values: tuple[list[int], ...]
+    rows: dict[Ranking, tuple[int, list[int]]]
 
     @property
     def probes(self) -> tuple[Fraction, ...]:
@@ -105,31 +105,41 @@ def _profiles(
     return [build_nu_profile(kernel, f, mu) for f in fs]
 
 
+# Orders pairs (p, q > 0) by the value p / q, without building Fractions.
+_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
-    """Critical points and probes of the profiles, with nu at every probe.
+    """Critical points and probes, and the first row of every ranking.
 
     One left-to-right walk over the common grid of integer breakpoints.
-    Each profile keeps a piece index that only moves forward, at its own
-    breakpoints, so on each open piece of the grid its (slope, offset)
+    Each profile's pieces are read in order, the next one at each of its
+    own breakpoints, so on each open piece of the grid its (slope, offset)
     is read once.  Two profiles with different slopes there cross at one
     point num / den, which is critical when lo * den < num < hi * den.
     A pair's crossing is recomputed only when one of the two enters a
-    new piece; the strict-interior test runs on every piece.
+    new piece; the strict-interior test runs on every piece.  A piece's
+    probes are evaluated from those pairs before the walk moves on (nu
+    is continuous, so a grid point gets one value from either side).  No
+    ranking changes across a point where no two nu tie: only the first
+    probe, tied points and the probes after them are ranked.
     """
     m = len(profiles)
     scale = lcm(*(p.den for p in profiles))
     wscale = lcm(*(p.wden for p in profiles))
     lines = [p.scaled(scale, wscale) for p in profiles]
-    # The profiles whose piece index advances at each grid point.
+    # The profiles that enter their next piece at each grid point.
     advancing: dict[int, list[int]] = {}
     for k, (breakpoints, _, _) in enumerate(lines):
         for bp in breakpoints:
             advancing.setdefault(bp, []).append(k)
     grid = sorted(advancing)
-    criticals: set[int | Fraction] = set(grid)
-    pieces = [0] * m
-    current = [(slopes[0], offsets[0]) for _, slopes, offsets in lines]
+    pieces = [zip(slopes, offsets) for _, slopes, offsets in lines]
+    current = [next(piece) for piece in pieces]
     crossings: dict[tuple[int, int], tuple[int, int]] = {}
+    probes: list[tuple[int, int]] = []
+    rows: dict[Ranking, tuple[int, list[int]]] = {}
+    tied = True  # whether the last point tied; the first probe is ranked
 
     def cross(i: int, j: int) -> None:
         (si, oi), (sj, oj) = current[i], current[j]
@@ -138,38 +148,42 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
         else:  # at t = (oj - oi) / (si - sj), kept with a positive den
             crossings[i, j] = (oj - oi, si - sj) if si > sj else (oi - oj, sj - si)
 
+    def probe(p: int, q: int, point: bool) -> None:
+        nonlocal tied
+        if point or tied:  # not a probe just after a point without a tie
+            values = [s * p + o * q for s, o in current]
+            tied = not point or len(set(values)) < m  # a midpoint keeps it
+            if tied:
+                rows.setdefault(ranking_of_values(values), (len(probes), values))
+        probes.append((p, q))
+
     for i, j in combinations(range(m), 2):
         cross(i, j)
+    last: Optional[tuple[int, int]] = None
     for lo, hi in zip([None, *grid], [*grid, None]):
         if lo is not None:
             moved = advancing[lo]
             for k in moved:
-                pieces[k] += 1
-                _, slopes, offsets = lines[k]
-                current[k] = (slopes[pieces[k]], offsets[pieces[k]])
-            for i, j in {(min(k, l), max(k, l)) for k in moved for l in range(m)}:
+                current[k] = next(pieces[k])
+            for i, j in {(k, l) if k < l else (l, k) for k in moved for l in range(m)}:
                 if i != j:
                     cross(i, j)
+        inside = set()  # the piece's interior crossings, gcd-reduced
         for num, den in crossings.values():
             if (lo is None or lo * den < num) and (hi is None or num < hi * den):
-                criticals.add(Fraction(num, den))
-    points = [(t.numerator, t.denominator) for t in sorted(criticals)]
-    probes = [(0, 1)]
-    if points:
-        probes = [(points[0][0] - scale * points[0][1], points[0][1])]
-        for (p1, q1), (p2, q2) in zip(points, points[1:]):
-            probes += [(p1, q1), (p1 * q2 + p2 * q1, 2 * q1 * q2)]
-        probes += [points[-1], (points[-1][0] + scale * points[-1][1], points[-1][1])]
-    columns = []
-    for breakpoints, slopes, offsets in lines:  # one forward walk each
-        i, end, column = 0, len(breakpoints), []
-        for p, q in probes:
-            while i < end and breakpoints[i] * q < p:
-                i += 1
-            column.append(slopes[i] * p + offsets[i] * q)
-        columns.append(column)
-    values = tuple(list(row) for row in zip(*columns))
-    return CriticalSet(tuple(profiles), scale, wscale, tuple(probes), values)
+                g = gcd(num, den)
+                inside.add((num // g, den // g))
+        ends = sorted(inside, key=_by_value) + ([(hi, 1)] if hi is not None else [])
+        for p, q in ends:
+            if last is None:  # one unit of c1 before the first point
+                probe(p - scale * q, q, False)
+            else:  # the midpoint after the previous point
+                probe(last[0] * q + p * last[1], 2 * last[1] * q, False)
+            probe(p, q, True)
+            last = (p, q)
+    p, q = last if last is not None else (-scale, 1)  # no points: t = 0 alone
+    probe(p + scale * q, q, False)  # one unit of c1 past the last point
+    return CriticalSet(tuple(profiles), scale, wscale, tuple(probes), rows)
 
 
 def critical_points(
@@ -186,16 +200,17 @@ def _witnesses(
 
     At a fixed c1, sweeping c2 across the distinct nu values produces
     every realizable cut: the pattern labels +1 exactly the functions
-    with nu strictly above the cut, so tied values always share a label.
-    Values are compared as the sweep's integers; only an emitted witness
-    becomes a pair of Fractions.
+    with nu strictly above the cut: tied values share a label, and the
+    patterns depend only on the ranking, so the first row of each ranking
+    gives every first witness.  Only a witness becomes a Fraction pair.
     """
     found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
     scale, wscale = critical.scale, critical.wscale
     patterns = 2 ** len(critical.profiles)
-    for (p, q), values in zip(critical.probe_ts, critical.values):
+    for index, values in critical.rows.values():
         if len(found) == patterns:  # every pattern has its first witness
             break
+        p, q = critical.probe_ts[index]
         # The distinct values from the top, and the index of each value's
         # own cut: a value lies above cut j exactly when that index is < j.
         cuts: list[int] = []
@@ -262,10 +277,7 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
 
 def attained_orders(critical: CriticalSet) -> OrderSet:
     """Every ranking the nu values of a critical set attain, in probe order."""
-    seen: dict[Ranking, None] = {}
-    for values in critical.values:
-        seen.setdefault(ranking_of_values(values))
-    return OrderSet(len(critical.profiles), tuple(seen))
+    return OrderSet(len(critical.profiles), tuple(critical.rows))
 
 
 def is_shattered(

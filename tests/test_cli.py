@@ -229,6 +229,28 @@ class TestSynthCommand:
         assert elapsed < 0.1
         assert peak < 1_000_000
 
+    def test_size_checked_before_the_element_scan(self, capsys, tmp_path):
+        # m = 22 needs |G| >= 31039008; the involution of cyclic:20000000
+        # sits at element 10000000, so a scan first would take seconds.
+        code, _, err, elapsed, peak = run_bounded(
+            capsys, "synth", "--group", "cyclic:20000000", "--m", "22",
+            "--allow-large", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert err.startswith("error: ") and "31039008" in err
+        assert elapsed < 0.1
+        assert peak < 1_000_000
+
+    def test_too_small_and_without_mode_element_exits_3(self, capsys, tmp_path):
+        # cyclic:81 has no involution and m = 5 needs |G| >= 100: the size
+        # test runs first, so its exit code wins.
+        code, _, err = run(
+            capsys, "synth", "--group", "cyclic:81", "--m", "5",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert "100" in err
+
     def test_m_cap_without_allow_large(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--group", "cyclic:4000", "--m", "9",
@@ -607,8 +629,21 @@ class TestBoundsCommand:
             5,
             {"group": "cyclic:8", "dichotomies": [], "shattered": True, "m": [2]},
             {"group": "cyclic:8", "kernel": {}, "m": None},
+            {"group": "cyclic:8", "dichotomies": [], "shattered": True, "m": 2.7},
+            {"group": "cyclic:8", "dichotomies": [], "shattered": True, "m": 0},
+            {"group": "cyclic:8", "dichotomies": [], "shattered": True, "m": True},
+            {"group": "cyclic:8", "kernel": {}, "m": 2.7},
+            {"group": "cyclic:8", "kernel": {}, "m": True},
+            {"group": "cyclic:8", "kernel": {}, "m": -1},
+            {"group": "cyclic:8", "kernel": [1, 2], "m": 2},
+            {"group": "cyclic:8", "kernel": None, "m": 2},
         ],
-        ids=["not-an-object", "certificate-list-m", "bundle-null-m"],
+        ids=[
+            "not-an-object", "certificate-list-m", "bundle-null-m",
+            "certificate-float-m", "certificate-zero-m", "certificate-bool-m",
+            "bundle-float-m", "bundle-bool-m", "bundle-negative-m",
+            "bundle-list-kernel", "bundle-null-kernel",
+        ],
     )
     def test_malformed_achieved_file(self, capsys, tmp_path, data):
         path = tmp_path / "achieved.json"
@@ -616,6 +651,20 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
         assert code == 2
         assert err.startswith(f"error: cannot read certificate {path}")
+
+    def test_achieved_from_a_synth_bundle(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys, "bounds", "--n", "8",
+            "--achieved", str(tmp_path / "synth_result.json"),
+        )
+        assert code == 0
+        row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
+        assert row8.split()[-1] == "2"
 
     @pytest.mark.parametrize("group", [5, ["cyclic:8"]])
     def test_non_string_group_in_achieved(self, capsys, tmp_path, group):

@@ -26,7 +26,7 @@ from gshatter.gfunc import (
     indicator,
 )
 from gshatter.groups import build_group
-from gshatter.shatter import _witnesses, critical_set
+from gshatter.shatter import _witnesses, attained_orders, critical_set
 from gshatter.orders import build_complete_orders
 from gshatter.synth import SynthConfig, build_u_tower, synth_kernel, verify_synth
 
@@ -108,12 +108,28 @@ def instances(draw):
     return kernel, fs, Measure.from_weights(group, weights)
 
 
-def sweep_values_in_nu(crit):
-    """The sweep's integer values, divided back into nu units."""
-    return tuple(
-        [Fraction(v, q * crit.scale * crit.wscale) for v in row]
-        for (_, q), row in zip(crit.probe_ts, crit.values)
-    )
+def assert_sweep_matches(crit, points, probes, values) -> None:
+    """The sweep against a reference's (points, probes, values).
+
+    The sweep keeps the row of the first probe of each ranking only, so
+    each kept row, divided back into nu units, must be the reference row
+    at the first probe with that counted ranking, and the kept rankings
+    must be the distinct counted rankings in probe order.  The witnesses
+    are compared with cut_witnesses over every reference probe, so a row
+    the sweep drops cannot have held a first witness.
+    """
+    assert (crit.points, crit.probes) == (points, probes)
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(values):
+        first.setdefault(counted_ranks(row), i)
+    kept = [(ranking.ranks, i) for ranking, (i, _) in crit.rows.items()]
+    assert kept == list(first.items())
+    for i, row in crit.rows.values():
+        unit = crit.probe_ts[i][1] * crit.scale * crit.wscale
+        assert [Fraction(v, unit) for v in row] == values[i]
+    rankings = attained_orders(crit).rankings
+    assert tuple(r.ranks for r in rankings) == tuple(first)
+    assert _witnesses(crit) == cut_witnesses(probes, values)
 
 
 def assert_matches_references(kernel, fs, mu) -> None:
@@ -135,10 +151,7 @@ def assert_matches_references(kernel, fs, mu) -> None:
     crit = critical_set(profiles)
     points, probes, values = bisect_critical_set(refs)
     assert fraction_critical_set(refs) == (points, probes, values)
-    assert crit.points == points
-    assert crit.probes == probes
-    assert sweep_values_in_nu(crit) == values
-    assert _witnesses(crit) == cut_witnesses(probes, values)
+    assert_sweep_matches(crit, points, probes, values)
 
 
 class TestAgainstReferences:
@@ -191,10 +204,26 @@ class TestAgainstReferences:
         profiles = [build_nu_profile(kernel, f, m) for f, m in zip(fs, mus)]
         refs = [fraction_build_nu_profile(kernel, f, m) for f, m in zip(fs, mus)]
         crit = critical_set(profiles)
-        points, probes, values = bisect_critical_set(refs)
-        assert (crit.points, crit.probes) == (points, probes)
-        assert sweep_values_in_nu(crit) == values
-        assert _witnesses(crit) == cut_witnesses(probes, values)
+        assert_sweep_matches(crit, *bisect_critical_set(refs))
+
+    def test_three_nu_crossing_at_one_point(self):
+        # With weight w the convolution is w f, so f = (2 - w) / (3 w^2)
+        # gives nu = w (w f + c)^+ = 2/3 at c = 1/3 for w = 1, 2, 3: three
+        # pairs cross there, with crossings held over different
+        # denominators, and the point must appear once.
+        group = GROUPS["cyclic:1"]
+        kernel = indicator(group, group.identity)
+        pairs = [
+            (
+                GroupFunction.from_values(group, [Fraction(2 - w, 3 * w * w)]),
+                Measure.from_weights(group, [w]),
+            )
+            for w in (1, 2, 3)
+        ]
+        crit = critical_set([build_nu_profile(kernel, f, mu) for f, mu in pairs])
+        assert crit.points == tuple(Fraction(c, 9) for c in (-3, 0, 1, 3))
+        refs = [fraction_build_nu_profile(kernel, f, mu) for f, mu in pairs]
+        assert_sweep_matches(crit, *bisect_critical_set(refs))
 
     def test_crossing_on_a_grid_point(self):
         # nu_1 = (4+c)^+ + c^+ and nu_2 = 2(3+c)^+ cross at c = -2 on both

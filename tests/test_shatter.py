@@ -8,7 +8,8 @@ from math import lcm
 
 from gshatter.classifier import classify, nu
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
-from gshatter.groups import build_group
+from gshatter.groups import build_group, find_order_two_element
+from gshatter.orders import build_complete_orders
 from gshatter.shatter import (
     check_order_criterion,
     critical_points,
@@ -16,6 +17,7 @@ from gshatter.shatter import (
     is_shattered,
     order_set,
 )
+from gshatter.synth import SynthConfig, synth_kernel
 
 
 def delta_instance(spec: str, *value_rows):
@@ -66,6 +68,22 @@ class TestCriticalPoints:
         assert crit.points == (Fraction(-2), Fraction(-1), Fraction(0))
         assert crit.probes[0] == Fraction(-3)
         assert crit.probes[-1] == Fraction(1)
+
+    def test_synth_m5_sweep_counts(self):
+        # The kernel and functions of `gshatter synth --group cyclic:100
+        # --m 5`: the probes and their distinct rankings are pinned, so the
+        # probe set and the rows the sweep keeps cannot change silently.
+        g = build_group("cyclic:100")
+        config = SynthConfig(
+            m=5, g=find_order_two_element(g), orders=build_complete_orders(5)
+        )
+        result = synth_kernel(g, config)
+        crit = critical_points(
+            result.kernel, list(result.family()), counting_measure(g)
+        )
+        assert len(crit.points) == 560
+        assert len(crit.probes) == 1121
+        assert len(crit.rows) == 103
 
     def test_ranking_constant_between_points(self):
         rng = random.Random(7)
