@@ -67,15 +67,18 @@ def lower_bound(n: int, has_order_two: bool) -> float:
     return math.log2(n) - 2 * math.log2(math.log2(n)) - penalty
 
 
+# Most group elements one synthesis centre rules out for the others, per
+# synthesis mode; r*m centres fit in any group with this many per centre.
+ELEMENTS_PER_CENTRE = {"order_two": 2, "general": 9}
+
+
 def required_group_size(m: int, mode: str) -> int:
     """2m C(m, floor(m/2)) with an involution, 9m C(m, floor(m/2)) without."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if mode == "order_two":
-        return 2 * m * math.comb(m, m // 2)
-    if mode == "general":
-        return 9 * m * math.comb(m, m // 2)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ELEMENTS_PER_CENTRE:
+        raise ValueError(f"unknown mode {mode!r}")
+    return ELEMENTS_PER_CENTRE[mode] * m * math.comb(m, m // 2)
 
 
 def wallis_check(m: int) -> bool:

@@ -55,9 +55,13 @@ from .jsonio import (
 )
 from .orders import build_complete_orders, completeness_lower_bound, is_complete
 from .shatter import attained_orders, certificate, critical_set
-from .synth import SynthConfig, synth_kernel
+from .synth import MODES, SynthConfig, synth_kernel
 
 DEFAULT_M_CAP = 8
+
+# What reading and parsing a JSON input file may raise.
+_INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+                 GroupSpecError)
 
 
 def _fail(message: str, code: int) -> int:
@@ -245,8 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "kernel and functions files name different groups", 2
             )
         fs = function_family_from_json(functions_data, kernel.group)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-            GroupSpecError) as exc:
+    except _INPUT_ERRORS as exc:
         return _fail(f"cannot read inputs: {exc}", 2)
     if not fs:
         return _fail("functions file contains no functions", 2)
@@ -301,7 +304,9 @@ def _achieved_from_file(run: _Run, path: str) -> Optional[tuple[int, int]]:
         return None
     group = build_group(data["group"])
     if "dichotomies" in data:  # a shatter certificate
-        counts = bool(data.get("shattered"))
+        counts = data["shattered"]
+        if not isinstance(counts, bool):
+            raise ValueError(f"shattered must be true or false, got {counts!r}")
     elif "kernel" in data:  # a synth bundle
         if not isinstance(data["kernel"], dict):
             raise ValueError("a synth bundle's kernel must be a JSON object")
@@ -311,6 +316,13 @@ def _achieved_from_file(run: _Run, path: str) -> Optional[tuple[int, int]]:
     m = data["m"]
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    if counts and "dichotomies" in data:
+        entries = data["dichotomies"]
+        # No list holds 2^64 entries, so the cap keeps a huge m cheap.
+        if not isinstance(entries, list) or len(entries) != 1 << min(m, 64) or any(
+            not isinstance(e, dict) or e.get("status") != "witnessed" for e in entries
+        ):
+            raise ValueError(f"shattered, yet not all 2^{m} dichotomies witnessed")
     return (group.order, m) if counts else None
 
 
@@ -326,8 +338,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     for path in args.achieved or []:
         try:
             pair = _achieved_from_file(run, path)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-                GroupSpecError) as exc:
+        except _INPUT_ERRORS as exc:
             return _fail(f"cannot read certificate {path}: {exc}", 2)
         if pair is not None:
             n, m = pair
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="synthesize a kernel that shatters m functions")
     p_synth.add_argument("--group", required=True, help="group spec string")
     p_synth.add_argument("--m", type=int, required=True)
-    p_synth.add_argument("--mode", choices=("order_two", "general"), default="order_two")
+    p_synth.add_argument("--mode", choices=MODES, default="order_two")
     p_synth.add_argument("--b", default="1", help="level floor B (rational)")
     p_synth.add_argument("--c", default="2", help="level ceiling C (rational)")
     p_synth.add_argument("--out-dir", default=".", help="directory for the JSON artifacts")

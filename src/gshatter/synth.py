@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from .bounds import ELEMENTS_PER_CENTRE
 from .classifier import build_nu_profile, ranking_of_values, relu_sum
 from .errors import GroupTooSmallError, SynthesisVerificationError
 from .gfunc import GroupFunction, counting_measure
@@ -27,7 +28,33 @@ from .groups import FiniteGroup
 from .orders import OrderSet, is_complete
 from .shatter import ShatterCertificate, certificate, critical_set
 
-MODES = ("order_two", "general")
+MODES = tuple(ELEMENTS_PER_CENTRE)
+
+
+class Layout(NamedTuple):
+    """Where a centre h puts kernel values, as the offsets j of g^j h.
+
+    Spikes carry a solved plane point, k1 on h and k2 on g^-1 h; guards
+    carry the guard value.  No two centres' windows meet; general mode's
+    window adds g^2 h, which guard-translates reads.
+    """
+
+    spikes: tuple[int, ...]
+    guards: tuple[int, ...]
+    window: range
+
+
+LAYOUTS = {
+    "order_two": Layout(spikes=(0, -1), guards=(), window=range(-1, 1)),
+    "general": Layout(spikes=(0, -1), guards=(-2, 1), window=range(-2, 3)),
+}
+
+
+def _translates(
+    group: FiniteGroup, g: int, h: int, offsets: Sequence[int]
+) -> list[int]:
+    """The elements g^j h for j in offsets."""
+    return [group.mul(group.power(g, j), h) for j in offsets]
 
 
 @dataclass(frozen=True)
@@ -151,31 +178,24 @@ def solve_k_vector(
     return k
 
 
-def _window_offsets(mode: str) -> range:
-    """Powers j of g whose translates g^j h make up the window of centre h."""
-    return range(-1, 1) if mode == "order_two" else range(-2, 3)
-
-
 def choose_subsets(
     group: FiniteGroup, g: int, r: int, m: int, mode: str
 ) -> tuple[tuple[int, ...], ...]:
-    """Greedily pick r disjoint m-tuples of spike centres.
+    """Greedily pick r m-tuples of spike centres with disjoint windows.
 
-    order_two mode keeps the centres and their g-translates pairwise
-    distinct; general mode keeps the five-translate windows
-    {g^-2 h, g^-1 h, h, g h, g^2 h} pairwise disjoint.  Smallest usable
-    element index wins, so the choice is deterministic.  All conditions
-    are re-verified exhaustively before returning.
+    The window of centre h is {g^j h : j in LAYOUTS[mode].window}.
+    Smallest usable element index wins, so the choice is deterministic.
+    The windows' disjointness is checked once, by verify_synth.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    required = (2 if mode == "order_two" else 9) * r * m
+    required = ELEMENTS_PER_CENTRE[mode] * r * m
     if group.order < required:
         raise GroupTooSmallError(group.order, required, mode)
     # Windows of two centres are disjoint exactly when no power of g in
     # the pairwise differences of the window offsets joins them.
-    offsets = _window_offsets(mode)
-    shifts = {a - b for a in offsets for b in offsets}
+    window = LAYOUTS[mode].window
+    shifts = {a - b for a in window for b in window}
     blocked: set[int] = set()
     chosen: list[int] = []
     for _ in range(r * m):
@@ -185,19 +205,8 @@ def choose_subsets(
         if pick is None:
             raise SynthesisVerificationError("greedy selection ran out of elements")
         chosen.append(pick)
-        for j in shifts:
-            blocked.add(group.mul(group.power(g, j), pick))
-    subsets = tuple(
-        tuple(chosen[l * m : (l + 1) * m]) for l in range(r)
-    )
-    _check_subsets(group, g, subsets, mode)
-    return subsets
-
-
-def _translate_window(group: FiniteGroup, g: int, h: int, mode: str) -> frozenset[int]:
-    return frozenset(
-        group.mul(group.power(g, j), h) for j in _window_offsets(mode)
-    )
+        blocked.update(_translates(group, g, pick, shifts))
+    return tuple(tuple(chosen[l * m : (l + 1) * m]) for l in range(r))
 
 
 def _check_subsets(
@@ -206,30 +215,19 @@ def _check_subsets(
     subsets: Sequence[Sequence[int]],
     mode: str,
 ) -> None:
-    flat = [h for sub in subsets for h in sub]
-    if len(set(flat)) != len(flat):
-        raise SynthesisVerificationError("subset elements are not distinct")
-    windows = [_translate_window(group, g, h, mode) for h in flat]
-    if mode == "order_two":
-        union: set[int] = set()
-        for w in windows:
-            if len(w) != 2:
-                raise SynthesisVerificationError(
-                    "an element coincides with its own g-translate"
-                )
-            union |= w
-        if len(union) != 2 * len(flat):
-            raise SynthesisVerificationError(
-                "centres and their g-translates are not pairwise distinct"
-            )
-    else:
-        for a in range(len(windows)):
-            for b in range(a + 1, len(windows)):
-                if windows[a] & windows[b]:
-                    raise SynthesisVerificationError(
-                        f"translate windows of centres {flat[a]} and "
-                        f"{flat[b]} overlap"
-                    )
+    """Raise unless the windows of all centres are pairwise disjoint.
+
+    Sets are pairwise disjoint exactly when their union is as large as
+    their sizes added up; a repeated centre repeats its window.  The rule
+    needs no window size: when g has order 3 or 4, a general-mode window
+    holds fewer than five elements.
+    """
+    window = LAYOUTS[mode].window
+    windows = [set(_translates(group, g, h, window)) for sub in subsets for h in sub]
+    if len(set().union(*windows)) != sum(len(w) for w in windows):
+        raise SynthesisVerificationError(
+            f"the windows of the {len(windows)} centres are not pairwise disjoint"
+        )
 
 
 @dataclass(frozen=True)
@@ -302,8 +300,8 @@ def synth_epsilon(B: Fraction, C: Fraction, m: int, r: int) -> Fraction:
 
 
 def _guard_value(tower: UTower, k_max: Fraction) -> Fraction:
-    """General mode's guard value -K_max s_max / s_min, where s ranges over
-    the coefficients of u_2, u_4, ..., u_2p and K_max is the largest spike."""
+    """The guard value -K_max s_max / s_min, where s ranges over the
+    coefficients of u_2, u_4, ..., u_2p and K_max is the largest spike."""
     even_entries = [
         tower.coeffs[2 * q][j] for q in range(1, tower.p + 1) for j in (0, 1)
     ]
@@ -335,6 +333,7 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
             f"element {g} does not satisfy the {mode} mode requirement"
         )
 
+    layout = LAYOUTS[mode]
     tower = build_u_tower(group, g, B, C, p=m)
     subsets = choose_subsets(group, g, r, m, mode)
     epsilon = synth_epsilon(B, C, m, r)
@@ -356,7 +355,6 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
     ms: list[Fraction] = []
     thresholds: list[Fraction] = []
     m_prev, big_m_prev = C, Fraction(0)
-    g_inv = group.inv(g)
     for l in range(1, r + 1):
         o_inv = {rank: k for k, rank in enumerate(orders[l - 1].ranks)}
         targets = [m_prev - (m - i) * (big_m_prev + epsilon) for i in range(m)]
@@ -367,10 +365,10 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
             )
         for i in range(m):
             k = o_inv[i + 1]
-            k1, k2 = solve_k_vector(tower, 2 * (k + 1), targets[i])
-            centre = subsets[l - 1][i]
-            assign(centre, k1, "spike")
-            assign(group.mul(g_inv, centre), k2, "spike")
+            point = solve_k_vector(tower, 2 * (k + 1), targets[i])
+            spikes = _translates(group, g, subsets[l - 1][i], layout.spikes)
+            for x, value in zip(spikes, point):
+                assign(x, value, "spike")
             totals[k] += targets[i]
         m_cur = targets[0]
         # Every target so far is >= m_l, so at the probe -m_l + eps each nu
@@ -384,12 +382,11 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
         thresholds.append(m_cur - epsilon / 2)
         m_prev, big_m_prev = m_cur, big_m_cur
 
-    if mode == "general":
-        guard = _guard_value(tower, max(abs(v) for v in kernel_values.values()))
-        for sub in subsets:
-            for centre in sub:
-                assign(group.mul(group.power(g, -2), centre), guard, "guard")
-                assign(group.mul(g, centre), guard, "guard")
+    guard = _guard_value(tower, max(abs(v) for v in kernel_values.values()))
+    for sub in subsets:
+        for h in sub:
+            for x in _translates(group, g, h, layout.guards):
+                assign(x, guard, "guard")
 
     kernel = GroupFunction(
         group,
@@ -577,49 +574,37 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
         f"smallest convolution value above B is {min_over_b}",
     )
 
-    g_inv = group.inv(result.g)
+    layout = LAYOUTS[result.mode]
     centres = [h for sub in result.subsets for h in sub]
-    if result.mode == "order_two":
-        allowed = set(centres) | {group.mul(g_inv, h) for h in centres}
-        support_ok = all(
-            kernel.values[x] == 0
-            for x in range(group.order)
-            if x not in allowed
-        )
-        add(
-            "support-structure",
-            support_ok,
-            "kernel vanishes outside the centres and their g-translates",
-        )
-    else:
-        spike_positions = set(centres) | {group.mul(g_inv, h) for h in centres}
-        guard_positions = {
-            group.mul(group.power(result.g, shift), h)
-            for h in centres
-            for shift in (-2, 1)
+
+    def positions(offsets: Sequence[int]) -> set[int]:
+        return {
+            x for h in centres for x in _translates(group, result.g, h, offsets)
         }
-        guard = _guard_value(
-            tower, max(abs(kernel.values[x]) for x in spike_positions)
+
+    spikes, guards = positions(layout.spikes), positions(layout.guards)
+    guard = _guard_value(
+        tower, max((abs(kernel.values[x]) for x in spikes), default=Fraction(0))
+    )
+    support = spikes | guards
+    support_ok = all(kernel.values[x] == guard for x in guards) and all(
+        kernel.values[x] == 0 for x in range(group.order) if x not in support
+    )
+    add(
+        "support-structure",
+        support_ok,
+        "kernel vanishes outside the centres and their g-translates"
+        if result.mode == "order_two"
+        else "spikes, exact guard values, zero elsewhere",
+    )
+    if layout.guards:
+        translate_ok = all(
+            p.nums[x] <= 0
+            for h in centres
+            for x in _translates(group, result.g, h, layout.window)
+            if x != h
+            for p in profiles
         )
-        guards_ok = all(
-            kernel.values[x] == guard for x in guard_positions
-        )
-        support_ok = all(
-            kernel.values[x] == 0
-            for x in range(group.order)
-            if x not in spike_positions | guard_positions
-        )
-        add(
-            "support-structure",
-            support_ok and guards_ok,
-            "spikes, exact guard values, zero elsewhere",
-        )
-        translate_ok = True
-        for h in centres:
-            for shift in (-2, -1, 1, 2):
-                x = group.mul(group.power(result.g, shift), h)
-                if any(p.nums[x] > 0 for p in profiles):
-                    translate_ok = False
         add(
             "guard-translates",
             translate_ok,

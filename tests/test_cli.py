@@ -183,6 +183,31 @@ class TestSynthCommand:
         result = synth_result_from_json(read_json(tmp_path / "synth_result.json"))
         assert result.group.label == "cyclic:8"
 
+    @pytest.mark.parametrize(
+        "spec, order",
+        [("product:cyclic:12,cyclic:3", 3), ("product:cyclic:9,cyclic:4", 4)],
+    )
+    def test_general_mode_with_a_short_mode_element(
+        self, capsys, tmp_path, spec, order
+    ):
+        # g of order 3 or 4 makes some of a centre's five window offsets
+        # land on one element; the construction must still shatter.
+        code, out, _ = run(
+            capsys, "synth", "--group", spec, "--m", "2", "--mode", "general",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert "shattered: True (4/4 dichotomies witnessed)" in out
+        result = synth_result_from_json(read_json(tmp_path / "synth_result.json"))
+        powers = [result.group.power(result.g, k) for k in range(1, order + 1)]
+        assert powers.index(result.group.identity) == order - 1
+        code, out, _ = run(
+            capsys, "verify", "--kernel", str(tmp_path / "kernel.json"),
+            "--functions", str(tmp_path / "functions.json"),
+        )
+        assert code == 0
+        assert "shattered=True order_criterion=True agreement=True" in out
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -637,12 +662,17 @@ class TestBoundsCommand:
             {"group": "cyclic:8", "kernel": {}, "m": -1},
             {"group": "cyclic:8", "kernel": [1, 2], "m": 2},
             {"group": "cyclic:8", "kernel": None, "m": 2},
+            {"group": "cyclic:8", "dichotomies": [], "shattered": "no", "m": 3},
+            {"group": "cyclic:8", "dichotomies": [], "shattered": True, "m": 3},
+            {"group": "cyclic:8", "dichotomies": [], "shattered": True, "m": 10**12},
         ],
         ids=[
             "not-an-object", "certificate-list-m", "bundle-null-m",
             "certificate-float-m", "certificate-zero-m", "certificate-bool-m",
             "bundle-float-m", "bundle-bool-m", "bundle-negative-m",
             "bundle-list-kernel", "bundle-null-kernel",
+            "certificate-string-shattered", "certificate-shattered-without-witnesses",
+            "certificate-huge-m",
         ],
     )
     def test_malformed_achieved_file(self, capsys, tmp_path, data):
@@ -651,6 +681,42 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
         assert code == 2
         assert err.startswith(f"error: cannot read certificate {path}")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["dichotomies"][1].update(status="unreachable"),
+            lambda d: d["dichotomies"].pop(),
+            lambda d: d["dichotomies"].append(d["dichotomies"][0]),
+            lambda d: d["dichotomies"].__setitem__(0, "witnessed"),
+        ],
+        ids=["one-not-witnessed", "one-missing", "one-extra", "entry-not-an-object"],
+    )
+    def test_shattered_certificate_must_witness_every_dichotomy(
+        self, capsys, tmp_path, edit
+    ):
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "shatter_certificate.json"
+        data = read_json(path)
+        edit(data)
+        write_json_atomic(path, data)
+        code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read certificate {path}")
+
+    def test_unshattered_certificate_is_not_counted(self, capsys, tmp_path):
+        path = tmp_path / "certificate.json"
+        write_json_atomic(
+            path, {"group": "cyclic:8", "dichotomies": [], "shattered": False, "m": 3}
+        )
+        code, out, _ = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 0
+        row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
+        assert row8.split()[-1] == "-"
 
     def test_achieved_from_a_synth_bundle(self, capsys, tmp_path):
         code, _, _ = run(

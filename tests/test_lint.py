@@ -1,8 +1,10 @@
-"""Source checks: invariants must survive ``python -O``.
+"""Source checks on the package.
 
-``assert`` statements vanish under ``-O``, and a bare AssertionError ends
-the command line in a traceback instead of a mapped exit code, so the
-package raises typed ``GShatterError`` subclasses instead.
+Invariants must survive ``python -O``: ``assert`` statements vanish under
+``-O``, and a bare AssertionError ends the command line in a traceback
+instead of a mapped exit code, so the package raises typed
+``GShatterError`` subclasses instead.  And no private module-level name
+outlives its last use.
 """
 
 from __future__ import annotations
@@ -36,3 +38,56 @@ def test_no_assert_statements(path):
         or (isinstance(node, ast.Raise) and _raises_assertion_error(node))
     ]
     assert not offenders, f"{path.name}: assert or AssertionError at lines {offenders}"
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level ``_name`` definitions: functions, classes, assignments."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [
+            (name, node.lineno)
+            for name in names
+            if name.startswith("_") and not name.startswith("__")
+        ]
+    return found
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported anywhere in a module."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_private_name_is_used():
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in SOURCES
+    }
+    used = set().union(*(_uses(tree) for tree in trees.values()))
+    unused = [
+        f"{name}:{lineno} {ident}"
+        for name, tree in trees.items()
+        for ident, lineno in _private_definitions(tree)
+        if ident not in used
+    ]
+    assert not unused, f"private names nothing in the package uses: {unused}"
+
+
+def test_unused_private_name_is_caught():
+    tree = ast.parse("def _window_offsets():\n    pass\n\ndef used():\n    pass\n")
+    assert _private_definitions(tree) == [("_window_offsets", 1)]
+    assert "_window_offsets" not in _uses(tree)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gshatter.synth
+from gshatter.bounds import required_group_size
 from gshatter.errors import GroupTooSmallError, SynthesisVerificationError
 from gshatter.gfunc import constant
 from gshatter.groups import build_group, find_order_two_element
@@ -134,6 +137,15 @@ class TestSubsets:
             choose_subsets(g, 3, r=2, m=2, mode="order_two")
         assert err.value.required == 8
 
+    @pytest.mark.parametrize("mode", ["order_two", "general"])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_too_small_agrees_with_required_group_size(self, m, mode):
+        required = required_group_size(m, mode)
+        g = build_group(f"cyclic:{required - 1}")
+        with pytest.raises(GroupTooSmallError) as err:
+            choose_subsets(g, 1, r=comb(m, m // 2), m=m, mode=mode)
+        assert err.value.required == required
+
     def test_general_windows_disjoint(self):
         g = build_group("cyclic:81")
         subsets = choose_subsets(g, 1, r=3, m=3, mode="general")
@@ -157,6 +169,31 @@ class TestSubsets:
         # 4 is the g-translate of 0, so the pair is not usable.
         with pytest.raises(SynthesisVerificationError):
             _check_subsets(g, 4, ((0, 4),), "order_two")
+
+    def test_general_window_overlap_rejected(self):
+        g = build_group("cyclic:81")
+        # The windows {79, .., 2} and {1, .., 5} share 1 and 2.
+        with pytest.raises(SynthesisVerificationError):
+            _check_subsets(g, 1, ((0, 3),), "general")
+        _check_subsets(g, 1, ((0, 5),), "general")  # must not raise
+
+    @pytest.mark.parametrize(
+        "spec, mode", [("cyclic:18", "order_two"), ("cyclic:81", "general")]
+    )
+    def test_checked_once_per_synthesis(self, monkeypatch, spec, mode):
+        calls = []
+        original = gshatter.synth._check_subsets
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gshatter.synth, "_check_subsets", counting)
+        group = build_group(spec)
+        g = 9 if mode == "order_two" else 1
+        config = SynthConfig(m=3, g=g, orders=build_complete_orders(3), mode=mode)
+        synth_kernel(group, config)
+        assert len(calls) == 1
 
 
 class TestConfigValidation:
@@ -271,6 +308,17 @@ class TestVerification:
         failed = {c.name for c in report.checks if not c.passed}
         assert "orders-realized" in failed
         assert "kernel-minimum-level" in failed
+
+    @pytest.mark.parametrize(
+        "spec, g, mode", [("cyclic:18", 9, "order_two"), ("cyclic:81", 1, "general")]
+    )
+    def test_result_without_centres_fails_support_check(self, spec, g, mode):
+        group = build_group(spec)
+        orders = build_complete_orders(3)
+        config = SynthConfig(m=3, g=g, orders=orders, mode=mode)
+        result = synth_kernel(group, config)
+        report = verify_synth(dataclasses.replace(result, subsets=()), orders)
+        assert [c.name for c in report.checks if not c.passed] == ["support-structure"]
 
     def test_report_lines_format(self):
         group = build_group("cyclic:8")
