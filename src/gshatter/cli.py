@@ -40,16 +40,19 @@ from .groups import (
     validate_group,
 )
 from .jsonio import (
+    certificate_from_json,
     certificate_to_json,
     fraction_from_str,
     fraction_to_str,
     function_family_from_json,
     function_family_to_json,
+    group_from_json,
     group_function_from_json,
     group_function_to_json,
     order_set_to_json,
     read_json,
     sha256_of_file,
+    synth_result_from_json,
     synth_result_to_json,
     write_json_atomic,
 )
@@ -244,10 +247,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kernel_data = run.read(args.kernel)
         functions_data = run.read(args.functions)
         kernel = group_function_from_json(kernel_data)
-        if functions_data["group"] != kernel.group.label:
-            return _fail(
-                "kernel and functions files name different groups", 2
-            )
         fs = function_family_from_json(functions_data, kernel.group)
     except _INPUT_ERRORS as exc:
         return _fail(f"cannot read inputs: {exc}", 2)
@@ -296,38 +295,21 @@ _BOUND_COLUMNS = (
 )
 
 
-def _achieved_from_file(run: _Run, path: str) -> Optional[tuple[int, int]]:
-    data = run.read(path)
+def _achieved_from_file(path: str) -> Optional[tuple[int, int]]:
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    if "group" not in data:
-        return None
-    group = build_group(data["group"])
     if "dichotomies" in data:  # a shatter certificate
-        counts = data["shattered"]
-        if not isinstance(counts, bool):
-            raise ValueError(f"shattered must be true or false, got {counts!r}")
-    elif "kernel" in data:  # a synth bundle
-        if not isinstance(data["kernel"], dict):
-            raise ValueError("a synth bundle's kernel must be a JSON object")
-        counts = True
-    else:
-        return None
-    m = data["m"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    if counts and "dichotomies" in data:
-        entries = data["dichotomies"]
-        # No list holds 2^64 entries, so the cap keeps a huge m cheap.
-        if not isinstance(entries, list) or len(entries) != 1 << min(m, 64) or any(
-            not isinstance(e, dict) or e.get("status") != "witnessed" for e in entries
-        ):
-            raise ValueError(f"shattered, yet not all 2^{m} dichotomies witnessed")
-    return (group.order, m) if counts else None
+        group = group_from_json(data)
+        cert = certificate_from_json(data, group)
+        return (group.order, cert.m) if cert.shattered else None
+    if "kernel" in data:  # a synth bundle
+        result = synth_result_from_json(data)
+        return result.group.order, result.m
+    return None
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    run = _Run("bounds", args)
     try:
         ns = [int(x) for x in args.n.split(",") if x.strip()] if args.n else []
     except ValueError:
@@ -337,7 +319,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     achieved: dict[int, int] = {}
     for path in args.achieved or []:
         try:
-            pair = _achieved_from_file(run, path)
+            pair = _achieved_from_file(path)
         except _INPUT_ERRORS as exc:
             return _fail(f"cannot read certificate {path}: {exc}", 2)
         if pair is not None:
@@ -377,9 +359,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             writer.writeheader()
             for r in rows:
                 writer.writerow({k: ("" if v is None else v) for k, v in r.items()})
-        run.outputs.append(csv_path)
     if args.json:
-        run.write(Path(args.json), rows)
+        write_json_atomic(Path(args.json), rows)
     return 0
 
 

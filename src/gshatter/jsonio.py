@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .classifier import Ranking
 from .gfunc import GroupFunction
 from .groups import FiniteGroup, build_group
 from .orders import OrderSet
@@ -54,6 +53,25 @@ def _json_list(data: Any, what: str) -> list[Any]:
     return data
 
 
+def _json_rationals(data: Any, what: str) -> tuple[Fraction, ...]:
+    return tuple(fraction_from_str(v) for v in _json_list(data, what))
+
+
+def _json_int(data: Any, what: str, least: int) -> int:
+    if isinstance(data, bool) or not isinstance(data, int) or data < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {data!r}")
+    return data
+
+
+def group_from_json(data: dict[str, Any], group: FiniteGroup | None = None) -> FiniteGroup:
+    """The group a file names, which must be `group` when one is given."""
+    if group is None:
+        return build_group(data["group"])
+    if data["group"] != group.label:
+        raise ValueError(f"different groups: {data['group']!r} and {group.label}")
+    return group
+
+
 def group_function_to_json(f: GroupFunction) -> dict[str, Any]:
     return {
         "group": f.group.label,
@@ -64,10 +82,8 @@ def group_function_to_json(f: GroupFunction) -> dict[str, Any]:
 def group_function_from_json(
     data: dict[str, Any], group: FiniteGroup | None = None
 ) -> GroupFunction:
-    if group is None:
-        group = build_group(data["group"])
-    values = tuple(fraction_from_str(v) for v in _json_list(data["values"], "values"))
-    return GroupFunction(group, values)
+    group = group_from_json(data, group)
+    return GroupFunction(group, _json_rationals(data["values"], "values"))
 
 
 def function_family_to_json(fs: Sequence[GroupFunction]) -> dict[str, Any]:
@@ -82,12 +98,9 @@ def function_family_to_json(fs: Sequence[GroupFunction]) -> dict[str, Any]:
 def function_family_from_json(
     data: dict[str, Any], group: FiniteGroup | None = None
 ) -> list[GroupFunction]:
-    if group is None:
-        group = build_group(data["group"])
+    group = group_from_json(data, group)
     return [
-        GroupFunction(
-            group, tuple(fraction_from_str(v) for v in _json_list(row, "a function row"))
-        )
+        GroupFunction(group, _json_rationals(row, "a function row"))
         for row in _json_list(data["functions"], "functions")
     ]
 
@@ -99,45 +112,44 @@ def order_set_to_json(order_set: OrderSet) -> dict[str, Any]:
     }
 
 
-def order_set_from_json(data: dict[str, Any]) -> OrderSet:
-    return OrderSet(
-        int(data["m"]),
-        tuple(Ranking(tuple(int(x) for x in row)) for row in data["rankings"]),
-    )
-
-
-def certificate_to_json(
-    cert: ShatterCertificate, group_label: str | None = None
-) -> dict[str, Any]:
+def certificate_to_json(cert: ShatterCertificate, group_label: str) -> dict[str, Any]:
     dichotomies = []
     for entry in cert.entries:
         item = {"labels": list(entry.labels), "status": entry.status}
         if entry.status == "witnessed":
             item.update(c1=fraction_to_str(entry.c1), c2=fraction_to_str(entry.c2))
         dichotomies.append(item)
-    data = {"m": cert.m, "dichotomies": dichotomies, "shattered": cert.shattered}
-    if group_label is not None:
-        data["group"] = group_label
-    return data
+    return {"group": group_label, "m": cert.m, "dichotomies": dichotomies,
+            "shattered": cert.shattered}
 
 
-def certificate_from_json(data: dict[str, Any]) -> ShatterCertificate:
-    entries = []
-    for item in data["dichotomies"]:
-        status = item["status"]
-        entries.append(
-            DichotomyEntry(
-                labels=tuple(int(x) for x in item["labels"]),
-                status=status,
-                c1=fraction_from_str(item["c1"]) if status == "witnessed" else None,
-                c2=fraction_from_str(item["c2"]) if status == "witnessed" else None,
-            )
-        )
-    return ShatterCertificate(
-        m=int(data["m"]),
-        entries=tuple(entries),
-        shattered=bool(data["shattered"]),
-    )
+def _dichotomy_from_json(item: dict[str, Any], m: int) -> DichotomyEntry:
+    labels = tuple(_json_list(item["labels"], "labels"))
+    if len(labels) != m or any(type(x) is not int or x not in (-1, 1) for x in labels):
+        raise ValueError(f"labels must be {m} values, each -1 or 1, got {labels}")
+    if item["status"] == "unreachable":
+        return DichotomyEntry(labels, "unreachable")
+    if item["status"] != "witnessed":
+        raise ValueError(f"status must be witnessed or unreachable: {item['status']!r}")
+    c1, c2 = fraction_from_str(item["c1"]), fraction_from_str(item["c2"])
+    return DichotomyEntry(labels, "witnessed", c1, c2)
+
+
+def certificate_from_json(
+    data: dict[str, Any], group: FiniteGroup | None = None
+) -> ShatterCertificate:
+    group_from_json(data, group)
+    m = _json_int(data["m"], "m", 1)
+    items = _json_list(data["dichotomies"], "dichotomies")
+    entries = tuple(_dichotomy_from_json(item, m) for item in items)
+    if len({e.labels for e in entries}) != len(entries):
+        raise ValueError("a label pattern is listed twice")
+    # Distinct patterns: 2^m witnessed means all listed.  The cap keeps huge m cheap.
+    witnessed = sum(e.status == "witnessed" for e in entries)
+    shattered = data["shattered"]
+    if not isinstance(shattered, bool) or shattered != (witnessed == 1 << min(m, 64)):
+        raise ValueError(f"shattered is {shattered!r}, {witnessed} of 2^{m} witnessed")
+    return ShatterCertificate(m, entries, shattered)
 
 
 def synth_result_to_json(result: SynthResult) -> dict[str, Any]:
@@ -158,15 +170,21 @@ def synth_result_to_json(result: SynthResult) -> dict[str, Any]:
 
 
 def synth_result_from_json(data: dict[str, Any]) -> SynthResult:
-    group = build_group(data["group"])
+    group = group_from_json(data)
+    m = _json_int(data["m"], "m", 1)
+    u = _json_list(data["u"], "u")
+    if len(u) != 2 * m + 2:
+        raise ValueError(f"m = {m} needs {2 * m + 2} tower functions, got {len(u)}")
     return SynthResult(
         kernel=group_function_from_json(data["kernel"], group),
-        u=tuple(group_function_from_json(f, group) for f in data["u"]),
-        subsets=tuple(tuple(int(x) for x in sub) for sub in data["subsets"]),
+        u=tuple(group_function_from_json(f, group) for f in u),
+        subsets=tuple(
+            tuple(_json_int(x, "a centre", 0) for x in sub) for sub in data["subsets"]
+        ),
         epsilon=fraction_from_str(data["epsilon"]),
-        thresholds=tuple(fraction_from_str(c) for c in data["thresholds"]),
-        ms=tuple(fraction_from_str(v) for v in data["ms"]),
-        g=int(data["g"]),
+        thresholds=_json_rationals(data["thresholds"], "thresholds"),
+        ms=_json_rationals(data["ms"], "ms"),
+        g=_json_int(data["g"], "g", 0),
         mode=data["mode"],
         B=fraction_from_str(data["B"]),
         C=fraction_from_str(data["C"]),

@@ -198,9 +198,10 @@ def choose_subsets(
     shifts = {a - b for a in window for b in window}
     blocked: set[int] = set()
     chosen: list[int] = []
+    pick = -1  # each pick blocks itself, so the next one lies above it
     for _ in range(r * m):
         pick = next(
-            (x for x in range(group.order) if x not in blocked), None
+            (x for x in range(pick + 1, group.order) if x not in blocked), None
         )
         if pick is None:
             raise SynthesisVerificationError("greedy selection ran out of elements")

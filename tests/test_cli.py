@@ -708,6 +708,33 @@ class TestBoundsCommand:
         assert code == 2
         assert err.startswith(f"error: cannot read certificate {path}")
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("shatter_certificate.json",
+             lambda d: d["dichotomies"][0].update(c1="1.5")),
+            ("shatter_certificate.json",
+             lambda d: d["dichotomies"].__setitem__(3, dict(d["dichotomies"][0]))),
+            ("synth_result.json", lambda d: d.update(m=5)),
+            ("synth_result.json", lambda d: d["kernel"].update(group="cyclic:9")),
+        ],
+        ids=["decimal-c1", "pattern-twice", "bundle-m-edited", "bundle-kernel-group"],
+    )
+    def test_real_artifact_edited_is_rejected(self, capsys, tmp_path, name, edit):
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / name
+        data = read_json(path)
+        edit(data)
+        write_json_atomic(path, data)
+        code, out, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read certificate {path}")
+        assert out == ""
+
     def test_unshattered_certificate_is_not_counted(self, capsys, tmp_path):
         path = tmp_path / "certificate.json"
         write_json_atomic(

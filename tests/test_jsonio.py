@@ -1,7 +1,8 @@
-"""Serialization round trips and atomic writes."""
+"""Serialization round trips, loader checks and atomic writes."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,6 @@ from gshatter.jsonio import (
     function_family_to_json,
     group_function_from_json,
     group_function_to_json,
-    order_set_from_json,
-    order_set_to_json,
     read_json,
     sha256_of_file,
     synth_result_from_json,
@@ -82,11 +81,6 @@ class TestStructures:
         with pytest.raises(ValueError):
             function_family_to_json([])
 
-    def test_order_set_round_trip(self):
-        orders = build_complete_orders(4)
-        back = order_set_from_json(order_set_to_json(orders))
-        assert back == orders
-
     def test_certificate_round_trip(self):
         g = build_group("cyclic:2")
         k = GroupFunction.from_values(g, [1, 0])
@@ -115,6 +109,121 @@ class TestStructures:
         back = synth_result_from_json(data)
         # Groups are rebuilt, so compare via a second serialization pass.
         assert synth_result_to_json(back) == data
+
+
+@pytest.fixture(scope="module")
+def synthesized():
+    """A synthesis on cyclic:8 with m = 2, whose certificate is shattered."""
+    group = build_group("cyclic:8")
+    orders = build_complete_orders(2)
+    return synth_kernel(
+        group, SynthConfig(m=2, g=find_order_two_element(group), orders=orders)
+    )
+
+
+class TestCertificateLoader:
+    @pytest.fixture()
+    def good(self, synthesized):
+        return certificate_to_json(synthesized.report.certificate, group_label="cyclic:8")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(shattered="no"),
+            lambda d: d.update(shattered=1),
+            lambda d: d.update(m=2.7),
+            lambda d: d.update(m=True),
+            lambda d: d.update(m=0),
+            lambda d: d["dichotomies"][0].update(labels=[5, 1]),
+            lambda d: d["dichotomies"][0].update(labels=[True, 1]),
+            lambda d: d["dichotomies"][0].update(labels=[1.0, 1]),
+            lambda d: d["dichotomies"][0].update(labels=[1]),
+            lambda d: d["dichotomies"][0].update(labels="11"),
+            lambda d: d["dichotomies"][0].update(status="bogus"),
+            lambda d: d["dichotomies"][0].update(c1="1.5"),
+            lambda d: d["dichotomies"][1].pop("c2"),
+            lambda d: d["dichotomies"].__setitem__(3, dict(d["dichotomies"][0])),
+            lambda d: d["dichotomies"].__setitem__(0, "witnessed"),
+            lambda d: d.update(dichotomies={}),
+            lambda d: d.update(shattered=False),
+            lambda d: d.pop("group"),
+        ],
+        ids=[
+            "string-shattered", "int-shattered", "float-m", "bool-m", "zero-m",
+            "label-5", "label-bool", "label-float", "short-labels", "string-labels",
+            "bogus-status", "decimal-c1", "missing-c2", "pattern-twice",
+            "entry-not-an-object", "dichotomies-not-a-list",
+            "unshattered-yet-all-witnessed", "no-group",
+        ],
+    )
+    def test_malformed_rejected(self, good, edit):
+        edit(good)
+        with pytest.raises((ValueError, TypeError, KeyError)):
+            certificate_from_json(good)
+
+    def test_huge_m_rejected_at_once(self):
+        data = {"group": "cyclic:8", "m": 10**12, "dichotomies": [], "shattered": True}
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            certificate_from_json(data)
+        assert time.perf_counter() - start < 0.1
+
+    def test_group_must_match(self, good):
+        assert certificate_from_json(good, build_group("cyclic:8")).shattered
+        with pytest.raises(ValueError, match="different groups"):
+            certificate_from_json(good, build_group("cyclic:9"))
+
+
+class TestSynthBundleLoader:
+    @pytest.fixture()
+    def good(self, synthesized):
+        return synth_result_to_json(synthesized)
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_m_must_match_the_tower(self, good, m):
+        good["m"] = m
+        with pytest.raises(ValueError, match="tower functions"):
+            synth_result_from_json(good)
+
+    def test_kernel_naming_another_group_rejected(self, good):
+        good["kernel"]["group"] = "cyclic:9"
+        with pytest.raises(ValueError, match="different groups"):
+            synth_result_from_json(good)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(m=True),
+            lambda d: d.update(g="4"),
+            lambda d: d["subsets"][0].__setitem__(0, "0"),
+            lambda d: d["u"][0].update(group="cyclic:9"),
+            lambda d: d.update(thresholds="12"),
+            lambda d: d.update(ms="345"),
+        ],
+        ids=[
+            "bool-m", "string-g", "string-centre", "tower-function-group",
+            "string-thresholds", "string-ms",
+        ],
+    )
+    def test_malformed_rejected(self, good, edit):
+        edit(good)
+        with pytest.raises(ValueError):
+            synth_result_from_json(good)
+
+
+class TestGroupNames:
+    def test_function_family_must_name_the_group(self):
+        g = build_group("cyclic:4")
+        data = function_family_to_json([GroupFunction.from_values(g, [1, 0, 0, 0])])
+        assert len(function_family_from_json(data, g)) == 1
+        with pytest.raises(ValueError, match="different groups"):
+            function_family_from_json(data, build_group("cyclic:5"))
+
+    def test_group_function_must_name_the_group(self):
+        g = build_group("cyclic:4")
+        data = group_function_to_json(GroupFunction.from_values(g, [1, 0, 0, 0]))
+        with pytest.raises(ValueError, match="different groups"):
+            group_function_from_json(data, build_group("dihedral:2"))
 
 
 class TestFiles:

@@ -3,8 +3,9 @@
 Invariants must survive ``python -O``: ``assert`` statements vanish under
 ``-O``, and a bare AssertionError ends the command line in a traceback
 instead of a mapped exit code, so the package raises typed
-``GShatterError`` subclasses instead.  And no private module-level name
-outlives its last use.
+``GShatterError`` subclasses instead.  And no module-level name outlives
+its last use: a private one must be read somewhere in the package, a
+public function or class read there or exported by ``gshatter``.
 """
 
 from __future__ import annotations
@@ -72,22 +73,59 @@ def _uses(tree: ast.Module) -> set[str]:
     return used
 
 
-def test_every_private_name_is_used():
+def _public_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level public functions and classes."""
+    return [
+        (node.name, node.lineno)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _unused(definitions) -> list[str]:
+    """Names `definitions` finds that nothing in the package reads or imports.
+
+    Names ``gshatter/__init__.py`` imports count as used: they are exported.
+    """
     trees = {
         p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
         for p in SOURCES
     }
     used = set().union(*(_uses(tree) for tree in trees.values()))
-    unused = [
+    return [
         f"{name}:{lineno} {ident}"
         for name, tree in trees.items()
-        for ident, lineno in _private_definitions(tree)
+        for ident, lineno in definitions(tree)
         if ident not in used
     ]
+
+
+def test_every_private_name_is_used():
+    unused = _unused(_private_definitions)
     assert not unused, f"private names nothing in the package uses: {unused}"
+
+
+def test_every_public_name_is_used_or_exported():
+    unused = _unused(_public_definitions)
+    assert not unused, (
+        f"public functions and classes nothing in the package uses or exports: {unused}"
+    )
 
 
 def test_unused_private_name_is_caught():
     tree = ast.parse("def _window_offsets():\n    pass\n\ndef used():\n    pass\n")
     assert _private_definitions(tree) == [("_window_offsets", 1)]
     assert "_window_offsets" not in _uses(tree)
+
+
+def test_unused_public_name_is_caught():
+    tree = ast.parse(
+        "def order_set_from_json(data):\n    pass\n\n"
+        "class Used:\n    pass\n\nUsed()\n"
+    )
+    assert _public_definitions(tree) == [("order_set_from_json", 1), ("Used", 4)]
+    assert "order_set_from_json" not in _uses(tree)
+    assert "Used" in _uses(tree)
+    exported = ast.parse("from .jsonio import order_set_from_json\n")
+    assert "order_set_from_json" in _uses(exported)
