@@ -6,21 +6,21 @@ prints the levels, the verification report, and the final certificate
 with one rational witness (c1, c2) per label pattern.
 """
 
-from gshatter.groups import build_group, find_order_two_element
-from gshatter.orders import build_complete_orders
+from gshatter.groups import build_group
 from gshatter.synth import SynthConfig, synth_kernel
 
 
 def show(spec: str = "cyclic:18", m: int = 3) -> None:
     group = build_group(spec)
-    orders = build_complete_orders(m)
-    g = find_order_two_element(group)
-    print(f"group {spec} (order {group.order}), m = {m}, involution g = {g}")
+    # The group and m fix the involution g and the target orders.
+    result = synth_kernel(group, SynthConfig(m=m))
+    report = result.report  # synth_kernel's own verify_synth pass
+    orders = report.orders
+    print(f"group {spec} (order {group.order}), m = {m}, involution g = {result.g}")
     print(f"target orders ({len(orders.rankings)}):")
     for r in orders.rankings:
         print(f"  {r.ranks}")
 
-    result = synth_kernel(group, SynthConfig(m=m, g=g, orders=orders))
     print(f"\nlevel separation epsilon = {result.epsilon}")
     print("levels and thresholds:")
     for l, (ml, cl) in enumerate(zip(result.ms, result.thresholds), start=1):
@@ -28,7 +28,6 @@ def show(spec: str = "cyclic:18", m: int = 3) -> None:
     print(f"kernel support: {result.kernel.support()}")
 
     print("\nindependent re-derivation of every claim:")
-    report = result.report  # synth_kernel's own verify_synth pass
     for line in report.lines():
         print(f"  {line}")
     assert report.passed

@@ -33,6 +33,7 @@ from .errors import (
     GroupTooSmallError,
     GShatterError,
     InvariantError,
+    ModeElementError,
     SynthesisVerificationError,
     WitnessVerificationError,
 )

@@ -23,12 +23,13 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .bounds import build_bound_report, required_group_size
+from .bounds import build_bound_report
 from .classifier import build_nu_profile
 from .errors import (
     GroupSpecError,
     GroupTooSmallError,
     InvariantError,
+    ModeElementError,
     SynthesisVerificationError,
     WitnessVerificationError,
 )
@@ -43,7 +44,6 @@ from .jsonio import (
     certificate_from_json,
     certificate_to_json,
     fraction_from_str,
-    fraction_to_str,
     function_family_from_json,
     function_family_to_json,
     group_from_json,
@@ -58,7 +58,7 @@ from .jsonio import (
 )
 from .orders import build_complete_orders, completeness_lower_bound, is_complete
 from .shatter import attained_orders, certificate, critical_set
-from .synth import MODES, SynthConfig, synth_kernel
+from .synth import MODES, SynthConfig, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
 
@@ -159,8 +159,6 @@ def cmd_orders(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.m < 1:
-        return _fail(f"--m must be >= 1, got {args.m}", 2)
     if args.m > DEFAULT_M_CAP and not args.allow_large:
         return _fail(
             f"--m {args.m} exceeds the default cap {DEFAULT_M_CAP} "
@@ -168,54 +166,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
             2,
         )
     try:
-        b = fraction_from_str(args.b)
-        c = fraction_from_str(args.c)
+        b, c = fraction_from_str(args.b), fraction_from_str(args.c)
+        config = SynthConfig(m=args.m, mode=args.mode, B=b, C=c)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    if not 0 < b < c:
-        return _fail(f"need 0 < B < C, got B={args.b}, C={args.c}", 2)
-    try:
-        group = build_group(args.group)
-    except GroupSpecError as exc:
-        return _fail(str(exc), 2)
-
-    # The size test is one comparison; the mode-element test may scan.
-    required = required_group_size(args.m, args.mode)
-    if group.order < required:
-        return _fail(
-            f"group {group.label} too small: mode '{args.mode}' with "
-            f"m={args.m} requires |G| >= {required}, got {group.order}",
-            3,
-        )
-    if args.mode == "order_two":
-        g = find_order_two_element(group)
-    else:
-        g = find_order_ge3_element(group)
-    if g is None:
-        return _fail(
-            f"group {group.label} has no suitable element for mode "
-            f"'{args.mode}'",
-            4,
-        )
-
+    group = build_group(args.group)
     run = _Run("synth", args)
     out_dir = Path(args.out_dir)
-    orders = build_complete_orders(args.m)
-    config = SynthConfig(
-        m=args.m, g=g, orders=orders, mode=args.mode, B=b, C=c
-    )
     result = synth_kernel(group, config)
     report = result.report
     cert = report.certificate
-    if cert is None:
-        return _fail("the built order set is not complete", 5)
 
     run.write(out_dir / "synth_result.json", synth_result_to_json(result))
     run.write(out_dir / "kernel.json", group_function_to_json(result.kernel))
     run.write(
         out_dir / "functions.json", function_family_to_json(result.family())
     )
-    run.write(out_dir / "orders.json", order_set_to_json(orders))
+    run.write(out_dir / "orders.json", order_set_to_json(report.orders))
     run.write(
         out_dir / "verify_report.json",
         {
@@ -303,9 +270,9 @@ def _achieved_from_file(path: str) -> Optional[tuple[int, int]]:
         group = group_from_json(data)
         cert = certificate_from_json(data, group)
         return (group.order, cert.m) if cert.shattered else None
-    if "kernel" in data:  # a synth bundle
+    if "kernel" in data:  # a synth bundle, counted once it passes verify_synth
         result = synth_result_from_json(data)
-        return result.group.order, result.m
+        return (result.group.order, result.m) if verify_synth(result).passed else None
     return None
 
 
@@ -423,6 +390,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc), 2)
     except GroupTooSmallError as exc:
         return _fail(str(exc), 3)
+    except ModeElementError as exc:
+        return _fail(str(exc), 4)
+    except OSError as exc:  # inputs are read inside the commands
+        return _fail(f"cannot write {exc.filename}: {exc.strerror}", 2)
     except SynthesisVerificationError as exc:
         return _fail(f"internal verification failure: {exc}", 5)
     except WitnessVerificationError as exc:

@@ -29,6 +29,10 @@ class GroupTooSmallError(GShatterError):
         )
 
 
+class ModeElementError(GShatterError):
+    """The group has no element of the kind the synthesis mode needs."""
+
+
 class SynthesisVerificationError(GShatterError):
     """An internal consistency check failed after kernel synthesis.
 

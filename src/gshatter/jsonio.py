@@ -14,14 +14,15 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 from typing import Any, Sequence
 
 from .gfunc import GroupFunction
 from .groups import FiniteGroup, build_group
-from .orders import OrderSet
+from .orders import OrderSet, completeness_lower_bound
 from .shatter import DichotomyEntry, ShatterCertificate
-from .synth import SynthResult
+from .synth import MODES, SynthResult
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -57,9 +58,9 @@ def _json_rationals(data: Any, what: str) -> tuple[Fraction, ...]:
     return tuple(fraction_from_str(v) for v in _json_list(data, what))
 
 
-def _json_int(data: Any, what: str, least: int) -> int:
-    if isinstance(data, bool) or not isinstance(data, int) or data < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {data!r}")
+def _json_int(data: Any, what: str, least: int, below: float = inf) -> int:
+    if isinstance(data, bool) or not isinstance(data, int) or not least <= data < below:
+        raise ValueError(f"{what} must be an integer in [{least}, {below}), got {data!r}")
     return data
 
 
@@ -175,16 +176,25 @@ def synth_result_from_json(data: dict[str, Any]) -> SynthResult:
     u = _json_list(data["u"], "u")
     if len(u) != 2 * m + 2:
         raise ValueError(f"m = {m} needs {2 * m + 2} tower functions, got {len(u)}")
+    r = completeness_lower_bound(m)  # one level, threshold and subset per target order
+    ms = _json_rationals(data["ms"], "ms")
+    thresholds = _json_rationals(data["thresholds"], "thresholds")
+    subsets = tuple(
+        tuple(_json_int(x, "a centre", 0, group.order) for x in _json_list(s, "a subset"))
+        for s in _json_list(data["subsets"], "subsets")
+    )
+    if {len(ms), len(thresholds), len(subsets)} != {r} or any(len(s) != m for s in subsets):
+        raise ValueError(f"m = {m} needs {r} levels, thresholds and subsets of m centres")
+    if data["mode"] not in MODES:
+        raise ValueError(f"unknown mode {data['mode']!r}")
     return SynthResult(
         kernel=group_function_from_json(data["kernel"], group),
         u=tuple(group_function_from_json(f, group) for f in u),
-        subsets=tuple(
-            tuple(_json_int(x, "a centre", 0) for x in sub) for sub in data["subsets"]
-        ),
+        subsets=subsets,
         epsilon=fraction_from_str(data["epsilon"]),
-        thresholds=_json_rationals(data["thresholds"], "thresholds"),
-        ms=_json_rationals(data["ms"], "ms"),
-        g=_json_int(data["g"], "g", 0),
+        thresholds=thresholds,
+        ms=ms,
+        g=_json_int(data["g"], "g", 0, group.order),
         mode=data["mode"],
         B=fraction_from_str(data["B"]),
         C=fraction_from_str(data["C"]),

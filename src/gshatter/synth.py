@@ -7,10 +7,11 @@ to l are active and the ranking of the nu values equals the l-th target
 order.  Spikes of later rounds are too small to matter at -c_l, and an
 open value band below each level stays empty so the levels never blur.
 
-The construction checks only the preconditions its next step needs.
-Every property claimed of the output is checked once, by `verify_synth`,
-which re-derives the whole chain of claims from the finished kernel
-alone before `synth_kernel` returns.
+A synthesis is named by its group, m, mode and interval (B, C); they
+fix the tower element g and the C(m, floor(m/2)) target orders.  The
+construction checks only what its next step needs (the group order
+before g).  `verify_synth` checks every claim about the output once,
+re-deriving the target orders from m and the rest from the kernel.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
-from .bounds import ELEMENTS_PER_CENTRE
+from .bounds import ELEMENTS_PER_CENTRE, required_group_size
 from .classifier import build_nu_profile, ranking_of_values, relu_sum
-from .errors import GroupTooSmallError, SynthesisVerificationError
+from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError
 from .gfunc import GroupFunction, counting_measure
-from .groups import FiniteGroup
-from .orders import OrderSet, is_complete
+from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
+from .orders import OrderSet, build_complete_orders
 from .shatter import ShatterCertificate, certificate, critical_set
 
 MODES = tuple(ELEMENTS_PER_CENTRE)
@@ -185,13 +186,9 @@ def choose_subsets(
 
     The window of centre h is {g^j h : j in LAYOUTS[mode].window}.
     Smallest usable element index wins, so the choice is deterministic.
+    synth_kernel has checked that the group has room for every pick.
     The windows' disjointness is checked once, by verify_synth.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    required = ELEMENTS_PER_CENTRE[mode] * r * m
-    if group.order < required:
-        raise GroupTooSmallError(group.order, required, mode)
     # Windows of two centres are disjoint exactly when no power of g in
     # the pairwise differences of the window offsets joins them.
     window = LAYOUTS[mode].window
@@ -234,8 +231,6 @@ def _check_subsets(
 @dataclass(frozen=True)
 class SynthConfig:
     m: int
-    g: int
-    orders: OrderSet
     mode: str = "order_two"
     B: Fraction = Fraction(1)
     C: Fraction = Fraction(2)
@@ -247,15 +242,6 @@ class SynthConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.B < self.C:
             raise ValueError(f"need C > B > 0, got B={self.B}, C={self.C}")
-        if self.orders.m != self.m:
-            raise ValueError(
-                f"orders are over [{self.orders.m}] but m = {self.m}"
-            )
-        if not self.orders.rankings:
-            raise ValueError("need at least one target order")
-        for o in self.orders.rankings:
-            if not o.is_strict():
-                raise ValueError(f"target order {o.ranks} is not strict")
 
 
 @dataclass(frozen=True)
@@ -320,19 +306,24 @@ def _mode_element_ok(group: FiniteGroup, g: int, mode: str) -> bool:
 def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
     """Build a kernel realizing each target order o_l at bias -c_l.
 
-    The finished kernel goes through verify_synth once, and the result
-    carries that report.  Raises SynthesisVerificationError if any check
-    other than shattering fails; a failed shattering check is a verdict
-    on the kernel, left to the caller to read from the report.
+    Checks |G| (GroupTooSmallError), then finds g (ModeElementError).  The
+    finished kernel goes through verify_synth once, and the result carries
+    that report.  Raises SynthesisVerificationError if any check other
+    than shattering fails; a failed shattering check is a verdict on the
+    kernel, left to the caller to read from the report.
     """
-    m, g, mode = config.m, config.g, config.mode
+    m, mode = config.m, config.mode
     B, C = Fraction(config.B), Fraction(config.C)
-    orders = config.orders.rankings
-    r = len(orders)
-    if not _mode_element_ok(group, g, mode):
-        raise ValueError(
-            f"element {g} does not satisfy the {mode} mode requirement"
+    required = required_group_size(m, mode)
+    if group.order < required:
+        raise GroupTooSmallError(group.order, required, mode)
+    find = find_order_two_element if mode == "order_two" else find_order_ge3_element
+    if (g := find(group)) is None:
+        raise ModeElementError(
+            f"group {group.label} has no suitable element for mode '{mode}'"
         )
+    orders = build_complete_orders(m).rankings
+    r = len(orders)
 
     layout = LAYOUTS[mode]
     tower = build_u_tower(group, g, B, C, p=m)
@@ -408,7 +399,7 @@ def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
         C=C,
         report=None,
     )
-    report = verify_synth(result, config.orders)
+    report = verify_synth(result)
     failed = [
         c.name for c in report.checks if not c.passed and c.name != "shattering"
     ]
@@ -429,8 +420,9 @@ class SynthCheck:
 @dataclass(frozen=True)
 class SynthReport:
     checks: tuple[SynthCheck, ...]
-    # The "shattering" check's certificate; None for incomplete orders.
-    certificate: Optional[ShatterCertificate] = None
+    # The target orders checked, and the "shattering" check's certificate.
+    orders: OrderSet
+    certificate: ShatterCertificate
 
     @property
     def passed(self) -> bool:
@@ -443,15 +435,16 @@ class SynthReport:
         ]
 
 
-def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
+def verify_synth(result: SynthResult) -> SynthReport:
     """Re-derive every claim about a synthesized kernel from scratch.
 
     Only the finished kernel, the tower functions and the group are
-    consulted; the level values m_l, the spreads M_l and the thresholds
-    are recomputed rather than trusted.  Each function is convolved with
-    the kernel once, and every nu value a check reads is taken from the
-    ReLU-sum definition on that convolution; the shattering certificate's
-    witnesses are re-checked against the same definition.
+    consulted; the target orders, the level values m_l, the spreads M_l
+    and the thresholds are recomputed rather than trusted.  Each function
+    is convolved with the kernel once, and every nu value a check reads
+    is taken from the ReLU-sum definition on that convolution; the
+    shattering certificate's witnesses are re-checked against the same
+    definition.
     """
     checks: list[SynthCheck] = []
 
@@ -460,6 +453,7 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
 
     group = result.group
     m = result.m
+    orders = build_complete_orders(m)
     r = len(orders.rankings)
     mu = counting_measure(group)
     kernel = result.kernel
@@ -612,12 +606,7 @@ def verify_synth(result: SynthResult, orders: OrderSet) -> SynthReport:
             "convolutions are <= 0 on every guarded translate",
         )
 
-    cert = None
-    if is_complete(orders):
-        cert = certificate(critical_set(profiles))
-        detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
-        add("shattering", cert.shattered, detail)
-    else:
-        add("shattering", True, "target orders not complete; shattering not required")
-
-    return SynthReport(tuple(checks), cert)
+    cert = certificate(critical_set(profiles))
+    detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
+    add("shattering", cert.shattered, detail)
+    return SynthReport(tuple(checks), orders, cert)

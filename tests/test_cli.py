@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import errno
+import inspect
 import json
 import os
 import subprocess
@@ -15,11 +18,20 @@ from pathlib import Path
 import pytest
 
 import gshatter.classifier
+import gshatter.cli
 import gshatter.gfunc
 import gshatter.orders
 import gshatter.synth
 from gshatter.classifier import NuProfile
-from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
+from gshatter.errors import (
+    GroupSpecError,
+    GroupTooSmallError,
+    GShatterError,
+    InvariantError,
+    ModeElementError,
+    SynthesisVerificationError,
+    WitnessVerificationError,
+)
 from gshatter.groups import build_group
 from gshatter.gfunc import counting_measure
 from gshatter.cli import main
@@ -32,7 +44,6 @@ from gshatter.jsonio import (
     synth_result_from_json,
     write_json_atomic,
 )
-from gshatter.orders import build_complete_orders
 from gshatter.synth import SynthConfig, synth_kernel
 
 
@@ -69,6 +80,14 @@ def run_bounded(capsys, *argv):
     return (*result, elapsed, peak)
 
 
+@pytest.fixture(scope="module")
+def cyclic8_bundle(tmp_path_factory):
+    """The artifacts of `gshatter synth --group cyclic:8 --m 2`."""
+    out = tmp_path_factory.mktemp("cyclic8")
+    assert main(["synth", "--group", "cyclic:8", "--m", "2", "--out-dir", str(out)]) == 0
+    return out
+
+
 def shift_sweep_values(monkeypatch):
     """Make the sweep's nu values wrong by 1; the definition stays right.
 
@@ -89,8 +108,8 @@ def fail_check(monkeypatch, name):
     """Make verify_synth report the check `name` as failed."""
     original = gshatter.synth.verify_synth
 
-    def failing(result, orders):
-        report = original(result, orders)
+    def failing(result):
+        report = original(result)
         checks = tuple(
             dataclasses.replace(c, passed=False) if c.name == name else c
             for c in report.checks
@@ -295,6 +314,33 @@ class TestSynthCommand:
         assert elapsed < 1.0
         assert peak < 1_000_000
 
+    def test_orders_built_once_by_the_kernel_and_once_by_the_verifier(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = gshatter.orders.build_complete_orders
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        for module in (gshatter.orders, gshatter.synth, gshatter.cli):
+            monkeypatch.setattr(module, "build_complete_orders", counting)
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:18", "--m", "3",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert calls == [3, 3]
+
+    def test_preconditions_are_left_to_synth_kernel(self):
+        tree = ast.parse(inspect.getsource(gshatter.cli.cmd_synth))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {
+            "required_group_size", "find_order_two_element",
+            "find_order_ge3_element", "_mode_element_ok", "build_complete_orders",
+        }
+
     def test_bad_interval(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "synth", "--group", "cyclic:8", "--m", "2",
@@ -362,7 +408,7 @@ class TestSynthCommand:
         self, capsys, tmp_path, monkeypatch
     ):
         fail_check(monkeypatch, "pairwise-gaps")
-        config = SynthConfig(m=2, g=4, orders=build_complete_orders(2))
+        config = SynthConfig(m=2)
         with pytest.raises(SynthesisVerificationError, match="pairwise-gaps"):
             synth_kernel(build_group("cyclic:8"), config)
         out = tmp_path / "out"
@@ -383,7 +429,7 @@ class TestSynthCommand:
         monkeypatch.setattr(
             gshatter.synth, "synth_epsilon", lambda B, C, m, r: Fraction(1, 8)
         )
-        config = SynthConfig(m=2, g=4, orders=build_complete_orders(2))
+        config = SynthConfig(m=2)
         with pytest.raises(SynthesisVerificationError, match="level-condition"):
             synth_kernel(build_group("cyclic:8"), config)
         out = tmp_path / "out"
@@ -717,8 +763,14 @@ class TestBoundsCommand:
              lambda d: d["dichotomies"].__setitem__(3, dict(d["dichotomies"][0]))),
             ("synth_result.json", lambda d: d.update(m=5)),
             ("synth_result.json", lambda d: d["kernel"].update(group="cyclic:9")),
+            ("synth_result.json", lambda d: d.update(mode="bogus")),
+            ("synth_result.json", lambda d: d.update(subsets={})),
+            ("synth_result.json", lambda d: d.update(g=0)),
         ],
-        ids=["decimal-c1", "pattern-twice", "bundle-m-edited", "bundle-kernel-group"],
+        ids=[
+            "decimal-c1", "pattern-twice", "bundle-m-edited", "bundle-kernel-group",
+            "bundle-bogus-mode", "bundle-subsets-object", "bundle-identity-g",
+        ],
     )
     def test_real_artifact_edited_is_rejected(self, capsys, tmp_path, name, edit):
         code, _, _ = run(
@@ -759,6 +811,27 @@ class TestBoundsCommand:
         row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
         assert row8.split()[-1] == "2"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(epsilon="1/1000"),
+            lambda d: d["kernel"]["values"].__setitem__(d["subsets"][0][0], "0"),
+            lambda d: d["ms"].__setitem__(0, "3/2"),
+        ],
+        ids=["epsilon", "spike-zeroed", "level-edited"],
+    )
+    def test_bundle_failing_verify_synth_is_not_counted(
+        self, capsys, cyclic8_bundle, tmp_path, edit
+    ):
+        data = read_json(cyclic8_bundle / "synth_result.json")
+        edit(data)
+        path = tmp_path / "synth_result.json"
+        write_json_atomic(path, data)
+        code, out, _ = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 0
+        row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
+        assert row8.split()[-1] == "-"
+
     @pytest.mark.parametrize("group", [5, ["cyclic:8"]])
     def test_non_string_group_in_achieved(self, capsys, tmp_path, group):
         path = tmp_path / "certificate.json"
@@ -768,6 +841,67 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestUnwritableOutput:
+    """An output path under a regular file exits 2, never 1 or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "--spec", "cyclic:4", "--out", "{blocked}/report.json"],
+            ["orders", "--m", "2", "--out-dir", "{blocked}/out"],
+            ["synth", "--group", "cyclic:8", "--m", "2", "--out-dir", "{blocked}/out"],
+            ["verify", "--kernel", "{bundle}/kernel.json",
+             "--functions", "{bundle}/functions.json", "--out", "{blocked}/v.json"],
+            ["bounds", "--n", "8", "--csv", "{blocked}/bounds.csv"],
+            ["bounds", "--n", "8", "--json", "{blocked}/bounds.json"],
+        ],
+        ids=["group", "orders", "synth", "verify", "bounds-csv", "bounds-json"],
+    )
+    def test_exits_2(self, capsys, tmp_path, cyclic8_bundle, argv):
+        blocked = tmp_path / "a-file"
+        blocked.write_text("")
+        argv = [a.format(blocked=blocked, bundle=cyclic8_bundle) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {blocked}")
+        assert "Traceback" not in err
+
+
+# One instance of each error a command may raise, with its documented exit code.
+ERROR_EXIT_CODES = [
+    (GroupSpecError("unknown group spec"), 2),
+    (GroupTooSmallError(10, 48, "order_two"), 3),
+    (ModeElementError("group cyclic:81 has no suitable element"), 4),
+    (SynthesisVerificationError("a self-check failed"), 5),
+    (WitnessVerificationError("a witness failed"), 5),
+    (InvariantError("an invariant failed"), 5),
+    (OSError(errno.EACCES, "Permission denied", "out/kernel.json"), 2),
+]
+
+
+def _error_classes(cls: type) -> set[type]:
+    return {cls} | {c for sub in cls.__subclasses__() for c in _error_classes(sub)}
+
+
+class TestExitCodeContract:
+    def test_every_error_class_has_an_exit_code(self):
+        classes = _error_classes(GShatterError) - {GShatterError}
+        assert classes <= {type(exc) for exc, _ in ERROR_EXIT_CODES}
+
+    @pytest.mark.parametrize(
+        "exc, code", ERROR_EXIT_CODES, ids=[type(e).__name__ for e, _ in ERROR_EXIT_CODES]
+    )
+    def test_raised_from_a_command(self, capsys, monkeypatch, exc, code):
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(gshatter.cli, "cmd_group", command)
+        got, _, err = run(capsys, "group", "--spec", "cyclic:2")
+        assert got == code
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestOptimizedInterpreter:

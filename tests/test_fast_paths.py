@@ -27,7 +27,6 @@ from gshatter.gfunc import (
 )
 from gshatter.groups import build_group
 from gshatter.shatter import _witnesses, attained_orders, critical_set
-from gshatter.orders import build_complete_orders
 from gshatter.synth import SynthConfig, build_u_tower, synth_kernel, verify_synth
 
 from references import (
@@ -299,12 +298,12 @@ class TestUTower:
         assert [f.values for f in tower.functions] == [f.values for f in dense]
 
 
-def assert_value_checks_match(result, orders) -> dict[str, tuple[bool, str]]:
+def assert_value_checks_match(result) -> dict[str, tuple[bool, str]]:
     """verify_synth's integer value checks equal their Fraction forms."""
     want = fraction_value_checks(result)
     got = {
         c.name: (c.passed, c.detail)
-        for c in verify_synth(result, orders).checks
+        for c in verify_synth(result).checks
         if c.name in want
     }
     assert got == want
@@ -319,8 +318,7 @@ class TestVerifySynthValueChecks:
     )
     def test_checks_match_on_perturbed_kernels(self, spec, g, mode):
         group = build_group(spec)
-        orders = build_complete_orders(3)
-        result = synth_kernel(group, SynthConfig(m=3, g=g, orders=orders, mode=mode))
+        result = synth_kernel(group, SynthConfig(m=3, mode=mode))
         eps = result.epsilon
         centres = [h for sub in result.subsets for h in sub]
         # Each kernel is the synthesized one with one entry moved: spikes by
@@ -338,7 +336,7 @@ class TestVerifySynthValueChecks:
             broken = dataclasses.replace(
                 result, kernel=GroupFunction(group, tuple(values))
             )
-            got = assert_value_checks_match(broken, orders)
+            got = assert_value_checks_match(broken)
             failed |= {name for name, (passed, _) in got.items() if not passed}
         assert failed == set(got)  # every check is seen failing
 
@@ -353,8 +351,7 @@ class TestVerifySynthValueChecks:
         # In general mode 1/D sits on a guarded translate, the smallest
         # positive value there.
         group = build_group(spec)
-        orders = build_complete_orders(3)
-        result = synth_kernel(group, SynthConfig(m=3, g=g, orders=orders, mode=mode))
+        result = synth_kernel(group, SynthConfig(m=3, mode=mode))
         delta = indicator(group, group.identity)
         result = dataclasses.replace(result, u=(delta,) * len(result.u))
         D = 10007
@@ -369,4 +366,4 @@ class TestVerifySynthValueChecks:
             broken = dataclasses.replace(
                 result, kernel=GroupFunction(group, tuple(values))
             )
-            assert_value_checks_match(broken, orders)
+            assert_value_checks_match(broken)

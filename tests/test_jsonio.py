@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gshatter.gfunc import GroupFunction
-from gshatter.groups import build_group, find_order_two_element
+from gshatter.groups import build_group
 from gshatter.jsonio import (
     certificate_from_json,
     certificate_to_json,
@@ -24,7 +24,6 @@ from gshatter.jsonio import (
     synth_result_to_json,
     write_json_atomic,
 )
-from gshatter.orders import build_complete_orders
 from gshatter.shatter import is_shattered
 from gshatter.synth import SynthConfig, synth_kernel
 
@@ -102,9 +101,7 @@ class TestStructures:
 
     def test_synth_result_round_trip(self):
         group = build_group("cyclic:8")
-        orders = build_complete_orders(2)
-        g = find_order_two_element(group)
-        result = synth_kernel(group, SynthConfig(m=2, g=g, orders=orders))
+        result = synth_kernel(group, SynthConfig(m=2))
         data = synth_result_to_json(result)
         back = synth_result_from_json(data)
         # Groups are rebuilt, so compare via a second serialization pass.
@@ -114,11 +111,7 @@ class TestStructures:
 @pytest.fixture(scope="module")
 def synthesized():
     """A synthesis on cyclic:8 with m = 2, whose certificate is shattered."""
-    group = build_group("cyclic:8")
-    orders = build_complete_orders(2)
-    return synth_kernel(
-        group, SynthConfig(m=2, g=find_order_two_element(group), orders=orders)
-    )
+    return synth_kernel(build_group("cyclic:8"), SynthConfig(m=2))
 
 
 class TestCertificateLoader:
@@ -199,10 +192,20 @@ class TestSynthBundleLoader:
             lambda d: d["u"][0].update(group="cyclic:9"),
             lambda d: d.update(thresholds="12"),
             lambda d: d.update(ms="345"),
+            lambda d: d.update(mode="bogus"),
+            lambda d: d.update(subsets={}),
+            lambda d: d["subsets"].append([5, 6]),
+            lambda d: d["subsets"][1].pop(),
+            lambda d: d["subsets"][1].__setitem__(0, 8),
+            lambda d: d.update(g=8),
+            lambda d: d["ms"].pop(),
+            lambda d: d["thresholds"].append("1"),
         ],
         ids=[
             "bool-m", "string-g", "string-centre", "tower-function-group",
-            "string-thresholds", "string-ms",
+            "string-thresholds", "string-ms", "unknown-mode", "subsets-object",
+            "extra-subset", "short-subset", "centre-outside-group",
+            "g-outside-group", "level-missing", "extra-threshold",
         ],
     )
     def test_malformed_rejected(self, good, edit):

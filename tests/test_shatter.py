@@ -8,8 +8,7 @@ from math import lcm
 
 from gshatter.classifier import classify, nu
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
-from gshatter.groups import build_group, find_order_two_element
-from gshatter.orders import build_complete_orders
+from gshatter.groups import build_group
 from gshatter.shatter import (
     check_order_criterion,
     critical_points,
@@ -74,10 +73,7 @@ class TestCriticalPoints:
         # --m 5`: the probes and their distinct rankings are pinned, so the
         # probe set and the rows the sweep keeps cannot change silently.
         g = build_group("cyclic:100")
-        config = SynthConfig(
-            m=5, g=find_order_two_element(g), orders=build_complete_orders(5)
-        )
-        result = synth_kernel(g, config)
+        result = synth_kernel(g, SynthConfig(m=5))
         crit = critical_points(
             result.kernel, list(result.family()), counting_measure(g)
         )

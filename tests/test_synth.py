@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -12,9 +14,13 @@ from hypothesis import strategies as st
 
 import gshatter.synth
 from gshatter.bounds import required_group_size
-from gshatter.errors import GroupTooSmallError, SynthesisVerificationError
+from gshatter.errors import (
+    GroupTooSmallError,
+    ModeElementError,
+    SynthesisVerificationError,
+)
 from gshatter.gfunc import constant
-from gshatter.groups import build_group, find_order_two_element
+from gshatter.groups import build_group
 from gshatter.orders import build_complete_orders
 from gshatter.synth import (
     SynthConfig,
@@ -131,10 +137,10 @@ class TestSubsets:
         subsets = choose_subsets(g, 4, r=2, m=2, mode="order_two")
         assert subsets == ((0, 1), (2, 3))
 
+    # choose_subsets relies on synth_kernel's size check, made first.
     def test_too_small_group(self):
-        g = build_group("cyclic:6")
         with pytest.raises(GroupTooSmallError) as err:
-            choose_subsets(g, 3, r=2, m=2, mode="order_two")
+            synth_kernel(build_group("cyclic:6"), SynthConfig(m=2))
         assert err.value.required == 8
 
     @pytest.mark.parametrize("mode", ["order_two", "general"])
@@ -143,8 +149,17 @@ class TestSubsets:
         required = required_group_size(m, mode)
         g = build_group(f"cyclic:{required - 1}")
         with pytest.raises(GroupTooSmallError) as err:
-            choose_subsets(g, 1, r=comb(m, m // 2), m=m, mode=mode)
+            synth_kernel(g, SynthConfig(m=m, mode=mode))
         assert err.value.required == required
+
+    @pytest.mark.parametrize("mode", ["order_two", "general"])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_required_group_size_leaves_room_for_every_pick(self, m, mode):
+        required = required_group_size(m, mode)
+        g = required // 2 if mode == "order_two" else 1
+        r = comb(m, m // 2)
+        subsets = choose_subsets(build_group(f"cyclic:{required}"), g, r, m, mode)
+        assert len(subsets) == r and all(len(sub) == m for sub in subsets)
 
     def test_general_windows_disjoint(self):
         g = build_group("cyclic:81")
@@ -189,50 +204,34 @@ class TestSubsets:
             return original(*args)
 
         monkeypatch.setattr(gshatter.synth, "_check_subsets", counting)
-        group = build_group(spec)
-        g = 9 if mode == "order_two" else 1
-        config = SynthConfig(m=3, g=g, orders=build_complete_orders(3), mode=mode)
-        synth_kernel(group, config)
+        synth_kernel(build_group(spec), SynthConfig(m=3, mode=mode))
         assert len(calls) == 1
 
 
 class TestConfigValidation:
     def test_rejects_inconsistencies(self):
-        orders2 = build_complete_orders(2)
         with pytest.raises(ValueError):
-            SynthConfig(m=0, g=1, orders=build_complete_orders(1))
+            SynthConfig(m=0)
         with pytest.raises(ValueError):
-            SynthConfig(m=2, g=1, orders=orders2, mode="sideways")
+            SynthConfig(m=2, mode="sideways")
         with pytest.raises(ValueError):
-            SynthConfig(m=2, g=1, orders=orders2, B=Fraction(2), C=Fraction(1))
-        with pytest.raises(ValueError):
-            SynthConfig(m=3, g=1, orders=orders2)
+            SynthConfig(m=2, B=Fraction(2), C=Fraction(1))
 
-    def test_rejects_non_strict_target(self):
-        from gshatter.classifier import Ranking
-        from gshatter.orders import OrderSet
-
-        tied = OrderSet(2, (Ranking((1, 1)),))
-        with pytest.raises(ValueError):
-            SynthConfig(m=2, g=1, orders=tied)
+    def test_names_only_what_the_construction_cannot_derive(self):
+        fields = [f.name for f in dataclasses.fields(SynthConfig)]
+        assert fields == ["m", "mode", "B", "C"]
 
 
 class TestSynthesis:
     def _build(self, spec: str, m: int, mode: str = "order_two"):
         group = build_group(spec)
-        orders = build_complete_orders(m)
-        if mode == "order_two":
-            g = find_order_two_element(group)
-        else:
-            from gshatter.groups import find_order_ge3_element
-
-            g = find_order_ge3_element(group)
-        assert g is not None
-        config = SynthConfig(m=m, g=g, orders=orders, mode=mode)
-        return group, orders, synth_kernel(group, config)
+        result = synth_kernel(group, SynthConfig(m=m, mode=mode))
+        return group, result.report.orders, result
 
     def test_m2_on_cyclic_8(self):
         group, orders, result = self._build("cyclic:8", 2)
+        assert result.g == 4  # the only involution
+        assert orders == build_complete_orders(2)
         assert result.m == 2
         assert len(result.family()) == 2
         assert len(result.ms) == len(orders.rankings) == 2
@@ -241,18 +240,18 @@ class TestSynthesis:
         assert result.thresholds == tuple(
             ml - result.epsilon / 2 for ml in result.ms
         )
-        report = verify_synth(result, orders)
+        report = verify_synth(result)
         assert report.passed, report.lines()
 
     def test_m2_on_dihedral_6(self):
         group, orders, result = self._build("dihedral:6", 2)
-        report = verify_synth(result, orders)
+        report = verify_synth(result)
         assert report.passed, report.lines()
 
     def test_m1_general_mode(self):
         group, orders, result = self._build("cyclic:9", 1, mode="general")
         assert result.mode == "general"
-        report = verify_synth(result, orders)
+        report = verify_synth(result)
         assert report.passed, report.lines()
 
     def test_deterministic(self):
@@ -262,48 +261,80 @@ class TestSynthesis:
         assert first.subsets == second.subsets
         assert first.ms == second.ms
 
+    def test_general_mode_uses_the_smallest_element_of_order_3_or_more(self):
+        _, _, result = self._build("dihedral:9", 1, mode="general")
+        assert result.g == 1
+
     def test_wrong_mode_element(self):
-        group = build_group("cyclic:8")
-        orders = build_complete_orders(2)
-        with pytest.raises(ValueError):
-            synth_kernel(group, SynthConfig(m=2, g=1, orders=orders))
-        with pytest.raises(ValueError):
-            synth_kernel(
-                group, SynthConfig(m=2, g=4, orders=orders, mode="general")
-            )
+        # An odd group has no involution; (Z/2)^4 has no element of order 3+.
+        with pytest.raises(ModeElementError, match="order_two"):
+            synth_kernel(build_group("cyclic:81"), SynthConfig(m=3))
+        klein = "product:cyclic:2,product:cyclic:2,product:cyclic:2,cyclic:2"
+        with pytest.raises(ModeElementError, match="general"):
+            synth_kernel(build_group(klein), SynthConfig(m=1, mode="general"))
 
     def test_group_too_small(self):
         group = build_group("cyclic:10")
-        orders = build_complete_orders(4)
         with pytest.raises(GroupTooSmallError) as err:
-            synth_kernel(group, SynthConfig(m=4, g=5, orders=orders))
+            synth_kernel(group, SynthConfig(m=4))
         assert err.value.required == 48
+
+    def test_size_checked_before_the_mode_element(self):
+        # cyclic:81 has no involution, and m = 5 needs |G| >= 100.
+        with pytest.raises(GroupTooSmallError) as err:
+            synth_kernel(build_group("cyclic:81"), SynthConfig(m=5))
+        assert err.value.required == 100
+
+    def test_orders_built_only_after_both_checks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gshatter.synth, "build_complete_orders", calls.append)
+        for m in (5, 3):  # too small, then no involution
+            with pytest.raises((GroupTooSmallError, ModeElementError)):
+                synth_kernel(build_group("cyclic:81"), SynthConfig(m=m))
+        assert calls == []
+
+    def test_huge_group_rejected_before_any_scan(self, monkeypatch):
+        # m = 22 needs |G| >= 31039008; the involution of cyclic:20000000
+        # is element 10000000, so a scan would take seconds.
+        def no_scan(group):
+            raise AssertionError("the mode element was looked for")
+
+        monkeypatch.setattr(gshatter.synth, "find_order_two_element", no_scan)
+        group = build_group("cyclic:20000000")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(GroupTooSmallError) as err:
+                synth_kernel(group, SynthConfig(m=22))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.required == 31039008
+        assert elapsed < 0.1
+        assert peak < 1_000_000
 
 
 class TestVerification:
     def test_perturbed_kernel_fails(self):
         group = build_group("cyclic:8")
-        orders = build_complete_orders(2)
-        g = find_order_two_element(group)
-        result = synth_kernel(group, SynthConfig(m=2, g=g, orders=orders))
+        result = synth_kernel(group, SynthConfig(m=2))
         spike = result.subsets[0][0]
         bumped = list(result.kernel.values)
         bumped[spike] += result.epsilon / 4
         broken = dataclasses.replace(
             result, kernel=dataclasses.replace(result.kernel, values=tuple(bumped))
         )
-        report = verify_synth(broken, orders)
+        report = verify_synth(broken)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert failed  # at least one re-derived claim notices the bump
 
     def test_zero_kernel_fails_order_checks(self):
         group = build_group("cyclic:8")
-        orders = build_complete_orders(2)
-        g = find_order_two_element(group)
-        result = synth_kernel(group, SynthConfig(m=2, g=g, orders=orders))
+        result = synth_kernel(group, SynthConfig(m=2))
         broken = dataclasses.replace(result, kernel=constant(group, 0))
-        report = verify_synth(broken, orders)
+        report = verify_synth(broken)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "orders-realized" in failed
@@ -313,19 +344,15 @@ class TestVerification:
         "spec, g, mode", [("cyclic:18", 9, "order_two"), ("cyclic:81", 1, "general")]
     )
     def test_result_without_centres_fails_support_check(self, spec, g, mode):
-        group = build_group(spec)
-        orders = build_complete_orders(3)
-        config = SynthConfig(m=3, g=g, orders=orders, mode=mode)
-        result = synth_kernel(group, config)
-        report = verify_synth(dataclasses.replace(result, subsets=()), orders)
+        result = synth_kernel(build_group(spec), SynthConfig(m=3, mode=mode))
+        assert result.g == g
+        report = verify_synth(dataclasses.replace(result, subsets=()))
         assert [c.name for c in report.checks if not c.passed] == ["support-structure"]
 
     def test_report_lines_format(self):
         group = build_group("cyclic:8")
-        orders = build_complete_orders(2)
-        g = find_order_two_element(group)
-        result = synth_kernel(group, SynthConfig(m=2, g=g, orders=orders))
-        report = verify_synth(result, orders)
+        result = synth_kernel(group, SynthConfig(m=2))
+        report = verify_synth(result)
         assert all(line.startswith("PASS") for line in report.lines())
         names = {c.name for c in report.checks}
         assert {"epsilon-formula", "level-recursion", "shattering"} <= names
