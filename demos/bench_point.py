@@ -6,7 +6,9 @@ Run from anywhere; it measures the checkout it lives in:
 
 Cases: order_two mode for m = 2..8 on cyclic groups of the minimum order
 (8, 18, 48, 100, 240, 490, 1120) and general mode for m = 8 on
-cyclic:5040.  Each command runs in a fresh interpreter with this
+cyclic:5040.  With --large it also runs order_two m = 9..12 (cyclic:2268,
+5040, 10164 and 22176), which takes minutes and, at m = 12, about a
+gigabyte of memory.  Each command runs in a fresh interpreter with this
 checkout's `src` first on PYTHONPATH, in a temporary directory that is
 removed afterwards.  A case records wall seconds and the peak resident
 set size of each command, from wait4 (Linux carries the parent's peak
@@ -33,6 +35,9 @@ CASES = (
       ((2, 8), (3, 18), (4, 48), (5, 100), (6, 240), (7, 490), (8, 1120))),
     ("general", 8, 5040),
 )
+LARGE_CASES = tuple(
+    ("order_two", m, n) for m, n in ((9, 2268), (10, 5040), (11, 10164), (12, 22176))
+)
 
 
 def timed(argv: list[str], cwd: str, env: dict[str, str]) -> tuple[int, float, float]:
@@ -55,17 +60,17 @@ def commit() -> str:
     return out.stdout.strip()
 
 
-def measure(label: str) -> dict:
+def measure(label: str, selected) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     cli = [sys.executable, "-m", "gshatter.cli"]
     cases = []
-    for mode, m, n in CASES:
+    for mode, m, n in selected:
         with tempfile.TemporaryDirectory() as work:
             row: dict = {"mode": mode, "m": m, "group": f"cyclic:{n}"}
             for name, args in (
                 ("synth", ["synth", "--group", row["group"], "--m", str(m),
-                           "--mode", mode, "--out-dir", "out"]),
+                           "--mode", mode, "--out-dir", "out", "--allow-large"]),
                 ("verify", ["verify", "--kernel", "out/kernel.json",
                             "--functions", "out/functions.json"]),
             ):
@@ -89,8 +94,10 @@ def main() -> int:
     parser.add_argument("--label", default="", help="name of this point")
     parser.add_argument("--append", metavar="FILE",
                         help="add the point to FILE's \"points\" list")
+    parser.add_argument("--large", action="store_true",
+                        help="also run order_two m = 9..12 (minutes, about 1 GB)")
     args = parser.parse_args()
-    point = measure(args.label)
+    point = measure(args.label, CASES + LARGE_CASES if args.large else CASES)
     print(json.dumps(point, indent=2))
     if args.append:
         path = Path(args.append)

@@ -10,13 +10,13 @@ rational breakpoints, which is what makes exact enumeration of all
 realizable label patterns possible downstream.
 
 Inside, a profile holds f*K and mu as integers over one denominator
-each; a Fraction is formed only for the nu that `relu_sum` returns, and
-no float is used anywhere.
+each; a Fraction is formed only for the nu that a `ReluIndex` returns,
+and no float is used anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,12 +29,13 @@ class NuProfile:
     """One convolution f*K under mu, and the exact structure of nu.
 
     (f*K)(g) is nums[g] / den and mu(g) is weights[g] / wden.
-    relu_sum(profile, c) is nu(K, f, mu, c) by definition; the other fields
-    give it in closed form on the scale t = c * den: piece i covers t in
-    (breakpoints[i-1], breakpoints[i]], where nu(c) * den * wden =
-    slopes[i] * t + offsets[i], and offsets[i] / (den * wden) sums
-    mu(g) (f*K)(g) over the active terms.  nu is continuous, so either
-    convention at the breakpoints gives the same value.
+    ReluIndex(profile) gives nu(K, f, mu, c) from those two alone; the
+    other fields give it in closed form on the scale t = c * den: piece
+    i covers t in (breakpoints[i-1], breakpoints[i]], where
+    nu(c) * den * wden = slopes[i] * t + offsets[i], and
+    offsets[i] / (den * wden) sums mu(g) (f*K)(g) over the active terms.
+    nu is continuous, so either convention at the breakpoints gives the
+    same value.
     """
 
     nums: tuple[int, ...]
@@ -85,23 +86,52 @@ def build_nu_profile(
                      tuple(breakpoints), tuple(slopes), tuple(offsets))
 
 
-def relu_sum(profile: NuProfile, c: Fraction) -> Fraction:
-    """sum_g max(0, (f*K)(g) + c) * mu(g): the definition of nu, term by term.
+class ReluIndex:
+    """nu of one profile at any number of biases, from one sorted copy.
 
-    With c = a/b and (f*K)(g) = x/den, the term of g is active exactly
-    when x*b > -a*den, that is when x > (-a*den) // b.  The active terms
-    add up to (mass*b + a*den*weight) / (den*wden*b), where mass sums
-    w*x and weight sums w over them.
+    Built from the profile's `nums` and `weights` only: the terms with
+    nonzero weight, sorted by x = (f*K)(g) * den, with suffix sums of
+    w*x (`masses`) and of w (`totals`), so the terms from position i on
+    add up to masses[i] and totals[i].  With c = a/b the term of g is
+    active exactly when x*b > -a*den, that is when x > (-a*den) // b;
+    the active terms are one sorted tail, found by one bisect, and they
+    add up to (mass*b + a*den*weight) / (den*wden*b).
     """
-    a, b = c.numerator, c.denominator
-    den = profile.den
-    floor = (-a * den) // b
-    mass = weight = 0
-    for x, w in zip(profile.nums, profile.weights):
-        if w and x > floor:
-            mass += w * x
-            weight += w
-    return Fraction(mass * b + a * den * weight, den * profile.wden * b)
+
+    __slots__ = ("den", "wden", "xs", "masses", "totals")
+
+    def __init__(self, profile: NuProfile):
+        pairs = sorted((x, w) for x, w in zip(profile.nums, profile.weights) if w)
+        self.den, self.wden = profile.den, profile.wden
+        self.xs = [x for x, _ in pairs]
+        masses, totals = [0], [0]
+        for x, w in reversed(pairs):
+            masses.append(masses[-1] + w * x)
+            totals.append(totals[-1] + w)
+        masses.reverse()
+        totals.reverse()
+        self.masses, self.totals = masses, totals
+
+    def _scaled(self, c: Fraction) -> tuple[int, int]:
+        """(N, D) with nu(c) = N / D and D > 0, not reduced."""
+        a, b = c.numerator, c.denominator
+        den = self.den
+        i = bisect_right(self.xs, (-a * den) // b)
+        return self.masses[i] * b + a * den * self.totals[i], den * self.wden * b
+
+    def at(self, c: Fraction) -> Fraction:
+        """sum_g max(0, (f*K)(g) + c) * mu(g): nu at c, exactly."""
+        return Fraction(*self._scaled(c))
+
+    def exceeds(self, c: Fraction, t: Fraction) -> bool:
+        """Whether nu(c) > t, by cross-multiplication: no Fraction is formed."""
+        num, den = self._scaled(c)
+        return num * t.denominator > t.numerator * den
+
+
+def relu_sum(profile: NuProfile, c: Fraction) -> Fraction:
+    """sum_g max(0, (f*K)(g) + c) * mu(g): the definition of nu at one bias."""
+    return ReluIndex(profile).at(c)
 
 
 def nu(

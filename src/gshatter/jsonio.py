@@ -25,8 +25,8 @@ from .shatter import DichotomyEntry, ShatterCertificate
 from .synth import MODES, SynthResult
 
 
-def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+def fraction_to_str(x: Fraction | int) -> str:
+    """x as "p/q", or "p" when whole; ints have .numerator and .denominator too."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

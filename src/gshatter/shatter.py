@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 from .classifier import (
     NuProfile,
     Ranking,
+    ReluIndex,
     build_nu_profile,
     ranking_of_values,
-    relu_sum,
 )
 from .errors import WitnessVerificationError
 from .gfunc import GroupFunction, Measure
@@ -249,20 +249,20 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns of a critical set.
 
     Every witness is re-verified by classify's rule through the ReLU-sum
-    definition on each profile's stored convolution, not the sweep's
-    values; a witness that failed re-verification would mean an internal
-    inconsistency, so it raises WitnessVerificationError instead of
-    being silently dropped.
+    definition on each profile's stored convolution (one ReluIndex per
+    profile), not the sweep's values; a witness that failed
+    re-verification would mean an internal inconsistency, so it raises
+    WitnessVerificationError instead of being silently dropped.
     """
-    profiles = critical.profiles
-    m = len(profiles)
+    m = len(critical.profiles)
     found = _witnesses(critical)
+    indexes = [ReluIndex(p) for p in critical.profiles]
     entries: list[DichotomyEntry] = []
     for labels in product((-1, 1), repeat=m):
         if labels in found:
             c1, c2 = found[labels]
-            for k, p in enumerate(profiles):
-                got = 1 if relu_sum(p, c1) + c2 > 0 else -1
+            for k, index in enumerate(indexes):
+                got = 1 if index.exceeds(c1, -c2) else -1
                 if got != labels[k]:
                     raise WitnessVerificationError(
                         f"witness ({c1}, {c2}) for {labels} fails on "

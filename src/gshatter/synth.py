@@ -16,13 +16,14 @@ re-deriving the target orders from m and the rest from the kernel.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
-from .classifier import build_nu_profile, ranking_of_values, relu_sum
+from .classifier import ReluIndex, build_nu_profile, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError
 from .gfunc import GroupFunction, counting_measure
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
@@ -66,6 +67,8 @@ class UTower:
         u_{2q+1} = u_{2q-2} + eps_q * u_{2q-1}
 
     together with the exact coefficient pairs u_i = a_{i,1} 1_e + a_{i,2} 1_g.
+    unit_points[q - 1] is the plane point k^ with u~_{2q}(k^) = 1 that
+    solve_k_vector scales, and the largest u~_l(k^) over l != 2q.
     """
 
     group: FiniteGroup
@@ -76,6 +79,7 @@ class UTower:
     functions: tuple[GroupFunction, ...]
     coeffs: tuple[tuple[Fraction, Fraction], ...]
     epsilons: tuple[Fraction, ...]
+    unit_points: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...]
 
     def u_tilde(self, index: int, k: tuple[Fraction, Fraction]) -> Fraction:
         """Value of u_index's coefficient form on the plane point k."""
@@ -123,6 +127,21 @@ def build_u_tower(
         a1, a2 = coeffs[2 * q]
         if not (a1 > 0 and a2 > 0):
             raise SynthesisVerificationError(f"u_{2 * q} has a coefficient <= 0")
+    # The system for u~_i(k) = A has rows a_{i-2}, a_{i-1} and right side
+    # A (2/eps_{i/2}, -1), so k is A times its solution at A = 1.
+    unit_points = []
+    for q in range(1, p + 1):
+        i = 2 * q
+        (r00, r01), (r10, r11) = coeffs[i - 2], coeffs[i - 1]
+        rhs0, rhs1 = 2 / epsilons[q - 1], Fraction(-1)
+        det = r00 * r11 - r01 * r10
+        if det == 0:
+            raise SynthesisVerificationError(f"singular system for u~_{i}")
+        k = ((rhs0 * r11 - r01 * rhs1) / det, (r00 * rhs1 - rhs0 * r10) / det)
+        values = [a1 * k[0] + a2 * k[1] for a1, a2 in coeffs]
+        if values[i] != 1:
+            raise SynthesisVerificationError(f"u~_{i}(k) = {values[i]}, expected 1")
+        unit_points.append((k, max(values[:i] + values[i + 1:])))
     # u_i = a1 1_e + a2 1_g is a1 at e, a2 at g and zero elsewhere.
     zeros = [Fraction(0)] * group.order
     functions = []
@@ -139,6 +158,7 @@ def build_u_tower(
         functions=tuple(functions),
         coeffs=tuple(coeffs),
         epsilons=epsilons,
+        unit_points=tuple(unit_points),
     )
 
 
@@ -147,36 +167,21 @@ def solve_k_vector(
 ) -> tuple[Fraction, Fraction]:
     """The plane point k with u~_i(k) = A and u~_l(k) < B for every l != i.
 
-    Solves the exact 2x2 system with rows a_{i-2}, a_{i-1} and right side
-    (2A/eps_{i/2}, -A); the post-conditions are then checked directly on
-    every tower level.
+    k is A times the tower's unit point for i, whose u~_i is 1, so
+    u~_l(k) = A u~_l(unit point) and the post-condition is that A times
+    the largest of those over l != i is below B.
     """
     if i % 2 != 0 or not 2 <= i <= 2 * tower.p:
         raise ValueError(f"index must be even in [2, 2p], got {i}")
     A = Fraction(A)
     if not tower.B < A < tower.C:
         raise ValueError(f"target {A} outside the open interval ({tower.B}, {tower.C})")
-    half = i // 2
-    r0, r1 = tower.coeffs[i - 2], tower.coeffs[i - 1]
-    rhs0 = 2 * A / tower.epsilons[half - 1]
-    rhs1 = -A
-    det = r0[0] * r1[1] - r0[1] * r1[0]
-    if det == 0:
-        raise SynthesisVerificationError(f"singular system for u~_{i}")
-    k = (
-        (rhs0 * r1[1] - r0[1] * rhs1) / det,
-        (r0[0] * rhs1 - rhs0 * r1[0]) / det,
-    )
-    for l in range(2 * tower.p + 2):
-        value = tower.u_tilde(l, k)
-        if l == i:
-            if value != A:
-                raise SynthesisVerificationError(f"u~_{i}(k) = {value}, expected {A}")
-        elif not value < tower.B:
-            raise SynthesisVerificationError(
-                f"u~_{l}(k) = {value} is not below B = {tower.B}"
-            )
-    return k
+    (k0, k1), top = tower.unit_points[i // 2 - 1]
+    if not A * top < tower.B:
+        raise SynthesisVerificationError(
+            f"max over l != {i} of u~_l(k) = {A * top} is not below B = {tower.B}"
+        )
+    return (A * k0, A * k1)
 
 
 def choose_subsets(
@@ -442,9 +447,10 @@ def verify_synth(result: SynthResult) -> SynthReport:
     consulted; the target orders, the level values m_l, the spreads M_l
     and the thresholds are recomputed rather than trusted.  Each function
     is convolved with the kernel once, and every nu value a check reads
-    is taken from the ReLU-sum definition on that convolution; the
-    shattering certificate's witnesses are re-checked against the same
-    definition.
+    is taken from the ReLU-sum definition on that convolution, through
+    one ReluIndex per profile; the shattering certificate's witnesses are
+    re-checked against the same definition.  A result with fewer levels
+    or thresholds than the target orders fails the checks that read them.
     """
     checks: list[SynthCheck] = []
 
@@ -458,10 +464,9 @@ def verify_synth(result: SynthResult) -> SynthReport:
     mu = counting_measure(group)
     kernel = result.kernel
     profiles = [build_nu_profile(kernel, f, mu) for f in result.family()]
-
-    def nus(c: Fraction) -> list[Fraction]:
-        return [relu_sum(p, c) for p in profiles]
-
+    # Under the counting measure every weight is 1, so each index holds
+    # every convolution value, in ascending order as index.xs.
+    indexes = [ReluIndex(p) for p in profiles]
     epsilon = result.epsilon
     B, C = result.B, result.C
 
@@ -495,12 +500,16 @@ def verify_synth(result: SynthResult) -> SynthReport:
             recursion_ok = False
             detail = f"round {l}: recorded m_l disagrees with recursion"
             break
-        values = nus(-m_cur + epsilon)
+        values = [index.at(-m_cur + epsilon) for index in indexes]
         big_m_cur = max(values) - min(values)
         big_ms.append(big_m_cur)
         m_prev, big_m_prev = m_cur, big_m_cur
-    chain_ok = recursion_ok and len(result.ms) == r
-    add("level-recursion", chain_ok, detail or f"m_l chain of length {r} reproduced")
+    levels_ok = len(result.ms) == r
+    add(
+        "level-recursion",
+        recursion_ok and levels_ok,
+        detail or f"m_l chain of length {r} reproduced",
+    )
 
     if recursion_ok:
         cond_ok = all(B < result.ms[l] - m * (big_ms[l] + epsilon) for l in range(r))
@@ -511,16 +520,23 @@ def verify_synth(result: SynthResult) -> SynthReport:
         add("level-condition", False, "skipped: level recursion broken")
         add("spread-bound", False, "skipped: level recursion broken")
 
-    thresholds_ok = len(result.thresholds) == r and all(
+    have_thresholds = len(result.thresholds) == r
+    thresholds_ok = have_thresholds and levels_ok and all(
         result.thresholds[l] == result.ms[l] - epsilon / 2 for l in range(r)
     )
     add("thresholds", thresholds_ok, "c_l = m_l - eps/2 for every level")
 
-    level_nus = [nus(-result.thresholds[l]) for l in range(r)]
-    orders_ok = True
-    detail = ""
-    for l in range(r):
-        got = ranking_of_values(level_nus[l])
+    # The level checks read one threshold per target order.
+    skipped = f"skipped: {len(result.thresholds)} thresholds for {r} orders"
+    level_nus = (
+        [[index.at(-c) for index in indexes] for c in result.thresholds]
+        if have_thresholds
+        else []
+    )
+    orders_ok = have_thresholds
+    detail = "" if have_thresholds else skipped
+    for l, values in enumerate(level_nus):
+        got = ranking_of_values(values)
         if got.ranks != orders.rankings[l].ranks:
             orders_ok = False
             detail = (
@@ -530,42 +546,47 @@ def verify_synth(result: SynthResult) -> SynthReport:
             break
     add("orders-realized", orders_ok, detail or f"all {r} target orders hit")
 
-    gaps_ok = True
-    detail = ""
-    for l in range(r):
-        values = level_nus[l]
-        for a in range(m):
-            for b in range(a + 1, m):
-                if abs(values[a] - values[b]) < epsilon:
-                    gaps_ok = False
-                    detail = f"level {l + 1}: gap below eps"
+    # Two of m values are closer than eps exactly when two neighbours in
+    # their sorted order are.
+    gaps_ok = have_thresholds
+    detail = "" if have_thresholds else skipped
+    for l, values in enumerate(level_nus):
+        ordered = sorted(values)
+        if any(b - a < epsilon for a, b in zip(ordered, ordered[1:])):
+            gaps_ok = False
+            detail = f"level {l + 1}: gap below eps"
     add("pairwise-gaps", gaps_ok, detail or "all nu gaps >= eps at each -c_l")
 
-    # Value checks on each profile's integers x = v * den: for an integer
-    # x, v > lo exactly when x > floor(lo * den), and v < hi exactly when
-    # x < ceil(hi * den).
-    band_ok = True
-    detail = ""
-    for l in range(r):
+    # Value checks on each index's sorted integers x = v * den: for an
+    # integer x, v > lo exactly when x > floor(lo * den), and v < hi
+    # exactly when x < ceil(hi * den), so one pair of bisects finds the
+    # values inside a band.  The detail names the band's last value in
+    # element order, at the last level and profile that have one.
+    band_ok = levels_ok
+    detail = "" if levels_ok else f"skipped: {len(result.ms)} levels for {r} orders"
+    last = None
+    for l in range(r if levels_ok else 0):
         lo, hi = result.ms[l] - epsilon, result.ms[l]
-        for p in profiles:
+        for p, index in zip(profiles, indexes):
             x_lo, x_hi = floor(lo * p.den), ceil(hi * p.den)
-            for x in p.nums:
-                if x_lo < x < x_hi:
-                    band_ok = False
-                    detail = f"value {Fraction(x, p.den)} inside the band around m_{l + 1}"
+            if bisect_right(index.xs, x_lo) < bisect_left(index.xs, x_hi):
+                last = (l, p, x_lo, x_hi)
+    if last is not None:
+        l, p, x_lo, x_hi = last
+        x = next(x for x in reversed(p.nums) if x_lo < x < x_hi)
+        band_ok = False
+        detail = f"value {Fraction(x, p.den)} inside the band around m_{l + 1}"
     add("forbidden-band", band_ok, detail or "no convolution value in any band")
 
-    x_bs = [floor(B * p.den) for p in profiles]
-    above_b = [
-        Fraction(min(xs), p.den)
-        for p, x_b in zip(profiles, x_bs)
-        if (xs := [x for x in p.nums if x > x_b])
-    ]
+    above_b = []
+    for index in indexes:
+        i = bisect_right(index.xs, floor(B * index.den))
+        if i < len(index.xs):
+            above_b.append(Fraction(index.xs[i], index.den))
     min_over_b = min(above_b, default=None)
     add(
         "kernel-minimum-level",
-        min_over_b == result.ms[-1],
+        levels_ok and min_over_b == result.ms[-1],
         f"smallest convolution value above B is {min_over_b}",
     )
 
@@ -606,6 +627,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
             "convolutions are <= 0 on every guarded translate",
         )
 
+    del indexes  # the sweep's probes are the memory peak; free these first
     cert = certificate(critical_set(profiles))
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
     add("shattering", cert.shattered, detail)

@@ -4,10 +4,12 @@ Each function here is the straightforward form of something the package
 computes faster: the dense convolution loop, the sparse convolution,
 nu profile, ReLU sum and forward-walk sweep in Fractions (the package
 runs them on integers over one denominator), the bisect-based crossing
-search over every pair on every grid piece, the ReLU sum term by term,
-the witness table by comparing every value with every cut, ranks by
-counting, and the u-tower functions by their dense formula.  The
-differential tests assert identical results.
+search over every pair on every grid piece, the ReLU sum term by term
+(in Fractions and on a profile's integers), the witness table by
+comparing every value with every cut, ranks by counting, the u-tower
+functions by their dense formula, and the k-vector solved and checked
+on every tower level for each target.  The differential tests assert
+identical results.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from gshatter.errors import SynthesisVerificationError
 from gshatter.gfunc import GroupFunction, Measure, indicator
 
 
@@ -251,6 +254,51 @@ def termwise_relu_sum(
         if w != 0 and v + c > 0:
             total += (v + c) * w
     return total
+
+
+def loop_relu_sum(profile, c: Fraction) -> Fraction:
+    """nu of a NuProfile at c, walking every (nums, weights) term.
+
+    With c = a/b and (f*K)(g) = x/den, the term of g is active exactly
+    when x > (-a*den) // b; the active terms add up to
+    (mass*b + a*den*weight) / (den*wden*b).
+    """
+    a, b = c.numerator, c.denominator
+    den = profile.den
+    floor = (-a * den) // b
+    mass = weight = 0
+    for x, w in zip(profile.nums, profile.weights):
+        if w and x > floor:
+            mass += w * x
+            weight += w
+    return Fraction(mass * b + a * den * weight, den * profile.wden * b)
+
+
+def full_solve_k_vector(tower, i: int, A: Fraction) -> tuple[Fraction, Fraction]:
+    """solve_k_vector with the 2x2 system solved for this A, and the
+    post-conditions checked on every tower level."""
+    if i % 2 != 0 or not 2 <= i <= 2 * tower.p:
+        raise ValueError(f"index must be even in [2, 2p], got {i}")
+    A = Fraction(A)
+    if not tower.B < A < tower.C:
+        raise ValueError(f"target {A} outside ({tower.B}, {tower.C})")
+    r0, r1 = tower.coeffs[i - 2], tower.coeffs[i - 1]
+    rhs0, rhs1 = 2 * A / tower.epsilons[i // 2 - 1], -A
+    det = r0[0] * r1[1] - r0[1] * r1[0]
+    if det == 0:
+        raise SynthesisVerificationError(f"singular system for u~_{i}")
+    k = (
+        (rhs0 * r1[1] - r0[1] * rhs1) / det,
+        (r0[0] * rhs1 - rhs0 * r1[0]) / det,
+    )
+    for l in range(2 * tower.p + 2):
+        value = tower.u_tilde(l, k)
+        if l == i:
+            if value != A:
+                raise SynthesisVerificationError(f"u~_{i}(k) = {value}, expected {A}")
+        elif not value < tower.B:
+            raise SynthesisVerificationError(f"u~_{l}(k) = {value} is not below B")
+    return k
 
 
 def cut_witnesses(probes, values):

@@ -93,7 +93,8 @@ def shift_sweep_values(monkeypatch):
 
     The sweep reads every value from NuProfile.scaled, where nu * scale *
     wscale = slope * t + offset, so adding scale * wscale to each offset
-    adds 1 to nu everywhere; relu_sum never reads the scaled form.
+    adds 1 to nu everywhere; the ReluIndex that re-checks each witness
+    is built from the profile's nums and weights and never reads it.
     """
     true_scaled = NuProfile.scaled
 

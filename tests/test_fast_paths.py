@@ -10,13 +10,19 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, comb, floor, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshatter.classifier import build_nu_profile, ranking_of_values, relu_sum
+import gshatter.synth
+from gshatter.classifier import (
+    ReluIndex,
+    build_nu_profile,
+    ranking_of_values,
+    relu_sum,
+)
 from gshatter.gfunc import (
     GroupFunction,
     Measure,
@@ -25,9 +31,16 @@ from gshatter.gfunc import (
     counting_measure,
     indicator,
 )
+from gshatter.errors import SynthesisVerificationError
 from gshatter.groups import build_group
 from gshatter.shatter import _witnesses, attained_orders, critical_set
-from gshatter.synth import SynthConfig, build_u_tower, synth_kernel, verify_synth
+from gshatter.synth import (
+    SynthConfig,
+    build_u_tower,
+    solve_k_vector,
+    synth_kernel,
+    verify_synth,
+)
 
 from references import (
     bisect_critical_set,
@@ -40,6 +53,8 @@ from references import (
     fraction_critical_set,
     fraction_relu_sum,
     fraction_value_checks,
+    full_solve_k_vector,
+    loop_relu_sum,
     termwise_relu_sum,
 )
 
@@ -131,6 +146,26 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
     assert _witnesses(crit) == cut_witnesses(probes, values)
 
 
+def assert_relu_index_matches(profile, conv: GroupFunction, mu: Measure) -> None:
+    """One ReluIndex against the term-by-term sums at and around every
+    floor threshold.
+
+    c = -x/den sits exactly on a breakpoint; c = (-7x -+ 1)/(7 den) has a
+    denominator that does not divide den and puts -c*den just above or
+    below x, on either side of the integer threshold.  Around the
+    largest and smallest x every term is active or none is.
+    """
+    index = ReluIndex(profile)
+    den = profile.den
+    for x in profile.nums:
+        for c in (
+            Fraction(-x, den),
+            Fraction(-7 * x - 1, 7 * den),
+            Fraction(-7 * x + 1, 7 * den),
+        ):
+            assert index.at(c) == termwise_relu_sum(conv, mu, c)
+
+
 def assert_matches_references(kernel, fs, mu) -> None:
     for f in fs:
         nums, den = convolve_ints(f, kernel, mu)
@@ -143,6 +178,7 @@ def assert_matches_references(kernel, fs, mu) -> None:
     profiles = [build_nu_profile(kernel, f, mu) for f in fs]
     refs = [fraction_build_nu_profile(kernel, f, mu) for f in fs]
     for p, ref in zip(profiles, refs):
+        assert_relu_index_matches(p, ref.conv, mu)
         assert tuple(Fraction(bp, p.den) for bp in p.breakpoints) == ref.breakpoints
         assert tuple(Fraction(s, p.wden) for s in p.slopes) == ref.slopes
         scale = p.den * p.wden
@@ -169,26 +205,16 @@ class TestAgainstReferences:
             for c in {-v + shift for v in conv.values} | {-v for v in conv.values}:
                 want = termwise_relu_sum(conv, mu, c)
                 assert relu_sum(profile, c) == want
+                assert loop_relu_sum(profile, c) == want
                 assert fraction_relu_sum(conv, mu, c) == want
 
     @settings(max_examples=100, deadline=None)
     @given(instances())
     def test_relu_sum_at_and_around_the_floor_threshold(self, instance):
-        # c = -x/den sits exactly on a breakpoint; c = (-7x -+ 1)/(7 den)
-        # has a denominator that does not divide den and puts -c*den just
-        # above or below x, on either side of the integer threshold.
         kernel, fs, mu = instance
         for f in fs:
-            conv = convolve(f, kernel, mu)
             profile = build_nu_profile(kernel, f, mu)
-            den = profile.den
-            for x in profile.nums:
-                for c in (
-                    Fraction(-x, den),
-                    Fraction(-7 * x - 1, 7 * den),
-                    Fraction(-7 * x + 1, 7 * den),
-                ):
-                    assert relu_sum(profile, c) == termwise_relu_sum(conv, mu, c)
+            assert_relu_index_matches(profile, convolve(f, kernel, mu), mu)
 
     @settings(max_examples=100, deadline=None)
     @given(instances(), st.data())
@@ -296,6 +322,56 @@ class TestUTower:
         tower = build_u_tower(group, g, Fraction(1), Fraction(2), p=3)
         dense = dense_u_tower_functions(group, g, tower.coeffs)
         assert [f.values for f in tower.functions] == [f.values for f in dense]
+
+
+def solve_outcome(solve, tower, i, A):
+    """solve(tower, i, A), or the type of the error it raises."""
+    try:
+        return solve(tower, i, A)
+    except (ValueError, SynthesisVerificationError) as exc:
+        return type(exc)
+
+
+class TestKVector:
+    """The scaled unit solution against a fresh solve checked on every level."""
+
+    @pytest.mark.parametrize("m, n", [(2, 8), (3, 18), (4, 48), (5, 100), (6, 240)])
+    def test_every_call_synth_makes(self, m, n, monkeypatch):
+        calls = []
+
+        def recording(tower, i, A):
+            k = solve_k_vector(tower, i, A)
+            calls.append((tower, i, A, k))
+            return k
+
+        monkeypatch.setattr(gshatter.synth, "solve_k_vector", recording)
+        synth_kernel(build_group(f"cyclic:{n}"), SynthConfig(m=m))
+        assert len(calls) == m * comb(m, m // 2)
+        for tower, i, A, k in calls:
+            assert full_solve_k_vector(tower, i, A) == k
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.integers(min_value=1, max_value=5),
+        i=st.integers(min_value=0, max_value=11),
+        B=nonzero_rationals.map(abs),
+        width=nonzero_rationals.map(abs),
+        t=st.fractions(min_value=-1, max_value=2),
+    )
+    def test_drawn_towers_and_targets(self, p, i, B, width, t):
+        tower = build_u_tower(GROUPS["cyclic:12"], 6, B, B + width, p=p)
+        A = B + t * width  # inside (B, C) for 0 < t < 1
+        # With B lowered after the build, the post-condition can fail.
+        for checked in (tower, dataclasses.replace(tower, B=B / 1000)):
+            want = solve_outcome(full_solve_k_vector, checked, i, A)
+            assert solve_outcome(solve_k_vector, checked, i, A) == want
+
+    def test_post_condition_failure(self):
+        tower = build_u_tower(GROUPS["cyclic:12"], 6, Fraction(1), Fraction(2), p=2)
+        low = dataclasses.replace(tower, B=Fraction(1, 1000))
+        for solve in (solve_k_vector, full_solve_k_vector):
+            outcome = solve_outcome(solve, low, 2, Fraction(3, 2))
+            assert outcome is SynthesisVerificationError
 
 
 def assert_value_checks_match(result) -> dict[str, tuple[bool, str]]:

@@ -349,6 +349,24 @@ class TestVerification:
         report = verify_synth(dataclasses.replace(result, subsets=()))
         assert [c.name for c in report.checks if not c.passed] == ["support-structure"]
 
+    @pytest.mark.parametrize(
+        "field, keep",
+        [("ms", 1), ("ms", 0), ("thresholds", 1)],
+    )
+    def test_missing_levels_fail_checks(self, field, keep):
+        # m = 2 has two target orders, so each result lacks a level.
+        result = synth_kernel(build_group("cyclic:8"), SynthConfig(m=2))
+        short = getattr(result, field)[:keep]
+        report = verify_synth(dataclasses.replace(result, **{field: short}))
+        failed = {c.name for c in report.checks if not c.passed}
+        if field == "ms":
+            assert failed == {
+                "level-recursion", "level-condition", "spread-bound",
+                "thresholds", "forbidden-band", "kernel-minimum-level",
+            }
+        else:
+            assert failed == {"thresholds", "orders-realized", "pairwise-gaps"}
+
     def test_report_lines_format(self):
         group = build_group("cyclic:8")
         result = synth_kernel(group, SynthConfig(m=2))
