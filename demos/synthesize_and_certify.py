@@ -7,13 +7,13 @@ with one rational witness (c1, c2) per label pattern.
 """
 
 from gshatter.groups import build_group
-from gshatter.synth import SynthConfig, synth_kernel
+from gshatter.synth import synth_kernel
 
 
 def show(spec: str = "cyclic:18", m: int = 3) -> None:
     group = build_group(spec)
     # The group and m fix the involution g and the target orders.
-    result = synth_kernel(group, SynthConfig(m=m))
+    result = synth_kernel(group, m)
     report = result.report  # synth_kernel's own verify_synth pass
     orders = report.orders
     print(f"group {spec} (order {group.order}), m = {m}, involution g = {result.g}")

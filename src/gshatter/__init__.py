@@ -83,7 +83,6 @@ from .shatter import (
     order_set,
 )
 from .synth import (
-    SynthConfig,
     SynthResult,
     UTower,
     build_u_tower,

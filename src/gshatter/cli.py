@@ -43,7 +43,6 @@ from .groups import (
 from .jsonio import (
     certificate_from_json,
     certificate_to_json,
-    fraction_from_str,
     function_family_from_json,
     function_family_to_json,
     group_from_json,
@@ -58,7 +57,7 @@ from .jsonio import (
 )
 from .orders import build_complete_orders, completeness_lower_bound, is_complete
 from .shatter import attained_orders, certificate, critical_set
-from .synth import MODES, SynthConfig, synth_kernel, verify_synth
+from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
 
@@ -165,15 +164,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "(pass --allow-large to override)",
             2,
         )
-    try:
-        b, c = fraction_from_str(args.b), fraction_from_str(args.c)
-        config = SynthConfig(m=args.m, mode=args.mode, B=b, C=c)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    if args.m < 1:
+        return _fail(f"need m >= 1, got {args.m}", 2)
     group = build_group(args.group)
     run = _Run("synth", args)
     out_dir = Path(args.out_dir)
-    result = synth_kernel(group, config)
+    result = synth_kernel(group, args.m, args.mode)
     report = result.report
     cert = report.certificate
 
@@ -263,17 +259,24 @@ _BOUND_COLUMNS = (
 
 
 def _achieved_from_file(path: str) -> Optional[tuple[int, int]]:
+    """(|G|, m) that a certificate, verify output or synth bundle achieves."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    if "dichotomies" in data:  # a shatter certificate
-        group = group_from_json(data)
-        cert = certificate_from_json(data, group)
-        return (group.order, cert.m) if cert.shattered else None
     if "kernel" in data:  # a synth bundle, counted once it passes verify_synth
         result = synth_result_from_json(data)
         return (result.group.order, result.m) if verify_synth(result).passed else None
-    return None
+    verdicts = (True, True)  # a certificate's own verdict is all there is
+    if "certificate" in data:  # verify --out, counted when both verdicts say so
+        verdicts = data["agreement"], data["shattered"]
+        if not all(isinstance(v, bool) for v in verdicts):
+            raise ValueError(f"agreement and shattered must be true or false, got {verdicts}")
+        data = data["certificate"]
+    elif "dichotomies" not in data:
+        raise ValueError("not a certificate, verify output or synth bundle")
+    group = group_from_json(data)
+    cert = certificate_from_json(data, group)
+    return (group.order, cert.m) if cert.shattered and verdicts == (True, True) else None
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -359,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--group", required=True, help="group spec string")
     p_synth.add_argument("--m", type=int, required=True)
     p_synth.add_argument("--mode", choices=MODES, default="order_two")
-    p_synth.add_argument("--b", default="1", help="level floor B (rational)")
-    p_synth.add_argument("--c", default="2", help="level ceiling C (rational)")
     p_synth.add_argument("--out-dir", default=".", help="directory for the JSON artifacts")
     p_synth.add_argument("--allow-large", action="store_true", help=f"permit m beyond {DEFAULT_M_CAP}")
     p_synth.set_defaults(func=cmd_synth)

@@ -14,15 +14,14 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from math import inf
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from .gfunc import GroupFunction
 from .groups import FiniteGroup, build_group
-from .orders import OrderSet, completeness_lower_bound
+from .orders import OrderSet
 from .shatter import DichotomyEntry, ShatterCertificate
-from .synth import MODES, SynthResult
+from .synth import SynthResult
 
 
 def fraction_to_str(x: Fraction | int) -> str:
@@ -58,9 +57,11 @@ def _json_rationals(data: Any, what: str) -> tuple[Fraction, ...]:
     return tuple(fraction_from_str(v) for v in _json_list(data, what))
 
 
-def _json_int(data: Any, what: str, least: int, below: float = inf) -> int:
-    if isinstance(data, bool) or not isinstance(data, int) or not least <= data < below:
-        raise ValueError(f"{what} must be an integer in [{least}, {below}), got {data!r}")
+def _json_int(data: Any, what: str, least: Optional[int] = None) -> int:
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ValueError(f"{what} must be an integer, got {data!r}")
+    if least is not None and data < least:
+        raise ValueError(f"{what} must be at least {least}, got {data}")
     return data
 
 
@@ -171,30 +172,23 @@ def synth_result_to_json(result: SynthResult) -> dict[str, Any]:
 
 
 def synth_result_from_json(data: dict[str, Any]) -> SynthResult:
+    """The bundle's fields as typed values; SynthResult checks their shape."""
     group = group_from_json(data)
-    m = _json_int(data["m"], "m", 1)
+    m = _json_int(data["m"], "m")
     u = _json_list(data["u"], "u")
     if len(u) != 2 * m + 2:
         raise ValueError(f"m = {m} needs {2 * m + 2} tower functions, got {len(u)}")
-    r = completeness_lower_bound(m)  # one level, threshold and subset per target order
-    ms = _json_rationals(data["ms"], "ms")
-    thresholds = _json_rationals(data["thresholds"], "thresholds")
-    subsets = tuple(
-        tuple(_json_int(x, "a centre", 0, group.order) for x in _json_list(s, "a subset"))
-        for s in _json_list(data["subsets"], "subsets")
-    )
-    if {len(ms), len(thresholds), len(subsets)} != {r} or any(len(s) != m for s in subsets):
-        raise ValueError(f"m = {m} needs {r} levels, thresholds and subsets of m centres")
-    if data["mode"] not in MODES:
-        raise ValueError(f"unknown mode {data['mode']!r}")
     return SynthResult(
         kernel=group_function_from_json(data["kernel"], group),
         u=tuple(group_function_from_json(f, group) for f in u),
-        subsets=subsets,
+        subsets=tuple(
+            tuple(_json_int(x, "a centre") for x in _json_list(s, "a subset"))
+            for s in _json_list(data["subsets"], "subsets")
+        ),
         epsilon=fraction_from_str(data["epsilon"]),
-        thresholds=thresholds,
-        ms=ms,
-        g=_json_int(data["g"], "g", 0, group.order),
+        thresholds=_json_rationals(data["thresholds"], "thresholds"),
+        ms=_json_rationals(data["ms"], "ms"),
+        g=_json_int(data["g"], "g"),
         mode=data["mode"],
         B=fraction_from_str(data["B"]),
         C=fraction_from_str(data["C"]),

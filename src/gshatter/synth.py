@@ -7,11 +7,13 @@ to l are active and the ranking of the nu values equals the l-th target
 order.  Spikes of later rounds are too small to matter at -c_l, and an
 open value band below each level stays empty so the levels never blur.
 
-A synthesis is named by its group, m, mode and interval (B, C); they
-fix the tower element g and the C(m, floor(m/2)) target orders.  The
-construction checks only what its next step needs (the group order
-before g).  `verify_synth` checks every claim about the output once,
-re-deriving the target orders from m and the rest from the kernel.
+A synthesis is named by its group, m and mode; they fix the tower
+element g and the C(m, floor(m/2)) target orders.  The levels lie in
+the interval (B, C) = LEVEL_INTERVAL.  The construction checks only
+what its next step needs (the group order before g).  A SynthResult
+checks its own shape, and `verify_synth` checks every claim about the
+output once, re-deriving the target orders from m and the rest from
+the kernel.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .classifier import ReluIndex, build_nu_profile, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError
 from .gfunc import GroupFunction, counting_measure
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
-from .orders import OrderSet, build_complete_orders
+from .orders import OrderSet, build_complete_orders, completeness_lower_bound
 from .shatter import ShatterCertificate, certificate, critical_set
 
 MODES = tuple(ELEMENTS_PER_CENTRE)
+# The open interval (B, C) that holds every level; any 0 < B < C works.
+LEVEL_INTERVAL = (Fraction(1), Fraction(2))
 
 
 class Layout(NamedTuple):
@@ -234,22 +238,6 @@ def _check_subsets(
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    m: int
-    mode: str = "order_two"
-    B: Fraction = Fraction(1)
-    C: Fraction = Fraction(2)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"need m >= 1, got {self.m}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 < self.B < self.C:
-            raise ValueError(f"need C > B > 0, got B={self.B}, C={self.C}")
-
-
-@dataclass(frozen=True)
 class SynthResult:
     kernel: GroupFunction
     u: tuple[GroupFunction, ...]
@@ -263,6 +251,22 @@ class SynthResult:
     C: Fraction
     # verify_synth's report on the kernel; None when read back from JSON.
     report: Optional[SynthReport]
+
+    def __post_init__(self):
+        """The shape every reader may rely on; the values are verify_synth's."""
+        if len(self.u) % 2 or len(self.u) < 4:
+            raise ValueError(f"need 2m + 2 >= 4 tower functions, got {len(self.u)}")
+        m, order = self.m, self.group.order
+        r = completeness_lower_bound(m)  # one level, threshold and subset per target order
+        lengths = {len(self.ms), len(self.thresholds), len(self.subsets)}
+        if lengths != {r} or any(len(sub) != m for sub in self.subsets):
+            raise ValueError(f"m = {m} needs {r} levels, thresholds and subsets of m centres")
+        if not all(0 <= x < order for x in (self.g, *(h for sub in self.subsets for h in sub))):
+            raise ValueError(f"g and every centre must lie in [0, {order})")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0 < self.B < self.C:
+            raise ValueError(f"need C > B > 0, got B={self.B}, C={self.C}")
 
     @property
     def group(self) -> FiniteGroup:
@@ -308,17 +312,16 @@ def _mode_element_ok(group: FiniteGroup, g: int, mode: str) -> bool:
     return group.mul(g, g) != group.identity
 
 
-def synth_kernel(group: FiniteGroup, config: SynthConfig) -> SynthResult:
+def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthResult:
     """Build a kernel realizing each target order o_l at bias -c_l.
 
-    Checks |G| (GroupTooSmallError), then finds g (ModeElementError).  The
-    finished kernel goes through verify_synth once, and the result carries
-    that report.  Raises SynthesisVerificationError if any check other
+    Checks m and the mode (ValueError), then |G| (GroupTooSmallError),
+    then finds g (ModeElementError).  The finished kernel goes through
+    verify_synth once, and the result carries that report.  Raises SynthesisVerificationError if any check other
     than shattering fails; a failed shattering check is a verdict on the
     kernel, left to the caller to read from the report.
     """
-    m, mode = config.m, config.mode
-    B, C = Fraction(config.B), Fraction(config.C)
+    B, C = LEVEL_INTERVAL
     required = required_group_size(m, mode)
     if group.order < required:
         raise GroupTooSmallError(group.order, required, mode)
@@ -449,8 +452,8 @@ def verify_synth(result: SynthResult) -> SynthReport:
     is convolved with the kernel once, and every nu value a check reads
     is taken from the ReLU-sum definition on that convolution, through
     one ReluIndex per profile; the shattering certificate's witnesses are
-    re-checked against the same definition.  A result with fewer levels
-    or thresholds than the target orders fails the checks that read them.
+    re-checked against the same definition.  SynthResult has checked the
+    shape: one level, threshold and subset of m centres per target order.
     """
     checks: list[SynthCheck] = []
 
@@ -473,10 +476,10 @@ def verify_synth(result: SynthResult) -> SynthReport:
     add("epsilon-formula", epsilon == synth_epsilon(B, C, m, r), f"epsilon = {epsilon}")
 
     tower = build_u_tower(group, result.g, B, C, p=m)
-    tower_ok = len(result.u) == 2 * m + 2 and all(
+    tower_ok = all(
         got.values == want.values for got, want in zip(result.u, tower.functions)
     )
-    add("u-tower-structure", tower_ok, f"{len(result.u)} tower functions")
+    add("u-tower-structure", tower_ok, f"{2 * m + 2} tower functions")
 
     mode_ok = _mode_element_ok(group, result.g, result.mode)
     add("mode-element", mode_ok, f"g = {result.g} suits mode {result.mode}")
@@ -496,7 +499,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
     big_ms: list[Fraction] = []
     for l in range(1, r + 1):
         m_cur = m_prev - m * (big_m_prev + epsilon)
-        if l - 1 >= len(result.ms) or result.ms[l - 1] != m_cur:
+        if result.ms[l - 1] != m_cur:
             recursion_ok = False
             detail = f"round {l}: recorded m_l disagrees with recursion"
             break
@@ -504,12 +507,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
         big_m_cur = max(values) - min(values)
         big_ms.append(big_m_cur)
         m_prev, big_m_prev = m_cur, big_m_cur
-    levels_ok = len(result.ms) == r
-    add(
-        "level-recursion",
-        recursion_ok and levels_ok,
-        detail or f"m_l chain of length {r} reproduced",
-    )
+    add("level-recursion", recursion_ok, detail or f"m_l chain of length {r} reproduced")
 
     if recursion_ok:
         cond_ok = all(B < result.ms[l] - m * (big_ms[l] + epsilon) for l in range(r))
@@ -520,21 +518,14 @@ def verify_synth(result: SynthResult) -> SynthReport:
         add("level-condition", False, "skipped: level recursion broken")
         add("spread-bound", False, "skipped: level recursion broken")
 
-    have_thresholds = len(result.thresholds) == r
-    thresholds_ok = have_thresholds and levels_ok and all(
-        result.thresholds[l] == result.ms[l] - epsilon / 2 for l in range(r)
+    thresholds_ok = all(
+        c == ml - epsilon / 2 for c, ml in zip(result.thresholds, result.ms)
     )
     add("thresholds", thresholds_ok, "c_l = m_l - eps/2 for every level")
 
-    # The level checks read one threshold per target order.
-    skipped = f"skipped: {len(result.thresholds)} thresholds for {r} orders"
-    level_nus = (
-        [[index.at(-c) for index in indexes] for c in result.thresholds]
-        if have_thresholds
-        else []
-    )
-    orders_ok = have_thresholds
-    detail = "" if have_thresholds else skipped
+    level_nus = [[index.at(-c) for index in indexes] for c in result.thresholds]
+    orders_ok = True
+    detail = ""
     for l, values in enumerate(level_nus):
         got = ranking_of_values(values)
         if got.ranks != orders.rankings[l].ranks:
@@ -548,8 +539,8 @@ def verify_synth(result: SynthResult) -> SynthReport:
 
     # Two of m values are closer than eps exactly when two neighbours in
     # their sorted order are.
-    gaps_ok = have_thresholds
-    detail = "" if have_thresholds else skipped
+    gaps_ok = True
+    detail = ""
     for l, values in enumerate(level_nus):
         ordered = sorted(values)
         if any(b - a < epsilon for a, b in zip(ordered, ordered[1:])):
@@ -562,21 +553,19 @@ def verify_synth(result: SynthResult) -> SynthReport:
     # exactly when x < ceil(hi * den), so one pair of bisects finds the
     # values inside a band.  The detail names the band's last value in
     # element order, at the last level and profile that have one.
-    band_ok = levels_ok
-    detail = "" if levels_ok else f"skipped: {len(result.ms)} levels for {r} orders"
     last = None
-    for l in range(r if levels_ok else 0):
-        lo, hi = result.ms[l] - epsilon, result.ms[l]
+    for l, hi in enumerate(result.ms):
+        lo = hi - epsilon
         for p, index in zip(profiles, indexes):
             x_lo, x_hi = floor(lo * p.den), ceil(hi * p.den)
             if bisect_right(index.xs, x_lo) < bisect_left(index.xs, x_hi):
                 last = (l, p, x_lo, x_hi)
+    detail = "no convolution value in any band"
     if last is not None:
         l, p, x_lo, x_hi = last
         x = next(x for x in reversed(p.nums) if x_lo < x < x_hi)
-        band_ok = False
         detail = f"value {Fraction(x, p.den)} inside the band around m_{l + 1}"
-    add("forbidden-band", band_ok, detail or "no convolution value in any band")
+    add("forbidden-band", last is None, detail)
 
     above_b = []
     for index in indexes:
@@ -586,7 +575,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
     min_over_b = min(above_b, default=None)
     add(
         "kernel-minimum-level",
-        levels_ok and min_over_b == result.ms[-1],
+        min_over_b == result.ms[-1],
         f"smallest convolution value above B is {min_over_b}",
     )
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import errno
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -44,7 +46,7 @@ from gshatter.jsonio import (
     synth_result_from_json,
     write_json_atomic,
 )
-from gshatter.synth import SynthConfig, synth_kernel
+from gshatter.synth import synth_kernel
 
 
 def run(capsys, *argv):
@@ -86,6 +88,18 @@ def cyclic8_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("cyclic8")
     assert main(["synth", "--group", "cyclic:8", "--m", "2", "--out-dir", str(out)]) == 0
     return out
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = gshatter.cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    return {
+        o for a in parser._actions for o in a.option_strings if o.startswith("--")
+    } - {"--help"}
 
 
 def shift_sweep_values(monkeypatch):
@@ -342,12 +356,34 @@ class TestSynthCommand:
             "find_order_ge3_element", "_mode_element_ok", "build_complete_orders",
         }
 
+    def test_options(self):
+        assert long_options(subcommands()["synth"]) == {
+            "--group", "--m", "--mode", "--out-dir", "--allow-large",
+        }
+
     def test_bad_interval(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "synth", "--group", "cyclic:8", "--m", "2",
-            "--b", "3", "--c", "2", "--out-dir", str(tmp_path),
+        # The level interval is fixed at (1, 2): an inverted pair and a
+        # valid one other than (1, 2) are both usage errors.
+        for interval in (["--b", "3", "--c", "2"], ["--b", "1/2", "--c", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["synth", "--group", "cyclic:8", "--m", "2", *interval,
+                      "--out-dir", str(tmp_path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --b" in err
+            assert "Traceback" not in err
+            assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    @pytest.mark.parametrize("large", [[], ["--allow-large"]], ids=["capped", "large"])
+    def test_m_below_one(self, capsys, tmp_path, m, large):
+        code, _, err = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", m, *large,
+            "--out-dir", str(tmp_path),
         )
         assert code == 2
+        assert err == f"error: need m >= 1, got {m}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_golden_digests(self, capsys, tmp_path):
         # Artifacts of the reference release; any refactor must keep them.
@@ -409,9 +445,8 @@ class TestSynthCommand:
         self, capsys, tmp_path, monkeypatch
     ):
         fail_check(monkeypatch, "pairwise-gaps")
-        config = SynthConfig(m=2)
         with pytest.raises(SynthesisVerificationError, match="pairwise-gaps"):
-            synth_kernel(build_group("cyclic:8"), config)
+            synth_kernel(build_group("cyclic:8"), 2)
         out = tmp_path / "out"
         code, _, err = run(
             capsys, "synth", "--group", "cyclic:8", "--m", "2",
@@ -430,9 +465,8 @@ class TestSynthCommand:
         monkeypatch.setattr(
             gshatter.synth, "synth_epsilon", lambda B, C, m, r: Fraction(1, 8)
         )
-        config = SynthConfig(m=2)
         with pytest.raises(SynthesisVerificationError, match="level-condition"):
-            synth_kernel(build_group("cyclic:8"), config)
+            synth_kernel(build_group("cyclic:8"), 2)
         out = tmp_path / "out"
         code, _, err = run(
             capsys, "synth", "--group", "cyclic:8", "--m", "2",
@@ -812,6 +846,70 @@ class TestBoundsCommand:
         row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
         assert row8.split()[-1] == "2"
 
+    def verify_output(self, capsys, bundle, path, edit=lambda d: None):
+        code, _, _ = run(
+            capsys, "verify", "--kernel", str(bundle / "kernel.json"),
+            "--functions", str(bundle / "functions.json"), "--out", str(path),
+        )
+        assert code == 0
+        data = read_json(path)
+        edit(data)
+        write_json_atomic(path, data)
+        return run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+
+    def test_achieved_from_verify_output(self, capsys, cyclic8_bundle, tmp_path):
+        code, out, _ = self.verify_output(capsys, cyclic8_bundle, tmp_path / "v.json")
+        assert code == 0
+        row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
+        assert row8.split()[-1] == "2"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda d: d.update(agreement=False), lambda d: d.update(shattered=False)],
+        ids=["verdicts-disagree", "shattered-differs-from-certificate"],
+    )
+    def test_verify_output_counted_only_when_verdicts_say_so(
+        self, capsys, cyclic8_bundle, tmp_path, edit
+    ):
+        code, out, _ = self.verify_output(
+            capsys, cyclic8_bundle, tmp_path / "v.json", edit
+        )
+        assert code == 0
+        row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
+        assert row8.split()[-1] == "-"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(agreement="true"),
+            lambda d: d.update(shattered=1),
+            lambda d: d.pop("agreement"),
+            lambda d: d["certificate"].update(shattered=False),
+        ],
+        ids=["string-agreement", "int-shattered", "no-agreement", "bad-certificate"],
+    )
+    def test_malformed_verify_output(self, capsys, cyclic8_bundle, tmp_path, edit):
+        path = tmp_path / "v.json"
+        code, out, err = self.verify_output(capsys, cyclic8_bundle, path, edit)
+        assert code == 2
+        assert err.startswith(f"error: cannot read certificate {path}")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["kernel.json", "functions.json", "orders.json", "verify_report.json",
+         "run_manifest.json"],
+    )
+    def test_other_artifacts_rejected(self, capsys, cyclic8_bundle, name):
+        path = cyclic8_bundle / name
+        code, out, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 2
+        assert err == (
+            f"error: cannot read certificate {path}: "
+            "not a certificate, verify output or synth bundle\n"
+        )
+        assert out == ""
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -944,6 +1042,14 @@ class TestOptimizedInterpreter:
 
 
 class TestParser:
+    def test_readme_names_every_option(self):
+        # The options in README's "Command line" section are the parser's.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+        documented = set(re.findall(r"--[a-z][a-z-]*", section.split("\n## ")[0]))
+        parsed = set().union(*(long_options(p) for p in subcommands().values()))
+        assert documented == parsed
+
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -35,7 +35,6 @@ from gshatter.errors import SynthesisVerificationError
 from gshatter.groups import build_group
 from gshatter.shatter import _witnesses, attained_orders, critical_set
 from gshatter.synth import (
-    SynthConfig,
     build_u_tower,
     solve_k_vector,
     synth_kernel,
@@ -345,7 +344,7 @@ class TestKVector:
             return k
 
         monkeypatch.setattr(gshatter.synth, "solve_k_vector", recording)
-        synth_kernel(build_group(f"cyclic:{n}"), SynthConfig(m=m))
+        synth_kernel(build_group(f"cyclic:{n}"), m)
         assert len(calls) == m * comb(m, m // 2)
         for tower, i, A, k in calls:
             assert full_solve_k_vector(tower, i, A) == k
@@ -394,7 +393,7 @@ class TestVerifySynthValueChecks:
     )
     def test_checks_match_on_perturbed_kernels(self, spec, g, mode):
         group = build_group(spec)
-        result = synth_kernel(group, SynthConfig(m=3, mode=mode))
+        result = synth_kernel(group, 3, mode=mode)
         eps = result.epsilon
         centres = [h for sub in result.subsets for h in sub]
         # Each kernel is the synthesized one with one entry moved: spikes by
@@ -427,7 +426,7 @@ class TestVerifySynthValueChecks:
         # In general mode 1/D sits on a guarded translate, the smallest
         # positive value there.
         group = build_group(spec)
-        result = synth_kernel(group, SynthConfig(m=3, mode=mode))
+        result = synth_kernel(group, 3, mode=mode)
         delta = indicator(group, group.identity)
         result = dataclasses.replace(result, u=(delta,) * len(result.u))
         D = 10007

@@ -25,7 +25,7 @@ from gshatter.jsonio import (
     write_json_atomic,
 )
 from gshatter.shatter import is_shattered
-from gshatter.synth import SynthConfig, synth_kernel
+from gshatter.synth import synth_kernel
 
 
 class TestFractions:
@@ -101,7 +101,7 @@ class TestStructures:
 
     def test_synth_result_round_trip(self):
         group = build_group("cyclic:8")
-        result = synth_kernel(group, SynthConfig(m=2))
+        result = synth_kernel(group, 2)
         data = synth_result_to_json(result)
         back = synth_result_from_json(data)
         # Groups are rebuilt, so compare via a second serialization pass.
@@ -111,7 +111,7 @@ class TestStructures:
 @pytest.fixture(scope="module")
 def synthesized():
     """A synthesis on cyclic:8 with m = 2, whose certificate is shattered."""
-    return synth_kernel(build_group("cyclic:8"), SynthConfig(m=2))
+    return synth_kernel(build_group("cyclic:8"), 2)
 
 
 class TestCertificateLoader:

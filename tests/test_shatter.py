@@ -16,7 +16,7 @@ from gshatter.shatter import (
     is_shattered,
     order_set,
 )
-from gshatter.synth import SynthConfig, synth_kernel
+from gshatter.synth import synth_kernel
 
 
 def delta_instance(spec: str, *value_rows):
@@ -73,7 +73,7 @@ class TestCriticalPoints:
         # --m 5`: the probes and their distinct rankings are pinned, so the
         # probe set and the rows the sweep keeps cannot change silently.
         g = build_group("cyclic:100")
-        result = synth_kernel(g, SynthConfig(m=5))
+        result = synth_kernel(g, 5)
         crit = critical_points(
             result.kernel, list(result.family()), counting_measure(g)
         )

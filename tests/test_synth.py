@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import time
 import tracemalloc
 from fractions import Fraction
@@ -23,7 +24,7 @@ from gshatter.gfunc import constant
 from gshatter.groups import build_group
 from gshatter.orders import build_complete_orders
 from gshatter.synth import (
-    SynthConfig,
+    LEVEL_INTERVAL,
     _check_subsets,
     build_u_tower,
     choose_subsets,
@@ -140,7 +141,7 @@ class TestSubsets:
     # choose_subsets relies on synth_kernel's size check, made first.
     def test_too_small_group(self):
         with pytest.raises(GroupTooSmallError) as err:
-            synth_kernel(build_group("cyclic:6"), SynthConfig(m=2))
+            synth_kernel(build_group("cyclic:6"), 2)
         assert err.value.required == 8
 
     @pytest.mark.parametrize("mode", ["order_two", "general"])
@@ -149,7 +150,7 @@ class TestSubsets:
         required = required_group_size(m, mode)
         g = build_group(f"cyclic:{required - 1}")
         with pytest.raises(GroupTooSmallError) as err:
-            synth_kernel(g, SynthConfig(m=m, mode=mode))
+            synth_kernel(g, m, mode=mode)
         assert err.value.required == required
 
     @pytest.mark.parametrize("mode", ["order_two", "general"])
@@ -204,28 +205,28 @@ class TestSubsets:
             return original(*args)
 
         monkeypatch.setattr(gshatter.synth, "_check_subsets", counting)
-        synth_kernel(build_group(spec), SynthConfig(m=3, mode=mode))
+        synth_kernel(build_group(spec), 3, mode=mode)
         assert len(calls) == 1
 
 
 class TestConfigValidation:
     def test_rejects_inconsistencies(self):
-        with pytest.raises(ValueError):
-            SynthConfig(m=0)
-        with pytest.raises(ValueError):
-            SynthConfig(m=2, mode="sideways")
-        with pytest.raises(ValueError):
-            SynthConfig(m=2, B=Fraction(2), C=Fraction(1))
+        group = build_group("cyclic:8")
+        with pytest.raises(ValueError, match="need m >= 1"):
+            synth_kernel(group, 0)
+        with pytest.raises(ValueError, match="unknown mode"):
+            synth_kernel(group, 2, mode="sideways")
 
     def test_names_only_what_the_construction_cannot_derive(self):
-        fields = [f.name for f in dataclasses.fields(SynthConfig)]
-        assert fields == ["m", "mode", "B", "C"]
+        assert list(inspect.signature(synth_kernel).parameters) == ["group", "m", "mode"]
+        result = synth_kernel(build_group("cyclic:8"), 2)
+        assert (result.B, result.C) == LEVEL_INTERVAL == (1, 2)
 
 
 class TestSynthesis:
     def _build(self, spec: str, m: int, mode: str = "order_two"):
         group = build_group(spec)
-        result = synth_kernel(group, SynthConfig(m=m, mode=mode))
+        result = synth_kernel(group, m, mode=mode)
         return group, result.report.orders, result
 
     def test_m2_on_cyclic_8(self):
@@ -268,21 +269,21 @@ class TestSynthesis:
     def test_wrong_mode_element(self):
         # An odd group has no involution; (Z/2)^4 has no element of order 3+.
         with pytest.raises(ModeElementError, match="order_two"):
-            synth_kernel(build_group("cyclic:81"), SynthConfig(m=3))
+            synth_kernel(build_group("cyclic:81"), 3)
         klein = "product:cyclic:2,product:cyclic:2,product:cyclic:2,cyclic:2"
         with pytest.raises(ModeElementError, match="general"):
-            synth_kernel(build_group(klein), SynthConfig(m=1, mode="general"))
+            synth_kernel(build_group(klein), 1, mode="general")
 
     def test_group_too_small(self):
         group = build_group("cyclic:10")
         with pytest.raises(GroupTooSmallError) as err:
-            synth_kernel(group, SynthConfig(m=4))
+            synth_kernel(group, 4)
         assert err.value.required == 48
 
     def test_size_checked_before_the_mode_element(self):
         # cyclic:81 has no involution, and m = 5 needs |G| >= 100.
         with pytest.raises(GroupTooSmallError) as err:
-            synth_kernel(build_group("cyclic:81"), SynthConfig(m=5))
+            synth_kernel(build_group("cyclic:81"), 5)
         assert err.value.required == 100
 
     def test_orders_built_only_after_both_checks(self, monkeypatch):
@@ -290,7 +291,7 @@ class TestSynthesis:
         monkeypatch.setattr(gshatter.synth, "build_complete_orders", calls.append)
         for m in (5, 3):  # too small, then no involution
             with pytest.raises((GroupTooSmallError, ModeElementError)):
-                synth_kernel(build_group("cyclic:81"), SynthConfig(m=m))
+                synth_kernel(build_group("cyclic:81"), m)
         assert calls == []
 
     def test_huge_group_rejected_before_any_scan(self, monkeypatch):
@@ -305,7 +306,7 @@ class TestSynthesis:
         try:
             start = time.perf_counter()
             with pytest.raises(GroupTooSmallError) as err:
-                synth_kernel(group, SynthConfig(m=22))
+                synth_kernel(group, 22)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -315,10 +316,52 @@ class TestSynthesis:
         assert peak < 1_000_000
 
 
+def _replace_centre(subsets, centre):
+    return ((centre,) + subsets[0][1:],) + subsets[1:]
+
+
+# Each edit breaks one rule of a SynthResult's shape.
+MALFORMED = {
+    "short-ms": lambda r: {"ms": r.ms[:-1]},
+    "no-ms": lambda r: {"ms": ()},
+    "short-thresholds": lambda r: {"thresholds": r.thresholds[:-1]},
+    "no-subsets": lambda r: {"subsets": ()},
+    "short-subset": lambda r: {"subsets": (r.subsets[0][:-1],) + r.subsets[1:]},
+    "g-is-the-order": lambda r: {"g": r.group.order},
+    "negative-centre": lambda r: {"subsets": _replace_centre(r.subsets, -1)},
+    "centre-is-the-order": lambda r: {"subsets": _replace_centre(r.subsets, r.group.order)},
+    "odd-u": lambda r: {"u": r.u[:-1]},
+    "u-of-two": lambda r: {"u": r.u[:2]},
+    "bogus-mode": lambda r: {"mode": "bogus"},
+    "B-is-C": lambda r: {"B": r.C},
+    "B-above-C": lambda r: {"B": r.C + 1},
+}
+
+
+@pytest.fixture(scope="module")
+def results():
+    """Real results at m = 2 and m = 3, keyed by their group."""
+    return {
+        "cyclic:8": synth_kernel(build_group("cyclic:8"), 2),
+        "cyclic:18": synth_kernel(build_group("cyclic:18"), 3),
+        "cyclic:81": synth_kernel(build_group("cyclic:81"), 3, mode="general"),
+    }
+
+
+class TestShape:
+    @pytest.mark.parametrize("spec", ["cyclic:8", "cyclic:18", "cyclic:81"])
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_result_rejected(self, results, spec, edit):
+        result = results[spec]
+        dataclasses.replace(result)  # the unedited shape holds
+        with pytest.raises(ValueError):
+            dataclasses.replace(result, **edit(result))
+
+
 class TestVerification:
     def test_perturbed_kernel_fails(self):
         group = build_group("cyclic:8")
-        result = synth_kernel(group, SynthConfig(m=2))
+        result = synth_kernel(group, 2)
         spike = result.subsets[0][0]
         bumped = list(result.kernel.values)
         bumped[spike] += result.epsilon / 4
@@ -332,7 +375,7 @@ class TestVerification:
 
     def test_zero_kernel_fails_order_checks(self):
         group = build_group("cyclic:8")
-        result = synth_kernel(group, SynthConfig(m=2))
+        result = synth_kernel(group, 2)
         broken = dataclasses.replace(result, kernel=constant(group, 0))
         report = verify_synth(broken)
         assert not report.passed
@@ -340,36 +383,9 @@ class TestVerification:
         assert "orders-realized" in failed
         assert "kernel-minimum-level" in failed
 
-    @pytest.mark.parametrize(
-        "spec, g, mode", [("cyclic:18", 9, "order_two"), ("cyclic:81", 1, "general")]
-    )
-    def test_result_without_centres_fails_support_check(self, spec, g, mode):
-        result = synth_kernel(build_group(spec), SynthConfig(m=3, mode=mode))
-        assert result.g == g
-        report = verify_synth(dataclasses.replace(result, subsets=()))
-        assert [c.name for c in report.checks if not c.passed] == ["support-structure"]
-
-    @pytest.mark.parametrize(
-        "field, keep",
-        [("ms", 1), ("ms", 0), ("thresholds", 1)],
-    )
-    def test_missing_levels_fail_checks(self, field, keep):
-        # m = 2 has two target orders, so each result lacks a level.
-        result = synth_kernel(build_group("cyclic:8"), SynthConfig(m=2))
-        short = getattr(result, field)[:keep]
-        report = verify_synth(dataclasses.replace(result, **{field: short}))
-        failed = {c.name for c in report.checks if not c.passed}
-        if field == "ms":
-            assert failed == {
-                "level-recursion", "level-condition", "spread-bound",
-                "thresholds", "forbidden-band", "kernel-minimum-level",
-            }
-        else:
-            assert failed == {"thresholds", "orders-realized", "pairwise-gaps"}
-
     def test_report_lines_format(self):
         group = build_group("cyclic:8")
-        result = synth_kernel(group, SynthConfig(m=2))
+        result = synth_kernel(group, 2)
         report = verify_synth(result)
         assert all(line.startswith("PASS") for line in report.lines())
         names = {c.name for c in report.checks}
