@@ -26,64 +26,53 @@ from .gfunc import GroupFunction, Measure, as_integers, convolve_ints
 
 @dataclass(frozen=True)
 class NuProfile:
-    """One convolution f*K under mu, and the exact structure of nu.
+    """One convolution f*K under mu, as integers.
 
     (f*K)(g) is nums[g] / den and mu(g) is weights[g] / wden.
-    ReluIndex(profile) gives nu(K, f, mu, c) from those two alone; the
-    other fields give it in closed form on the scale t = c * den: piece
-    i covers t in (breakpoints[i-1], breakpoints[i]], where
-    nu(c) * den * wden = slopes[i] * t + offsets[i], and
-    offsets[i] / (den * wden) sums mu(g) (f*K)(g) over the active terms.
-    nu is continuous, so either convention at the breakpoints gives the
-    same value.
+    ReluIndex(profile) gives nu(K, f, mu, c) from these; `scaled` gives
+    nu in closed form, piece by piece.
     """
 
     nums: tuple[int, ...]
     den: int
     weights: tuple[int, ...]
     wden: int
-    breakpoints: tuple[int, ...]
-    slopes: tuple[int, ...]
-    offsets: tuple[int, ...]
 
     def scaled(self, scale: int, wscale: int) -> tuple[list[int], ...]:
-        """Breakpoints, slopes and offsets on t = c * scale, where on each
-        piece nu(c) * scale * wscale = slope * t + offset; den must divide
-        scale and wden divide wscale."""
+        """Breakpoints, slopes and offsets of nu on t = c * scale; den must
+        divide scale and wden divide wscale.
+
+        Piece i covers t in (breakpoints[i-1], breakpoints[i]], where
+        nu(c) * scale * wscale = slopes[i] * t + offsets[i], and
+        offsets[i] / (scale * wscale) sums mu(g) (f*K)(g) over the active
+        terms.  nu is continuous, so either convention at the breakpoints
+        gives the same value.  A breakpoint sits at t = -(f*K)(g) * scale
+        for each g with nonzero weight; crossing it from the left
+        activates every term with that convolution value, so the slope
+        gains their total weight and the offset their weighted mass.
+        """
         k, w = scale // self.den, wscale // self.wden
-        return (
-            [bp * k for bp in self.breakpoints],
-            [s * w for s in self.slopes],
-            [o * k * w for o in self.offsets],
-        )
+        by_breakpoint: dict[int, tuple[int, int]] = {}
+        for x, v in zip(self.nums, self.weights):
+            if v:
+                weight, mass = by_breakpoint.get(-x, (0, 0))
+                by_breakpoint[-x] = (weight + v, mass + v * x)
+        breakpoints = sorted(by_breakpoint)
+        slopes, offsets = [0], [0]
+        for bp in breakpoints:
+            weight, mass = by_breakpoint[bp]
+            slopes.append(slopes[-1] + weight * w)
+            offsets.append(offsets[-1] + mass * k * w)
+        return [bp * k for bp in breakpoints], slopes, offsets
 
 
 def build_nu_profile(
     kernel: GroupFunction, f: GroupFunction, mu: Measure
 ) -> NuProfile:
-    """Breakpoints sit at t = -nums[g] for elements with nonzero weight.
-
-    Crossing a breakpoint from the left activates every ReLU term whose
-    convolution value is that breakpoint's negative, so the slope gains
-    the total weight of those elements and the offset their weighted
-    convolution mass.
-    """
+    """f*K and mu as integers over one denominator each."""
     nums, den = convolve_ints(f, kernel, mu)
     weights, wden = as_integers(mu.weights)
-    by_breakpoint: dict[int, tuple[int, int]] = {}
-    for x, w in zip(nums, weights):
-        if w:
-            weight, mass = by_breakpoint.get(-x, (0, 0))
-            by_breakpoint[-x] = (weight + w, mass + w * x)
-    breakpoints = sorted(by_breakpoint)
-    slopes = [0]
-    offsets = [0]
-    for bp in breakpoints:
-        weight, mass = by_breakpoint[bp]
-        slopes.append(slopes[-1] + weight)
-        offsets.append(offsets[-1] + mass)
-    return NuProfile(tuple(nums), den, tuple(weights), wden,
-                     tuple(breakpoints), tuple(slopes), tuple(offsets))
+    return NuProfile(tuple(nums), den, tuple(weights), wden)
 
 
 class ReluIndex:

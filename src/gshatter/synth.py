@@ -263,6 +263,8 @@ class SynthResult:
             raise ValueError(f"m = {m} needs {r} levels, thresholds and subsets of m centres")
         if not all(0 <= x < order for x in (self.g, *(h for sub in self.subsets for h in sub))):
             raise ValueError(f"g and every centre must lie in [0, {order})")
+        if self.g == self.group.identity:
+            raise ValueError("tower element g must differ from the identity")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.B < self.C:
@@ -475,9 +477,13 @@ def verify_synth(result: SynthResult) -> SynthReport:
 
     add("epsilon-formula", epsilon == synth_epsilon(B, C, m, r), f"epsilon = {epsilon}")
 
-    tower = build_u_tower(group, result.g, B, C, p=m)
+    # u_i = a1 1_e + a2 1_g: a1 at e, a2 at g, and no other non-zero value.
+    e, g = group.identity, result.g
+    tower = build_u_tower(group, g, B, C, p=m)
     tower_ok = all(
-        got.values == want.values for got, want in zip(result.u, tower.functions)
+        (u.values[e], u.values[g]) == (a1, a2)
+        and sum(map(bool, u.values)) == bool(a1) + bool(a2)
+        for u, (a1, a2) in zip(result.u, tower.coeffs)
     )
     add("u-tower-structure", tower_ok, f"{2 * m + 2} tower functions")
 

@@ -181,8 +181,9 @@ def fraction_critical_set(profiles: Sequence[FractionProfile]):
 def profile_value(profile, c: Fraction) -> Fraction:
     """nu(c) from an integer NuProfile's closed form, by bisect."""
     t = c * profile.den
-    i = bisect_left(profile.breakpoints, t)
-    return (profile.slopes[i] * t + profile.offsets[i]) / (
+    breakpoints, slopes, offsets = profile.scaled(profile.den, profile.wden)
+    i = bisect_left(breakpoints, t)
+    return (slopes[i] * t + offsets[i]) / (
         profile.den * profile.wden
     )
 

@@ -254,6 +254,19 @@ def test_fast_paths_match_references_on_criterion_05_instances():
         assert_matches_references(kernel, fs, mu)
 
 
+def test_nu_profile_scaled_above_its_own_scale_on_criterion_05_instances():
+    """NuProfile.scaled at multiples of a profile's scales equals the reference."""
+    from references import fraction_build_nu_profile
+    from test_fast_paths import assert_scaled_matches_reference
+
+    for kernel, fs, mu in random_instances(seed=42, count=1000):
+        for f in fs:
+            assert_scaled_matches_reference(
+                build_nu_profile(kernel, f, mu),
+                fraction_build_nu_profile(kernel, f, mu),
+            )
+
+
 def test_fast_paths_match_references_on_bundles(bundles):
     from test_fast_paths import assert_matches_references
 
@@ -271,7 +284,9 @@ def test_criterion_06_counting_bounds():
         patterns = enumerate_dichotomies(kernel, fs, mu)
         assert len(patterns) <= (m + m * (m - 1) // 2) * (m * n + 1)
         for f in fs:
-            assert len(set(build_nu_profile(kernel, f, mu).offsets)) <= n + 1
+            profile = build_nu_profile(kernel, f, mu)
+            offsets = profile.scaled(profile.den, profile.wden)[2]
+            assert len(set(offsets)) <= n + 1
         checked += 1
     assert checked == 300
     print("criterion 6: counting bounds hold on 300 fresh instances")

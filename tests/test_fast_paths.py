@@ -178,14 +178,27 @@ def assert_matches_references(kernel, fs, mu) -> None:
     refs = [fraction_build_nu_profile(kernel, f, mu) for f in fs]
     for p, ref in zip(profiles, refs):
         assert_relu_index_matches(p, ref.conv, mu)
-        assert tuple(Fraction(bp, p.den) for bp in p.breakpoints) == ref.breakpoints
-        assert tuple(Fraction(s, p.wden) for s in p.slopes) == ref.slopes
+        breakpoints, slopes, offsets = p.scaled(p.den, p.wden)
+        assert tuple(Fraction(bp, p.den) for bp in breakpoints) == ref.breakpoints
+        assert tuple(Fraction(s, p.wden) for s in slopes) == ref.slopes
         scale = p.den * p.wden
-        assert tuple(Fraction(o, scale) for o in p.offsets) == ref.offsets
+        assert tuple(Fraction(o, scale) for o in offsets) == ref.offsets
     crit = critical_set(profiles)
     points, probes, values = bisect_critical_set(refs)
     assert fraction_critical_set(refs) == (points, probes, values)
     assert_sweep_matches(crit, points, probes, values)
+
+
+def assert_scaled_matches_reference(p, ref) -> None:
+    """p.scaled at multiples of p's own scales, against the Fraction pieces."""
+    for k in (1, 2, 21):
+        for w in (1, 2, 21):
+            scale, wscale = k * p.den, w * p.wden
+            assert p.scaled(scale, wscale) == (
+                [bp * scale for bp in ref.breakpoints],
+                [s * wscale for s in ref.slopes],
+                [o * scale * wscale for o in ref.offsets],
+            )
 
 
 class TestAgainstReferences:
@@ -229,6 +242,20 @@ class TestAgainstReferences:
         refs = [fraction_build_nu_profile(kernel, f, m) for f, m in zip(fs, mus)]
         crit = critical_set(profiles)
         assert_sweep_matches(crit, *bisect_critical_set(refs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances())
+    def test_scaled_above_the_profiles_own_scale(self, instance):
+        # The sweep asks for the pieces at the lcm of the family's scales.
+        kernel, fs, _ = instance
+        n = kernel.group.order
+        mu = Measure.from_weights(kernel.group, [Fraction(w, 3) for w in range(1, n + 1)])
+        for f in fs:
+            profile = build_nu_profile(kernel, f, mu)
+            assert profile.wden > 1
+            assert_scaled_matches_reference(
+                profile, fraction_build_nu_profile(kernel, f, mu)
+            )
 
     def test_three_nu_crossing_at_one_point(self):
         # With weight w the convolution is w f, so f = (2 - w) / (3 w^2)

@@ -328,6 +328,7 @@ MALFORMED = {
     "no-subsets": lambda r: {"subsets": ()},
     "short-subset": lambda r: {"subsets": (r.subsets[0][:-1],) + r.subsets[1:]},
     "g-is-the-order": lambda r: {"g": r.group.order},
+    "g-is-identity": lambda r: {"g": r.group.identity},
     "negative-centre": lambda r: {"subsets": _replace_centre(r.subsets, -1)},
     "centre-is-the-order": lambda r: {"subsets": _replace_centre(r.subsets, r.group.order)},
     "odd-u": lambda r: {"u": r.u[:-1]},
@@ -358,7 +359,29 @@ class TestShape:
             dataclasses.replace(result, **edit(result))
 
 
+# (i, edit): u_i's value at x becomes y, where (x, y) = edit(values, e, g).
+TOWER_EDITS = {
+    "u2-at-e-changed": (2, lambda v, e, g: (e, v[e] + 1)),
+    "u3-outside-e-and-g": (3, lambda v, e, g: (min({0, 1, 2} - {e, g}), HALF)),
+    "u4-at-e-is-its-value-at-g": (4, lambda v, e, g: (e, v[g])),
+}
+
+
 class TestVerification:
+    @pytest.mark.parametrize("i, edit", TOWER_EDITS.values(), ids=TOWER_EDITS.keys())
+    def test_edited_tower_function_fails(self, results, i, edit):
+        result = results["cyclic:18"]
+        e, g = result.group.identity, result.g
+        values = list(result.u[i].values)
+        x, y = edit(values, e, g)
+        assert values[x] != y
+        values[x] = y
+        u = list(result.u)
+        u[i] = dataclasses.replace(u[i], values=tuple(values))
+        report = verify_synth(dataclasses.replace(result, u=tuple(u)))
+        failed = {c.name for c in report.checks if not c.passed}
+        assert "u-tower-structure" in failed
+
     def test_perturbed_kernel_fails(self):
         group = build_group("cyclic:8")
         result = synth_kernel(group, 2)
