@@ -66,13 +66,20 @@ class NuProfile:
         return [bp * k for bp in breakpoints], slopes, offsets
 
 
+def build_nu_profiles(
+    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
+) -> list[NuProfile]:
+    """build_nu_profile for each f in fs; mu is converted once for them all."""
+    weights, wden = as_integers(mu.weights)
+    shared, convolutions = tuple(weights), convolve_ints(fs, kernel, mu)
+    return [NuProfile(tuple(nums), den, shared, wden) for nums, den in convolutions]
+
+
 def build_nu_profile(
     kernel: GroupFunction, f: GroupFunction, mu: Measure
 ) -> NuProfile:
     """f*K and mu as integers over one denominator each."""
-    nums, den = convolve_ints(f, kernel, mu)
-    weights, wden = as_integers(mu.weights)
-    return NuProfile(tuple(nums), den, tuple(weights), wden)
+    return build_nu_profiles(kernel, [f], mu)[0]
 
 
 class ReluIndex:

@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .bounds import build_bound_report
-from .classifier import build_nu_profile
+from .classifier import build_nu_profiles
 from .errors import (
     GroupSpecError,
     GroupTooSmallError,
@@ -218,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mu = counting_measure(kernel.group)
     # One sweep, two independent conclusions: the certificate is re-checked
     # against the ReLU-sum definition, the criterion decided from rankings.
-    critical = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+    critical = critical_set(build_nu_profiles(kernel, fs, mu))
     cert = certificate(critical)
     criterion = is_complete(attained_orders(critical))
     agreement = criterion == cert.shattered

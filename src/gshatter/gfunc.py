@@ -127,33 +127,36 @@ def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def convolve_ints(
-    f: GroupFunction, kernel: GroupFunction, mu: Measure
-) -> tuple[list[int], int]:
-    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den), value nums[g]/den.
+    fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure
+) -> list[tuple[list[int], int]]:
+    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den) per f in fs.
 
     Each term f(a) K(h) mu(h) lands at g = a h, so only pairs of a support
     point of f and one of K mu are visited: O(|supp f| * |supp K mu|).
-    With f, K and mu as integers over their own denominators every term
-    is an integer; one gcd at the end leaves den the lcm of the reduced
-    denominators of the values.
+    With K mu made integer once and each f over its own denominator
+    every term is an integer; one gcd at the end leaves den the lcm of
+    the reduced denominators of the values nums[g] / den.
     """
-    _same_group(f.group, kernel.group, "convolve")
-    _same_group(f.group, mu.group, "convolve")
-    mul = f.group.mul
-    f_nums, f_den = as_integers(f.values)
+    mul, n = kernel.group.mul, kernel.group.order
     k_nums, k_den = as_integers(kernel.values)
     weights, w_den = as_integers(mu.weights)
     terms = [(h, k * w) for h, (k, w) in enumerate(zip(k_nums, weights)) if k and w]
-    acc = [0] * f.group.order
-    for a, fa in enumerate(f_nums):
-        if fa:
-            for h, kw in terms:
-                acc[mul(a, h)] += fa * kw
-    common = gcd(f_den * k_den * w_den, *acc)
-    return [x // common for x in acc], f_den * k_den * w_den // common
+    results = []
+    for f in fs:
+        _same_group(f.group, kernel.group, "convolve")
+        _same_group(f.group, mu.group, "convolve")
+        f_nums, f_den = as_integers(f.values)
+        acc = [0] * n
+        for a, fa in enumerate(f_nums):
+            if fa:
+                for h, kw in terms:
+                    acc[mul(a, h)] += fa * kw
+        common = gcd(f_den * k_den * w_den, *acc)
+        results.append(([x // common for x in acc], f_den * k_den * w_den // common))
+    return results
 
 
 def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
     """Generalized group convolution (f * K)(g) = sum_h f(g h^-1) K(h) mu(h)."""
-    nums, den = convolve_ints(f, kernel, mu)
+    [(nums, den)] = convolve_ints([f], kernel, mu)
     return GroupFunction(f.group, tuple(Fraction(x, den) for x in nums))

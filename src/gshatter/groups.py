@@ -24,6 +24,10 @@ from .errors import GroupSpecError
 EXHAUSTIVE_VALIDATION_LIMIT = 512
 RANDOM_TRIPLE_SAMPLES = 10_000
 
+# Product specs nest at most this deep.  Each level takes a frame to parse
+# and one in every mul and inv call, so this sits far below the recursion limit.
+MAX_PRODUCT_DEPTH = 100
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FiniteGroup:
@@ -166,13 +170,13 @@ def build_group(spec: str) -> FiniteGroup:
     """Build the group a spec string like ``product:cyclic:2,dihedral:3`` names."""
     if not isinstance(spec, str):
         raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
-    group, pos = _group_at(spec, 0)
+    group, pos = _group_at(spec, 0, 0)
     if pos != len(spec):
         raise GroupSpecError(f"trailing characters {spec[pos:]!r} after group spec")
     return group
 
 
-def _group_at(text: str, pos: int) -> tuple[FiniteGroup, int]:
+def _group_at(text: str, pos: int, depth: int) -> tuple[FiniteGroup, int]:
     for kind, factory in (("cyclic", cyclic_group), ("dihedral", dihedral_group)):
         head = kind + ":"
         if text.startswith(head, pos):
@@ -188,10 +192,12 @@ def _group_at(text: str, pos: int) -> tuple[FiniteGroup, int]:
                 ) from None
             return factory(n), end
     if text.startswith("product:", pos):
-        first, pos = _group_at(text, pos + len("product:"))
+        if depth == MAX_PRODUCT_DEPTH:
+            raise GroupSpecError(f"product specs nest deeper than {MAX_PRODUCT_DEPTH}")
+        first, pos = _group_at(text, pos + len("product:"), depth + 1)
         if pos >= len(text) or text[pos] != ",":
             raise GroupSpecError(f"product spec needs ',' at position {pos} in {text!r}")
-        second, pos = _group_at(text, pos + 1)
+        second, pos = _group_at(text, pos + 1, depth + 1)
         return product_group(first, second), pos
     raise GroupSpecError(
         f"unknown group spec at position {pos} in {text!r}; "

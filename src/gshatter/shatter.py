@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -25,7 +25,7 @@ from .classifier import (
     NuProfile,
     Ranking,
     ReluIndex,
-    build_nu_profile,
+    build_nu_profiles,
     ranking_of_values,
 )
 from .errors import WitnessVerificationError
@@ -66,43 +66,37 @@ class ShatterCertificate:
 
 @dataclass(frozen=True)
 class CriticalSet:
-    """All bias values where a ranking can change, plus probe points.
+    """All bias values where a ranking can change, and each ranking's row.
 
     On the scale t = c1 * scale, with scale the lcm of the profiles' den
     and wscale that of their wden, every breakpoint is an integer.  The
-    probes t = p / q, held as integer pairs (p, q > 0), are every nu
-    breakpoint and every crossing of two nu inside a shared affine piece
-    (the critical points), the midpoints between them and one point past
-    either end.  Between consecutive points every nu is affine, so the
-    ranking is constant there and the probes reach every ranking attained
-    on the whole real line.  `rows` maps each attained ranking, in probe
-    order, to its first probe i and values, `values[k]` being nu of
-    `profiles[k]` at probe i times q * scale * wscale, an integer.
+    critical points t = p / q, held as integer pairs (p, q > 0) in
+    ascending order, are every nu breakpoint and every crossing of two nu
+    inside a shared affine piece.  Between consecutive points every nu is
+    affine, so the ranking is constant there, and the probes (each point,
+    the midpoints between them and one unit of c1 past either end) reach
+    every ranking attained on the whole real line.  `rows` maps each
+    attained ranking, in probe order, to its first probe (p, q) and its
+    values: `values[k]` is nu of `profiles[k]` there times q*scale*wscale.
     """
 
     profiles: tuple[NuProfile, ...]
     scale: int
     wscale: int
-    probe_ts: tuple[tuple[int, int], ...]
-    rows: dict[Ranking, tuple[int, list[int]]]
+    point_ts: tuple[tuple[int, int], ...]
+    rows: dict[Ranking, tuple[tuple[int, int], list[int]]]
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        """The critical bias values c1, in ascending order."""
+        return tuple(Fraction(p, q * self.scale) for p, q in self.point_ts)
 
     @property
     def probes(self) -> tuple[Fraction, ...]:
         """The probe bias values c1, in ascending order."""
-        return tuple(Fraction(p, q * self.scale) for p, q in self.probe_ts)
-
-    @property
-    def points(self) -> tuple[Fraction, ...]:
-        """The critical bias values c1: every other probe."""
-        return self.probes[1::2]
-
-
-def _profiles(
-    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
-) -> list[NuProfile]:
-    if not fs:
-        raise ValueError("need at least one function")
-    return [build_nu_profile(kernel, f, mu) for f in fs]
+        pts = self.points
+        mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+        return (pts[0] - 1, *chain.from_iterable(zip(pts, mids)), pts[-1], pts[-1] + 1)
 
 
 # Orders pairs (p, q > 0) by the value p / q, without building Fractions.
@@ -110,7 +104,7 @@ _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
 def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
-    """Critical points and probes, and the first row of every ranking.
+    """Critical points, and the first row of every ranking.
 
     One left-to-right walk over the common grid of integer breakpoints.
     Each profile's pieces are read in order, the next one at each of its
@@ -124,6 +118,8 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     ranking changes across a point where no two nu tie: only the first
     probe, tied points and the probes after them are ranked.
     """
+    if not profiles:  # each has a breakpoint, its measure a positive mass
+        raise ValueError("need at least one function")
     m = len(profiles)
     scale = lcm(*(p.den for p in profiles))
     wscale = lcm(*(p.wden for p in profiles))
@@ -137,8 +133,8 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     pieces = [zip(slopes, offsets) for _, slopes, offsets in lines]
     current = [next(piece) for piece in pieces]
     crossings: dict[tuple[int, int], tuple[int, int]] = {}
-    probes: list[tuple[int, int]] = []
-    rows: dict[Ranking, tuple[int, list[int]]] = {}
+    points: list[tuple[int, int]] = []
+    rows: dict[Ranking, tuple[tuple[int, int], list[int]]] = {}
     tied = True  # whether the last point tied; the first probe is ranked
 
     def cross(i: int, j: int) -> None:
@@ -154,12 +150,10 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
             values = [s * p + o * q for s, o in current]
             tied = not point or len(set(values)) < m  # a midpoint keeps it
             if tied:
-                rows.setdefault(ranking_of_values(values), (len(probes), values))
-        probes.append((p, q))
+                rows.setdefault(ranking_of_values(values), ((p, q), values))
 
     for i, j in combinations(range(m), 2):
         cross(i, j)
-    last: Optional[tuple[int, int]] = None
     for lo, hi in zip([None, *grid], [*grid, None]):
         if lo is not None:
             moved = advancing[lo]
@@ -175,22 +169,23 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
                 inside.add((num // g, den // g))
         ends = sorted(inside, key=_by_value) + ([(hi, 1)] if hi is not None else [])
         for p, q in ends:
-            if last is None:  # one unit of c1 before the first point
+            if not points:  # one unit of c1 before the first point
                 probe(p - scale * q, q, False)
             else:  # the midpoint after the previous point
-                probe(last[0] * q + p * last[1], 2 * last[1] * q, False)
+                lp, lq = points[-1]
+                probe(lp * q + p * lq, 2 * lq * q, False)
             probe(p, q, True)
-            last = (p, q)
-    p, q = last if last is not None else (-scale, 1)  # no points: t = 0 alone
+            points.append((p, q))
+    p, q = points[-1]
     probe(p + scale * q, q, False)  # one unit of c1 past the last point
-    return CriticalSet(tuple(profiles), scale, wscale, tuple(probes), rows)
+    return CriticalSet(tuple(profiles), scale, wscale, tuple(points), rows)
 
 
 def critical_points(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> CriticalSet:
     """Bias values at which the ranking of the nu functions can change."""
-    return critical_set(_profiles(kernel, fs, mu))
+    return critical_set(build_nu_profiles(kernel, fs, mu))
 
 
 def _witnesses(
@@ -207,10 +202,9 @@ def _witnesses(
     found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
     scale, wscale = critical.scale, critical.wscale
     patterns = 2 ** len(critical.profiles)
-    for index, values in critical.rows.values():
+    for (p, q), values in critical.rows.values():
         if len(found) == patterns:  # every pattern has its first witness
             break
-        p, q = critical.probe_ts[index]
         # The distinct values from the top, and the index of each value's
         # own cut: a value lies above cut j exactly when that index is < j.
         cuts: list[int] = []
@@ -234,7 +228,7 @@ def enumerate_dichotomies(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> set[Dichotomy]:
     """The exact set of label patterns realizable by any rational (c1, c2)."""
-    found = _witnesses(critical_set(_profiles(kernel, fs, mu)))
+    found = _witnesses(critical_set(build_nu_profiles(kernel, fs, mu)))
     m = len(fs)
     n = fs[0].group.order
     bound = (m + m * (m - 1) // 2) * (m * n + 1)
@@ -284,14 +278,14 @@ def is_shattered(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns; see `certificate`."""
-    return certificate(critical_set(_profiles(kernel, fs, mu)))
+    return certificate(critical_set(build_nu_profiles(kernel, fs, mu)))
 
 
 def order_set(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> OrderSet:
     """Every ranking the nu values attain over all bias values."""
-    return attained_orders(critical_set(_profiles(kernel, fs, mu)))
+    return attained_orders(critical_set(build_nu_profiles(kernel, fs, mu)))
 
 
 def check_order_criterion(

@@ -25,7 +25,7 @@ from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
-from .classifier import ReluIndex, build_nu_profile, ranking_of_values
+from .classifier import ReluIndex, build_nu_profiles, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError
 from .gfunc import GroupFunction, counting_measure
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
@@ -468,7 +468,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
     r = len(orders.rankings)
     mu = counting_measure(group)
     kernel = result.kernel
-    profiles = [build_nu_profile(kernel, f, mu) for f in result.family()]
+    profiles = build_nu_profiles(kernel, result.family(), mu)
     # Under the counting measure every weight is 1, so each index holds
     # every convolution value, in ascending order as index.xs.
     indexes = [ReluIndex(p) for p in profiles]
@@ -622,7 +622,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
             "convolutions are <= 0 on every guarded translate",
         )
 
-    del indexes  # the sweep's probes are the memory peak; free these first
+    del indexes  # the sweep's pieces are the memory peak; free these first
     cert = certificate(critical_set(profiles))
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
     add("shattering", cert.shattered, detail)

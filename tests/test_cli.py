@@ -34,7 +34,7 @@ from gshatter.errors import (
     SynthesisVerificationError,
     WitnessVerificationError,
 )
-from gshatter.groups import build_group
+from gshatter.groups import MAX_PRODUCT_DEPTH, build_group
 from gshatter.gfunc import counting_measure
 from gshatter.cli import main
 from gshatter.jsonio import (
@@ -56,13 +56,14 @@ def run(capsys, *argv):
 
 
 def count_convolutions(monkeypatch):
-    """Count integer convolutions at both bindings; returns the call list."""
+    """Record integer convolution calls at both bindings; returns a list
+    with the number of functions each call convolved."""
     calls = []
     original = gshatter.gfunc.convolve_ints
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(fs, *args, **kwargs):
+        calls.append(len(fs))
+        return original(fs, *args, **kwargs)
 
     monkeypatch.setattr(gshatter.gfunc, "convolve_ints", counting)
     monkeypatch.setattr(gshatter.classifier, "convolve_ints", counting)
@@ -160,6 +161,14 @@ class TestGroupCommand:
         code, _, err = run(capsys, "group", "--spec", "cyclic:x")
         assert code == 2
         assert "error" in err
+
+    def test_spec_nested_past_the_limit(self, capsys):
+        depth = MAX_PRODUCT_DEPTH + 1
+        spec = "product:" * depth + "cyclic:1" + ",cyclic:1" * depth
+        code, _, err = run(capsys, "group", "--spec", spec)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestOrdersCommand:
@@ -430,7 +439,7 @@ class TestSynthCommand:
             "--out-dir", str(tmp_path),
         )
         assert code == 0
-        assert len(calls) == 3
+        assert calls == [3]  # one call, convolving the 3 functions
         calls.clear()
         code, _, _ = run(
             capsys,
@@ -439,7 +448,7 @@ class TestSynthCommand:
             "--functions", str(tmp_path / "functions.json"),
         )
         assert code == 0
-        assert len(calls) == 3
+        assert calls == [3]
 
     def test_failed_self_check_exits_5_without_artifacts(
         self, capsys, tmp_path, monkeypatch
@@ -554,6 +563,19 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "shattered=False order_criterion=False agreement=True" in out
+
+    def test_group_nested_past_the_limit(self, capsys, tmp_path):
+        depth = MAX_PRODUCT_DEPTH + 1
+        spec = "product:" * depth + "cyclic:1" + ",cyclic:1" * depth
+        kernel, functions = tmp_path / "kernel.json", tmp_path / "functions.json"
+        write_json_atomic(kernel, {"group": spec, "values": ["1"]})
+        write_json_atomic(functions, {"group": spec, "functions": [["1"]]})
+        code, _, err = run(
+            capsys, "verify", "--kernel", str(kernel), "--functions", str(functions)
+        )
+        assert code == 2
+        assert err.startswith("error: cannot read inputs")
+        assert "Traceback" not in err
 
     def test_truncated_json(self, capsys, bundle, tmp_path):
         broken = tmp_path / "broken.json"

@@ -14,11 +14,11 @@ import gshatter
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(gshatter.__file__).resolve().parent.parent
 
-# bench_point.py is left out: it times syntheses up to m = 8 and takes minutes.
 DEMOS = (
     "complete_orders_walkthrough.py",
     "synthesize_and_certify.py",
     "bounds_table.py",
+    "bench_point.py",
 )
 
 

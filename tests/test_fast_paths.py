@@ -20,6 +20,7 @@ import gshatter.synth
 from gshatter.classifier import (
     ReluIndex,
     build_nu_profile,
+    build_nu_profiles,
     ranking_of_values,
     relu_sum,
 )
@@ -125,9 +126,9 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
     """The sweep against a reference's (points, probes, values).
 
     The sweep keeps the row of the first probe of each ranking only, so
-    each kept row, divided back into nu units, must be the reference row
-    at the first probe with that counted ranking, and the kept rankings
-    must be the distinct counted rankings in probe order.  The witnesses
+    each kept row must carry the first probe with that counted ranking
+    and, divided back into nu units, be the reference row there, and the
+    kept rankings must be the distinct counted rankings in probe order.  The witnesses
     are compared with cut_witnesses over every reference probe, so a row
     the sweep drops cannot have held a first witness.
     """
@@ -135,10 +136,10 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
     first: dict[tuple[int, ...], int] = {}
     for i, row in enumerate(values):
         first.setdefault(counted_ranks(row), i)
-    kept = [(ranking.ranks, i) for ranking, (i, _) in crit.rows.items()]
-    assert kept == list(first.items())
-    for i, row in crit.rows.values():
-        unit = crit.probe_ts[i][1] * crit.scale * crit.wscale
+    assert [ranking.ranks for ranking in crit.rows] == list(first)
+    for ((p, q), row), i in zip(crit.rows.values(), first.values()):
+        assert Fraction(p, q * crit.scale) == probes[i]
+        unit = q * crit.scale * crit.wscale
         assert [Fraction(v, unit) for v in row] == values[i]
     rankings = attained_orders(crit).rankings
     assert tuple(r.ranks for r in rankings) == tuple(first)
@@ -166,15 +167,19 @@ def assert_relu_index_matches(profile, conv: GroupFunction, mu: Measure) -> None
 
 
 def assert_matches_references(kernel, fs, mu) -> None:
+    assert convolve_ints(fs, kernel, mu) == [
+        convolve_ints([f], kernel, mu)[0] for f in fs
+    ]
     for f in fs:
-        nums, den = convolve_ints(f, kernel, mu)
+        [(nums, den)] = convolve_ints([f], kernel, mu)
         values = convolve(f, kernel, mu).values
         assert values == dense_convolve(f, kernel, mu)
         assert values == fraction_convolve(f, kernel, mu)
         assert values == tuple(Fraction(x, den) for x in nums)
         # One denominator, no larger than the values need.
         assert den == lcm(*(v.denominator for v in values))
-    profiles = [build_nu_profile(kernel, f, mu) for f in fs]
+    profiles = build_nu_profiles(kernel, fs, mu)
+    assert profiles == [build_nu_profile(kernel, f, mu) for f in fs]
     refs = [fraction_build_nu_profile(kernel, f, mu) for f in fs]
     for p, ref in zip(profiles, refs):
         assert_relu_index_matches(p, ref.conv, mu)

@@ -11,6 +11,7 @@ import pytest
 
 from gshatter.errors import GroupSpecError
 from gshatter.groups import (
+    MAX_PRODUCT_DEPTH,
     build_group,
     cyclic_group,
     dihedral_group,
@@ -125,6 +126,30 @@ class TestConstruction:
         assert g.mul(g.inv(123456789), 123456789) == g.identity
         assert elapsed < 0.5
         assert peak < 100_000
+
+
+def nested_product(depth: int) -> str:
+    """A spec nesting `depth` product specs, each of order 1."""
+    return "product:" * depth + "cyclic:1" + ",cyclic:1" * depth
+
+
+class TestNestingLimit:
+    def test_deepest_allowed_spec_builds_and_validates(self):
+        g = build_group(nested_product(MAX_PRODUCT_DEPTH))
+        assert g.order == 1
+        assert g.label == nested_product(MAX_PRODUCT_DEPTH)
+        assert validate_group(g).passed  # mul and inv recurse through every level
+
+    @pytest.mark.parametrize(
+        "spec",
+        [nested_product(MAX_PRODUCT_DEPTH + 1),
+         "product:cyclic:1," * (MAX_PRODUCT_DEPTH + 1) + "cyclic:1",
+         nested_product(990)],
+        ids=["left", "right", "990-levels"],
+    )
+    def test_deeper_specs_are_spec_errors(self, spec):
+        with pytest.raises(GroupSpecError, match="nest deeper than"):
+            build_group(spec)
 
 
 class TestElementQueries:

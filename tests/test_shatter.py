@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
 from gshatter.classifier import classify, nu
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.shatter import (
     check_order_criterion,
     critical_points,
+    critical_set,
     enumerate_dichotomies,
     is_shattered,
     order_set,
@@ -105,6 +108,22 @@ class TestCriticalPoints:
                     for c in samples
                 }
                 assert len(rankings) == 1
+
+
+class TestEmptyFamily:
+    @pytest.mark.parametrize(
+        "call",
+        [is_shattered, check_order_criterion, order_set, critical_points,
+         enumerate_dichotomies],
+    )
+    def test_an_empty_family_is_refused(self, call):
+        g = build_group("cyclic:3")
+        with pytest.raises(ValueError, match="at least one function"):
+            call(indicator(g, 0), [], counting_measure(g))
+
+    def test_critical_set_refuses_no_profiles(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            critical_set([])
 
 
 class TestEnumeration:
