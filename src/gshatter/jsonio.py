@@ -215,8 +215,12 @@ def write_json_atomic(path: Path | str, data: Any) -> Path:
 
 
 def read_json(path: Path | str) -> Any:
+    """The parsed file; nesting too deep to parse is a ValueError."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply to parse") from exc
 
 
 def sha256_of_file(path: Path | str) -> str:

@@ -106,17 +106,19 @@ _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     """Critical points, and the first row of every ranking.
 
-    One left-to-right walk over the common grid of integer breakpoints.
-    Each profile's pieces are read in order, the next one at each of its
-    own breakpoints, so on each open piece of the grid its (slope, offset)
-    is read once.  Two profiles with different slopes there cross at one
-    point num / den, which is critical when lo * den < num < hi * den.
-    A pair's crossing is recomputed only when one of the two enters a
-    new piece; the strict-interior test runs on every piece.  A piece's
-    probes are evaluated from those pairs before the walk moves on (nu
-    is continuous, so a grid point gets one value from either side).  No
-    ranking changes across a point where no two nu tie: only the first
-    probe, tied points and the probes after them are ranked.
+    One left-to-right walk over the grid of every profile's integer
+    breakpoints, reading each profile's pieces in order, so on each open
+    piece of the grid every nu is affine, read once as (slope, offset).
+    The walk computes the m values at each grid point, and two affine
+    functions cross strictly inside a piece exactly when their strict
+    order differs at its two ends (a tie at either end is no flip).  Left
+    of the grid every nu is 0, so the walk starts from zeros and the
+    first piece has no crossing.  Past the last grid point the slopes
+    stand in for the right end: far enough right, two lines are in the
+    order of their slopes.  A piece's crossings and its right end are
+    probed before the walk moves on.  No ranking changes across a point
+    where no two nu tie: only the first probe, tied points and the
+    probes after them are ranked.
     """
     if not profiles:  # each has a breakpoint, its measure a positive mass
         raise ValueError("need at least one function")
@@ -129,53 +131,50 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     for k, (breakpoints, _, _) in enumerate(lines):
         for bp in breakpoints:
             advancing.setdefault(bp, []).append(k)
-    grid = sorted(advancing)
     pieces = [zip(slopes, offsets) for _, slopes, offsets in lines]
     current = [next(piece) for piece in pieces]
-    crossings: dict[tuple[int, int], tuple[int, int]] = {}
+    pairs = list(combinations(range(m), 2))
     points: list[tuple[int, int]] = []
     rows: dict[Ranking, tuple[tuple[int, int], list[int]]] = {}
     tied = True  # whether the last point tied; the first probe is ranked
 
-    def cross(i: int, j: int) -> None:
-        (si, oi), (sj, oj) = current[i], current[j]
-        if si == sj:  # parallel or identical on this piece: no crossing
-            crossings.pop((i, j), None)
-        else:  # at t = (oj - oi) / (si - sj), kept with a positive den
-            crossings[i, j] = (oj - oi, si - sj) if si > sj else (oi - oj, sj - si)
-
-    def probe(p: int, q: int, point: bool) -> None:
+    def probe(p: int, q: int, point: bool, values: Optional[list[int]] = None) -> None:
         nonlocal tied
         if point or tied:  # not a probe just after a point without a tie
-            values = [s * p + o * q for s, o in current]
+            if values is None:
+                values = [s * p + o * q for s, o in current]
             tied = not point or len(set(values)) < m  # a midpoint keeps it
             if tied:
                 rows.setdefault(ranking_of_values(values), ((p, q), values))
 
-    for i, j in combinations(range(m), 2):
-        cross(i, j)
-    for lo, hi in zip([None, *grid], [*grid, None]):
-        if lo is not None:
-            moved = advancing[lo]
-            for k in moved:
-                current[k] = next(pieces[k])
-            for i, j in {(k, l) if k < l else (l, k) for k in moved for l in range(m)}:
-                if i != j:
-                    cross(i, j)
+    def visit(p: int, q: int, values: Optional[list[int]] = None) -> None:
+        if not points:  # one unit of c1 before the first point
+            probe(p - scale * q, q, False)
+        else:  # the midpoint after the previous point
+            lp, lq = points[-1]
+            probe(lp * q + p * lq, 2 * lq * q, False)
+        probe(p, q, True, values)
+        points.append((p, q))
+
+    left = [0] * m  # left of the grid every nu is 0
+    for t in [*sorted(advancing), None]:
+        # Past the last grid point, the slopes order the lines at +inf.
+        right = [s * t + o for s, o in current] if t is not None else [s for s, _ in current]
         inside = set()  # the piece's interior crossings, gcd-reduced
-        for num, den in crossings.values():
-            if (lo is None or lo * den < num) and (hi is None or num < hi * den):
+        for i, j in pairs:
+            li, lj, ri, rj = left[i], left[j], right[i], right[j]
+            if li < lj and ri > rj or li > lj and ri < rj:  # a strict flip
+                (si, oi), (sj, oj) = current[i], current[j]
+                num, den = (oj - oi, si - sj) if si > sj else (oi - oj, sj - si)
                 g = gcd(num, den)
                 inside.add((num // g, den // g))
-        ends = sorted(inside, key=_by_value) + ([(hi, 1)] if hi is not None else [])
-        for p, q in ends:
-            if not points:  # one unit of c1 before the first point
-                probe(p - scale * q, q, False)
-            else:  # the midpoint after the previous point
-                lp, lq = points[-1]
-                probe(lp * q + p * lq, 2 * lq * q, False)
-            probe(p, q, True)
-            points.append((p, q))
+        for p, q in sorted(inside, key=_by_value):
+            visit(p, q)
+        if t is not None:  # nu is continuous: one value at t from either side
+            visit(t, 1, right)
+            for k in advancing[t]:
+                current[k] = next(pieces[k])
+            left = right
     p, q = points[-1]
     probe(p + scale * q, q, False)  # one unit of c1 past the last point
     return CriticalSet(tuple(profiles), scale, wscale, tuple(points), rows)

@@ -83,6 +83,12 @@ def run_bounded(capsys, *argv):
     return (*result, elapsed, peak)
 
 
+def write_deep_json(path: Path) -> Path:
+    """A JSON list nested 100 000 deep: too deep for json to parse."""
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
 @pytest.fixture(scope="module")
 def cyclic8_bundle(tmp_path_factory):
     """The artifacts of `gshatter synth --group cyclic:8 --m 2`."""
@@ -607,6 +613,23 @@ class TestVerifyCommand:
         assert "error: cannot read inputs" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("which", ["kernel", "functions"])
+    def test_deeply_nested_input(self, capsys, cyclic8_bundle, tmp_path, which):
+        paths = {
+            "kernel": cyclic8_bundle / "kernel.json",
+            "functions": cyclic8_bundle / "functions.json",
+        }
+        paths[which] = write_deep_json(tmp_path / "deep.json")
+        code, _, err = run(
+            capsys,
+            "verify",
+            "--kernel", str(paths["kernel"]),
+            "--functions", str(paths["functions"]),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot read inputs")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("which", ["values", "row"])
     def test_string_shaped_values(self, capsys, tmp_path, which):
         # A string of digits is not a list of values: "1000" must not load
@@ -784,6 +807,13 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
         assert code == 2
         assert err.startswith(f"error: cannot read certificate {path}")
+
+    def test_deeply_nested_achieved_file(self, capsys, tmp_path):
+        path = write_deep_json(tmp_path / "deep.json")
+        code, _, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read certificate {path}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit",

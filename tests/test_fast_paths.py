@@ -281,6 +281,21 @@ class TestAgainstReferences:
         refs = [fraction_build_nu_profile(kernel, f, mu) for f, mu in pairs]
         assert_sweep_matches(crit, *bisect_critical_set(refs))
 
+    def test_crossing_right_of_the_last_grid_point(self):
+        # nu_1 = (3 + c)^+ and nu_2 = 2 (1 + c)^+ (f_2 = 1/2 under weight
+        # 2) break at -3 and -1 and cross at c = 1, inside the unbounded
+        # last piece, where the slopes stand in for its right end.
+        group = GROUPS["cyclic:1"]
+        kernel = indicator(group, group.identity)
+        pairs = [
+            (GroupFunction.from_values(group, [v]), Measure.from_weights(group, [w]))
+            for v, w in ((Fraction(3), 1), (Fraction(1, 2), 2))
+        ]
+        crit = critical_set([build_nu_profile(kernel, f, mu) for f, mu in pairs])
+        assert crit.points == (-3, -1, 1)
+        refs = [fraction_build_nu_profile(kernel, f, mu) for f, mu in pairs]
+        assert_sweep_matches(crit, *bisect_critical_set(refs))
+
     def test_crossing_on_a_grid_point(self):
         # nu_1 = (4+c)^+ + c^+ and nu_2 = 2(3+c)^+ cross at c = -2 on both
         # of their shared pieces (-3, -2] and (-2, 0], and -2 is the

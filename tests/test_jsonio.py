@@ -240,6 +240,12 @@ class TestFiles:
         assert sha256_of_file(target) == first  # byte-for-byte deterministic
         assert len(first) == 64
 
+    def test_nesting_too_deep_to_parse_is_a_value_error(self, tmp_path):
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            read_json(target)
+
     def test_sorted_keys_and_trailing_newline(self, tmp_path):
         target = tmp_path / "out.json"
         write_json_atomic(target, {"z": 1, "a": 2})
