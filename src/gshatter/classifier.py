@@ -19,7 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import groupby
+from typing import Iterator, Sequence
 
 from .gfunc import GroupFunction, Measure, as_integers, convolve_ints
 
@@ -29,7 +30,7 @@ class NuProfile:
     """One convolution f*K under mu, as integers.
 
     (f*K)(g) is nums[g] / den and mu(g) is weights[g] / wden.
-    ReluIndex(profile) gives nu(K, f, mu, c) from these; `scaled` gives
+    ReluIndex(profile) gives nu(K, f, mu, c) from these; `pieces` streams
     nu in closed form, piece by piece.
     """
 
@@ -38,32 +39,28 @@ class NuProfile:
     weights: tuple[int, ...]
     wden: int
 
-    def scaled(self, scale: int, wscale: int) -> tuple[list[int], ...]:
-        """Breakpoints, slopes and offsets of nu on t = c * scale; den must
-        divide scale and wden divide wscale.
+    def pieces(self, scale: int, wscale: int) -> Iterator[tuple[int, int, int]]:
+        """nu's breakpoints on t = c * scale, ascending, each with the piece
+        that starts there; den must divide scale and wden divide wscale.
 
-        Piece i covers t in (breakpoints[i-1], breakpoints[i]], where
-        nu(c) * scale * wscale = slopes[i] * t + offsets[i], and
-        offsets[i] / (scale * wscale) sums mu(g) (f*K)(g) over the active
-        terms.  nu is continuous, so either convention at the breakpoints
-        gives the same value.  A breakpoint sits at t = -(f*K)(g) * scale
-        for each g with nonzero weight; crossing it from the left
+        Each item (t, slope, offset) gives nu(c) * scale * wscale =
+        slope * t + offset from t up to the next breakpoint, and
+        offset / (scale * wscale) sums mu(g) (f*K)(g) over the active
+        terms.  Left of the first breakpoint nu is 0, and nu is continuous,
+        so either piece gives the value at a breakpoint.  A breakpoint sits
+        at t = -(f*K)(g) * scale for each g with nonzero weight; crossing it
         activates every term with that convolution value, so the slope
         gains their total weight and the offset their weighted mass.
         """
         k, w = scale // self.den, wscale // self.wden
-        by_breakpoint: dict[int, tuple[int, int]] = {}
-        for x, v in zip(self.nums, self.weights):
-            if v:
-                weight, mass = by_breakpoint.get(-x, (0, 0))
-                by_breakpoint[-x] = (weight + v, mass + v * x)
-        breakpoints = sorted(by_breakpoint)
-        slopes, offsets = [0], [0]
-        for bp in breakpoints:
-            weight, mass = by_breakpoint[bp]
-            slopes.append(slopes[-1] + weight * w)
-            offsets.append(offsets[-1] + mass * k * w)
-        return [bp * k for bp in breakpoints], slopes, offsets
+        nums, weights = self.nums, self.weights
+        order = sorted((g for g, v in enumerate(weights) if v),
+                       key=nums.__getitem__, reverse=True)
+        weight = mass = 0
+        for x, terms in groupby(order, key=nums.__getitem__):
+            v = sum(map(weights.__getitem__, terms))
+            weight, mass = weight + v, mass + v * x
+            yield -x * k, weight * w, mass * k * w
 
 
 def build_nu_profiles(

@@ -60,6 +60,7 @@ from .shatter import attained_orders, certificate, critical_set
 from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
+ORDERS_M_CAP = 16  # C(m, m // 2) rankings; each step past it doubles the time
 
 # What reading and parsing a JSON input file may raise.
 _INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
@@ -133,8 +134,8 @@ def cmd_group(args: argparse.Namespace) -> int:
 
 
 def cmd_orders(args: argparse.Namespace) -> int:
-    if not 1 <= args.m <= 32:
-        return _fail(f"--m must be in [1, 32], got {args.m}", 2)
+    if not 1 <= args.m <= ORDERS_M_CAP:
+        return _fail(f"--m must be in [1, {ORDERS_M_CAP}], got {args.m}", 2)
     run = _Run("orders", args)
     out_dir = Path(args.out_dir)
     order_set = build_complete_orders(args.m)

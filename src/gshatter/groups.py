@@ -21,7 +21,7 @@ from .errors import GroupSpecError
 
 # Exhaustive validation is cubic in the group order; above this size we
 # fall back to randomized triple sampling.
-EXHAUSTIVE_VALIDATION_LIMIT = 512
+EXHAUSTIVE_VALIDATION_LIMIT = 128
 RANDOM_TRIPLE_SAMPLES = 10_000
 
 # Product specs nest at most this deep.  Each level takes a frame to parse

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain, combinations, product
+from heapq import merge
+from itertools import chain, combinations, groupby, product, repeat
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .classifier import (
     NuProfile,
@@ -66,30 +67,30 @@ class ShatterCertificate:
 
 @dataclass(frozen=True)
 class CriticalSet:
-    """All bias values where a ranking can change, and each ranking's row.
+    """The first row of each ranking over the points where one can change.
 
     On the scale t = c1 * scale, with scale the lcm of the profiles' den
     and wscale that of their wden, every breakpoint is an integer.  The
-    critical points t = p / q, held as integer pairs (p, q > 0) in
-    ascending order, are every nu breakpoint and every crossing of two nu
-    inside a shared affine piece.  Between consecutive points every nu is
-    affine, so the ranking is constant there, and the probes (each point,
-    the midpoints between them and one unit of c1 past either end) reach
-    every ranking attained on the whole real line.  `rows` maps each
-    attained ranking, in probe order, to its first probe (p, q) and its
-    values: `values[k]` is nu of `profiles[k]` there times q*scale*wscale.
+    critical points t = p / q (integers, q > 0) are every nu breakpoint
+    and every crossing of two nu inside a shared affine piece.  Between
+    consecutive points every nu is affine, so the ranking is constant
+    there, and the probes (each point, the midpoints between them and one
+    unit of c1 past either end) reach every ranking attained on the whole
+    real line.  `rows` maps each attained ranking, in probe order, to its
+    first probe (p, q) and its values: `values[k]` is nu of `profiles[k]`
+    there times q*scale*wscale.  No point is kept: `points` walks again.
     """
 
     profiles: tuple[NuProfile, ...]
     scale: int
     wscale: int
-    point_ts: tuple[tuple[int, int], ...]
     rows: dict[Ranking, tuple[tuple[int, int], list[int]]]
 
     @property
     def points(self) -> tuple[Fraction, ...]:
         """The critical bias values c1, in ascending order."""
-        return tuple(Fraction(p, q * self.scale) for p, q in self.point_ts)
+        walk = _walk(self.profiles, self.scale, self.wscale)
+        return tuple(Fraction(p, q * self.scale) for p, q, _, _ in walk)
 
     @property
     def probes(self) -> tuple[Fraction, ...]:
@@ -103,38 +104,58 @@ class CriticalSet:
 _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
-    """Critical points, and the first row of every ranking.
+def _walk(profiles: Sequence[NuProfile], scale: int, wscale: int) -> Iterator[tuple]:
+    """The critical points t = p / q, ascending, as (p, q, pieces, values).
 
-    One left-to-right walk over the grid of every profile's integer
-    breakpoints, reading each profile's pieces in order, so on each open
-    piece of the grid every nu is affine, read once as (slope, offset).
-    The walk computes the m values at each grid point, and two affine
-    functions cross strictly inside a piece exactly when their strict
-    order differs at its two ends (a tie at either end is no flip).  Left
-    of the grid every nu is 0, so the walk starts from zeros and the
-    first piece has no crossing.  Past the last grid point the slopes
-    stand in for the right end: far enough right, two lines are in the
-    order of their slopes.  A piece's crossings and its right end are
-    probed before the walk moves on.  No ranking changes across a point
-    where no two nu tie: only the first probe, tied points and the
-    probes after them are ranked.
+    The profiles' piece streams merge by t into one grid, so on each open
+    piece of it nu_k * scale * wscale = s * t + o with (s, o) = pieces[k].
+    Two affine functions cross strictly inside a piece exactly when their
+    strict order differs at its two ends (a tie at either end is no flip).
+    Left of the grid every nu is 0; past it the slopes stand in for the
+    right end, since far enough right two lines are in the order of their
+    slopes.  A piece's crossings come first, with values None, then its
+    right end with its m values.  `pieces` is one list, moved on when the
+    walk resumes past a grid point, so a consumer reads it before asking
+    for the next point; at the end it holds the pieces past the last one.
+    """
+    m = len(profiles)
+    streams = [zip(p.pieces(scale, wscale), repeat(k)) for k, p in enumerate(profiles)]
+    pieces, left = [(0, 0)] * m, [0] * m  # left of the grid every nu is 0
+    pairs = list(combinations(range(m), 2))
+    grid = groupby(merge(*streams), key=lambda item: item[0][0])
+    for t, entering in chain(grid, [(None, ())]):
+        # Past the last grid point, the slopes order the lines at +inf.
+        right = [s * t + o for s, o in pieces] if t is not None else [s for s, _ in pieces]
+        inside = set()  # the piece's interior crossings, gcd-reduced
+        for i, j in pairs:
+            li, lj, ri, rj = left[i], left[j], right[i], right[j]
+            if li < lj and ri > rj or li > lj and ri < rj:  # a strict flip
+                (si, oi), (sj, oj) = pieces[i], pieces[j]
+                num, den = (oj - oi, si - sj) if si > sj else (oi - oj, sj - si)
+                g = gcd(num, den)
+                inside.add((num // g, den // g))
+        for p, q in sorted(inside, key=_by_value):
+            yield p, q, pieces, None
+        if t is not None:  # nu is continuous: one value at t from either side
+            yield t, 1, pieces, right
+            for (_, slope, offset), k in entering:
+                pieces[k] = (slope, offset)
+            left = right
+
+
+def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
+    """The first row of every ranking, from one `_walk` over the profiles.
+
+    Before each point the midpoint after the previous one is probed (one
+    unit of c1 before the first point, and past the last point at the
+    end), from the walk's pieces; only the previous point is kept.  No
+    ranking changes across a point where no two nu tie: only the first
+    probe, tied points and the probes after them are ranked.
     """
     if not profiles:  # each has a breakpoint, its measure a positive mass
         raise ValueError("need at least one function")
-    m = len(profiles)
     scale = lcm(*(p.den for p in profiles))
     wscale = lcm(*(p.wden for p in profiles))
-    lines = [p.scaled(scale, wscale) for p in profiles]
-    # The profiles that enter their next piece at each grid point.
-    advancing: dict[int, list[int]] = {}
-    for k, (breakpoints, _, _) in enumerate(lines):
-        for bp in breakpoints:
-            advancing.setdefault(bp, []).append(k)
-    pieces = [zip(slopes, offsets) for _, slopes, offsets in lines]
-    current = [next(piece) for piece in pieces]
-    pairs = list(combinations(range(m), 2))
-    points: list[tuple[int, int]] = []
     rows: dict[Ranking, tuple[tuple[int, int], list[int]]] = {}
     tied = True  # whether the last point tied; the first probe is ranked
 
@@ -142,42 +163,23 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
         nonlocal tied
         if point or tied:  # not a probe just after a point without a tie
             if values is None:
-                values = [s * p + o * q for s, o in current]
-            tied = not point or len(set(values)) < m  # a midpoint keeps it
+                values = [s * p + o * q for s, o in pieces]
+            tied = not point or len(set(values)) < len(values)  # a midpoint keeps it
             if tied:
                 rows.setdefault(ranking_of_values(values), ((p, q), values))
 
-    def visit(p: int, q: int, values: Optional[list[int]] = None) -> None:
-        if not points:  # one unit of c1 before the first point
+    last = None
+    for p, q, pieces, values in _walk(profiles, scale, wscale):
+        if last is None:  # one unit of c1 before the first point
             probe(p - scale * q, q, False)
         else:  # the midpoint after the previous point
-            lp, lq = points[-1]
+            lp, lq = last
             probe(lp * q + p * lq, 2 * lq * q, False)
         probe(p, q, True, values)
-        points.append((p, q))
-
-    left = [0] * m  # left of the grid every nu is 0
-    for t in [*sorted(advancing), None]:
-        # Past the last grid point, the slopes order the lines at +inf.
-        right = [s * t + o for s, o in current] if t is not None else [s for s, _ in current]
-        inside = set()  # the piece's interior crossings, gcd-reduced
-        for i, j in pairs:
-            li, lj, ri, rj = left[i], left[j], right[i], right[j]
-            if li < lj and ri > rj or li > lj and ri < rj:  # a strict flip
-                (si, oi), (sj, oj) = current[i], current[j]
-                num, den = (oj - oi, si - sj) if si > sj else (oi - oj, sj - si)
-                g = gcd(num, den)
-                inside.add((num // g, den // g))
-        for p, q in sorted(inside, key=_by_value):
-            visit(p, q)
-        if t is not None:  # nu is continuous: one value at t from either side
-            visit(t, 1, right)
-            for k in advancing[t]:
-                current[k] = next(pieces[k])
-            left = right
-    p, q = points[-1]
+        last = p, q
+    p, q = last
     probe(p + scale * q, q, False)  # one unit of c1 past the last point
-    return CriticalSet(tuple(profiles), scale, wscale, tuple(points), rows)
+    return CriticalSet(tuple(profiles), scale, wscale, rows)
 
 
 def critical_points(

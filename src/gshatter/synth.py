@@ -622,7 +622,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
             "convolutions are <= 0 on every guarded translate",
         )
 
-    del indexes  # the sweep's pieces are the memory peak; free these first
+    del indexes  # certificate builds its own at the memory peak; keep one set, not two
     cert = certificate(critical_set(profiles))
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
     add("shattering", cert.shattered, detail)

@@ -178,10 +178,22 @@ def fraction_critical_set(profiles: Sequence[FractionProfile]):
     return points, tuple(probes), values
 
 
+def piece_lists(profile, scale: int, wscale: int) -> tuple[list[int], ...]:
+    """profile.pieces collected as breakpoints, slopes and offsets: slopes
+    and offsets start with the zero piece left of the first breakpoint, so
+    piece i covers t in (breakpoints[i-1], breakpoints[i]]."""
+    breakpoints, slopes, offsets = [], [0], [0]
+    for t, slope, offset in profile.pieces(scale, wscale):
+        breakpoints.append(t)
+        slopes.append(slope)
+        offsets.append(offset)
+    return breakpoints, slopes, offsets
+
+
 def profile_value(profile, c: Fraction) -> Fraction:
-    """nu(c) from an integer NuProfile's closed form, by bisect."""
+    """nu(c) from an integer NuProfile's piece stream, by bisect."""
     t = c * profile.den
-    breakpoints, slopes, offsets = profile.scaled(profile.den, profile.wden)
+    breakpoints, slopes, offsets = piece_lists(profile, profile.den, profile.wden)
     i = bisect_left(breakpoints, t)
     return (slopes[i] * t + offsets[i]) / (
         profile.den * profile.wden

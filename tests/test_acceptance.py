@@ -255,13 +255,13 @@ def test_fast_paths_match_references_on_criterion_05_instances():
 
 
 def test_nu_profile_scaled_above_its_own_scale_on_criterion_05_instances():
-    """NuProfile.scaled at multiples of a profile's scales equals the reference."""
+    """NuProfile.pieces at multiples of a profile's scales equals the reference."""
     from references import fraction_build_nu_profile
-    from test_fast_paths import assert_scaled_matches_reference
+    from test_fast_paths import assert_pieces_match_reference
 
     for kernel, fs, mu in random_instances(seed=42, count=1000):
         for f in fs:
-            assert_scaled_matches_reference(
+            assert_pieces_match_reference(
                 build_nu_profile(kernel, f, mu),
                 fraction_build_nu_profile(kernel, f, mu),
             )
@@ -278,6 +278,8 @@ def test_fast_paths_match_references_on_bundles(bundles):
 
 def test_criterion_06_counting_bounds():
     """Pattern count and step-value count stay under their closed forms."""
+    from references import piece_lists
+
     checked = 0
     for kernel, fs, mu in random_instances(seed=1234, count=300):
         m, n = len(fs), kernel.group.order
@@ -285,7 +287,7 @@ def test_criterion_06_counting_bounds():
         assert len(patterns) <= (m + m * (m - 1) // 2) * (m * n + 1)
         for f in fs:
             profile = build_nu_profile(kernel, f, mu)
-            offsets = profile.scaled(profile.den, profile.wden)[2]
+            offsets = piece_lists(profile, profile.den, profile.wden)[2]
             assert len(set(offsets)) <= n + 1
         checked += 1
     assert checked == 300

@@ -19,7 +19,7 @@ from gshatter.classifier import (
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
 
-from references import profile_value
+from references import piece_lists, profile_value
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -86,7 +86,7 @@ class TestNuProfile:
         profile = build_nu_profile(k, f, mu)
         # conv = f = (1, -1, 2) so breakpoints at -2 < -1 < 1
         assert (profile.den, profile.wden) == (1, 1)
-        breakpoints, slopes, _ = profile.scaled(profile.den, profile.wden)
+        breakpoints, slopes, _ = piece_lists(profile, profile.den, profile.wden)
         assert breakpoints == [-2, -1, 1]
         assert slopes == [0, 1, 2, 3]
         assert profile_value(profile, Fraction(0)) == 3
@@ -104,9 +104,9 @@ class TestNuProfile:
         assert (profile.nums, profile.den) == ((3, -2, 12), 12)
         assert (profile.weights, profile.wden) == ((2, 0, 3), 4)
         # The zero weight drops the breakpoint at t = 2.
-        assert profile.scaled(profile.den, profile.wden) == (
-            [-12, -3], [0, 3, 5], [0, 36, 42]
-        )
+        assert list(profile.pieces(profile.den, profile.wden)) == [
+            (-12, 3, 36), (-3, 5, 42)
+        ]
         assert relu_sum(profile, Fraction(0)) == Fraction(7, 8)
 
     def test_constant_convolution_single_breakpoint(self):
@@ -114,7 +114,7 @@ class TestNuProfile:
         f = constant(g, 1)
         k = constant(g, 1)
         profile = build_nu_profile(k, f, counting_measure(g))
-        breakpoints, slopes, _ = profile.scaled(profile.den, profile.wden)
+        breakpoints, slopes, _ = piece_lists(profile, profile.den, profile.wden)
         assert breakpoints == [-4]
         assert slopes == [0, 4]
 
@@ -132,7 +132,7 @@ class TestNuProfile:
             c = data.draw(rationals(max_den=16, max_num=48))
             assert profile_value(profile, c) == nu(k, f, mu, c)
         # including exactly at each breakpoint
-        for bp in profile.scaled(profile.den, profile.wden)[0]:
+        for bp in piece_lists(profile, profile.den, profile.wden)[0]:
             c = Fraction(bp, profile.den)
             assert profile_value(profile, c) == nu(k, f, mu, c)
 
@@ -152,7 +152,7 @@ class TestNuProfile:
 
 def step_at(profile, c):
     """The step function c -> sum of mu(g)(f*K)(g) over (f*K)(g) > -c."""
-    breakpoints, _, offsets = profile.scaled(profile.den, profile.wden)
+    breakpoints, _, offsets = piece_lists(profile, profile.den, profile.wden)
     piece = bisect_left(breakpoints, c * profile.den)
     return Fraction(offsets[piece], profile.den * profile.wden)
 
@@ -164,7 +164,7 @@ class TestStepFunction:
         f, k, mu = _instance(g, [1, 2, 0], [1, 0, 0])
         profile = build_nu_profile(k, f, mu)
         # conv values 2 > 1 > 0 activate in that order as c grows.
-        breakpoints, _, offsets = profile.scaled(profile.den, profile.wden)
+        breakpoints, _, offsets = piece_lists(profile, profile.den, profile.wden)
         assert breakpoints == [-2, -1, 0]
         assert offsets == [0, 2, 3, 3]
 
@@ -185,7 +185,7 @@ class TestStepFunction:
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
         profile = build_nu_profile(k, f, counting_measure(g))
-        offsets = profile.scaled(profile.den, profile.wden)[2]
+        offsets = piece_lists(profile, profile.den, profile.wden)[2]
         assert len(set(offsets)) <= g.order + 1
 
     @settings(max_examples=40, deadline=None)

@@ -110,20 +110,23 @@ def long_options(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def shift_sweep_values(monkeypatch):
-    """Make the sweep's nu values wrong by 1; the definition stays right.
+    """Make the sweep's nu values wrong by 1 past each first breakpoint;
+    the definition stays right.
 
-    The sweep reads every value from NuProfile.scaled, where nu * scale *
+    The sweep reads every value from NuProfile.pieces, where nu * scale *
     wscale = slope * t + offset, so adding scale * wscale to each offset
-    adds 1 to nu everywhere; the ReluIndex that re-checks each witness
-    is built from the profile's nums and weights and never reads it.
+    adds 1 to nu on every piece from the first breakpoint on (left of it
+    the sweep's own zero piece stays right); the ReluIndex that re-checks
+    each witness is built from the profile's nums and weights and never
+    reads the pieces.
     """
-    true_scaled = NuProfile.scaled
+    true_pieces = NuProfile.pieces
 
     def shifted(self, scale, wscale):
-        breakpoints, slopes, offsets = true_scaled(self, scale, wscale)
-        return breakpoints, slopes, [o + scale * wscale for o in offsets]
+        for t, slope, offset in true_pieces(self, scale, wscale):
+            yield t, slope, offset + scale * wscale
 
-    monkeypatch.setattr(NuProfile, "scaled", shifted)
+    monkeypatch.setattr(NuProfile, "pieces", shifted)
 
 
 def fail_check(monkeypatch, name):
@@ -191,7 +194,7 @@ class TestOrdersCommand:
         assert manifest["command"] == "orders"
         assert "order_set_m4.json" in manifest["outputs"]
 
-    @pytest.mark.parametrize("m", ["0", "33"])
+    @pytest.mark.parametrize("m", ["0", "17", "33"])
     def test_m_out_of_range(self, capsys, m, tmp_path):
         code, _, err = run(capsys, "orders", "--m", m, "--out-dir", str(tmp_path))
         assert code == 2
@@ -673,7 +676,7 @@ class TestVerifyCommand:
     def test_certificate_is_checked_against_the_definition(
         self, capsys, bundle, monkeypatch
     ):
-        # The sweep finds witnesses through NuProfile.scaled; the re-check
+        # The sweep finds witnesses through NuProfile.pieces; the re-check
         # must not, so a wrong sweep cannot pass unnoticed.
         from gshatter.shatter import is_shattered
 

@@ -55,6 +55,7 @@ from references import (
     fraction_value_checks,
     full_solve_k_vector,
     loop_relu_sum,
+    piece_lists,
     termwise_relu_sum,
 )
 
@@ -183,7 +184,7 @@ def assert_matches_references(kernel, fs, mu) -> None:
     refs = [fraction_build_nu_profile(kernel, f, mu) for f in fs]
     for p, ref in zip(profiles, refs):
         assert_relu_index_matches(p, ref.conv, mu)
-        breakpoints, slopes, offsets = p.scaled(p.den, p.wden)
+        breakpoints, slopes, offsets = piece_lists(p, p.den, p.wden)
         assert tuple(Fraction(bp, p.den) for bp in breakpoints) == ref.breakpoints
         assert tuple(Fraction(s, p.wden) for s in slopes) == ref.slopes
         scale = p.den * p.wden
@@ -194,16 +195,20 @@ def assert_matches_references(kernel, fs, mu) -> None:
     assert_sweep_matches(crit, points, probes, values)
 
 
-def assert_scaled_matches_reference(p, ref) -> None:
-    """p.scaled at multiples of p's own scales, against the Fraction pieces."""
+def assert_pieces_match_reference(p, ref) -> None:
+    """p.pieces at multiples of p's own scales, against the Fraction pieces.
+
+    The reference starts from the zero piece left of the first breakpoint;
+    the stream yields each breakpoint with the piece that starts there.
+    """
+    assert (ref.slopes[0], ref.offsets[0]) == (0, 0)
     for k in (1, 2, 21):
         for w in (1, 2, 21):
             scale, wscale = k * p.den, w * p.wden
-            assert p.scaled(scale, wscale) == (
-                [bp * scale for bp in ref.breakpoints],
-                [s * wscale for s in ref.slopes],
-                [o * scale * wscale for o in ref.offsets],
-            )
+            assert list(p.pieces(scale, wscale)) == [
+                (bp * scale, s * wscale, o * scale * wscale)
+                for bp, s, o in zip(ref.breakpoints, ref.slopes[1:], ref.offsets[1:])
+            ]
 
 
 class TestAgainstReferences:
@@ -258,7 +263,7 @@ class TestAgainstReferences:
         for f in fs:
             profile = build_nu_profile(kernel, f, mu)
             assert profile.wden > 1
-            assert_scaled_matches_reference(
+            assert_pieces_match_reference(
                 profile, fraction_build_nu_profile(kernel, f, mu)
             )
 
@@ -319,6 +324,18 @@ class TestAgainstReferences:
         crit = critical_set([build_nu_profile(kernel, f, mu) for f in thirds])
         assert crit.points == tuple(Fraction(c, 3) for c in (-4, -3, -2, 0))
         assert_matches_references(kernel, thirds, mu)
+
+    def test_breakpoint_shared_by_two_profiles(self):
+        # nu_1 = (2+c)^+ + c^+ and nu_2 = (2+c)^+ + (1+c)^+ both enter a
+        # new piece at c = -2, where the grid has one point: a walk that
+        # took each profile's breakpoints in turn would list it twice.
+        group = GROUPS["cyclic:2"]
+        fs = [GroupFunction.from_values(group, row) for row in ([2, 0], [2, 1])]
+        kernel = indicator(group, group.identity)
+        mu = counting_measure(group)
+        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        assert crit.points == (-2, -1, 0)
+        assert_matches_references(kernel, fs, mu)
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6"])
     def test_sparse_function_against_dense_kernel(self, spec):

@@ -188,6 +188,13 @@ class TestValidation:
         assert report.passed
         assert report.exhaustive
 
+    def test_exhaustive_up_to_order_128_and_sampled_above(self):
+        # Exhaustive associativity is n^3 triples: about a second at 128.
+        assert validate_group(build_group("cyclic:128")).exhaustive
+        report = validate_group(build_group("cyclic:129"))
+        assert report.passed
+        assert not report.exhaustive
+
     def test_corrupted_table_flags_associativity(self):
         table = [list(row) for row in cyclic_group(4).mul_table]
         table[1][1] = 3
