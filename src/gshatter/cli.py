@@ -14,7 +14,6 @@ contract:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -323,6 +322,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print("  ".join(fmt(r[col]).rjust(widths[col]) for col in _BOUND_COLUMNS))
 
     if args.csv:
+        import csv  # only --csv writes one
+
         csv_path = Path(args.csv)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", newline="", encoding="utf-8") as handle:

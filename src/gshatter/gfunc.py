@@ -19,6 +19,8 @@ from .groups import FiniteGroup
 
 
 def _as_fraction(x: object, what: str) -> Fraction:
+    if type(x) is Fraction:  # immutable: no copy needed
+        return x
     if isinstance(x, float):
         raise TypeError(f"{what} must be exact rationals, got float {x!r}")
     if isinstance(x, _RationalABC):
@@ -77,7 +79,8 @@ class Measure:
             raise ValueError("measure needs one weight per group element")
         if any(w < 0 for w in self.weights):
             raise ValueError("measure weights must be non-negative")
-        if sum(self.weights) <= 0:
+        # With no weight negative, the total is positive exactly when one is.
+        if not any(self.weights):
             raise ValueError("measure must have positive total mass")
 
     @classmethod
@@ -93,7 +96,7 @@ class Measure:
 
 def counting_measure(group: FiniteGroup) -> Measure:
     """Weight 1 on every element -- the default measure everywhere."""
-    return Measure(group, tuple(Fraction(1) for _ in range(group.order)))
+    return Measure(group, (Fraction(1),) * group.order)
 
 
 def indicator(group: FiniteGroup, g: int) -> GroupFunction:

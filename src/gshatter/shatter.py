@@ -240,18 +240,22 @@ def enumerate_dichotomies(
     return {Dichotomy(labels) for labels in found}
 
 
-def certificate(critical: CriticalSet) -> ShatterCertificate:
+def certificate(
+    critical: CriticalSet, indexes: Optional[Sequence[ReluIndex]] = None
+) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns of a critical set.
 
     Every witness is re-verified by classify's rule through the ReLU-sum
     definition on each profile's stored convolution (one ReluIndex per
-    profile), not the sweep's values; a witness that failed
-    re-verification would mean an internal inconsistency, so it raises
-    WitnessVerificationError instead of being silently dropped.
+    profile: `indexes` when the caller holds them, else built here), not
+    the sweep's values; a witness that failed re-verification would mean
+    an internal inconsistency, so it raises WitnessVerificationError
+    instead of being silently dropped.
     """
     m = len(critical.profiles)
     found = _witnesses(critical)
-    indexes = [ReluIndex(p) for p in critical.profiles]
+    if indexes is None:
+        indexes = [ReluIndex(p) for p in critical.profiles]
     entries: list[DichotomyEntry] = []
     for labels in product((-1, 1), repeat=m):
         if labels in found:

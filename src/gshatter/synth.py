@@ -454,8 +454,9 @@ def verify_synth(result: SynthResult) -> SynthReport:
     is convolved with the kernel once, and every nu value a check reads
     is taken from the ReLU-sum definition on that convolution, through
     one ReluIndex per profile; the shattering certificate's witnesses are
-    re-checked against the same definition.  SynthResult has checked the
-    shape: one level, threshold and subset of m centres per target order.
+    re-checked against the same definition, through the same indexes.
+    SynthResult has checked the shape: one level, threshold and subset of
+    m centres per target order.
     """
     checks: list[SynthCheck] = []
 
@@ -469,8 +470,10 @@ def verify_synth(result: SynthResult) -> SynthReport:
     mu = counting_measure(group)
     kernel = result.kernel
     profiles = build_nu_profiles(kernel, result.family(), mu)
-    # Under the counting measure every weight is 1, so each index holds
-    # every convolution value, in ascending order as index.xs.
+    # The sweep first, so no index is alive at its peak.  Under the
+    # counting measure every weight is 1, so each index holds every
+    # convolution value, in ascending order as index.xs.
+    critical = critical_set(profiles)
     indexes = [ReluIndex(p) for p in profiles]
     epsilon = result.epsilon
     B, C = result.B, result.C
@@ -622,8 +625,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
             "convolutions are <= 0 on every guarded translate",
         )
 
-    del indexes  # certificate builds its own at the memory peak; keep one set, not two
-    cert = certificate(critical_set(profiles))
+    cert = certificate(critical, indexes)
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
     add("shattering", cert.shattered, detail)
     return SynthReport(tuple(checks), orders, cert)

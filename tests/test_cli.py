@@ -6,6 +6,7 @@ import argparse
 import ast
 import dataclasses
 import errno
+import hashlib
 import inspect
 import json
 import os
@@ -544,11 +545,12 @@ class TestVerifyCommand:
 
     def test_out_file(self, capsys, bundle, tmp_path):
         target = tmp_path / "verdict" / "verdict.json"
+        inputs = [bundle / "kernel.json", bundle / "functions.json"]
         code, _, _ = run(
             capsys,
             "verify",
-            "--kernel", str(bundle / "kernel.json"),
-            "--functions", str(bundle / "functions.json"),
+            "--kernel", str(inputs[0]),
+            "--functions", str(inputs[1]),
             "--out", str(target),
         )
         assert code == 0
@@ -557,7 +559,9 @@ class TestVerifyCommand:
         assert verdict["certificate"]["shattered"] is True
         manifest = read_json(target.parent / "run_manifest.json")
         assert manifest["command"] == "verify"
-        assert len(manifest["inputs"]) == 2
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs
+        }
 
     def test_zero_kernel_agreeing_negative(self, capsys, bundle, tmp_path):
         kernel = read_json(bundle / "kernel.json")

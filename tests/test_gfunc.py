@@ -173,8 +173,25 @@ class TestTranslation:
 class TestValuesAndMeasures:
     def test_floats_rejected(self):
         g = build_group("cyclic:2")
-        with pytest.raises(TypeError):
-            GroupFunction.from_values(g, [0.5, 1])
+        for x in (0.5, 1.0, float("inf")):
+            for make in (
+                lambda: GroupFunction.from_values(g, [x, 1]),
+                lambda: Measure.from_weights(g, [x, 1]),
+                lambda: constant(g, x),
+            ):
+                with pytest.raises(TypeError, match="exact rationals"):
+                    make()
+
+    def test_a_fraction_is_kept_and_other_rationals_convert(self):
+        class Half(Fraction):
+            pass
+
+        g = build_group("cyclic:4")
+        x = Fraction(2, 3)
+        f = GroupFunction.from_values(g, [x, 2, True, Half(1, 2)])
+        assert f.values[0] is x
+        assert [type(v) for v in f.values] == [Fraction] * 4
+        assert f.values == (Fraction(2, 3), 2, 1, Fraction(1, 2))
 
     def test_integers_and_strings_of_values_coerce(self):
         g = build_group("cyclic:2")
@@ -188,13 +205,19 @@ class TestValuesAndMeasures:
 
     def test_measure_must_be_nonnegative(self):
         g = build_group("cyclic:2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             Measure.from_weights(g, [1, -1])
+
+    def test_a_negative_weight_is_named_before_the_mass(self):
+        g = build_group("cyclic:3")
+        with pytest.raises(ValueError, match="non-negative"):
+            Measure.from_weights(g, [0, -1, 0])
 
     def test_measure_must_have_positive_mass(self):
         g = build_group("cyclic:2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive total mass"):
             Measure.from_weights(g, [0, 0])
+        assert Measure.from_weights(g, [0, Fraction(1, 9)]).weights[1] == Fraction(1, 9)
 
     def test_support(self):
         g = build_group("cyclic:4")
