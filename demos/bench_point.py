@@ -13,13 +13,18 @@ checkout's `src` first on PYTHONPATH, in a temporary directory that is
 removed afterwards.  A case records wall seconds and the peak resident
 set size of each command, from wait4 (Linux carries the parent's peak
 across exec, so sizes below this script's own, about 10 MB, are not
-resolved).  The point is printed as JSON, and with --append it is added
-to the "points" list of a BENCH file.  Standard library only.
+resolved).  A case also records the sha256 of every artifact synth
+wrote but `run_manifest.json`, the one that differs between runs.  The
+point is printed as JSON, and with --append it is added to the "points"
+list of a BENCH file; a case whose digests differ from the same case in
+the file's previous point gets `"digests_differ": true`, is named on
+stderr and makes the exit code 1.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -78,6 +83,11 @@ def measure(label: str, selected) -> dict:
                 row[f"{name}_exit"] = code
                 row[f"{name}_s"] = round(seconds, 2)
                 row[f"{name}_peak_rss_mb"] = round(rss, 1)
+            row["digests"] = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(work, "out").glob("*"))  # none if synth failed
+                if path.name != "run_manifest.json"
+            }
             cases.append(row)
             print(json.dumps(row), file=sys.stderr, flush=True)
     return {
@@ -89,6 +99,19 @@ def measure(label: str, selected) -> dict:
     }
 
 
+def flag_digest_changes(point: dict, previous: dict) -> list[str]:
+    """Mark each case of `point` whose digests differ from the same case
+    (mode, m, group) in `previous`; returns the marked cases' names."""
+    def name(case: dict) -> str:
+        return f"{case['mode']} m={case['m']} {case['group']}"
+
+    before = {name(c): c["digests"] for c in previous["cases"] if "digests" in c}
+    for case in point["cases"]:
+        if name(case) in before:
+            case["digests_differ"] = case["digests"] != before[name(case)]
+    return [name(c) for c in point["cases"] if c.get("digests_differ")]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="", help="name of this point")
@@ -98,13 +121,19 @@ def main() -> int:
                         help="also run order_two m = 9..12 (minutes, about 1 GB)")
     args = parser.parse_args()
     point = measure(args.label, CASES + LARGE_CASES if args.large else CASES)
-    print(json.dumps(point, indent=2))
+    changed = []
     if args.append:
         path = Path(args.append)
         data = json.loads(path.read_text()) if path.exists() else {"points": []}
+        if data["points"]:
+            changed = flag_digest_changes(point, data["points"][-1])
         data["points"].append(point)
         path.write_text(json.dumps(data, indent=2) + "\n")
-    return 0 if all(c["synth_exit"] == 0 == c["verify_exit"] for c in point["cases"]) else 1
+    print(json.dumps(point, indent=2))
+    for name in changed:
+        print(f"artifacts differ from the previous point: {name}", file=sys.stderr)
+    ok = all(c["synth_exit"] == 0 == c["verify_exit"] for c in point["cases"])
+    return 0 if ok and not changed else 1
 
 
 if __name__ == "__main__":

@@ -26,9 +26,9 @@ def show(m: int = 4) -> None:
     orders = build_complete_orders(m)
     print(f"built {len(orders.rankings)} rankings:")
     for r in orders.rankings:
-        bottom_up = sorted(range(1, m + 1), key=lambda e: r.ranks[e - 1])
+        bottom_up = sorted(range(1, m + 1), key=lambda e: r[e - 1])
         chain = " < ".join(str(e) for e in bottom_up)
-        print(f"  ranks {r.ranks}   i.e. {chain}")
+        print(f"  ranks {r}   i.e. {chain}")
 
     print("\neach ranking separates its chain of bottom prefixes:")
     example = orders.rankings[0]

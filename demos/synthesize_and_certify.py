@@ -19,7 +19,7 @@ def show(spec: str = "cyclic:18", m: int = 3) -> None:
     print(f"group {spec} (order {group.order}), m = {m}, involution g = {result.g}")
     print(f"target orders ({len(orders.rankings)}):")
     for r in orders.rankings:
-        print(f"  {r.ranks}")
+        print(f"  {r}")
 
     print(f"\nlevel separation epsilon = {result.epsilon}")
     print("levels and thresholds:")

@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .classifier import (
     NuProfile,
-    Ranking,
     build_nu_profile,
     classify,
     nu,
@@ -64,6 +63,7 @@ from .orders import (
     f_map,
     f_map_base,
     is_complete,
+    is_strict,
     mask_elements,
     mask_from_elements,
     peel_chain,

@@ -145,25 +145,9 @@ def classify(
     return 1 if nu(kernel, f, mu, c1) + c2 > 0 else -1
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Ranks of m values: rank(k) = 1 + #{l : value_l < value_k}.
-
-    Ties produce equal ranks; when all values are distinct the ranks form
-    a permutation of 1..m.
-    """
-
-    ranks: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.ranks)
-
-    def is_strict(self) -> bool:
-        return sorted(self.ranks) == list(range(1, len(self.ranks) + 1))
-
-
-def ranking_of_values(values: Sequence[Fraction]) -> Ranking:
-    """rank(k) = 1 + #{l : value_l < value_k}, read off one sorted copy."""
+def ranking_of_values(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """Ranks of the values, rank(k) = 1 + #{l : value_l < value_k}, read
+    off one sorted copy.  Ties share a rank; distinct values get a
+    permutation of 1..m."""
     ordered = sorted(values)
-    return Ranking(tuple([1 + bisect_left(ordered, v) for v in values]))
+    return tuple([1 + bisect_left(ordered, v) for v in values])

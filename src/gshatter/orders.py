@@ -8,6 +8,8 @@ C(m, floor(m/2)) rankings — the smallest possible — by peeling subsets
 one element at a time with a family of maps F: S(q, m) -> S(q-1, m).
 
 Subsets of [m] = {1, ..., m} are bitmasks: bit i-1 stands for element i.
+A ranking of [m] is a tuple of m ranks, element k's at index k-1; it is
+strict when the ranks are a permutation of 1..m.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .classifier import Ranking
 from .errors import InvariantError
 
 
@@ -143,30 +144,33 @@ class OrderSet:
     """A collection of rankings of [m]."""
 
     m: int
-    rankings: tuple[Ranking, ...]
+    rankings: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         for r in self.rankings:
-            if len(r.ranks) != self.m:
-                raise ValueError(
-                    f"ranking {r.ranks} does not have length m={self.m}"
-                )
+            if len(r) != self.m:
+                raise ValueError(f"ranking {r} does not have length m={self.m}")
 
-    def strict_rankings(self) -> list[Ranking]:
-        return [r for r in self.rankings if r.is_strict()]
+    def strict_rankings(self) -> list[tuple[int, ...]]:
+        return [r for r in self.rankings if is_strict(r)]
 
 
-def separated_masks(ranking: Ranking) -> set[int]:
+def is_strict(ranks: tuple[int, ...]) -> bool:
+    """Whether the ranks are a permutation of 1..m: no two values tie."""
+    return sorted(ranks) == list(range(1, len(ranks) + 1))
+
+
+def separated_masks(ranking: tuple[int, ...]) -> set[int]:
     """All subsets this ranking places strictly below their complement.
 
     For a strict ranking these are exactly its m+1 rank prefixes; tied
     rankings never separate anything beyond the trivial subsets.
     """
-    m = len(ranking.ranks)
+    m = len(ranking)
     out = {0, (1 << m) - 1}
-    if not ranking.is_strict():
+    if not is_strict(ranking):
         return out
-    by_rank = sorted(range(m), key=lambda i: ranking.ranks[i])
+    by_rank = sorted(range(m), key=ranking.__getitem__)
     acc = 0
     for i in by_rank:
         acc |= 1 << i
@@ -199,7 +203,7 @@ def completeness_lower_bound(m: int) -> int:
     return comb(m, m // 2)
 
 
-def _ranking_for(chain: list[int], m: int) -> Ranking:
+def _ranking_for(chain: list[int], m: int) -> tuple[int, ...]:
     """Strict ranking that separates a subset A and its whole peel chain.
 
     `chain` is A's peel chain.  Elements of A occupy ranks 1..|A| in
@@ -216,7 +220,7 @@ def _ranking_for(chain: list[int], m: int) -> Ranking:
     csize = comp.bit_count()
     for b, k in _chain_ranks(peel_chain(comp, m)).items():
         ranks[b - 1] = s + (csize + 1 - k)
-    return Ranking(tuple(ranks))
+    return tuple(ranks)
 
 
 def build_complete_orders(m: int) -> OrderSet:
@@ -229,7 +233,7 @@ def build_complete_orders(m: int) -> OrderSet:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    rankings: list[Ranking] = []
+    rankings: list[tuple[int, ...]] = []
     separated: set[int] = set()
     for size in range(m, (m + 1) // 2 - 1, -1):
         layer = sorted(
@@ -241,8 +245,8 @@ def build_complete_orders(m: int) -> OrderSet:
                 continue
             chain = peel_chain(mask, m)
             ranking = _ranking_for(chain, m)
-            if not ranking.is_strict():
-                raise InvariantError(f"ranking {ranking.ranks} is not strict")
+            if not is_strict(ranking):
+                raise InvariantError(f"ranking {ranking} is not strict")
             rankings.append(ranking)
             separated.update(chain)
     if len(rankings) != comb(m, m // 2):

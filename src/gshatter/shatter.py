@@ -22,13 +22,7 @@ from itertools import chain, combinations, groupby, product, repeat
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .classifier import (
-    NuProfile,
-    Ranking,
-    ReluIndex,
-    build_nu_profiles,
-    ranking_of_values,
-)
+from .classifier import NuProfile, ReluIndex, build_nu_profiles, ranking_of_values
 from .errors import WitnessVerificationError
 from .gfunc import GroupFunction, Measure
 from .orders import OrderSet, is_complete
@@ -84,7 +78,7 @@ class CriticalSet:
     profiles: tuple[NuProfile, ...]
     scale: int
     wscale: int
-    rows: dict[Ranking, tuple[tuple[int, int], list[int]]]
+    rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]]
 
     @property
     def points(self) -> tuple[Fraction, ...]:
@@ -156,7 +150,7 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
         raise ValueError("need at least one function")
     scale = lcm(*(p.den for p in profiles))
     wscale = lcm(*(p.wden for p in profiles))
-    rows: dict[Ranking, tuple[tuple[int, int], list[int]]] = {}
+    rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]] = {}
     tied = True  # whether the last point tied; the first probe is ranked
 
     def probe(p: int, q: int, point: bool, values: Optional[list[int]] = None) -> None:

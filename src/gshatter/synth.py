@@ -65,22 +65,20 @@ def _translates(
 
 @dataclass(frozen=True)
 class UTower:
-    """The functions u_0 = 1_e, u_1 = 1_g, and their alternating recursion
+    """The coefficient pairs u_i = a_{i,1} 1_e + a_{i,2} 1_g of the tower
+    u_0 = 1_e, u_1 = 1_g and its alternating recursion
 
         u_{2q}   = eps_q * u_{2q-2} + u_{2q-1}
         u_{2q+1} = u_{2q-2} + eps_q * u_{2q-1}
 
-    together with the exact coefficient pairs u_i = a_{i,1} 1_e + a_{i,2} 1_g.
+    as points of the plane; they do not depend on the group or on g.
     unit_points[q - 1] is the plane point k^ with u~_{2q}(k^) = 1 that
     solve_k_vector scales, and the largest u~_l(k^) over l != 2q.
     """
 
-    group: FiniteGroup
-    g: int
     B: Fraction
     C: Fraction
     p: int
-    functions: tuple[GroupFunction, ...]
     coeffs: tuple[tuple[Fraction, Fraction], ...]
     epsilons: tuple[Fraction, ...]
     unit_points: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...]
@@ -91,12 +89,8 @@ class UTower:
         return a1 * k[0] + a2 * k[1]
 
 
-def build_u_tower(
-    group: FiniteGroup, g: int, B: Fraction, C: Fraction, p: int
-) -> UTower:
+def build_u_tower(B: Fraction, C: Fraction, p: int) -> UTower:
     """Tower u_0 .. u_{2p+1} with eps_q = 4C/B + 1 + (p-q)(B/C + 1)."""
-    if g == group.identity:
-        raise ValueError("tower element g must differ from the identity")
     if not 0 < B < C:
         raise ValueError(f"need C > B > 0, got B={B}, C={C}")
     if p < 1:
@@ -112,21 +106,9 @@ def build_u_tower(
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     ]
-    for q in range(1, p + 1):
-        eq = epsilons[q - 1]
-        prev_even, prev_odd = coeffs[2 * q - 2], coeffs[2 * q - 1]
-        coeffs.append(
-            (
-                eq * prev_even[0] + prev_odd[0],
-                eq * prev_even[1] + prev_odd[1],
-            )
-        )
-        coeffs.append(
-            (
-                prev_even[0] + eq * prev_odd[0],
-                prev_even[1] + eq * prev_odd[1],
-            )
-        )
+    for eq in epsilons:  # u_{2q-2} and u_{2q-1} give u_{2q} and u_{2q+1}
+        (e1, e2), (o1, o2) = coeffs[-2:]
+        coeffs += [(eq * e1 + o1, eq * e2 + o2), (e1 + eq * o1, e2 + eq * o2)]
     for q in range(1, p + 1):
         a1, a2 = coeffs[2 * q]
         if not (a1 > 0 and a2 > 0):
@@ -146,24 +128,7 @@ def build_u_tower(
         if values[i] != 1:
             raise SynthesisVerificationError(f"u~_{i}(k) = {values[i]}, expected 1")
         unit_points.append((k, max(values[:i] + values[i + 1:])))
-    # u_i = a1 1_e + a2 1_g is a1 at e, a2 at g and zero elsewhere.
-    zeros = [Fraction(0)] * group.order
-    functions = []
-    for a1, a2 in coeffs:
-        values = zeros.copy()
-        values[group.identity], values[g] = a1, a2
-        functions.append(GroupFunction(group, tuple(values)))
-    return UTower(
-        group=group,
-        g=g,
-        B=B,
-        C=C,
-        p=p,
-        functions=tuple(functions),
-        coeffs=tuple(coeffs),
-        epsilons=epsilons,
-        unit_points=tuple(unit_points),
-    )
+    return UTower(B, C, p, tuple(coeffs), epsilons, tuple(unit_points))
 
 
 def solve_k_vector(
@@ -324,6 +289,11 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     kernel, left to the caller to read from the report.
     """
     B, C = LEVEL_INTERVAL
+    # Every required size is at least 2m C(m, m // 2) >= 2^m.  Past m = 64
+    # a group below 2^m is refused from bit lengths, before a binomial of
+    # about m bits is computed, and the message names 2^m.
+    if m > 64 and mode in MODES and group.order.bit_length() <= m:
+        raise GroupTooSmallError(group.order, f"2^{m}", mode)
     required = required_group_size(m, mode)
     if group.order < required:
         raise GroupTooSmallError(group.order, required, mode)
@@ -336,7 +306,7 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     r = len(orders)
 
     layout = LAYOUTS[mode]
-    tower = build_u_tower(group, g, B, C, p=m)
+    tower = build_u_tower(B, C, p=m)
     subsets = choose_subsets(group, g, r, m, mode)
     epsilon = synth_epsilon(B, C, m, r)
 
@@ -358,7 +328,7 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     thresholds: list[Fraction] = []
     m_prev, big_m_prev = C, Fraction(0)
     for l in range(1, r + 1):
-        o_inv = {rank: k for k, rank in enumerate(orders[l - 1].ranks)}
+        o_inv = {rank: k for k, rank in enumerate(orders[l - 1])}
         targets = [m_prev - (m - i) * (big_m_prev + epsilon) for i in range(m)]
         # For l > 1 this is round l-1's level condition B < m - m(M + eps).
         if not B < targets[0]:
@@ -390,15 +360,19 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
             for x in _translates(group, g, h, layout.guards):
                 assign(x, guard, "guard")
 
+    zero = Fraction(0)
     kernel = GroupFunction(
-        group,
-        tuple(
-            kernel_values.get(x, Fraction(0)) for x in range(group.order)
-        ),
+        group, tuple(kernel_values.get(x, zero) for x in range(group.order))
     )
+    # u_i = a1 1_e + a2 1_g is a1 at e, a2 at g and zero elsewhere.
+    u = []
+    for a1, a2 in tower.coeffs:
+        values = [zero] * group.order
+        values[group.identity], values[g] = a1, a2
+        u.append(GroupFunction(group, tuple(values)))
     result = SynthResult(
         kernel=kernel,
-        u=tower.functions,
+        u=tuple(u),
         subsets=subsets,
         epsilon=epsilon,
         thresholds=tuple(thresholds),
@@ -482,7 +456,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
 
     # u_i = a1 1_e + a2 1_g: a1 at e, a2 at g, and no other non-zero value.
     e, g = group.identity, result.g
-    tower = build_u_tower(group, g, B, C, p=m)
+    tower = build_u_tower(B, C, p=m)
     tower_ok = all(
         (u.values[e], u.values[g]) == (a1, a2)
         and sum(map(bool, u.values)) == bool(a1) + bool(a2)
@@ -537,12 +511,9 @@ def verify_synth(result: SynthResult) -> SynthReport:
     detail = ""
     for l, values in enumerate(level_nus):
         got = ranking_of_values(values)
-        if got.ranks != orders.rankings[l].ranks:
+        if got != orders.rankings[l]:
             orders_ok = False
-            detail = (
-                f"level {l + 1}: ranking {got.ranks} != target "
-                f"{orders.rankings[l].ranks}"
-            )
+            detail = f"level {l + 1}: ranking {got} != target {orders.rankings[l]}"
             break
     add("orders-realized", orders_ok, detail or f"all {r} target orders hit")
 

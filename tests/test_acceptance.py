@@ -189,7 +189,7 @@ def test_criterion_03_complete_order_suite():
         assert is_complete(orders)  # exhaustive scan over all 2^m subsets
         prefixes = set()
         for r in orders.rankings:
-            by_rank = sorted(range(m), key=lambda i: r.ranks[i])
+            by_rank = sorted(range(m), key=r.__getitem__)
             prefixes.add(sum(1 << i for i in by_rank[: m // 2]))
         # Each ranking separates exactly one middle-layer subset, so
         # distinct prefixes certify that no smaller set could be complete.

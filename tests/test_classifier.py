@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gshatter.classifier import (
-    Ranking,
     build_nu_profile,
     classify,
     nu,
@@ -18,6 +17,7 @@ from gshatter.classifier import (
 )
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
+from gshatter.orders import is_strict
 
 from references import piece_lists, profile_value
 
@@ -210,23 +210,23 @@ class TestStepFunction:
 class TestRankings:
     def test_rank_of_distinct_values(self):
         r = ranking_of_values([Fraction(7), Fraction(1), Fraction(4)])
-        assert r.ranks == (3, 1, 2)
-        assert r.is_strict()
+        assert r == (3, 1, 2)
+        assert is_strict(r)
 
     def test_ties_share_rank(self):
         r = ranking_of_values([Fraction(2), Fraction(2), Fraction(2)])
-        assert r.ranks == (1, 1, 1)
-        assert not r.is_strict()
+        assert r == (1, 1, 1)
+        assert not is_strict(r)
 
     def test_partial_tie(self):
         r = ranking_of_values([Fraction(5), Fraction(5), Fraction(1)])
-        assert r.ranks == (2, 2, 1)
-        assert not r.is_strict()
+        assert r == (2, 2, 1)
+        assert not is_strict(r)
 
     def test_ranking_is_strict_is_permutation_test(self):
-        assert Ranking((2, 3, 1)).is_strict()
-        assert not Ranking((1, 3, 3)).is_strict()
-        assert Ranking((1,)).is_strict()
+        assert is_strict((2, 3, 1))
+        assert not is_strict((1, 3, 3))
+        assert is_strict((1,))
 
 
 class TestClassifierInvariance:

@@ -348,6 +348,23 @@ class TestSynthCommand:
         assert elapsed < 1.0
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("m", ["20000", "1000000000"])
+    def test_huge_m_refused_from_bit_lengths(self, capsys, tmp_path, m):
+        # 2m C(m, m // 2) >= 2^m: cyclic:5 is too small without the
+        # binomial, whose digits would pass the int/str limit at m = 20000.
+        code, _, err, elapsed, peak = run_bounded(
+            capsys, "synth", "--group", "cyclic:5", "--m", m,
+            "--allow-large", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert err == (
+            "error: group of order 5 is too small for mode 'order_two': "
+            f"need at least 2^{m} elements\n"
+        )
+        assert elapsed < 1.0
+        assert peak < 1_000_000
+        assert not any(tmp_path.iterdir())
+
     def test_orders_built_once_by_the_kernel_and_once_by_the_verifier(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -406,40 +423,49 @@ class TestSynthCommand:
 
     def test_golden_digests(self, capsys, tmp_path):
         # Artifacts of the reference release; any refactor must keep them.
-        shared = {
+        m3_orders = {
             "orders.json": "3fb305159dd92b86e5b8ab8b541b39e5d608dc70bcfdc10123e150d448b145d3",
         }
         golden = {
-            ("cyclic:18", "order_two"): {
+            ("cyclic:18", 3, "order_two"): {
                 "functions.json": "4a4b4faab32198f801b7a8cd23f4995cbd058d3906e4df8e31ae7671126d8f35",
                 "kernel.json": "d034bd723a2d68d06ed33825ab6351ba77367765aa987c218990316df63683f4",
                 "shatter_certificate.json": "8b8ba8b18ff9b9068e39a5406a827d7d5193e4b855045448688310e1d578fe85",
                 "synth_result.json": "6c39658a1033e911cc072c91d76a309c1f755fb3a5aa5f523e5e964116a6fc20",
                 "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
             },
-            ("dihedral:9", "order_two"): {
+            ("dihedral:9", 3, "order_two"): {
                 "functions.json": "b71166475c9111bc5ffb34d2d68faf5443e275ff8c5e8f547c553785fac6c81a",
                 "kernel.json": "7e94d0cde42b01feffe2803c578fe9b38c1d0d452e1c635a7d7ec24150f15ebb",
                 "shatter_certificate.json": "dab2b916719e9fc3856a682773a919575bb40777e50173971a89022a79bde629",
                 "synth_result.json": "9c0e1c2f01864f8009a6d4598f3569f1bcf203f7a76a623fad3896e61a5d6892",
                 "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
             },
-            ("cyclic:81", "general"): {
+            ("cyclic:81", 3, "general"): {
                 "functions.json": "a34259f1c3d8c05abaad483d73d882599ed37bd256d645175df2532e483a782a",
                 "kernel.json": "fdf470d0c2461cfae23b2af877dfb7f5cfe233b6c31a25a7c5d722e15c867f34",
                 "shatter_certificate.json": "a8fa59ce0ecf4ba36f838c291103cb084756c90a08e416cd8126917122b278e8",
                 "synth_result.json": "3333d67a22d8443d456f040236a25fe1cef9c52206a7f0b8b2211dc7cadac68d",
                 "verify_report.json": "107099ed7beb7d8d8beca105b0d639ede38af62c64bd5c0cf3cd7d598f55f673",
             },
+            # The benchmark's synth-m5 case.
+            ("cyclic:100", 5, "order_two"): {
+                "functions.json": "fb3ac310ba3df94b623fc853ca6c3723531e1bd480187dd1c0b091f7eb5bec4d",
+                "kernel.json": "7dc7f5facc6b659ec475f9a613118aa057627f833e1d4d1dcd4d274f25888812",
+                "orders.json": "be4ba762794a2e477be087e62cc85acd20e120fe969aacbc1f242952db1f1438",
+                "shatter_certificate.json": "2a08e80e6aef9084e270f66ef9103f5c770a2f616865ec50f042b13e3989ce16",
+                "synth_result.json": "0e13814aad8ea582e04eed7afa78277a33bb894c0af020e4d7b677cdf411f2b1",
+                "verify_report.json": "5ec7c1dc0a87452488b716aafb0efebd2f910ea9363f7f8627dc03ebb9d39f78",
+            },
         }
-        for (spec, mode), digests in golden.items():
+        for (spec, m, mode), digests in golden.items():
             out = tmp_path / spec.replace(":", "_")
             code, _, _ = run(
-                capsys, "synth", "--group", spec, "--m", "3", "--mode", mode,
+                capsys, "synth", "--group", spec, "--m", str(m), "--mode", mode,
                 "--out-dir", str(out),
             )
             assert code == 0, spec
-            for name, digest in {**shared, **digests}.items():
+            for name, digest in {**(m3_orders if m == 3 else {}), **digests}.items():
                 assert sha256_of_file(out / name) == digest, (spec, name)
 
     def test_one_convolution_per_function(self, capsys, tmp_path, monkeypatch):
@@ -676,6 +702,48 @@ class TestVerifyCommand:
         assert "error: cannot read inputs" in err
         assert elapsed < 1.0
         assert peak < 1_000_000
+
+    def test_witnesses_past_the_digit_limit_are_written_and_read_back(
+        self, capsys, tmp_path
+    ):
+        # Inputs under 2 600 digits give witnesses past the interpreter's
+        # 4 300-digit int/str limit: verify writes them, bounds reads them.
+        a, b, c = "7" * 2500 + "1", "3" * 2500 + "1", "9" * 2500 + "7"
+        kernel, functions = tmp_path / "k.json", tmp_path / "f.json"
+        write_json_atomic(kernel, {"group": "cyclic:3", "values": [f"1/{a}", f"-2/{c}", "5"]})
+        write_json_atomic(functions, {"group": "cyclic:3", "functions": [
+            [f"1/{b}", "1", f"-3/{a}"], [f"2/{c}", f"-1/{b}", "4"]]})
+        out = tmp_path / "v" / "verify.json"
+        for extra in ([], ["--out", str(out)]):
+            start = time.perf_counter()
+            code, stdout, err = run(
+                capsys, "verify", "--kernel", str(kernel), "--functions", str(functions),
+                *extra,
+            )
+            assert time.perf_counter() - start < 1.0
+            assert (code, err) == (0, "")
+            assert stdout.endswith(
+                "shattered=False order_criterion=False agreement=True\n"
+            )
+        witnesses = [
+            e[k] for e in read_json(out)["certificate"]["dichotomies"]
+            for k in ("c1", "c2") if k in e
+        ]
+        assert max(map(len, witnesses)) > 4300
+        code, stdout, err = run(capsys, "bounds", "--n", "3", "--achieved", str(out))
+        assert (code, err) == (0, "")
+        assert stdout.splitlines()[1].split()[0] == "3"
+
+    def test_over_long_rational_refused_with_a_short_message(self, capsys, tmp_path):
+        kernel = tmp_path / "kernel.json"
+        write_json_atomic(kernel, {"group": "cyclic:2", "values": ["1" * 10**6, "0"]})
+        code, _, err, elapsed, _ = run_bounded(
+            capsys, "verify", "--kernel", str(kernel), "--functions", str(kernel),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot read inputs: rational over")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert elapsed < 1.0
 
     def test_certificate_is_checked_against_the_definition(
         self, capsys, bundle, monkeypatch

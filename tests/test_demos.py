@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +36,27 @@ def test_demo_runs(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def load_bench_point():
+    spec = importlib.util.spec_from_file_location(
+        "bench_point", ROOT / "demos" / "bench_point.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_point_flags_changed_digests():
+    bench_point = load_bench_point()
+
+    def case(m, digest, mode="order_two"):
+        return {"mode": mode, "m": m, "group": f"cyclic:{m}",
+                "digests": {"kernel.json": digest}}
+
+    # A case without digests, or absent before, is not compared.
+    previous = {"cases": [case(2, "a"), case(3, "b"),
+                          {"mode": "general", "m": 8, "group": "cyclic:8"}]}
+    point = {"cases": [case(2, "a"), case(3, "c"), case(4, "d"), case(8, "e", "general")]}
+    assert bench_point.flag_digest_changes(point, previous) == ["order_two m=3 cyclic:3"]
+    assert [c.get("digests_differ") for c in point["cases"]] == [False, True, None, None]

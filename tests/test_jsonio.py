@@ -10,6 +10,7 @@ import pytest
 from gshatter.gfunc import GroupFunction
 from gshatter.groups import build_group
 from gshatter.jsonio import (
+    MAX_RATIONAL_CHARS,
     certificate_from_json,
     certificate_to_json,
     fraction_from_str,
@@ -53,6 +54,40 @@ class TestFractions:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             fraction_from_str(bad)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_round_trip_past_the_digit_limit(self, sign):
+        # 10 000-digit parts: twice the interpreter's default int/str limit.
+        num, den = 10**10_000 + 1, 10**10_000 - 1  # both odd, so coprime
+        value = Fraction(sign * num, den)
+        text = fraction_to_str(value)
+        assert text == "-" * (sign < 0) + "1" + "0" * 9_999 + "1/" + "9" * 10_000
+        assert fraction_from_str(text) == value
+        assert fraction_from_str(fraction_to_str(value * den)) == sign * num
+
+    def test_zero_denominator_past_the_digit_limit(self):
+        with pytest.raises(ValueError, match="malformed rational"):
+            fraction_from_str("1/" + "0" * 10_000)
+
+    def test_over_the_cap_refused_at_once_and_quoted_short(self):
+        text = "1" * 1_000_000
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            fraction_from_str(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(MAX_RATIONAL_CHARS) in str(err.value)
+        assert len(str(err.value)) < 200
+
+    def test_at_the_cap_read(self):
+        text = "9" * MAX_RATIONAL_CHARS
+        assert fraction_from_str(text) == 10**MAX_RATIONAL_CHARS - 1
+        with pytest.raises(ValueError):
+            fraction_from_str("-" + text)
+
+    def test_malformed_quoted_short(self):
+        with pytest.raises(ValueError) as err:
+            fraction_from_str("1/2" + "x" * 10_000)
+        assert len(str(err.value)) < 100
 
 
 class TestStructures:

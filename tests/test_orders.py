@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from gshatter.classifier import Ranking
 from gshatter.orders import (
     OrderSet,
     build_complete_orders,
@@ -120,7 +119,7 @@ class TestPeeling:
 
 class TestSeparation:
     def test_prefixes_of_strict_ranking(self):
-        r = Ranking((2, 3, 1))  # element 3 lowest, then 1, then 2
+        r = (2, 3, 1)  # element 3 lowest, then 1, then 2
         assert separated_masks(r) == {
             0,
             mask_from_elements([3]),
@@ -129,11 +128,11 @@ class TestSeparation:
         }
 
     def test_tied_ranking_separates_only_trivial(self):
-        assert separated_masks(Ranking((1, 1))) == {0, 3}
+        assert separated_masks((1, 1)) == {0, 3}
 
     def test_single_ranking_incomplete_at_m2(self):
-        assert not is_complete(OrderSet(2, (Ranking((1, 2)),)))
-        assert is_complete(OrderSet(2, (Ranking((1, 2)), Ranking((2, 1)))))
+        assert not is_complete(OrderSet(2, ((1, 2),)))
+        assert is_complete(OrderSet(2, ((1, 2), (2, 1))))
 
     def test_empty_set_incomplete(self):
         assert not is_complete(OrderSet(2, ()))
@@ -146,8 +145,8 @@ class TestCompleteOrders:
         assert completeness_lower_bound(6) == 20
 
     def test_m1_and_m2(self):
-        assert build_complete_orders(1).rankings == (Ranking((1,)),)
-        assert {r.ranks for r in build_complete_orders(2).rankings} == {
+        assert build_complete_orders(1).rankings == ((1,),)
+        assert set(build_complete_orders(2).rankings) == {
             (1, 2),
             (2, 1),
         }
@@ -166,7 +165,7 @@ class TestCompleteOrders:
         orders = build_complete_orders(m)
         prefixes = set()
         for r in orders.rankings:
-            by_rank = sorted(range(m), key=lambda i: r.ranks[i])
+            by_rank = sorted(range(m), key=r.__getitem__)
             prefixes.add(sum(1 << i for i in by_rank[: m // 2]))
         assert len(prefixes) == comb(m, m // 2)
 

@@ -39,58 +39,48 @@ HALF = Fraction(1, 2)
 
 class TestUTower:
     def test_epsilon_values(self):
-        g = build_group("cyclic:8")
-        tower = build_u_tower(g, 4, Fraction(1), Fraction(2), p=2)
+        tower = build_u_tower(Fraction(1), Fraction(2), p=2)
         assert tower.epsilons == (Fraction(21, 2), Fraction(9))
-        tower1 = build_u_tower(g, 4, Fraction(1), Fraction(2), p=1)
+        tower1 = build_u_tower(Fraction(1), Fraction(2), p=1)
         assert tower1.epsilons == (Fraction(9),)
 
     def test_first_levels(self):
-        g = build_group("cyclic:8")
-        tower = build_u_tower(g, 4, Fraction(1), Fraction(2), p=1)
+        tower = build_u_tower(Fraction(1), Fraction(2), p=1)
         assert tower.coeffs[0] == (1, 0)
         assert tower.coeffs[1] == (0, 1)
         assert tower.coeffs[2] == (9, 1)  # u_2 = 9*1_e + 1_g
         assert tower.coeffs[3] == (1, 9)
-        assert tower.functions[2].values[g.identity] == 9
-        assert tower.functions[2].values[4] == 1
+        # synth_kernel writes u_2 onto the group: 9 at e, 1 at g = 4.
+        result = synth_kernel(build_group("cyclic:8"), 1)
+        assert result.g == 4
+        assert result.u[2].values == (9, 0, 0, 0, 1, 0, 0, 0)
 
     def test_epsilons_strictly_separated(self):
-        g = build_group("cyclic:12")
-        tower = build_u_tower(g, 6, Fraction(1), Fraction(3), p=5)
+        tower = build_u_tower(Fraction(1), Fraction(3), p=5)
         for a, b in zip(tower.epsilons, tower.epsilons[1:]):
             assert b < a - tower.B / tower.C
 
-    def test_rejects_identity_element(self):
-        g = build_group("cyclic:8")
-        with pytest.raises(ValueError):
-            build_u_tower(g, g.identity, Fraction(1), Fraction(2), p=1)
-
     def test_rejects_bad_interval(self):
-        g = build_group("cyclic:8")
         with pytest.raises(ValueError):
-            build_u_tower(g, 4, Fraction(2), Fraction(1), p=1)
+            build_u_tower(Fraction(2), Fraction(1), p=1)
 
 
 class TestKVector:
     def test_hand_solution(self):
-        g = build_group("cyclic:8")
-        tower = build_u_tower(g, 4, Fraction(1), Fraction(2), p=1)
+        tower = build_u_tower(Fraction(1), Fraction(2), p=1)
         k = solve_k_vector(tower, 2, Fraction(3, 2))
         assert k == (Fraction(1, 3), Fraction(-3, 2))
         assert tower.u_tilde(2, k) == Fraction(3, 2)
         assert tower.u_tilde(0, k) < 1 and tower.u_tilde(1, k) < 1
 
     def test_target_must_be_strictly_inside(self):
-        g = build_group("cyclic:8")
-        tower = build_u_tower(g, 4, Fraction(1), Fraction(2), p=1)
+        tower = build_u_tower(Fraction(1), Fraction(2), p=1)
         for bad in (Fraction(1), Fraction(2), Fraction(5)):
             with pytest.raises(ValueError):
                 solve_k_vector(tower, 2, bad)
 
     def test_index_must_be_even_in_range(self):
-        g = build_group("cyclic:8")
-        tower = build_u_tower(g, 4, Fraction(1), Fraction(2), p=2)
+        tower = build_u_tower(Fraction(1), Fraction(2), p=2)
         for bad in (0, 1, 3, 6):
             with pytest.raises(ValueError):
                 solve_k_vector(tower, bad, Fraction(3, 2))
@@ -103,8 +93,7 @@ class TestKVector:
         half_i=st.integers(min_value=1, max_value=4),
     )
     def test_every_even_level_is_solvable(self, p, num, den, half_i):
-        g = build_group("cyclic:10")
-        tower = build_u_tower(g, 5, Fraction(1), Fraction(2), p=p)
+        tower = build_u_tower(Fraction(1), Fraction(2), p=p)
         i = 2 * min(half_i, p)
         target = 1 + Fraction(num, den)  # strictly inside (1, 2)
         k = solve_k_vector(tower, i, target)
