@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Sequence
 
-from .gfunc import GroupFunction, Measure, as_integers, convolve_ints
+from .gfunc import GroupFunction, Measure, _convolve_weighted, as_integers
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def build_nu_profiles(
 ) -> list[NuProfile]:
     """build_nu_profile for each f in fs; mu is converted once for them all."""
     weights, wden = as_integers(mu.weights)
-    shared, convolutions = tuple(weights), convolve_ints(fs, kernel, mu)
+    shared, convolutions = tuple(weights), _convolve_weighted(fs, kernel, mu, weights, wden)
     return [NuProfile(tuple(nums), den, shared, wden) for nums, den in convolutions]
 
 

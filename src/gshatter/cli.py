@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -109,22 +110,15 @@ class _Run:
 def cmd_group(args: argparse.Namespace) -> int:
     group = build_group(args.spec)
     report = validate_group(group, seed=args.seed)
+    validation = asdict(report)
     data = {
         "spec": group.label,
         "order": group.order,
         "identity": group.identity,
-        "abelian": group.is_abelian(),
+        "abelian": validation.pop("abelian"),
         "order_two_element": find_order_two_element(group),
         "order_ge3_element": find_order_ge3_element(group),
-        "validation": {
-            "exhaustive": report.exhaustive,
-            "closure": report.closure_ok,
-            "identity": report.identity_ok,
-            "inverses": report.inverses_ok,
-            "associativity": report.associativity_ok,
-            "translations_bijective": report.translations_bijective,
-            "failures": report.failures,
-        },
+        "validation": validation,
     }
     if args.out:
         write_json_atomic(Path(args.out), data)

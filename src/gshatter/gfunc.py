@@ -5,6 +5,7 @@ rejected outright, because downstream constructions compare quantities
 whose gaps shrink super-exponentially and a single rounding step could
 flip an order comparison.  The convolution runs on integers over one
 denominator (`convolve_ints`); `convolve` gives its values as Fractions.
+`fraction_to_str` spells a value at any length, for files and messages.
 """
 
 from __future__ import annotations
@@ -26,6 +27,23 @@ def _as_fraction(x: object, what: str) -> Fraction:
     if isinstance(x, _RationalABC):
         return Fraction(x)
     raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
+
+
+def _long_str(n: int) -> str:
+    """str(n) at any length: past the digit limit, n's two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        high, low = divmod(abs(n), 10**k)
+        return "-" * (n < 0) + _long_str(high) + _long_str(low).zfill(k)
+
+
+def fraction_to_str(x: Fraction | int) -> str:
+    """x as "p/q", or "p" when whole; ints have .numerator and .denominator too."""
+    if x.denominator == 1:
+        return _long_str(x.numerator)
+    return f"{_long_str(x.numerator)}/{_long_str(x.denominator)}"
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
@@ -132,7 +150,15 @@ def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def convolve_ints(
     fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure
 ) -> list[tuple[list[int], int]]:
-    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den) per f in fs.
+    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den) per f in fs."""
+    return _convolve_weighted(fs, kernel, mu, *as_integers(mu.weights))
+
+
+def _convolve_weighted(
+    fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure,
+    weights: Sequence[int], w_den: int,
+) -> list[tuple[list[int], int]]:
+    """convolve_ints, with mu(h) = weights[h] / w_den already converted.
 
     Each term f(a) K(h) mu(h) lands at g = a h, so only pairs of a support
     point of f and one of K mu are visited: O(|supp f| * |supp K mu|).
@@ -142,7 +168,6 @@ def convolve_ints(
     """
     mul, n = kernel.group.mul, kernel.group.order
     k_nums, k_den = as_integers(kernel.values)
-    weights, w_den = as_integers(mu.weights)
     terms = [(h, k * w) for h, (k, w) in enumerate(zip(k_nums, weights)) if k and w]
     results = []
     for f in fs:

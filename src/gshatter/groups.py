@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import GroupSpecError
@@ -67,12 +68,6 @@ class FiniteGroup:
             acc = self.mul(acc, g)
         return acc
 
-    def is_abelian(self) -> bool:
-        mul, n = self.mul, self.order
-        return all(
-            mul(a, b) == mul(b, a) for a in range(n) for b in range(a + 1, n)
-        )
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
@@ -87,10 +82,11 @@ def table_group(mul_table: Sequence[Sequence[int]], label: str = "") -> FiniteGr
     n = len(mul_table)
     if n == 0:
         raise GroupSpecError("a group must have at least one element")
-    for row in mul_table:
-        if len(row) != n:
-            raise GroupSpecError("multiplication table must be square")
     table = tuple(tuple(row) for row in mul_table)
+    if any(len(row) != n for row in table):
+        raise GroupSpecError("multiplication table must be square")
+    if not all(type(x) is int and 0 <= x < n for row in table for x in row):
+        raise GroupSpecError(f"table entries must be integers in 0..{n - 1}")
     label = label or f"table:{n}"
 
     for identity in range(n):
@@ -226,16 +222,16 @@ def find_order_ge3_element(group: FiniteGroup) -> Optional[int]:
 
 @dataclass
 class GroupReport:
-    """Validation outcome, one flag per group axiom."""
+    """Validation outcome: one flag per group axiom, under the names
+    `gshatter group` prints, and whether every pair of elements commutes."""
 
-    label: str
-    order: int
-    exhaustive: bool
-    closure_ok: bool
-    identity_ok: bool
-    inverses_ok: bool
-    associativity_ok: bool
+    closure: bool
+    identity: bool
+    inverses: bool
+    associativity: bool
     translations_bijective: bool
+    exhaustive: bool
+    abelian: bool
     failures: list[str]
 
     @property
@@ -246,48 +242,48 @@ class GroupReport:
 def validate_group(group: FiniteGroup, seed: int = 0) -> GroupReport:
     """Check the group axioms through ``mul`` and ``inv``.
 
-    Closure and the bijectivity of left translations are read from one
-    pass over each element's row of products.  Associativity is checked
-    on every triple for groups of order at most EXHAUSTIVE_VALIDATION_LIMIT
-    and on RANDOM_TRIPLE_SAMPLES seeded random triples above that.
+    Closure, the bijectivity of left translations and commutativity are
+    read from one pass over each element's row of products: row a is
+    compared with its column from a + 1 on, until one row fails to
+    commute.  Associativity is checked on every triple for groups of
+    order at most EXHAUSTIVE_VALIDATION_LIMIT and on RANDOM_TRIPLE_SAMPLES
+    seeded random triples above that.
     """
     n = group.order
     mul, inv, e = group.mul, group.inv, group.identity
     failures: list[str] = []
 
-    closure_ok = translations_bijective = True
+    closure = translations_bijective = abelian = True
     for a in range(n):
         row = [mul(a, b) for b in range(n)]
-        closure_ok = closure_ok and 0 <= min(row) and max(row) < n
+        closure = closure and 0 <= min(row) and max(row) < n
         translations_bijective = translations_bijective and len(set(row)) == n
-    if not closure_ok:
+        # Row b < a already compared every pair (b, a).
+        abelian = abelian and row[a + 1:] == [mul(b, a) for b in range(a + 1, n)]
+    if not closure:
         failures.append("closure: table entry out of range")
 
-    identity_ok = all(mul(e, g) == g and mul(g, e) == g for g in range(n))
-    if not identity_ok:
+    identity = all(mul(e, g) == g and mul(g, e) == g for g in range(n))
+    if not identity:
         failures.append("identity: e does not act neutrally")
 
-    inverses_ok = all(
-        mul(g, inv(g)) == e and mul(inv(g), g) == e for g in range(n)
-    )
-    if not inverses_ok:
+    inverses = all(mul(g, inv(g)) == e and mul(inv(g), g) == e for g in range(n))
+    if not inverses:
         failures.append("inverses: some g lacks a two-sided inverse")
 
     exhaustive = n <= EXHAUSTIVE_VALIDATION_LIMIT
     if exhaustive:
-        triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
+        triples = product(range(n), repeat=3)
     else:
         rng = random.Random(seed)
         triples = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n))
             for _ in range(RANDOM_TRIPLE_SAMPLES)
         )
-    associativity_ok = True
+    associativity = True
     for a, b, c in triples:
         if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            associativity_ok = False
+            associativity = False
             failures.append(f"associativity: fails on triple ({a}, {b}, {c})")
             break
 
@@ -295,13 +291,6 @@ def validate_group(group: FiniteGroup, seed: int = 0) -> GroupReport:
         failures.append("translation: left multiplication not bijective")
 
     return GroupReport(
-        label=group.label,
-        order=n,
-        exhaustive=exhaustive,
-        closure_ok=closure_ok,
-        identity_ok=identity_ok,
-        inverses_ok=inverses_ok,
-        associativity_ok=associativity_ok,
-        translations_bijective=translations_bijective,
-        failures=failures,
+        closure, identity, inverses, associativity, translations_bijective,
+        exhaustive, abelian, failures,
     )

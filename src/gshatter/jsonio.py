@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .gfunc import GroupFunction
+from .gfunc import GroupFunction, fraction_to_str
 from .groups import FiniteGroup, build_group
 from .orders import OrderSet
 from .shatter import DichotomyEntry, ShatterCertificate
@@ -36,16 +36,6 @@ def _quoted(value: Any) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _long_str(n: int) -> str:
-    """str(n) at any length: past the digit limit, n's two halves."""
-    try:
-        return str(n)
-    except ValueError:
-        k = n.bit_length() * 3 // 20  # about half of n's decimal digits
-        high, low = divmod(abs(n), 10**k)
-        return "-" * (n < 0) + _long_str(high) + _long_str(low).zfill(k)
-
-
 def _long_int(text: str) -> int:
     """int(text) of an optional '-' and digits at any length, by halves."""
     try:
@@ -55,13 +45,6 @@ def _long_int(text: str) -> int:
             return -_long_int(text[1:])
         k = len(text) // 2
         return _long_int(text[:-k]) * 10**k + _long_int(text[-k:])
-
-
-def fraction_to_str(x: Fraction | int) -> str:
-    """x as "p/q", or "p" when whole; ints have .numerator and .denominator too."""
-    if x.denominator == 1:
-        return _long_str(x.numerator)
-    return f"{_long_str(x.numerator)}/{_long_str(x.denominator)}"
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

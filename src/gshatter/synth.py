@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
 from .classifier import ReluIndex, build_nu_profiles, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError
-from .gfunc import GroupFunction, counting_measure
+from .gfunc import GroupFunction, counting_measure, fraction_to_str
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
 from .orders import OrderSet, build_complete_orders, completeness_lower_bound
 from .shatter import ShatterCertificate, certificate, critical_set
@@ -144,11 +144,15 @@ def solve_k_vector(
         raise ValueError(f"index must be even in [2, 2p], got {i}")
     A = Fraction(A)
     if not tower.B < A < tower.C:
-        raise ValueError(f"target {A} outside the open interval ({tower.B}, {tower.C})")
+        raise ValueError(
+            f"target {fraction_to_str(A)} outside the open interval "
+            f"({fraction_to_str(tower.B)}, {fraction_to_str(tower.C)})"
+        )
     (k0, k1), top = tower.unit_points[i // 2 - 1]
     if not A * top < tower.B:
         raise SynthesisVerificationError(
-            f"max over l != {i} of u~_l(k) = {A * top} is not below B = {tower.B}"
+            f"max over l != {i} of u~_l(k) = {fraction_to_str(A * top)} "
+            f"is not below B = {fraction_to_str(tower.B)}"
         )
     return (A * k0, A * k1)
 
@@ -233,7 +237,8 @@ class SynthResult:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.B < self.C:
-            raise ValueError(f"need C > B > 0, got B={self.B}, C={self.C}")
+            B, C = fraction_to_str(self.B), fraction_to_str(self.C)
+            raise ValueError(f"need C > B > 0, got B={B}, C={C}")
 
     @property
     def group(self) -> FiniteGroup:
@@ -318,8 +323,8 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
             kernel_values[position] = value
         elif old != value:
             raise SynthesisVerificationError(
-                f"{kind} position {position} already carries {old}, "
-                f"cannot assign {value}"
+                f"{kind} position {position} already carries "
+                f"{fraction_to_str(old)}, cannot assign {fraction_to_str(value)}"
             )
 
     # totals[k] = sum of function k+1's spike targets over the rounds so far.
@@ -333,7 +338,8 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
         # For l > 1 this is round l-1's level condition B < m - m(M + eps).
         if not B < targets[0]:
             raise SynthesisVerificationError(
-                f"round {l}: smallest spike target {targets[0]} fell below B"
+                f"round {l}: smallest spike target {fraction_to_str(targets[0])} "
+                "fell below B"
             )
         for i in range(m):
             k = o_inv[i + 1]
@@ -452,7 +458,8 @@ def verify_synth(result: SynthResult) -> SynthReport:
     epsilon = result.epsilon
     B, C = result.B, result.C
 
-    add("epsilon-formula", epsilon == synth_epsilon(B, C, m, r), f"epsilon = {epsilon}")
+    add("epsilon-formula", epsilon == synth_epsilon(B, C, m, r),
+        f"epsilon = {fraction_to_str(epsilon)}")
 
     # u_i = a1 1_e + a2 1_g: a1 at e, a2 at g, and no other non-zero value.
     e, g = group.identity, result.g
@@ -544,7 +551,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
     if last is not None:
         l, p, x_lo, x_hi = last
         x = next(x for x in reversed(p.nums) if x_lo < x < x_hi)
-        detail = f"value {Fraction(x, p.den)} inside the band around m_{l + 1}"
+        detail = f"value {fraction_to_str(Fraction(x, p.den))} inside the band around m_{l + 1}"
     add("forbidden-band", last is None, detail)
 
     above_b = []
@@ -553,10 +560,11 @@ def verify_synth(result: SynthResult) -> SynthReport:
         if i < len(index.xs):
             above_b.append(Fraction(index.xs[i], index.den))
     min_over_b = min(above_b, default=None)
+    value = "None" if min_over_b is None else fraction_to_str(min_over_b)
     add(
         "kernel-minimum-level",
         min_over_b == result.ms[-1],
-        f"smallest convolution value above B is {min_over_b}",
+        f"smallest convolution value above B is {value}",
     )
 
     layout = LAYOUTS[result.mode]

@@ -8,14 +8,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gshatter.classifier
+import gshatter.gfunc
 from gshatter.classifier import (
     build_nu_profile,
+    build_nu_profiles,
     classify,
     nu,
     ranking_of_values,
     relu_sum,
 )
-from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
+from gshatter.gfunc import GroupFunction, Measure, constant, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.orders import is_strict
 
@@ -148,6 +151,25 @@ class TestNuProfile:
         assert conv == convolve(f, k, mu).values
         weights = tuple(Fraction(w, profile.wden) for w in profile.weights)
         assert weights == mu.weights
+
+    def test_measure_converted_once_per_family(self, monkeypatch):
+        # The profiles and the convolution share one integer form of mu.
+        g = build_group("cyclic:6")
+        kernel = GroupFunction.from_values(g, [1, 0, -2, 0, 3, Fraction(1, 2)])
+        fs = [indicator(g, h) for h in range(3)]
+        mu = Measure.from_weights(g, [1, Fraction(1, 3), 0, 2, 1, Fraction(5, 6)])
+        expected = build_nu_profiles(kernel, fs, mu)
+        calls = []
+        original = gshatter.gfunc.as_integers
+
+        def counting(values):
+            calls.append(values)
+            return original(values)
+
+        monkeypatch.setattr(gshatter.gfunc, "as_integers", counting)
+        monkeypatch.setattr(gshatter.classifier, "as_integers", counting)
+        assert build_nu_profiles(kernel, fs, mu) == expected
+        assert sum(values is mu.weights for values in calls) == 1
 
 
 def step_at(profile, c):

@@ -47,7 +47,7 @@ from gshatter.jsonio import (
     synth_result_from_json,
     write_json_atomic,
 )
-from gshatter.synth import synth_kernel
+from gshatter.synth import synth_kernel, verify_synth
 
 
 def run(capsys, *argv):
@@ -57,17 +57,18 @@ def run(capsys, *argv):
 
 
 def count_convolutions(monkeypatch):
-    """Record integer convolution calls at both bindings; returns a list
-    with the number of functions each call convolved."""
+    """Record integer convolution calls at both bindings of the one
+    convolution (`convolve_ints` wraps it); returns a list with the
+    number of functions each call convolved."""
     calls = []
-    original = gshatter.gfunc.convolve_ints
+    original = gshatter.gfunc._convolve_weighted
 
     def counting(fs, *args, **kwargs):
         calls.append(len(fs))
         return original(fs, *args, **kwargs)
 
-    monkeypatch.setattr(gshatter.gfunc, "convolve_ints", counting)
-    monkeypatch.setattr(gshatter.classifier, "convolve_ints", counting)
+    monkeypatch.setattr(gshatter.gfunc, "_convolve_weighted", counting)
+    monkeypatch.setattr(gshatter.classifier, "_convolve_weighted", counting)
     return calls
 
 
@@ -171,6 +172,35 @@ class TestGroupCommand:
         code, _, err = run(capsys, "group", "--spec", "cyclic:x")
         assert code == 2
         assert "error" in err
+
+    # sha256 of `gshatter group --spec S` stdout, from before validate_group
+    # read commutativity off its own pass; the --out file is the same text.
+    PINNED_OUTPUT = {
+        "cyclic:1": "b27d492a8366d9d42f236934dd9e49b0eb232ffc9fcd7ebcee19b5dc485291a7",
+        "cyclic:2": "689916e77435b8f391596ed674f19127b99ea713537bb9591d0f59e1ef594209",
+        "cyclic:12": "fe1912b134fbacca19ac85776e2defe57688c9d8273247dca088a4145e012eea",
+        "cyclic:128": "a996ae55f648aa2792b241f1b5a2575adef3cc5e6ca6cea379a65c3a639c7ce4",
+        "cyclic:129": "4f0960a160bd22e81c2e964629718c5b6b17eadaf23f46e0c82112b40a5f744c",
+        "cyclic:1120": "bd8d8f675cc1dfd7cb416dd29a22debda4e63216bffe9e576ea78aff1ab63b4c",
+        "dihedral:1": "30e891092dc47c1bda748bb30abadc1945a4cac0e89cc3aa95d5d20a0295c2d8",
+        "dihedral:2": "35e539f37cc9d55f035b692ba79b54547285906b3d956bc04ae6d5adc2977088",
+        "dihedral:3": "6a0f7e8a7bef1a69ca9140af6816a49c43d2b9d0ac49609c72a40a1c3b5f2a2d",
+        "dihedral:560": "d8d9d5a3fdd85824b4f3caa451871a5f8e8c3534107082ef66b1cf1291d21814",
+        "product:cyclic:2,cyclic:2":
+            "7d95f95a479003d75033a89e9d95565545a7432a90141846dc3558dc08fba5ce",
+        "product:dihedral:3,cyclic:4":
+            "ce66920b5f127058faae9d55970eb9920ea3289e450e4dafb3f40023af0d0461",
+        "product:dihedral:20,cyclic:28":
+            "fbfe4be18fc09271ab7aee9ef1d7fce5f7c572bc6c36b20209bdcb3254120b6e",
+    }
+
+    @pytest.mark.parametrize("spec", PINNED_OUTPUT)
+    def test_output_is_pinned(self, capsys, tmp_path, spec):
+        target = tmp_path / "report.json"
+        code, out, _ = run(capsys, "group", "--spec", spec, "--out", str(target))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_OUTPUT[spec]
+        assert target.read_text(encoding="utf-8") == out
 
     def test_spec_nested_past_the_limit(self, capsys):
         depth = MAX_PRODUCT_DEPTH + 1
@@ -815,6 +845,22 @@ class TestBoundsCommand:
         assert code == 0
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 1
+
+    def test_failing_bundle_past_the_digit_limit_is_not_counted(
+        self, capsys, tmp_path, cyclic8_bundle
+    ):
+        # verify_synth quotes epsilon in a check detail; a 5 000-digit one
+        # used to end the command with exit 2.
+        data = read_json(cyclic8_bundle / "synth_result.json")
+        data["epsilon"] = "1/" + "3" * 5000
+        bundle = tmp_path / "eps.json"
+        bundle.write_text(json.dumps(data))
+        code, out, err = run(capsys, "bounds", "--achieved", str(bundle))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 and out.split()[0] == "n"
+        [check] = [c for c in verify_synth(synth_result_from_json(data)).checks
+                   if c.name == "epsilon-formula"]
+        assert not check.passed and check.detail == "epsilon = " + data["epsilon"]
 
     def test_bad_n(self, capsys):
         code, _, _ = run(capsys, "bounds", "--n", "16,abc")

@@ -8,10 +8,13 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gshatter.errors import GroupSpecError
 from gshatter.groups import (
     MAX_PRODUCT_DEPTH,
+    RANDOM_TRIPLE_SAMPLES,
     build_group,
     cyclic_group,
     dihedral_group,
@@ -21,6 +24,12 @@ from gshatter.groups import (
     table_group,
     validate_group,
 )
+
+
+CLOSED_FORM_SPECS = [
+    "cyclic:6", "dihedral:1", "dihedral:2", "dihedral:5",
+    "product:dihedral:3,cyclic:4", "product:cyclic:2,product:cyclic:3,dihedral:2",
+]
 
 
 class TestConstruction:
@@ -34,7 +43,7 @@ class TestConstruction:
     def test_dihedral_3_is_smallest_nonabelian(self):
         g = build_group("dihedral:3")
         assert g.order == 6
-        assert not g.is_abelian()
+        assert not validate_group(g).abelian
         assert any(
             g.mul(a, b) != g.mul(b, a)
             for a in range(6)
@@ -49,7 +58,7 @@ class TestConstruction:
     def test_product_order(self):
         g = build_group("product:cyclic:2,cyclic:3")
         assert g.order == 6
-        assert g.is_abelian()
+        assert validate_group(g).abelian
 
     def test_product_of_2_and_3_is_cyclic_6(self):
         """Brute-force bijection search finds an isomorphism to cyclic:6."""
@@ -94,11 +103,7 @@ class TestConstruction:
         )
         assert build_group("cyclic:007").label == "cyclic:7"
 
-    @pytest.mark.parametrize(
-        "spec", ["cyclic:6", "dihedral:1", "dihedral:2", "dihedral:5",
-                 "product:dihedral:3,cyclic:4",
-                 "product:cyclic:2,product:cyclic:3,dihedral:2"],
-    )
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
     def test_closed_forms_match_their_table(self, spec):
         """Each spec group equals the table group built from its products."""
         g = build_group(spec)
@@ -200,7 +205,7 @@ class TestValidation:
         table[1][1] = 3
         broken = table_group(table, label="corrupted")
         report = validate_group(broken)
-        assert not report.associativity_ok
+        assert not report.associativity
         assert any("associativity" in f for f in report.failures)
 
     def test_translations_are_permutations(self):
@@ -231,5 +236,76 @@ class TestValidation:
     def test_corrupted_closed_form_is_flagged(self):
         g = replace(cyclic_group(6), mul=lambda a, b: (a + b) % 7)
         report = validate_group(g)
-        assert not report.closure_ok
+        assert not report.closure
         assert report.failures[0].startswith("closure")
+
+    def test_out_of_range_entry_rejected(self):
+        # 3 is no element of a group of order 3; validate_group used to
+        # end in an IndexError on this table.
+        with pytest.raises(GroupSpecError, match="integers in 0..2"):
+            table_group([[0, 1, 2], [1, 2, 0], [2, 0, 3]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-1, n), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_every_table_group_gets_a_report(self, table):
+        try:
+            group = table_group(table)
+        except GroupSpecError:
+            return
+        report = validate_group(group)
+        assert report.closure and report.identity
+
+    @pytest.mark.parametrize("entry", [-1, 2, 1.0, "1", None, True])
+    def test_entry_that_is_not_an_element_rejected(self, entry):
+        with pytest.raises(GroupSpecError, match="integers in 0..1"):
+            table_group([[0, 1], [1, entry]])
+
+
+def pairwise_abelian(g) -> bool:
+    """The definition: every pair of elements commutes."""
+    return all(g.mul(a, b) == g.mul(b, a) for a in g.elements() for b in g.elements())
+
+
+def last_pair_swapped(n: int):
+    """cyclic:n with mul(n-2, n-1) changed, so (n-2, n-1) alone fails to
+    commute and only the last rows can tell."""
+    base = cyclic_group(n)
+    return replace(base, mul=lambda a, b: 0 if (a, b) == (n - 2, n - 1) else base.mul(a, b))
+
+
+Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+KLEIN_TABLE = [[a ^ b for b in range(4)] for a in range(4)]
+
+
+class TestCommutativity:
+    @pytest.mark.parametrize(
+        "group",
+        # CLOSED_FORM_SPECS has dihedral:1 and dihedral:2 already.
+        [build_group(s) for s in CLOSED_FORM_SPECS + ["cyclic:1", "dihedral:3"]]
+        + [table_group(Z4_TABLE, "z4"), table_group(KLEIN_TABLE, "klein")],
+        ids=CLOSED_FORM_SPECS + ["cyclic:1", "dihedral:3", "z4", "klein"],
+    )
+    def test_report_matches_the_definition(self, group):
+        assert validate_group(group).abelian == pairwise_abelian(group)
+
+    def test_last_rows_decide(self):
+        g = last_pair_swapped(12)
+        assert not pairwise_abelian(g)
+        assert not validate_group(g).abelian
+
+    def test_one_pass_over_the_products(self):
+        # n^2 products for the rows, n(n-1)/2 for the column tails, 4n for
+        # identity and inverses and 4 per sampled triple: the n^2 walk
+        # happens once.
+        base, calls = cyclic_group(200), []
+
+        def counting(a, b):
+            calls.append(None)
+            return base.mul(a, b)
+
+        n = base.order
+        report = validate_group(replace(base, mul=counting))
+        assert report.passed and report.abelian and not report.exhaustive
+        assert len(calls) == n * n + n * (n - 1) // 2 + 4 * n + 4 * RANDOM_TRIPLE_SAMPLES
+        assert len(calls) == 100_700
