@@ -10,16 +10,16 @@ rational breakpoints, which is what makes exact enumeration of all
 realizable label patterns possible downstream.
 
 Inside, a profile holds f*K and mu as integers over one denominator
-each; a Fraction is formed only for the nu that a `ReluIndex` returns,
-and no float is used anywhere.
+each, and one sorted table of its terms that gives nu at any bias and
+nu's pieces alike; a Fraction is formed only for the nu that
+`NuProfile.at` returns, and no float is used anywhere.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterator, Sequence
 
 from .gfunc import GroupFunction, Measure, _convolve_weighted, as_integers
@@ -27,17 +27,38 @@ from .gfunc import GroupFunction, Measure, _convolve_weighted, as_integers
 
 @dataclass(frozen=True)
 class NuProfile:
-    """One convolution f*K under mu, as integers.
+    """One convolution f*K under mu, as integers, and nu's breakpoint table.
 
-    (f*K)(g) is nums[g] / den and mu(g) is weights[g] / wden.
-    ReluIndex(profile) gives nu(K, f, mu, c) from these; `pieces` streams
-    nu in closed form, piece by piece.
+    (f*K)(g) is nums[g] / den and mu(g) is weights[g] / wden.  The profile
+    sorts its terms of nonzero weight once, by x = (f*K)(g) * den, into
+    `xs`, with suffix sums of w*x (`masses`) and of w (`totals`), so the
+    terms from position i on add up to masses[i] and totals[i].  `at` and
+    `exceeds` read nu at one bias from that table; `pieces` streams nu in
+    closed form, piece by piece, from the same table.
     """
 
     nums: tuple[int, ...]
     den: int
     weights: tuple[int, ...]
     wden: int
+    xs: list[int] = field(init=False, repr=False, compare=False)
+    masses: list[int] = field(init=False, repr=False, compare=False)
+    totals: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nums, weights = self.nums, self.weights
+        order = sorted((g for g, w in enumerate(weights) if w), key=nums.__getitem__)
+        xs, ws = [nums[g] for g in order], [weights[g] for g in order]
+        del order  # its index ints go before the sums make theirs: less peak RSS
+        masses, totals = [0], [0]
+        for x, w in zip(reversed(xs), reversed(ws)):
+            masses.append(masses[-1] + w * x)
+            totals.append(totals[-1] + w)
+        masses.reverse()
+        totals.reverse()
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "totals", totals)
 
     def pieces(self, scale: int, wscale: int) -> Iterator[tuple[int, int, int]]:
         """nu's breakpoints on t = c * scale, ascending, each with the piece
@@ -48,65 +69,24 @@ class NuProfile:
         offset / (scale * wscale) sums mu(g) (f*K)(g) over the active
         terms.  Left of the first breakpoint nu is 0, and nu is continuous,
         so either piece gives the value at a breakpoint.  A breakpoint sits
-        at t = -(f*K)(g) * scale for each g with nonzero weight; crossing it
-        activates every term with that convolution value, so the slope
-        gains their total weight and the offset their weighted mass.
+        at t = -x * scale / den for each x in `xs`; crossing it activates
+        every term with that value, which are the terms from the first
+        position i of x on, so the piece is read off the table at i.
         """
         k, w = scale // self.den, wscale // self.wden
-        nums, weights = self.nums, self.weights
-        order = sorted((g for g, v in enumerate(weights) if v),
-                       key=nums.__getitem__, reverse=True)
-        weight = mass = 0
-        for x, terms in groupby(order, key=nums.__getitem__):
-            v = sum(map(weights.__getitem__, terms))
-            weight, mass = weight + v, mass + v * x
-            yield -x * k, weight * w, mass * k * w
-
-
-def build_nu_profiles(
-    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
-) -> list[NuProfile]:
-    """build_nu_profile for each f in fs; mu is converted once for them all."""
-    weights, wden = as_integers(mu.weights)
-    shared, convolutions = tuple(weights), _convolve_weighted(fs, kernel, mu, weights, wden)
-    return [NuProfile(tuple(nums), den, shared, wden) for nums, den in convolutions]
-
-
-def build_nu_profile(
-    kernel: GroupFunction, f: GroupFunction, mu: Measure
-) -> NuProfile:
-    """f*K and mu as integers over one denominator each."""
-    return build_nu_profiles(kernel, [f], mu)[0]
-
-
-class ReluIndex:
-    """nu of one profile at any number of biases, from one sorted copy.
-
-    Built from the profile's `nums` and `weights` only: the terms with
-    nonzero weight, sorted by x = (f*K)(g) * den, with suffix sums of
-    w*x (`masses`) and of w (`totals`), so the terms from position i on
-    add up to masses[i] and totals[i].  With c = a/b the term of g is
-    active exactly when x*b > -a*den, that is when x > (-a*den) // b;
-    the active terms are one sorted tail, found by one bisect, and they
-    add up to (mass*b + a*den*weight) / (den*wden*b).
-    """
-
-    __slots__ = ("den", "wden", "xs", "masses", "totals")
-
-    def __init__(self, profile: NuProfile):
-        pairs = sorted((x, w) for x, w in zip(profile.nums, profile.weights) if w)
-        self.den, self.wden = profile.den, profile.wden
-        self.xs = [x for x, _ in pairs]
-        masses, totals = [0], [0]
-        for x, w in reversed(pairs):
-            masses.append(masses[-1] + w * x)
-            totals.append(totals[-1] + w)
-        masses.reverse()
-        totals.reverse()
-        self.masses, self.totals = masses, totals
+        xs, masses, totals = self.xs, self.masses, self.totals
+        for i in reversed(range(len(xs))):
+            if not i or xs[i - 1] != xs[i]:  # the first position of its value
+                yield -xs[i] * k, totals[i] * w, masses[i] * k * w
 
     def _scaled(self, c: Fraction) -> tuple[int, int]:
-        """(N, D) with nu(c) = N / D and D > 0, not reduced."""
+        """(N, D) with nu(c) = N / D and D > 0, not reduced.
+
+        With c = a/b the term of x is active exactly when x*b > -a*den,
+        that is when x > (-a*den) // b; the active terms are one sorted
+        tail, found by one bisect, and they add up to
+        (mass*b + a*den*weight) / (den*wden*b).
+        """
         a, b = c.numerator, c.denominator
         den = self.den
         i = bisect_right(self.xs, (-a * den) // b)
@@ -122,16 +102,27 @@ class ReluIndex:
         return num * t.denominator > t.numerator * den
 
 
-def relu_sum(profile: NuProfile, c: Fraction) -> Fraction:
-    """sum_g max(0, (f*K)(g) + c) * mu(g): the definition of nu at one bias."""
-    return ReluIndex(profile).at(c)
+def build_nu_profiles(
+    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
+) -> list[NuProfile]:
+    """build_nu_profile for each f in fs; mu is converted once for them all."""
+    weights, wden = as_integers(mu.weights)
+    shared, convolutions = tuple(weights), _convolve_weighted(fs, kernel, mu, weights, wden)
+    return [NuProfile(tuple(nums), den, shared, wden) for nums, den in convolutions]
+
+
+def build_nu_profile(
+    kernel: GroupFunction, f: GroupFunction, mu: Measure
+) -> NuProfile:
+    """f*K and mu as integers over one denominator each, and nu's table."""
+    return build_nu_profiles(kernel, [f], mu)[0]
 
 
 def nu(
     kernel: GroupFunction, f: GroupFunction, mu: Measure, c: Fraction
 ) -> Fraction:
     """sum_g max(0, (f*K)(g) + c) * mu(g), exactly."""
-    return relu_sum(build_nu_profile(kernel, f, mu), c)
+    return build_nu_profile(kernel, f, mu).at(c)
 
 
 def classify(

@@ -2,10 +2,19 @@
 
 Each error maps to a stable command-line exit code (see ``gshatter.cli``),
 so callers can distinguish "your input was malformed" from "the group is
-too small" from "an internal synthesis check failed".
+too small" from "an internal synthesis check failed".  `_quoted` cuts an
+input short wherever a message quotes one.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
+
+
+def _quoted(value: Any, spell: Callable[[Any], str] = repr) -> str:
+    """spell(value), cut short: a message quotes only the start of an input."""
+    text = spell(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 class GShatterError(Exception):

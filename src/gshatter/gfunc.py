@@ -4,7 +4,7 @@ Everything here is exact: values are `fractions.Fraction` and floats are
 rejected outright, because downstream constructions compare quantities
 whose gaps shrink super-exponentially and a single rounding step could
 flip an order comparison.  The convolution runs on integers over one
-denominator (`convolve_ints`); `convolve` gives its values as Fractions.
+denominator; `convolve` gives its values as Fractions.
 `fraction_to_str` spells a value at any length, for files and messages.
 """
 
@@ -147,18 +147,12 @@ def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def convolve_ints(
-    fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure
-) -> list[tuple[list[int], int]]:
-    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den) per f in fs."""
-    return _convolve_weighted(fs, kernel, mu, *as_integers(mu.weights))
-
-
 def _convolve_weighted(
     fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure,
     weights: Sequence[int], w_den: int,
 ) -> list[tuple[list[int], int]]:
-    """convolve_ints, with mu(h) = weights[h] / w_den already converted.
+    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den) per f in fs,
+    with mu(h) = weights[h] / w_den already converted.
 
     Each term f(a) K(h) mu(h) lands at g = a h, so only pairs of a support
     point of f and one of K mu are visited: O(|supp f| * |supp K mu|).
@@ -186,5 +180,5 @@ def _convolve_weighted(
 
 def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
     """Generalized group convolution (f * K)(g) = sum_h f(g h^-1) K(h) mu(h)."""
-    [(nums, den)] = convolve_ints([f], kernel, mu)
+    [(nums, den)] = _convolve_weighted([f], kernel, mu, *as_integers(mu.weights))
     return GroupFunction(f.group, tuple(Fraction(x, den) for x in nums))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .errors import GroupSpecError
+from .errors import GroupSpecError, _quoted
 
 # Exhaustive validation is cubic in the group order; above this size we
 # fall back to randomized triple sampling.
@@ -165,10 +165,10 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 def build_group(spec: str) -> FiniteGroup:
     """Build the group a spec string like ``product:cyclic:2,dihedral:3`` names."""
     if not isinstance(spec, str):
-        raise GroupSpecError(f"a group spec must be a string, got {spec!r}")
+        raise GroupSpecError(f"a group spec must be a string, got {_quoted(spec)}")
     group, pos = _group_at(spec, 0, 0)
     if pos != len(spec):
-        raise GroupSpecError(f"trailing characters {spec[pos:]!r} after group spec")
+        raise GroupSpecError(f"trailing characters {_quoted(spec[pos:])} after group spec")
     return group
 
 
@@ -184,7 +184,7 @@ def _group_at(text: str, pos: int, depth: int) -> tuple[FiniteGroup, int]:
                 n = int(text[pos:end])
             except ValueError:  # no digits, or more than int() converts
                 raise GroupSpecError(
-                    f"expected an integer at position {pos} in {text!r}"
+                    f"expected an integer at position {pos} in {_quoted(text)}"
                 ) from None
             return factory(n), end
     if text.startswith("product:", pos):
@@ -192,11 +192,11 @@ def _group_at(text: str, pos: int, depth: int) -> tuple[FiniteGroup, int]:
             raise GroupSpecError(f"product specs nest deeper than {MAX_PRODUCT_DEPTH}")
         first, pos = _group_at(text, pos + len("product:"), depth + 1)
         if pos >= len(text) or text[pos] != ",":
-            raise GroupSpecError(f"product spec needs ',' at position {pos} in {text!r}")
+            raise GroupSpecError(f"product spec needs ',' at position {pos} in {_quoted(text)}")
         second, pos = _group_at(text, pos + 1, depth + 1)
         return product_group(first, second), pos
     raise GroupSpecError(
-        f"unknown group spec at position {pos} in {text!r}; "
+        f"unknown group spec at position {pos} in {_quoted(text)}; "
         "expected cyclic:N, dihedral:N or product:<spec>,<spec>"
     )
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from .errors import _quoted
 from .gfunc import GroupFunction, fraction_to_str
 from .groups import FiniteGroup, build_group
 from .orders import OrderSet
@@ -28,12 +29,6 @@ from .synth import SynthResult
 # the ~1 000 digits a synth at m = 12 writes.  One at the cap reads in
 # about 0.04 s on a 2-core Xeon; str-to-int is quadratic past it.
 MAX_RATIONAL_CHARS = 100_000
-
-
-def _quoted(value: Any) -> str:
-    """repr(value), cut short: a message quotes only the start of a field."""
-    text = repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _long_int(text: str) -> int:

@@ -5,8 +5,9 @@ vector depends on (c1, c2) only through the ranking and values of the
 nu functions at c1.  Those are piecewise affine in c1, so probing one
 rational point inside every maximal piece — plus every breakpoint and
 crossing — visits every realizable label pattern.  Each witnessed
-pattern is re-verified against the ReLU-sum definition before it enters
-a certificate, not against the piecewise form that found it.
+pattern is re-verified before it enters a certificate: nu is evaluated
+at the witness from each profile's breakpoint table (`NuProfile.exceeds`),
+not read off the sweep's pieces, crossings, probes or cuts that found it.
 
 The sweep runs on integers over one common denominator: Fractions
 appear only in emitted (c1, c2) witnesses, and floats nowhere.
@@ -22,7 +23,7 @@ from itertools import chain, combinations, groupby, product, repeat
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .classifier import NuProfile, ReluIndex, build_nu_profiles, ranking_of_values
+from .classifier import NuProfile, build_nu_profiles, ranking_of_values
 from .errors import WitnessVerificationError
 from .gfunc import GroupFunction, Measure
 from .orders import OrderSet, is_complete
@@ -234,28 +235,23 @@ def enumerate_dichotomies(
     return {Dichotomy(labels) for labels in found}
 
 
-def certificate(
-    critical: CriticalSet, indexes: Optional[Sequence[ReluIndex]] = None
-) -> ShatterCertificate:
+def certificate(critical: CriticalSet) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns of a critical set.
 
-    Every witness is re-verified by classify's rule through the ReLU-sum
-    definition on each profile's stored convolution (one ReluIndex per
-    profile: `indexes` when the caller holds them, else built here), not
-    the sweep's values; a witness that failed re-verification would mean
-    an internal inconsistency, so it raises WitnessVerificationError
-    instead of being silently dropped.
+    Every witness is re-verified by classify's rule, with nu evaluated at
+    the witness on each of `critical.profiles` by `NuProfile.exceeds`, not
+    taken from the sweep's values; a witness that failed re-verification
+    would mean an internal inconsistency, so it raises
+    WitnessVerificationError instead of being silently dropped.
     """
     m = len(critical.profiles)
     found = _witnesses(critical)
-    if indexes is None:
-        indexes = [ReluIndex(p) for p in critical.profiles]
     entries: list[DichotomyEntry] = []
     for labels in product((-1, 1), repeat=m):
         if labels in found:
             c1, c2 = found[labels]
-            for k, index in enumerate(indexes):
-                got = 1 if index.exceeds(c1, -c2) else -1
+            for k, profile in enumerate(critical.profiles):
+                got = 1 if profile.exceeds(c1, -c2) else -1
                 if got != labels[k]:
                     raise WitnessVerificationError(
                         f"witness ({c1}, {c2}) for {labels} fails on "

@@ -25,8 +25,8 @@ from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
-from .classifier import ReluIndex, build_nu_profiles, ranking_of_values
-from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError
+from .classifier import build_nu_profiles, ranking_of_values
+from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError, _quoted
 from .gfunc import GroupFunction, counting_measure, fraction_to_str
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
 from .orders import OrderSet, build_complete_orders, completeness_lower_bound
@@ -237,7 +237,7 @@ class SynthResult:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.B < self.C:
-            B, C = fraction_to_str(self.B), fraction_to_str(self.C)
+            B, C = _quoted(self.B, fraction_to_str), _quoted(self.C, fraction_to_str)
             raise ValueError(f"need C > B > 0, got B={B}, C={C}")
 
     @property
@@ -432,9 +432,8 @@ def verify_synth(result: SynthResult) -> SynthReport:
     consulted; the target orders, the level values m_l, the spreads M_l
     and the thresholds are recomputed rather than trusted.  Each function
     is convolved with the kernel once, and every nu value a check reads
-    is taken from the ReLU-sum definition on that convolution, through
-    one ReluIndex per profile; the shattering certificate's witnesses are
-    re-checked against the same definition, through the same indexes.
+    is taken from that profile's breakpoint table (`NuProfile.at`); the
+    shattering certificate's witnesses are re-checked on the same tables.
     SynthResult has checked the shape: one level, threshold and subset of
     m centres per target order.
     """
@@ -449,12 +448,9 @@ def verify_synth(result: SynthResult) -> SynthReport:
     r = len(orders.rankings)
     mu = counting_measure(group)
     kernel = result.kernel
+    # Under the counting measure every weight is 1, so each profile's xs
+    # holds every convolution value, in ascending order.
     profiles = build_nu_profiles(kernel, result.family(), mu)
-    # The sweep first, so no index is alive at its peak.  Under the
-    # counting measure every weight is 1, so each index holds every
-    # convolution value, in ascending order as index.xs.
-    critical = critical_set(profiles)
-    indexes = [ReluIndex(p) for p in profiles]
     epsilon = result.epsilon
     B, C = result.B, result.C
 
@@ -493,7 +489,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
             recursion_ok = False
             detail = f"round {l}: recorded m_l disagrees with recursion"
             break
-        values = [index.at(-m_cur + epsilon) for index in indexes]
+        values = [p.at(-m_cur + epsilon) for p in profiles]
         big_m_cur = max(values) - min(values)
         big_ms.append(big_m_cur)
         m_prev, big_m_prev = m_cur, big_m_cur
@@ -513,7 +509,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
     )
     add("thresholds", thresholds_ok, "c_l = m_l - eps/2 for every level")
 
-    level_nus = [[index.at(-c) for index in indexes] for c in result.thresholds]
+    level_nus = [[p.at(-c) for p in profiles] for c in result.thresholds]
     orders_ok = True
     detail = ""
     for l, values in enumerate(level_nus):
@@ -535,7 +531,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
             detail = f"level {l + 1}: gap below eps"
     add("pairwise-gaps", gaps_ok, detail or "all nu gaps >= eps at each -c_l")
 
-    # Value checks on each index's sorted integers x = v * den: for an
+    # Value checks on each profile's sorted integers x = v * den: for an
     # integer x, v > lo exactly when x > floor(lo * den), and v < hi
     # exactly when x < ceil(hi * den), so one pair of bisects finds the
     # values inside a band.  The detail names the band's last value in
@@ -543,9 +539,9 @@ def verify_synth(result: SynthResult) -> SynthReport:
     last = None
     for l, hi in enumerate(result.ms):
         lo = hi - epsilon
-        for p, index in zip(profiles, indexes):
+        for p in profiles:
             x_lo, x_hi = floor(lo * p.den), ceil(hi * p.den)
-            if bisect_right(index.xs, x_lo) < bisect_left(index.xs, x_hi):
+            if bisect_right(p.xs, x_lo) < bisect_left(p.xs, x_hi):
                 last = (l, p, x_lo, x_hi)
     detail = "no convolution value in any band"
     if last is not None:
@@ -555,10 +551,10 @@ def verify_synth(result: SynthResult) -> SynthReport:
     add("forbidden-band", last is None, detail)
 
     above_b = []
-    for index in indexes:
-        i = bisect_right(index.xs, floor(B * index.den))
-        if i < len(index.xs):
-            above_b.append(Fraction(index.xs[i], index.den))
+    for p in profiles:
+        i = bisect_right(p.xs, floor(B * p.den))
+        if i < len(p.xs):
+            above_b.append(Fraction(p.xs[i], p.den))
     min_over_b = min(above_b, default=None)
     value = "None" if min_over_b is None else fraction_to_str(min_over_b)
     add(
@@ -604,7 +600,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
             "convolutions are <= 0 on every guarded translate",
         )
 
-    cert = certificate(critical, indexes)
+    cert = certificate(critical_set(profiles))
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
     add("shattering", cert.shattered, detail)
     return SynthReport(tuple(checks), orders, cert)

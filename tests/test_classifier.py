@@ -16,7 +16,6 @@ from gshatter.classifier import (
     classify,
     nu,
     ranking_of_values,
-    relu_sum,
 )
 from gshatter.gfunc import GroupFunction, Measure, constant, counting_measure, indicator
 from gshatter.groups import build_group
@@ -93,7 +92,7 @@ class TestNuProfile:
         assert breakpoints == [-2, -1, 1]
         assert slopes == [0, 1, 2, 3]
         assert profile_value(profile, Fraction(0)) == 3
-        assert relu_sum(profile, Fraction(0)) == 3
+        assert profile.at(Fraction(0)) == 3
 
     def test_values_and_weights_share_one_denominator(self):
         g = build_group("cyclic:3")
@@ -110,7 +109,7 @@ class TestNuProfile:
         assert list(profile.pieces(profile.den, profile.wden)) == [
             (-12, 3, 36), (-3, 5, 42)
         ]
-        assert relu_sum(profile, Fraction(0)) == Fraction(7, 8)
+        assert profile.at(Fraction(0)) == Fraction(7, 8)
 
     def test_constant_convolution_single_breakpoint(self):
         g = build_group("cyclic:4")

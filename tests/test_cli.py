@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,8 +59,8 @@ def run(capsys, *argv):
 
 def count_convolutions(monkeypatch):
     """Record integer convolution calls at both bindings of the one
-    convolution (`convolve_ints` wraps it); returns a list with the
-    number of functions each call convolved."""
+    convolution (`convolve` calls it at the first); returns a list with
+    the number of functions each call convolved."""
     calls = []
     original = gshatter.gfunc._convolve_weighted
 
@@ -118,9 +119,9 @@ def shift_sweep_values(monkeypatch):
     The sweep reads every value from NuProfile.pieces, where nu * scale *
     wscale = slope * t + offset, so adding scale * wscale to each offset
     adds 1 to nu on every piece from the first breakpoint on (left of it
-    the sweep's own zero piece stays right); the ReluIndex that re-checks
-    each witness is built from the profile's nums and weights and never
-    reads the pieces.
+    the sweep's own zero piece stays right); the re-check of each witness
+    reads nu off the profile's breakpoint table (`NuProfile.exceeds`) and
+    never calls `pieces`.
     """
     true_pieces = NuProfile.pieces
 
@@ -129,6 +130,30 @@ def shift_sweep_values(monkeypatch):
             yield t, slope, offset + scale * wscale
 
     monkeypatch.setattr(NuProfile, "pieces", shifted)
+
+
+def watch_profiles(monkeypatch):
+    """Keep a weakref to every profile built at the cli and synth bindings
+    of build_nu_profiles, and count, when the cli writes its first file,
+    how many are still alive; returns (refs, alive), alive holding that
+    count once the first file is written."""
+    refs, alive = [], []
+    build, write = gshatter.classifier.build_nu_profiles, gshatter.cli.write_json_atomic
+
+    def watched(*args):
+        profiles = build(*args)
+        refs.extend(weakref.ref(p) for p in profiles)
+        return profiles
+
+    def checked(path, data):
+        if not alive:
+            alive.append(sum(ref() is not None for ref in refs))
+        return write(path, data)
+
+    monkeypatch.setattr(gshatter.cli, "build_nu_profiles", watched)
+    monkeypatch.setattr(gshatter.synth, "build_nu_profiles", watched)
+    monkeypatch.setattr(gshatter.cli, "write_json_atomic", checked)
+    return refs, alive
 
 
 def fail_check(monkeypatch, name):
@@ -515,6 +540,26 @@ class TestSynthCommand:
         )
         assert code == 0
         assert calls == [3]
+
+    def test_profiles_are_dead_at_the_first_artifact(self, capsys, tmp_path, monkeypatch):
+        # The profiles and their tables are the bulk of the memory peak;
+        # neither command may still hold one while it writes its files.
+        refs, alive = watch_profiles(monkeypatch)
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:8", "--m", "2",
+            "--out-dir", str(tmp_path),
+        )
+        assert (code, len(refs), alive) == (0, 2, [0])
+        refs.clear()
+        alive.clear()
+        code, _, _ = run(
+            capsys,
+            "verify",
+            "--kernel", str(tmp_path / "kernel.json"),
+            "--functions", str(tmp_path / "functions.json"),
+            "--out", str(tmp_path / "verify" / "verdict.json"),
+        )
+        assert (code, len(refs), alive) == (0, 2, [0])
 
     def test_failed_self_check_exits_5_without_artifacts(
         self, capsys, tmp_path, monkeypatch

@@ -18,17 +18,14 @@ from hypothesis import strategies as st
 
 import gshatter.synth
 from gshatter.classifier import (
-    ReluIndex,
     build_nu_profile,
     build_nu_profiles,
     ranking_of_values,
-    relu_sum,
 )
 from gshatter.gfunc import (
     GroupFunction,
     Measure,
     convolve,
-    convolve_ints,
     counting_measure,
     indicator,
 )
@@ -147,16 +144,15 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
     assert _witnesses(crit) == cut_witnesses(probes, values)
 
 
-def assert_relu_index_matches(profile, conv: GroupFunction, mu: Measure) -> None:
-    """One ReluIndex against the term-by-term sums at and around every
-    floor threshold.
+def assert_table_matches(profile, conv: GroupFunction, mu: Measure) -> None:
+    """A profile's breakpoint table (`at`) against the term-by-term sums
+    at and around every floor threshold.
 
     c = -x/den sits exactly on a breakpoint; c = (-7x -+ 1)/(7 den) has a
     denominator that does not divide den and puts -c*den just above or
     below x, on either side of the integer threshold.  Around the
     largest and smallest x every term is active or none is.
     """
-    index = ReluIndex(profile)
     den = profile.den
     for x in profile.nums:
         for c in (
@@ -164,26 +160,23 @@ def assert_relu_index_matches(profile, conv: GroupFunction, mu: Measure) -> None
             Fraction(-7 * x - 1, 7 * den),
             Fraction(-7 * x + 1, 7 * den),
         ):
-            assert index.at(c) == termwise_relu_sum(conv, mu, c)
+            assert profile.at(c) == termwise_relu_sum(conv, mu, c)
 
 
 def assert_matches_references(kernel, fs, mu) -> None:
-    assert convolve_ints(fs, kernel, mu) == [
-        convolve_ints([f], kernel, mu)[0] for f in fs
-    ]
-    for f in fs:
-        [(nums, den)] = convolve_ints([f], kernel, mu)
+    # The family's convolutions, made together, are each one's alone.
+    profiles = build_nu_profiles(kernel, fs, mu)
+    assert profiles == [build_nu_profile(kernel, f, mu) for f in fs]
+    for f, p in zip(fs, profiles):
         values = convolve(f, kernel, mu).values
         assert values == dense_convolve(f, kernel, mu)
         assert values == fraction_convolve(f, kernel, mu)
-        assert values == tuple(Fraction(x, den) for x in nums)
+        assert values == tuple(Fraction(x, p.den) for x in p.nums)
         # One denominator, no larger than the values need.
-        assert den == lcm(*(v.denominator for v in values))
-    profiles = build_nu_profiles(kernel, fs, mu)
-    assert profiles == [build_nu_profile(kernel, f, mu) for f in fs]
+        assert p.den == lcm(*(v.denominator for v in values))
     refs = [fraction_build_nu_profile(kernel, f, mu) for f in fs]
     for p, ref in zip(profiles, refs):
-        assert_relu_index_matches(p, ref.conv, mu)
+        assert_table_matches(p, ref.conv, mu)
         breakpoints, slopes, offsets = piece_lists(p, p.den, p.wden)
         assert tuple(Fraction(bp, p.den) for bp in breakpoints) == ref.breakpoints
         assert tuple(Fraction(s, p.wden) for s in slopes) == ref.slopes
@@ -226,7 +219,7 @@ class TestAgainstReferences:
             profile = build_nu_profile(kernel, f, mu)
             for c in {-v + shift for v in conv.values} | {-v for v in conv.values}:
                 want = termwise_relu_sum(conv, mu, c)
-                assert relu_sum(profile, c) == want
+                assert profile.at(c) == want
                 assert loop_relu_sum(profile, c) == want
                 assert fraction_relu_sum(conv, mu, c) == want
 
@@ -236,7 +229,7 @@ class TestAgainstReferences:
         kernel, fs, mu = instance
         for f in fs:
             profile = build_nu_profile(kernel, f, mu)
-            assert_relu_index_matches(profile, convolve(f, kernel, mu), mu)
+            assert_table_matches(profile, convolve(f, kernel, mu), mu)
 
     @settings(max_examples=100, deadline=None)
     @given(instances(), st.data())

@@ -5,8 +5,9 @@ mutations of the artifacts of `synth --group cyclic:18 --m 3` and of that
 bundle's `verify --out` file, fed to `verify` and `bounds --achieved`;
 group spec strings (groups of at most 32 elements, and product specs
 nested past MAX_PRODUCT_DEPTH) with `--m`, `--mode` and `--seed` values,
-fed to `group` and `synth`.  Every call must return a code in 0..5, and
-no exception may escape `cli.main`.  Drawn arguments are well-formed for
+fed to `group` and `synth`.  Every call must return a code in 0..5, no
+exception may escape `cli.main`, and no line on stderr may be longer
+than 500 characters.  Drawn arguments are well-formed for
 the parser, whose own usage errors (SystemExit 2) `TestParser` covers.
 """
 
@@ -41,11 +42,15 @@ FUZZ = settings(
 
 
 def run(*argv: str) -> tuple[int, str]:
-    """main(argv) and its stdout; the test fails on an exception."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """main(argv) and its stdout; the test fails on an exception, and on
+    a stderr line over 500 characters: a message quotes only the start
+    of a long input."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert type(code) is int and 0 <= code <= 5, (argv, code)
+    longest = max(map(len, err.getvalue().splitlines()), default=0)
+    assert longest <= 500, ([a[:40] for a in argv], longest)
     return code, out.getvalue()
 
 
@@ -186,6 +191,9 @@ def test_long_rational_in_every_field(workdir):
         mutant.write_text(json.dumps(with_value(json.loads(original["synth_result.json"]), path, value)))
         code, out = run("bounds", "--achieved", str(mutant))
         assert (code, len(out.splitlines())) == (0, 1), (path, value[:8])
+    # A negative B breaks the bundle's shape: the file is refused.
+    mutant.write_text(json.dumps(with_value(json.loads(original["synth_result.json"]), ("B",), "-" + LONG_DIGITS)))
+    assert exit_code("bounds", "--achieved", str(mutant)) == 2
     for name, path in [("shatter_certificate.json", ("dichotomies", 3, "c1")),
                        ("verify_out.json", ("certificate", "dichotomies", 3, "c2"))]:
         for value in LONG_RATIONALS:

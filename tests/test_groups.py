@@ -97,6 +97,25 @@ class TestConstruction:
         with pytest.raises(GroupSpecError):
             build_group(bad)
 
+    LONG = "9" * 5000
+
+    @pytest.mark.parametrize("spec, message", [
+        ("cyclic:", "expected an integer at position 7 in 'cyclic:'"),
+        ("cyclic:4x", "trailing characters 'x' after group spec"),
+        ("product:cyclic:2", "product spec needs ',' at position 16 in 'product:cyclic:2'"),
+        ("foo:3", "unknown group spec at position 0 in 'foo:3'; "
+                  "expected cyclic:N, dihedral:N or product:<spec>,<spec>"),
+        (None, "a group spec must be a string, got None"),
+        ("cyclic:" + LONG, "expected an integer at position 7 in 'cyclic:" + "9" * 49 + "..."),
+        ("cyclic:4" + LONG.replace("9", "x"), "trailing characters '" + "x" * 56 + "... after group spec"),
+        ([LONG], "a group spec must be a string, got ['" + "9" * 55 + "..."),
+    ], ids=["no-digits", "trailing", "no-comma", "unknown", "not-a-string",
+            "long-digits", "long-trailing", "long-not-a-string"])
+    def test_spec_errors_quote_the_input_cut_short(self, spec, message):
+        with pytest.raises(GroupSpecError) as caught:
+            build_group(spec)
+        assert str(caught.value) == message
+
     def test_spec_string_round_trip(self):
         assert build_group("product:cyclic:2,dihedral:3").label == (
             "product:cyclic:2,dihedral:3"

@@ -5,7 +5,8 @@ Invariants must survive ``python -O``: ``assert`` statements vanish under
 instead of a mapped exit code, so the package raises typed
 ``GShatterError`` subclasses instead.  And no module-level name outlives
 its last use: a private one must be read somewhere in the package, a
-public function or class read there or exported by ``gshatter``.
+public function or class read there or exported by ``gshatter``, and an
+imported name read in the module that imports it.
 """
 
 from __future__ import annotations
@@ -111,6 +112,46 @@ def test_every_public_name_is_used_or_exported():
     assert not unused, (
         f"public functions and classes nothing in the package uses or exports: {unused}"
     )
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """Names a module imports and never reads; ``from __future__`` is exempt."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(a.asname or a.name).partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names if name not in read]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_read(path):
+    """``__init__.py`` is exempt: its imports are the export list."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = _unused_imports(tree)
+    assert not unused, f"{path.name}: imported names it never reads: {unused}"
+
+
+def test_unused_import_is_caught():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\n"
+        "from itertools import chain, groupby\n"
+        "os.path.join(js.dumps(list(chain())))\n"
+    )
+    assert _unused_imports(tree) == [("groupby", 4)]
+    assert _unused_imports(ast.parse("import csv\n")) == [("csv", 1)]
 
 
 def test_unused_private_name_is_caught():

@@ -347,6 +347,16 @@ class TestShape:
         with pytest.raises(ValueError):
             dataclasses.replace(result, **edit(result))
 
+    @pytest.mark.parametrize("B, spelled", [
+        (Fraction(-1, 2), "-1/2"),
+        (Fraction(5, 2), "5/2"),
+        (-(10**5000 // 3), "-" + "3" * 56 + "..."),
+    ], ids=["negative", "above-C", "5000-digits"])
+    def test_bad_interval_quotes_the_values_cut_short(self, results, B, spelled):
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(results["cyclic:8"], B=B)
+        assert str(caught.value) == f"need C > B > 0, got B={spelled}, C=2"
+
 
 # (i, edit): u_i's value at x becomes y, where (x, y) = edit(values, e, g).
 TOWER_EDITS = {
