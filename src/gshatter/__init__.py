@@ -18,7 +18,6 @@ from .bounds import (
     upper_bound_refined,
     upper_bound_simple,
     upper_bound_simple_ceil,
-    wallis_check,
 )
 from .classifier import (
     NuProfile,

@@ -1,21 +1,16 @@
 """Closed-form capacity bounds and group-size requirements.
 
 Display values are ordinary floats; every assertion-grade comparison has
-an exact counterpart: the implicit upper bound compares 2^m against
-n(m+1)^3 in integers, and the logarithmic lower bound can be bracketed
-between dyadic rationals to arbitrary precision.
+an exact counterpart in integers: the implicit upper bound compares 2^m
+against n(m+1)^3, and the logarithmic lower bound is decided by comparing
+n / 2^(m+1) (or 2^(m+4)) with integer squares that bracket (log2 n)^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
-
-# A rational lower bound for pi, tight enough for the binomial check.
-PI_LOWER = Fraction(333, 106)
-
 
 def upper_bound_implicit(n: int) -> int:
     """Largest m >= 1 with m - 3 log2(m+1) <= log2(n).
@@ -81,100 +76,37 @@ def required_group_size(m: int, mode: str) -> int:
     return ELEMENTS_PER_CENTRE[mode] * m * math.comb(m, m // 2)
 
 
-def wallis_check(m: int) -> bool:
-    """Integer form of C(2m, m)^2 pi m < 16^m with pi replaced by 333/106."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    c = math.comb(2 * m, m)
-    return c * c * PI_LOWER.numerator * m < PI_LOWER.denominator * 16**m
+def lower_bound_at_most(n: int, has_order_two: bool, m: int) -> bool:
+    """Exact decision of lower_bound(n, has_order_two) <= m, in integers.
 
-
-def _round_dyadic(x: Fraction, prec: int, up: bool) -> Fraction:
-    scaled = x.numerator * (1 << prec)
-    q, rem = divmod(scaled, x.denominator)
-    if up and rem:
-        q += 1
-    return Fraction(q, 1 << prec)
-
-
-def log2_bounds(x: Fraction, bits: int = 48) -> tuple[Fraction, Fraction]:
-    """Dyadic lo <= log2(x) <= hi via interval digit extraction.
-
-    Each channel squares its mantissa, emits a binary digit, and rounds
-    outward to a capped denominator, so both endpoints stay valid bounds
-    regardless of where the true value falls.
+    With L = log2 n and shift = m + 1 (or m + 4), L - 2 log2 L <= shift
+    exactly when n / 2^shift <= L^2.  Unless n is a power of two, L is
+    irrational and the sides differ, so enough binary digits of L decide.
+    They come from squaring the mantissa of n as a fixed-width integer,
+    rounded down and up, so that lo <= 2^j L <= hi + 1 after j squarings.
+    A case that 4096 bits do not separate raises ArithmeticError.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log2 needs a positive argument")
-    e = 0
-    while x >= 2:
-        x /= 2
-        e += 1
-    while x < 1:
-        x *= 2
-        e -= 1
-    prec = bits + 16
-    lo = hi = x
-    frac_lo = Fraction(0)
-    frac_hi = Fraction(0)
-    step = Fraction(1)
-    for _ in range(bits + 4):
-        step /= 2
-        lo = _round_dyadic(lo * lo, prec, up=False)
-        hi = _round_dyadic(hi * hi, prec, up=True)
-        if lo >= 2:
-            frac_lo += step
-            lo /= 2
-        if hi >= 2:
-            frac_hi += step
-            hi /= 2
-        if hi >= 2:  # rounding may push the upper channel past 4
-            frac_hi += step
-            hi /= 2
-    # log2 of the residual mantissas lies in [0, 2).
-    return (e + frac_lo, e + frac_hi + 2 * step)
-
-
-def lower_bound_brackets(
-    n: int, has_order_two: bool, bits: int = 48
-) -> tuple[Fraction, Fraction]:
-    """Exact dyadic interval around lower_bound(n, has_order_two)."""
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
-    penalty = 1 if has_order_two else 4
-    l_lo, l_hi = log2_bounds(Fraction(n), bits)
-    ll_lo = log2_bounds(l_lo, bits)[0] if l_lo > 0 else None
-    ll_hi = log2_bounds(l_hi, bits)[1]
-    if ll_lo is None:
-        raise ValueError("group order too small for the nested logarithm")
-    return (l_lo - 2 * ll_hi - penalty, l_hi - 2 * ll_lo - penalty)
-
-
-def _exact_lower_bound(n: int, has_order_two: bool) -> Optional[Fraction]:
-    """Rational value of the lower bound when one exists (n = 2^(2^b))."""
-    a = n.bit_length() - 1
-    if n != 1 << a or a < 1:
-        return None
-    b = a.bit_length() - 1
-    if a != 1 << b:
-        return None
-    return Fraction(a - 2 * b - (1 if has_order_two else 4))
-
-
-def lower_bound_at_most(n: int, has_order_two: bool, m: int) -> bool:
-    """Exact decision of lower_bound(n, has_order_two) <= m."""
-    exact = _exact_lower_bound(n, has_order_two)
-    if exact is not None:
-        return exact <= m
-    bits = 48
-    while bits <= 4096:
-        lo, hi = lower_bound_brackets(n, has_order_two, bits)
-        if hi <= m:
-            return True
-        if lo > m:
-            return False
-        bits *= 2
+    shift = m + (1 if has_order_two else 4)
+    # For L >= 1, L - 2 log2 L lies in (-1, L], and L < n.bit_length().
+    if not 0 <= shift < n.bit_length():
+        return shift >= 0
+    e = n.bit_length() - 1
+    if n == 1 << e:
+        return e * e << shift >= n
+    for width in (64, 256, 1024, 4096):
+        # n / 2^e in [1, 2) scaled by 2^width; a bit past 2^width is a digit.
+        down, up, lo, hi = (n << width) >> e, -((-n << width) >> e), e, e
+        for j in range(1, width + 1):
+            down, up = down * down >> width, -(-up * up >> width)
+            d, u = down >> width + 1, up >> width + 1
+            down, up, lo, hi = down >> d, -(-up >> u), 2 * lo + d, 2 * hi + u
+            # L^2 4^j against n 4^j / 2^shift, cross-multiplied by 2^shift.
+            if lo * lo << shift >= n << 2 * j:
+                return True
+            if (hi + 1) ** 2 << shift <= n << 2 * j:
+                return False
     raise ArithmeticError(
         f"could not separate the lower bound for n={n} from m={m}"
     )

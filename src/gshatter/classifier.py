@@ -1,18 +1,20 @@
 """The two-bias classifier over a fixed kernel, and its exact structure.
 
-For a kernel K, a function f and a measure mu the classifier is
+For a kernel K and a function f the classifier is
 
-    H_{c1,c2}(K)(f) = sign( sum_g ReLU((f*K)(g) + c1) * mu(g) + c2 )
+    H_{c1,c2}(K)(f) = sign( sum_g ReLU((f*K)(g) + c1) + c2 )
 
-with sign(0) = -1.  The inner sum, as a function of c1, is written ``nu``
-here; it is continuous, convex, non-decreasing and piecewise affine with
-rational breakpoints, which is what makes exact enumeration of all
-realizable label patterns possible downstream.
+with sign(0) = -1 and the sum over every element of the group (the
+counting measure `mu` that every function here takes).  The inner sum,
+as a function of c1, is written ``nu`` here; it is continuous, convex,
+non-decreasing and piecewise affine with rational breakpoints, which is
+what makes exact enumeration of all realizable label patterns possible
+downstream.
 
-Inside, a profile holds f*K and mu as integers over one denominator
-each, and one sorted table of its terms that gives nu at any bias and
-nu's pieces alike; a Fraction is formed only for the nu that
-`NuProfile.at` returns, and no float is used anywhere.
+Inside, a profile holds f*K as integers over one denominator, and one
+sorted table of its terms that gives nu at any bias and nu's pieces
+alike; a Fraction is formed only for the nu that `NuProfile.at`
+returns, and no float is used anywhere.
 """
 
 from __future__ import annotations
@@ -22,62 +24,52 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .gfunc import GroupFunction, Measure, _convolve_weighted, as_integers
+from .gfunc import GroupFunction, Measure, _convolve
 
 
 @dataclass(frozen=True)
 class NuProfile:
-    """One convolution f*K under mu, as integers, and nu's breakpoint table.
+    """One convolution f*K, as integers, and nu's breakpoint table.
 
-    (f*K)(g) is nums[g] / den and mu(g) is weights[g] / wden.  The profile
-    sorts its terms of nonzero weight once, by x = (f*K)(g) * den, into
-    `xs`, with suffix sums of w*x (`masses`) and of w (`totals`), so the
-    terms from position i on add up to masses[i] and totals[i].  `at` and
-    `exceeds` read nu at one bias from that table; `pieces` streams nu in
-    closed form, piece by piece, from the same table.
+    (f*K)(g) is nums[g] / den.  The profile sorts its terms once, by
+    x = (f*K)(g) * den, into `xs`, with suffix sums of x (`masses`), so
+    the terms from position i on number len(xs) - i and add up to
+    masses[i].  `at` and `exceeds` read nu at one bias from that table;
+    `pieces` streams nu in closed form, piece by piece, from the same
+    table.
     """
 
     nums: tuple[int, ...]
     den: int
-    weights: tuple[int, ...]
-    wden: int
     xs: list[int] = field(init=False, repr=False, compare=False)
     masses: list[int] = field(init=False, repr=False, compare=False)
-    totals: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nums, weights = self.nums, self.weights
-        order = sorted((g for g, w in enumerate(weights) if w), key=nums.__getitem__)
-        xs, ws = [nums[g] for g in order], [weights[g] for g in order]
-        del order  # its index ints go before the sums make theirs: less peak RSS
-        masses, totals = [0], [0]
-        for x, w in zip(reversed(xs), reversed(ws)):
-            masses.append(masses[-1] + w * x)
-            totals.append(totals[-1] + w)
+        xs = sorted(self.nums)
+        masses = [0]
+        for x in reversed(xs):
+            masses.append(masses[-1] + x)
         masses.reverse()
-        totals.reverse()
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "totals", totals)
 
-    def pieces(self, scale: int, wscale: int) -> Iterator[tuple[int, int, int]]:
+    def pieces(self, scale: int) -> Iterator[tuple[int, int, int]]:
         """nu's breakpoints on t = c * scale, ascending, each with the piece
-        that starts there; den must divide scale and wden divide wscale.
+        that starts there; den must divide scale.
 
-        Each item (t, slope, offset) gives nu(c) * scale * wscale =
-        slope * t + offset from t up to the next breakpoint, and
-        offset / (scale * wscale) sums mu(g) (f*K)(g) over the active
-        terms.  Left of the first breakpoint nu is 0, and nu is continuous,
-        so either piece gives the value at a breakpoint.  A breakpoint sits
-        at t = -x * scale / den for each x in `xs`; crossing it activates
-        every term with that value, which are the terms from the first
-        position i of x on, so the piece is read off the table at i.
+        Each item (t, slope, offset) gives nu(c) * scale = slope * t +
+        offset from t up to the next breakpoint, and offset / scale sums
+        (f*K)(g) over the active terms.  Left of the first breakpoint nu
+        is 0, and nu is continuous, so either piece gives the value at a
+        breakpoint.  A breakpoint sits at t = -x * scale / den for each x
+        in `xs`; crossing it activates every term with that value, which
+        are the terms from the first position i of x on, so the piece is
+        read off the table at i.
         """
-        k, w = scale // self.den, wscale // self.wden
-        xs, masses, totals = self.xs, self.masses, self.totals
+        k, xs, masses = scale // self.den, self.xs, self.masses
         for i in reversed(range(len(xs))):
             if not i or xs[i - 1] != xs[i]:  # the first position of its value
-                yield -xs[i] * k, totals[i] * w, masses[i] * k * w
+                yield -xs[i] * k, len(xs) - i, masses[i] * k
 
     def _scaled(self, c: Fraction) -> tuple[int, int]:
         """(N, D) with nu(c) = N / D and D > 0, not reduced.
@@ -85,15 +77,15 @@ class NuProfile:
         With c = a/b the term of x is active exactly when x*b > -a*den,
         that is when x > (-a*den) // b; the active terms are one sorted
         tail, found by one bisect, and they add up to
-        (mass*b + a*den*weight) / (den*wden*b).
+        (mass*b + a*den*count) / (den*b).
         """
         a, b = c.numerator, c.denominator
         den = self.den
         i = bisect_right(self.xs, (-a * den) // b)
-        return self.masses[i] * b + a * den * self.totals[i], den * self.wden * b
+        return self.masses[i] * b + a * den * (len(self.xs) - i), den * b
 
     def at(self, c: Fraction) -> Fraction:
-        """sum_g max(0, (f*K)(g) + c) * mu(g): nu at c, exactly."""
+        """sum_g max(0, (f*K)(g) + c): nu at c, exactly."""
         return Fraction(*self._scaled(c))
 
     def exceeds(self, c: Fraction, t: Fraction) -> bool:
@@ -105,23 +97,21 @@ class NuProfile:
 def build_nu_profiles(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> list[NuProfile]:
-    """build_nu_profile for each f in fs; mu is converted once for them all."""
-    weights, wden = as_integers(mu.weights)
-    shared, convolutions = tuple(weights), _convolve_weighted(fs, kernel, mu, weights, wden)
-    return [NuProfile(tuple(nums), den, shared, wden) for nums, den in convolutions]
+    """build_nu_profile for each f in fs; K is converted once for them all."""
+    return [NuProfile(tuple(nums), den) for nums, den in _convolve(fs, kernel, mu)]
 
 
 def build_nu_profile(
     kernel: GroupFunction, f: GroupFunction, mu: Measure
 ) -> NuProfile:
-    """f*K and mu as integers over one denominator each, and nu's table."""
+    """f*K as integers over one denominator, and nu's table."""
     return build_nu_profiles(kernel, [f], mu)[0]
 
 
 def nu(
     kernel: GroupFunction, f: GroupFunction, mu: Measure, c: Fraction
 ) -> Fraction:
-    """sum_g max(0, (f*K)(g) + c) * mu(g), exactly."""
+    """sum_g max(0, (f*K)(g) + c), exactly."""
     return build_nu_profile(kernel, f, mu).at(c)
 
 

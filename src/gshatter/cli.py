@@ -32,6 +32,7 @@ from .errors import (
     ModeElementError,
     SynthesisVerificationError,
     WitnessVerificationError,
+    _quoted,
 )
 from .gfunc import counting_measure
 from .groups import (
@@ -128,7 +129,7 @@ def cmd_group(args: argparse.Namespace) -> int:
 
 def cmd_orders(args: argparse.Namespace) -> int:
     if not 1 <= args.m <= ORDERS_M_CAP:
-        return _fail(f"--m must be in [1, {ORDERS_M_CAP}], got {args.m}", 2)
+        return _fail(f"--m must be in [1, {ORDERS_M_CAP}], got {_quoted(args.m, str)}", 2)
     run = _Run("orders", args)
     out_dir = Path(args.out_dir)
     order_set = build_complete_orders(args.m)
@@ -154,12 +155,12 @@ def cmd_orders(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.m > DEFAULT_M_CAP and not args.allow_large:
         return _fail(
-            f"--m {args.m} exceeds the default cap {DEFAULT_M_CAP} "
+            f"--m {_quoted(args.m, str)} exceeds the default cap {DEFAULT_M_CAP} "
             "(pass --allow-large to override)",
             2,
         )
     if args.m < 1:
-        return _fail(f"need m >= 1, got {args.m}", 2)
+        return _fail(f"need m >= 1, got {_quoted(args.m, str)}", 2)
     group = build_group(args.group)
     run = _Run("synth", args)
     out_dir = Path(args.out_dir)
@@ -278,7 +279,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         ns = [int(x) for x in args.n.split(",") if x.strip()] if args.n else []
     except ValueError:
-        return _fail(f"--n expects comma-separated integers, got {args.n!r}", 2)
+        return _fail(f"--n expects comma-separated integers, got {_quoted(args.n)}", 2)
     if any(n < 1 for n in ns):
         return _fail("group orders must be >= 1", 2)
     achieved: dict[int, int] = {}

@@ -38,7 +38,7 @@ class GroupTooSmallError(GShatterError):
         self.mode = mode
         super().__init__(
             f"group of order {order} is too small for mode '{mode}': "
-            f"need at least {required} elements"
+            f"need at least {_quoted(required, str)} elements"
         )
 
 

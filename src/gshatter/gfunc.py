@@ -1,4 +1,5 @@
-"""Rational-valued functions on a finite group, measures, and convolution.
+"""Rational-valued functions on a finite group, the counting measure, and
+convolution.
 
 Everything here is exact: values are `fractions.Fraction` and floats are
 rejected outright, because downstream constructions compare quantities
@@ -87,34 +88,19 @@ class GroupFunction:
 
 @dataclass(frozen=True)
 class Measure:
-    """A finite measure on the group: non-negative weight per element."""
+    """The counting (Haar) measure on the group: weight 1 on every element.
+
+    It is the one translation-invariant measure up to a scale, and a scale
+    w changes no label pattern: (c1, c2) under w times it labels as
+    (c1/w, c2/w^2) does under it.
+    """
 
     group: FiniteGroup
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != self.group.order:
-            raise ValueError("measure needs one weight per group element")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("measure weights must be non-negative")
-        # With no weight negative, the total is positive exactly when one is.
-        if not any(self.weights):
-            raise ValueError("measure must have positive total mass")
-
-    @classmethod
-    def from_weights(
-        cls, group: FiniteGroup, weights: Iterable[object]
-    ) -> "Measure":
-        ws = tuple(_as_fraction(w, "measure weights") for w in weights)
-        return cls(group, ws)
-
-    def __call__(self, g: int) -> Fraction:
-        return self.weights[g]
 
 
 def counting_measure(group: FiniteGroup) -> Measure:
-    """Weight 1 on every element -- the default measure everywhere."""
-    return Measure(group, (Fraction(1),) * group.order)
+    """Weight 1 on every element -- the one measure there is."""
+    return Measure(group)
 
 
 def indicator(group: FiniteGroup, g: int) -> GroupFunction:
@@ -147,22 +133,20 @@ def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _convolve_weighted(
-    fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure,
-    weights: Sequence[int], w_den: int,
+def _convolve(
+    fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure
 ) -> list[tuple[list[int], int]]:
-    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h) as (nums, den) per f in fs,
-    with mu(h) = weights[h] / w_den already converted.
+    """(f * K)(g) = sum_h f(g h^-1) K(h) as (nums, den) per f in fs.
 
-    Each term f(a) K(h) mu(h) lands at g = a h, so only pairs of a support
-    point of f and one of K mu are visited: O(|supp f| * |supp K mu|).
-    With K mu made integer once and each f over its own denominator
-    every term is an integer; one gcd at the end leaves den the lcm of
-    the reduced denominators of the values nums[g] / den.
+    Each term f(a) K(h) lands at g = a h, so only pairs of a support point
+    of f and one of K are visited: O(|supp f| * |supp K|).  With K made
+    integer once and each f over its own denominator every term is an
+    integer; one gcd at the end leaves den the lcm of the reduced
+    denominators of the values nums[g] / den.
     """
     mul, n = kernel.group.mul, kernel.group.order
     k_nums, k_den = as_integers(kernel.values)
-    terms = [(h, k * w) for h, (k, w) in enumerate(zip(k_nums, weights)) if k and w]
+    terms = [(h, k) for h, k in enumerate(k_nums) if k]
     results = []
     for f in fs:
         _same_group(f.group, kernel.group, "convolve")
@@ -171,14 +155,14 @@ def _convolve_weighted(
         acc = [0] * n
         for a, fa in enumerate(f_nums):
             if fa:
-                for h, kw in terms:
-                    acc[mul(a, h)] += fa * kw
-        common = gcd(f_den * k_den * w_den, *acc)
-        results.append(([x // common for x in acc], f_den * k_den * w_den // common))
+                for h, k in terms:
+                    acc[mul(a, h)] += fa * k
+        common = gcd(f_den * k_den, *acc)
+        results.append(([x // common for x in acc], f_den * k_den // common))
     return results
 
 
 def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
-    """Generalized group convolution (f * K)(g) = sum_h f(g h^-1) K(h) mu(h)."""
-    [(nums, den)] = _convolve_weighted([f], kernel, mu, *as_integers(mu.weights))
+    """Group convolution (f * K)(g) = sum_h f(g h^-1) K(h) under mu."""
+    [(nums, den)] = _convolve([f], kernel, mu)
     return GroupFunction(f.group, tuple(Fraction(x, den) for x in nums))

@@ -64,27 +64,26 @@ class ShatterCertificate:
 class CriticalSet:
     """The first row of each ranking over the points where one can change.
 
-    On the scale t = c1 * scale, with scale the lcm of the profiles' den
-    and wscale that of their wden, every breakpoint is an integer.  The
-    critical points t = p / q (integers, q > 0) are every nu breakpoint
-    and every crossing of two nu inside a shared affine piece.  Between
-    consecutive points every nu is affine, so the ranking is constant
-    there, and the probes (each point, the midpoints between them and one
-    unit of c1 past either end) reach every ranking attained on the whole
-    real line.  `rows` maps each attained ranking, in probe order, to its
-    first probe (p, q) and its values: `values[k]` is nu of `profiles[k]`
-    there times q*scale*wscale.  No point is kept: `points` walks again.
+    On the scale t = c1 * scale, with scale the lcm of the profiles' den,
+    every breakpoint is an integer.  The critical points t = p / q
+    (integers, q > 0) are every nu breakpoint and every crossing of two
+    nu inside a shared affine piece.  Between consecutive points every nu
+    is affine, so the ranking is constant there, and the probes (each
+    point, the midpoints between them and one unit of c1 past either end)
+    reach every ranking attained on the whole real line.  `rows` maps
+    each attained ranking, in probe order, to its first probe (p, q) and
+    its values: `values[k]` is nu of `profiles[k]` there times q*scale.
+    No point is kept: `points` walks again.
     """
 
     profiles: tuple[NuProfile, ...]
     scale: int
-    wscale: int
     rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]]
 
     @property
     def points(self) -> tuple[Fraction, ...]:
         """The critical bias values c1, in ascending order."""
-        walk = _walk(self.profiles, self.scale, self.wscale)
+        walk = _walk(self.profiles, self.scale)
         return tuple(Fraction(p, q * self.scale) for p, q, _, _ in walk)
 
     @property
@@ -99,28 +98,26 @@ class CriticalSet:
 _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _walk(profiles: Sequence[NuProfile], scale: int, wscale: int) -> Iterator[tuple]:
+def _walk(profiles: Sequence[NuProfile], scale: int) -> Iterator[tuple]:
     """The critical points t = p / q, ascending, as (p, q, pieces, values).
 
     The profiles' piece streams merge by t into one grid, so on each open
-    piece of it nu_k * scale * wscale = s * t + o with (s, o) = pieces[k].
-    Two affine functions cross strictly inside a piece exactly when their
+    piece of it nu_k * scale = s * t + o with (s, o) = pieces[k].  Two
+    affine functions cross strictly inside a piece exactly when their
     strict order differs at its two ends (a tie at either end is no flip).
-    Left of the grid every nu is 0; past it the slopes stand in for the
-    right end, since far enough right two lines are in the order of their
-    slopes.  A piece's crossings come first, with values None, then its
-    right end with its m values.  `pieces` is one list, moved on when the
-    walk resumes past a grid point, so a consumer reads it before asking
-    for the next point; at the end it holds the pieces past the last one.
+    Left of the grid every nu is 0; past it every term is active, so
+    every nu has slope n, the group order, and no two cross there.  A
+    piece's crossings come first, with values None, then its right end
+    with its m values.  `pieces` is one list, moved on when the walk
+    resumes past a grid point, so a consumer reads it before asking for
+    the next point.
     """
     m = len(profiles)
-    streams = [zip(p.pieces(scale, wscale), repeat(k)) for k, p in enumerate(profiles)]
+    streams = [zip(p.pieces(scale), repeat(k)) for k, p in enumerate(profiles)]
     pieces, left = [(0, 0)] * m, [0] * m  # left of the grid every nu is 0
     pairs = list(combinations(range(m), 2))
-    grid = groupby(merge(*streams), key=lambda item: item[0][0])
-    for t, entering in chain(grid, [(None, ())]):
-        # Past the last grid point, the slopes order the lines at +inf.
-        right = [s * t + o for s, o in pieces] if t is not None else [s for s, _ in pieces]
+    for t, entering in groupby(merge(*streams), key=lambda item: item[0][0]):
+        right = [s * t + o for s, o in pieces]
         inside = set()  # the piece's interior crossings, gcd-reduced
         for i, j in pairs:
             li, lj, ri, rj = left[i], left[j], right[i], right[j]
@@ -131,26 +128,29 @@ def _walk(profiles: Sequence[NuProfile], scale: int, wscale: int) -> Iterator[tu
                 inside.add((num // g, den // g))
         for p, q in sorted(inside, key=_by_value):
             yield p, q, pieces, None
-        if t is not None:  # nu is continuous: one value at t from either side
-            yield t, 1, pieces, right
-            for (_, slope, offset), k in entering:
-                pieces[k] = (slope, offset)
-            left = right
+        yield t, 1, pieces, right  # nu is continuous: one value from either side
+        for (_, slope, offset), k in entering:
+            pieces[k] = (slope, offset)
+        left = right
 
 
 def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     """The first row of every ranking, from one `_walk` over the profiles.
 
     Before each point the midpoint after the previous one is probed (one
-    unit of c1 before the first point, and past the last point at the
-    end), from the walk's pieces; only the previous point is kept.  No
-    ranking changes across a point where no two nu tie: only the first
-    probe, tied points and the probes after them are ranked.
+    unit of c1 before the first point), from the walk's pieces; only the
+    previous point is kept.  No ranking changes across a point where no
+    two nu tie: only the first probe, tied points and the probes after
+    them are ranked.  Past the last point every nu has the same slope, so
+    the ranking there is that of the last point.  Profiles of groups of
+    different orders are refused (`ValueError`): their slopes differ past
+    the last point.
     """
-    if not profiles:  # each has a breakpoint, its measure a positive mass
+    if not profiles:  # each has a breakpoint, its group an element
         raise ValueError("need at least one function")
+    if len({len(p.nums) for p in profiles}) > 1:
+        raise ValueError("profiles of groups of different orders")
     scale = lcm(*(p.den for p in profiles))
-    wscale = lcm(*(p.wden for p in profiles))
     rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]] = {}
     tied = True  # whether the last point tied; the first probe is ranked
 
@@ -164,7 +164,7 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
                 rows.setdefault(ranking_of_values(values), ((p, q), values))
 
     last = None
-    for p, q, pieces, values in _walk(profiles, scale, wscale):
+    for p, q, pieces, values in _walk(profiles, scale):
         if last is None:  # one unit of c1 before the first point
             probe(p - scale * q, q, False)
         else:  # the midpoint after the previous point
@@ -172,9 +172,7 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
             probe(lp * q + p * lq, 2 * lq * q, False)
         probe(p, q, True, values)
         last = p, q
-    p, q = last
-    probe(p + scale * q, q, False)  # one unit of c1 past the last point
-    return CriticalSet(tuple(profiles), scale, wscale, rows)
+    return CriticalSet(tuple(profiles), scale, rows)
 
 
 def critical_points(
@@ -196,7 +194,7 @@ def _witnesses(
     gives every first witness.  Only a witness becomes a Fraction pair.
     """
     found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
-    scale, wscale = critical.scale, critical.wscale
+    scale = critical.scale
     patterns = 2 ** len(critical.profiles)
     for (p, q), values in critical.rows.values():
         if len(found) == patterns:  # every pattern has its first witness
@@ -211,7 +209,7 @@ def _witnesses(
             places[k] = len(cuts) - 1
         # One threshold per distinct value (that value lands on -1), plus
         # a cut one unit of nu below the minimum that labels everything +1.
-        unit = q * scale * wscale
+        unit = q * scale
         for j in range(len(cuts) + 1):
             labels = tuple(1 if i < j else -1 for i in places)
             if labels not in found:

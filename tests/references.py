@@ -21,43 +21,31 @@ from itertools import combinations
 from typing import Sequence
 
 from gshatter.errors import SynthesisVerificationError
-from gshatter.gfunc import GroupFunction, Measure, indicator
+from gshatter.gfunc import GroupFunction, indicator
 
 
-def dense_convolve(
-    f: GroupFunction, kernel: GroupFunction, mu: Measure
-) -> tuple[Fraction, ...]:
-    """(f * K)(g) = sum_h f(g h^-1) K(h) mu(h), every g against supp(K mu)."""
+def dense_convolve(f: GroupFunction, kernel: GroupFunction) -> tuple[Fraction, ...]:
+    """(f * K)(g) = sum_h f(g h^-1) K(h), every g against supp(K)."""
     group = f.group
-    terms = [
-        (h, kernel.values[h] * mu.weights[h])
-        for h in range(group.order)
-        if kernel.values[h] != 0 and mu.weights[h] != 0
-    ]
+    terms = [(h, k) for h, k in enumerate(kernel.values) if k != 0]
     values = []
     for g in range(group.order):
         acc = Fraction(0)
-        for h, kw in terms:
-            acc += f.values[group.mul(g, group.inv(h))] * kw
+        for h, k in terms:
+            acc += f.values[group.mul(g, group.inv(h))] * k
         values.append(acc)
     return tuple(values)
 
 
-def fraction_convolve(
-    f: GroupFunction, kernel: GroupFunction, mu: Measure
-) -> tuple[Fraction, ...]:
-    """(f * K)(g) over pairs of a support point of f and one of K mu, in Fractions."""
+def fraction_convolve(f: GroupFunction, kernel: GroupFunction) -> tuple[Fraction, ...]:
+    """(f * K)(g) over pairs of a support point of f and one of K, in Fractions."""
     group = f.group
-    terms = [
-        (h, kernel.values[h] * mu.weights[h])
-        for h in range(group.order)
-        if kernel.values[h] != 0 and mu.weights[h] != 0
-    ]
+    terms = [(h, k) for h, k in enumerate(kernel.values) if k != 0]
     values = [Fraction(0)] * group.order
     for a, fa in enumerate(f.values):
         if fa != 0:
-            for h, kw in terms:
-                values[group.mul(a, h)] += fa * kw
+            for h, k in terms:
+                values[group.mul(a, h)] += fa * k
     return tuple(values)
 
 
@@ -67,7 +55,6 @@ class FractionProfile:
     (breakpoints[i-1], breakpoints[i]], where nu(c) = slopes[i] c + offsets[i]."""
 
     conv: GroupFunction
-    mu: Measure
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
     offsets: tuple[Fraction, ...]
@@ -92,39 +79,33 @@ class FractionProfile:
         return values
 
 
-def fraction_build_nu_profile(
-    kernel: GroupFunction, f: GroupFunction, mu: Measure
-) -> FractionProfile:
-    """Breakpoints at c = -(f*K)(g) for weighted g; slopes and offsets summed."""
-    conv = GroupFunction(f.group, fraction_convolve(f, kernel, mu))
-    by_breakpoint: dict[Fraction, tuple[Fraction, Fraction]] = {}
-    for v, w in zip(conv.values, mu.weights):
-        if w == 0:
-            continue
-        weight, mass = by_breakpoint.get(-v, (Fraction(0), Fraction(0)))
-        by_breakpoint[-v] = (weight + w, mass + w * v)
+def fraction_build_nu_profile(kernel: GroupFunction, f: GroupFunction) -> FractionProfile:
+    """Breakpoints at c = -(f*K)(g); slopes (term counts) and offsets summed."""
+    conv = GroupFunction(f.group, fraction_convolve(f, kernel))
+    by_breakpoint: dict[Fraction, tuple[int, Fraction]] = {}
+    for v in conv.values:
+        count, mass = by_breakpoint.get(-v, (0, Fraction(0)))
+        by_breakpoint[-v] = (count + 1, mass + v)
     breakpoints = sorted(by_breakpoint)
     slopes = [Fraction(0)]
     offsets = [Fraction(0)]
     for bp in breakpoints:
-        weight, mass = by_breakpoint[bp]
-        slopes.append(slopes[-1] + weight)
+        count, mass = by_breakpoint[bp]
+        slopes.append(slopes[-1] + count)
         offsets.append(offsets[-1] + mass)
-    return FractionProfile(
-        conv, mu, tuple(breakpoints), tuple(slopes), tuple(offsets)
-    )
+    return FractionProfile(conv, tuple(breakpoints), tuple(slopes), tuple(offsets))
 
 
-def fraction_relu_sum(conv: GroupFunction, mu: Measure, c: Fraction) -> Fraction:
-    """sum over conv(g) > -c of conv(g) mu(g), plus c times the sum of their mu(g)."""
+def fraction_relu_sum(conv: GroupFunction, c: Fraction) -> Fraction:
+    """sum over conv(g) > -c of conv(g), plus c times the number of such g."""
     floor = -c
     mass = Fraction(0)
-    weight = Fraction(0)
-    for v, w in zip(conv.values, mu.weights):
-        if w != 0 and v > floor:
-            mass += v * w
-            weight += w
-    return mass + c * weight
+    count = 0
+    for v in conv.values:
+        if v > floor:
+            mass += v
+            count += 1
+    return mass + c * count
 
 
 def fraction_critical_set(profiles: Sequence[FractionProfile]):
@@ -178,12 +159,12 @@ def fraction_critical_set(profiles: Sequence[FractionProfile]):
     return points, tuple(probes), values
 
 
-def piece_lists(profile, scale: int, wscale: int) -> tuple[list[int], ...]:
+def piece_lists(profile, scale: int) -> tuple[list[int], ...]:
     """profile.pieces collected as breakpoints, slopes and offsets: slopes
     and offsets start with the zero piece left of the first breakpoint, so
     piece i covers t in (breakpoints[i-1], breakpoints[i]]."""
     breakpoints, slopes, offsets = [], [0], [0]
-    for t, slope, offset in profile.pieces(scale, wscale):
+    for t, slope, offset in profile.pieces(scale):
         breakpoints.append(t)
         slopes.append(slope)
         offsets.append(offset)
@@ -193,11 +174,9 @@ def piece_lists(profile, scale: int, wscale: int) -> tuple[list[int], ...]:
 def profile_value(profile, c: Fraction) -> Fraction:
     """nu(c) from an integer NuProfile's piece stream, by bisect."""
     t = c * profile.den
-    breakpoints, slopes, offsets = piece_lists(profile, profile.den, profile.wden)
+    breakpoints, slopes, offsets = piece_lists(profile, profile.den)
     i = bisect_left(breakpoints, t)
-    return (slopes[i] * t + offsets[i]) / (
-        profile.den * profile.wden
-    )
+    return (slopes[i] * t + offsets[i]) / profile.den
 
 
 def dense_u_tower_functions(group, g: int, coeffs) -> tuple[GroupFunction, ...]:
@@ -258,33 +237,31 @@ def bisect_critical_set(profiles):
     return points, tuple(probes), values
 
 
-def termwise_relu_sum(
-    conv: GroupFunction, mu: Measure, c: Fraction
-) -> Fraction:
-    """sum_g max(0, conv(g) + c) * mu(g), one term at a time."""
+def termwise_relu_sum(conv: GroupFunction, c: Fraction) -> Fraction:
+    """sum_g max(0, conv(g) + c), one term at a time."""
     total = Fraction(0)
-    for v, w in zip(conv.values, mu.weights):
-        if w != 0 and v + c > 0:
-            total += (v + c) * w
+    for v in conv.values:
+        if v + c > 0:
+            total += v + c
     return total
 
 
 def loop_relu_sum(profile, c: Fraction) -> Fraction:
-    """nu of a NuProfile at c, walking every (nums, weights) term.
+    """nu of a NuProfile at c, walking every term of `nums`.
 
     With c = a/b and (f*K)(g) = x/den, the term of g is active exactly
     when x > (-a*den) // b; the active terms add up to
-    (mass*b + a*den*weight) / (den*wden*b).
+    (mass*b + a*den*count) / (den*b).
     """
     a, b = c.numerator, c.denominator
     den = profile.den
     floor = (-a * den) // b
-    mass = weight = 0
-    for x, w in zip(profile.nums, profile.weights):
-        if w and x > floor:
-            mass += w * x
-            weight += w
-    return Fraction(mass * b + a * den * weight, den * profile.wden * b)
+    mass = count = 0
+    for x in profile.nums:
+        if x > floor:
+            mass += x
+            count += 1
+    return Fraction(mass * b + a * den * count, den * b)
 
 
 def full_solve_k_vector(tower, i: int, A: Fraction) -> tuple[Fraction, Fraction]:
@@ -334,11 +311,8 @@ def counted_ranks(values) -> tuple[int, ...]:
 def fraction_value_checks(result) -> dict[str, tuple[bool, str]]:
     """verify_synth's forbidden-band, kernel-minimum-level and
     guard-translates checks, comparing Fraction convolution values."""
-    from gshatter.gfunc import counting_measure
-
     group = result.group
-    mu = counting_measure(group)
-    convs = [fraction_convolve(f, result.kernel, mu) for f in result.family()]
+    convs = [fraction_convolve(f, result.kernel) for f in result.family()]
     epsilon = result.epsilon
     checks: dict[str, tuple[bool, str]] = {}
     band_ok = True

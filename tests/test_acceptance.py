@@ -25,7 +25,7 @@ from gshatter.bounds import (
     upper_bound_implicit,
     upper_bound_refined,
 )
-from gshatter.classifier import build_nu_profile, classify, nu
+from gshatter.classifier import build_nu_profile, build_nu_profiles, classify, nu
 from gshatter.cli import main
 from gshatter.gfunc import GroupFunction, counting_measure, translate
 from gshatter.groups import build_group
@@ -45,6 +45,7 @@ from gshatter.orders import (
 )
 from gshatter.shatter import (
     check_order_criterion,
+    critical_set,
     enumerate_dichotomies,
     is_shattered,
     order_set,
@@ -263,8 +264,16 @@ def test_nu_profile_scaled_above_its_own_scale_on_criterion_05_instances():
         for f in fs:
             assert_pieces_match_reference(
                 build_nu_profile(kernel, f, mu),
-                fraction_build_nu_profile(kernel, f, mu),
+                fraction_build_nu_profile(kernel, f),
             )
+
+
+def test_last_critical_point_is_the_largest_breakpoint_on_criterion_05_instances():
+    """Past the largest breakpoint every nu has slope |G|, so no two cross there."""
+    for kernel, fs, mu in random_instances(seed=42, count=1000):
+        profiles = build_nu_profiles(kernel, fs, mu)
+        largest = max(Fraction(-x, p.den) for p in profiles for x in p.nums)
+        assert critical_set(profiles).points[-1] == largest
 
 
 def test_fast_paths_match_references_on_bundles(bundles):
@@ -287,7 +296,7 @@ def test_criterion_06_counting_bounds():
         assert len(patterns) <= (m + m * (m - 1) // 2) * (m * n + 1)
         for f in fs:
             profile = build_nu_profile(kernel, f, mu)
-            offsets = piece_lists(profile, profile.den, profile.wden)[2]
+            offsets = piece_lists(profile, profile.den)[2]
             assert len(set(offsets)) <= n + 1
         checked += 1
     assert checked == 300

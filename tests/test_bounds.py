@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import pytest
 
 from gshatter.bounds import (
     build_bound_report,
-    log2_bounds,
     lower_bound,
     lower_bound_at_most,
-    lower_bound_brackets,
     required_group_size,
     upper_bound_implicit,
     upper_bound_refined,
     upper_bound_simple,
     upper_bound_simple_ceil,
-    wallis_check,
 )
 
 
@@ -87,14 +85,6 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             lower_bound(1, True)
 
-    def test_brackets_contain_float_value(self):
-        for n in (5, 48, 1000, 2**13 + 7):
-            for mode in (True, False):
-                lo, hi = lower_bound_brackets(n, mode)
-                assert lo <= hi
-                assert float(lo) <= lower_bound(n, mode) <= float(hi)
-                assert hi - lo < Fraction(1, 2**30)
-
     def test_at_most_exact_path(self):
         # 256 = 2^(2^3), so the bound is the exact integer 1.
         assert lower_bound_at_most(256, True, 1)
@@ -107,27 +97,45 @@ class TestLowerBound:
         assert lower_bound_at_most(48, True, 0)
         assert not lower_bound_at_most(48, True, -1)
 
+    def test_at_most_agrees_with_the_float_bound(self):
+        # Wherever the float value is clearly on one side of m, the exact
+        # decision must fall on the same side.
+        for n in range(2, 3001):
+            for mode in (True, False):
+                value = lower_bound(n, mode)
+                for m in range(math.floor(value) - 2, math.floor(value) + 3):
+                    if abs(value - m) > 1e-9:
+                        assert lower_bound_at_most(n, mode, m) == (value <= m), (n, mode, m)
+
+    def test_at_most_near_a_crossing(self):
+        # lower_bound(n, True) passes 10 between n = 785 401 and 785 402;
+        # near there it lies within 2^-12 of 10 for dozens of n, and an
+        # 80-digit decimal evaluation is the reference.
+        with localcontext() as ctx:
+            ctx.prec = 80
+            ln2 = Decimal(2).ln()
+            for n in range(785_302, 785_502):
+                log_n = Decimal(n).ln() / ln2
+                value = log_n - 2 * log_n.ln() / ln2 - 1
+                assert lower_bound_at_most(n, True, 10) == (value <= 10), n
+
+    def test_at_most_on_long_group_orders(self):
+        for bits, offset in itertools.product((167, 317, 1001), (1, 12345, 3**50)):
+            n = (1 << bits - 1) + offset
+            for mode in (True, False):
+                value = lower_bound(n, mode)
+                for m in range(math.floor(value) - 2, math.floor(value) + 3):
+                    assert lower_bound_at_most(n, mode, m) == (value <= m), (bits, offset, mode, m)
+
+    def test_at_most_far_from_the_bound(self):
+        # m past log2 n, or below -1, is decided without any squaring.
+        assert lower_bound_at_most(3, True, 10**9)
+        assert not lower_bound_at_most(2**100, False, -10**9)
+
     def test_consistent_with_upper(self):
         for n in (16, 48, 256, 10**6):
             assert lower_bound(n, True) <= upper_bound_implicit(n)
             assert lower_bound(n, True) <= upper_bound_simple(n)
-
-
-class TestLog2Bounds:
-    def test_brackets_true_value(self):
-        for x in (Fraction(3), Fraction(10), Fraction(1, 7), Fraction(97, 13)):
-            lo, hi = log2_bounds(x)
-            assert lo <= hi
-            assert float(lo) <= math.log2(x) <= float(hi)
-            assert hi - lo < Fraction(1, 2**40)
-
-    def test_exact_powers_of_two(self):
-        lo, hi = log2_bounds(Fraction(8))
-        assert lo <= 3 <= hi
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log2_bounds(Fraction(0))
 
 
 class TestRequiredSize:
@@ -147,15 +155,6 @@ class TestRequiredSize:
             required_group_size(0, "order_two")
         with pytest.raises(ValueError):
             required_group_size(2, "cheap")
-
-
-class TestWallis:
-    def test_holds_for_small_m(self):
-        assert all(wallis_check(m) for m in range(1, 31))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            wallis_check(0)
 
 
 class TestReport:

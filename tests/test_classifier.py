@@ -8,16 +8,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gshatter.classifier
-import gshatter.gfunc
 from gshatter.classifier import (
     build_nu_profile,
-    build_nu_profiles,
     classify,
     nu,
     ranking_of_values,
 )
-from gshatter.gfunc import GroupFunction, Measure, constant, counting_measure, indicator
+from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.orders import is_strict
 
@@ -48,17 +45,6 @@ class TestNu:
         assert nu(k, f, mu, Fraction(-2)) == 0  # everything clipped
         assert nu(k, f, mu, Fraction(-3, 2)) == Fraction(1, 2)  # only f=2 survives
 
-    def test_measure_weights_scale_terms(self):
-        g = build_group("cyclic:2")
-        f = GroupFunction.from_values(g, [1, 1])
-        k = indicator(g, 0)
-        from gshatter.gfunc import Measure
-
-        # The weight enters twice: (f*K)(g) = f(g)*3 = 3 under this measure,
-        # and the surviving ReLU term is again weighted by 3.
-        mu = Measure.from_weights(g, [3, 0])
-        assert nu(k, f, mu, Fraction(0)) == 9
-
     def test_zero_threshold_counts_as_negative(self):
         g = build_group("cyclic:3")
         f, k, mu = _instance(g, [1, -1, 2], [1, 0, 0])
@@ -87,36 +73,31 @@ class TestNuProfile:
         f, k, mu = _instance(g, [1, -1, 2], [1, 0, 0])
         profile = build_nu_profile(k, f, mu)
         # conv = f = (1, -1, 2) so breakpoints at -2 < -1 < 1
-        assert (profile.den, profile.wden) == (1, 1)
-        breakpoints, slopes, _ = piece_lists(profile, profile.den, profile.wden)
+        assert profile.den == 1
+        breakpoints, slopes, _ = piece_lists(profile, profile.den)
         assert breakpoints == [-2, -1, 1]
         assert slopes == [0, 1, 2, 3]
         assert profile_value(profile, Fraction(0)) == 3
         assert profile.at(Fraction(0)) == 3
 
-    def test_values_and_weights_share_one_denominator(self):
+    def test_values_share_one_denominator(self):
         g = build_group("cyclic:3")
         f = GroupFunction.from_values(g, [Fraction(1, 2), Fraction(-1, 3), 2])
         k = indicator(g, 0)
-        from gshatter.gfunc import Measure
-
-        mu = Measure.from_weights(g, [Fraction(1, 2), 0, Fraction(3, 4)])
-        profile = build_nu_profile(k, f, mu)
-        # conv = f mu(e) = (1/4, -1/6, 1) over den 12; weights over wden 4.
-        assert (profile.nums, profile.den) == ((3, -2, 12), 12)
-        assert (profile.weights, profile.wden) == ((2, 0, 3), 4)
-        # The zero weight drops the breakpoint at t = 2.
-        assert list(profile.pieces(profile.den, profile.wden)) == [
-            (-12, 3, 36), (-3, 5, 42)
-        ]
-        assert profile.at(Fraction(0)) == Fraction(7, 8)
+        profile = build_nu_profile(k, f, counting_measure(g))
+        # conv = f = (1/2, -1/3, 2) over den 6; xs sorted, masses its suffix sums.
+        assert (profile.nums, profile.den) == ((3, -2, 12), 6)
+        assert (profile.xs, profile.masses) == ([-2, 3, 12], [13, 15, 12, 0])
+        # Each piece's slope counts its active terms; at scale 12, t = 12c.
+        assert list(profile.pieces(12)) == [(-24, 1, 24), (-6, 2, 30), (4, 3, 26)]
+        assert profile.at(Fraction(0)) == Fraction(5, 2)
 
     def test_constant_convolution_single_breakpoint(self):
         g = build_group("cyclic:4")
         f = constant(g, 1)
         k = constant(g, 1)
         profile = build_nu_profile(k, f, counting_measure(g))
-        breakpoints, slopes, _ = piece_lists(profile, profile.den, profile.wden)
+        breakpoints, slopes, _ = piece_lists(profile, profile.den)
         assert breakpoints == [-4]
         assert slopes == [0, 4]
 
@@ -134,9 +115,22 @@ class TestNuProfile:
             c = data.draw(rationals(max_den=16, max_num=48))
             assert profile_value(profile, c) == nu(k, f, mu, c)
         # including exactly at each breakpoint
-        for bp in piece_lists(profile, profile.den, profile.wden)[0]:
+        for bp in piece_lists(profile, profile.den)[0]:
             c = Fraction(bp, profile.den)
             assert profile_value(profile, c) == nu(k, f, mu, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_last_piece_counts_every_term(self, data):
+        # Past the largest breakpoint every term is active: slope n, and
+        # the offset is the sum of the convolution.
+        g = build_group(data.draw(st.sampled_from(["cyclic:1", "cyclic:6", "dihedral:3"])))
+        f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(g.order)])
+        k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(g.order)])
+        profile = build_nu_profile(k, f, counting_measure(g))
+        *_, (t, slope, offset) = profile.pieces(2 * profile.den)
+        assert t == -2 * min(profile.nums)
+        assert (slope, offset) == (g.order, 2 * sum(profile.nums))
 
     def test_keeps_its_convolution(self):
         g = build_group("cyclic:5")
@@ -148,34 +142,13 @@ class TestNuProfile:
         profile = build_nu_profile(k, f, mu)
         conv = tuple(Fraction(x, profile.den) for x in profile.nums)
         assert conv == convolve(f, k, mu).values
-        weights = tuple(Fraction(w, profile.wden) for w in profile.weights)
-        assert weights == mu.weights
-
-    def test_measure_converted_once_per_family(self, monkeypatch):
-        # The profiles and the convolution share one integer form of mu.
-        g = build_group("cyclic:6")
-        kernel = GroupFunction.from_values(g, [1, 0, -2, 0, 3, Fraction(1, 2)])
-        fs = [indicator(g, h) for h in range(3)]
-        mu = Measure.from_weights(g, [1, Fraction(1, 3), 0, 2, 1, Fraction(5, 6)])
-        expected = build_nu_profiles(kernel, fs, mu)
-        calls = []
-        original = gshatter.gfunc.as_integers
-
-        def counting(values):
-            calls.append(values)
-            return original(values)
-
-        monkeypatch.setattr(gshatter.gfunc, "as_integers", counting)
-        monkeypatch.setattr(gshatter.classifier, "as_integers", counting)
-        assert build_nu_profiles(kernel, fs, mu) == expected
-        assert sum(values is mu.weights for values in calls) == 1
 
 
 def step_at(profile, c):
-    """The step function c -> sum of mu(g)(f*K)(g) over (f*K)(g) > -c."""
-    breakpoints, _, offsets = piece_lists(profile, profile.den, profile.wden)
+    """The step function c -> sum of (f*K)(g) over (f*K)(g) > -c."""
+    breakpoints, _, offsets = piece_lists(profile, profile.den)
     piece = bisect_left(breakpoints, c * profile.den)
-    return Fraction(offsets[piece], profile.den * profile.wden)
+    return Fraction(offsets[piece], profile.den)
 
 
 class TestStepFunction:
@@ -185,7 +158,7 @@ class TestStepFunction:
         f, k, mu = _instance(g, [1, 2, 0], [1, 0, 0])
         profile = build_nu_profile(k, f, mu)
         # conv values 2 > 1 > 0 activate in that order as c grows.
-        breakpoints, _, offsets = piece_lists(profile, profile.den, profile.wden)
+        breakpoints, _, offsets = piece_lists(profile, profile.den)
         assert breakpoints == [-2, -1, 0]
         assert offsets == [0, 2, 3, 3]
 
@@ -206,7 +179,7 @@ class TestStepFunction:
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
         profile = build_nu_profile(k, f, counting_measure(g))
-        offsets = piece_lists(profile, profile.den, profile.wden)[2]
+        offsets = piece_lists(profile, profile.den)[2]
         assert len(set(offsets)) <= g.order + 1
 
     @settings(max_examples=40, deadline=None)

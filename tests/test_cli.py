@@ -62,14 +62,14 @@ def count_convolutions(monkeypatch):
     convolution (`convolve` calls it at the first); returns a list with
     the number of functions each call convolved."""
     calls = []
-    original = gshatter.gfunc._convolve_weighted
+    original = gshatter.gfunc._convolve
 
     def counting(fs, *args, **kwargs):
         calls.append(len(fs))
         return original(fs, *args, **kwargs)
 
-    monkeypatch.setattr(gshatter.gfunc, "_convolve_weighted", counting)
-    monkeypatch.setattr(gshatter.classifier, "_convolve_weighted", counting)
+    monkeypatch.setattr(gshatter.gfunc, "_convolve", counting)
+    monkeypatch.setattr(gshatter.classifier, "_convolve", counting)
     return calls
 
 
@@ -116,18 +116,18 @@ def shift_sweep_values(monkeypatch):
     """Make the sweep's nu values wrong by 1 past each first breakpoint;
     the definition stays right.
 
-    The sweep reads every value from NuProfile.pieces, where nu * scale *
-    wscale = slope * t + offset, so adding scale * wscale to each offset
-    adds 1 to nu on every piece from the first breakpoint on (left of it
-    the sweep's own zero piece stays right); the re-check of each witness
-    reads nu off the profile's breakpoint table (`NuProfile.exceeds`) and
-    never calls `pieces`.
+    The sweep reads every value from NuProfile.pieces, where nu * scale =
+    slope * t + offset, so adding scale to each offset adds 1 to nu on
+    every piece from the first breakpoint on (left of it the sweep's own
+    zero piece stays right); the re-check of each witness reads nu off
+    the profile's breakpoint table (`NuProfile.exceeds`) and never calls
+    `pieces`.
     """
     true_pieces = NuProfile.pieces
 
-    def shifted(self, scale, wscale):
-        for t, slope, offset in true_pieces(self, scale, wscale):
-            yield t, slope, offset + scale * wscale
+    def shifted(self, scale):
+        for t, slope, offset in true_pieces(self, scale):
+            yield t, slope, offset + scale
 
     monkeypatch.setattr(NuProfile, "pieces", shifted)
 
@@ -419,6 +419,21 @@ class TestSynthCommand:
         assert elapsed < 1.0
         assert peak < 1_000_000
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bounds", "--n", "x" * 5000], 2),
+        (["synth", "--group", "cyclic:5", "--m", "3" * 4000], 2),
+        (["synth", "--group", "cyclic:5", "--m", "-" + "3" * 4000], 2),
+        (["synth", "--group", "cyclic:5", "--m", "3" * 4000, "--allow-large"], 3),
+        (["orders", "--m", "-" + "3" * 4000], 2),
+    ])
+    def test_long_arguments_are_quoted(self, capsys, argv, code):
+        # Each is refused before anything is written, with a message that
+        # quotes only the start of the argument.
+        got, _, err = run(capsys, *argv)
+        assert got == code
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200 and "..." in err
 
     def test_orders_built_once_by_the_kernel_and_once_by_the_verifier(
         self, capsys, tmp_path, monkeypatch

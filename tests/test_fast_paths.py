@@ -24,7 +24,6 @@ from gshatter.classifier import (
 )
 from gshatter.gfunc import (
     GroupFunction,
-    Measure,
     convolve,
     counting_measure,
     indicator,
@@ -86,17 +85,6 @@ wide_rationals = st.builds(
     st.integers(min_value=1, max_value=2**40),
 )
 
-# Measure weights: zeros, whole numbers and fractions (weight denominator > 1).
-weights_strategy = st.one_of(
-    st.integers(min_value=0, max_value=3).map(Fraction),
-    st.builds(
-        Fraction,
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=1, max_value=5),
-    ),
-)
-
-
 @st.composite
 def group_values(draw, n: int) -> list[Fraction]:
     """Values on n elements with a drawn support, from empty to full."""
@@ -107,17 +95,15 @@ def group_values(draw, n: int) -> list[Fraction]:
 
 @st.composite
 def instances(draw):
-    """(kernel, functions, measure); zeros in all three are common, and
-    values and weights may carry large or non-unit denominators."""
+    """(kernel, functions, counting measure); zeros in the kernel and the
+    functions are common, and values may carry large or non-unit
+    denominators."""
     group = GROUPS[draw(st.sampled_from(SPECS))]
     n = group.order
     kernel = GroupFunction(group, tuple(draw(group_values(n))))
     m = draw(st.integers(min_value=1, max_value=4))
     fs = [GroupFunction(group, tuple(draw(group_values(n)))) for _ in range(m)]
-    weights = draw(st.lists(weights_strategy, min_size=n, max_size=n))
-    if not any(weights):
-        weights[draw(st.integers(min_value=0, max_value=n - 1))] = Fraction(1, 2)
-    return kernel, fs, Measure.from_weights(group, weights)
+    return kernel, fs, counting_measure(group)
 
 
 def assert_sweep_matches(crit, points, probes, values) -> None:
@@ -137,14 +123,14 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
     assert list(crit.rows) == list(first)
     for ((p, q), row), i in zip(crit.rows.values(), first.values()):
         assert Fraction(p, q * crit.scale) == probes[i]
-        unit = q * crit.scale * crit.wscale
+        unit = q * crit.scale
         assert [Fraction(v, unit) for v in row] == values[i]
     rankings = attained_orders(crit).rankings
     assert rankings == tuple(first)
     assert _witnesses(crit) == cut_witnesses(probes, values)
 
 
-def assert_table_matches(profile, conv: GroupFunction, mu: Measure) -> None:
+def assert_table_matches(profile, conv: GroupFunction) -> None:
     """A profile's breakpoint table (`at`) against the term-by-term sums
     at and around every floor threshold.
 
@@ -160,7 +146,7 @@ def assert_table_matches(profile, conv: GroupFunction, mu: Measure) -> None:
             Fraction(-7 * x - 1, 7 * den),
             Fraction(-7 * x + 1, 7 * den),
         ):
-            assert profile.at(c) == termwise_relu_sum(conv, mu, c)
+            assert profile.at(c) == termwise_relu_sum(conv, c)
 
 
 def assert_matches_references(kernel, fs, mu) -> None:
@@ -169,19 +155,18 @@ def assert_matches_references(kernel, fs, mu) -> None:
     assert profiles == [build_nu_profile(kernel, f, mu) for f in fs]
     for f, p in zip(fs, profiles):
         values = convolve(f, kernel, mu).values
-        assert values == dense_convolve(f, kernel, mu)
-        assert values == fraction_convolve(f, kernel, mu)
+        assert values == dense_convolve(f, kernel)
+        assert values == fraction_convolve(f, kernel)
         assert values == tuple(Fraction(x, p.den) for x in p.nums)
         # One denominator, no larger than the values need.
         assert p.den == lcm(*(v.denominator for v in values))
-    refs = [fraction_build_nu_profile(kernel, f, mu) for f in fs]
+    refs = [fraction_build_nu_profile(kernel, f) for f in fs]
     for p, ref in zip(profiles, refs):
-        assert_table_matches(p, ref.conv, mu)
-        breakpoints, slopes, offsets = piece_lists(p, p.den, p.wden)
+        assert_table_matches(p, ref.conv)
+        breakpoints, slopes, offsets = piece_lists(p, p.den)
         assert tuple(Fraction(bp, p.den) for bp in breakpoints) == ref.breakpoints
-        assert tuple(Fraction(s, p.wden) for s in slopes) == ref.slopes
-        scale = p.den * p.wden
-        assert tuple(Fraction(o, scale) for o in offsets) == ref.offsets
+        assert tuple(slopes) == ref.slopes
+        assert tuple(Fraction(o, p.den) for o in offsets) == ref.offsets
     crit = critical_set(profiles)
     points, probes, values = bisect_critical_set(refs)
     assert fraction_critical_set(refs) == (points, probes, values)
@@ -189,19 +174,18 @@ def assert_matches_references(kernel, fs, mu) -> None:
 
 
 def assert_pieces_match_reference(p, ref) -> None:
-    """p.pieces at multiples of p's own scales, against the Fraction pieces.
+    """p.pieces at multiples of p's own scale, against the Fraction pieces.
 
     The reference starts from the zero piece left of the first breakpoint;
     the stream yields each breakpoint with the piece that starts there.
     """
     assert (ref.slopes[0], ref.offsets[0]) == (0, 0)
     for k in (1, 2, 21):
-        for w in (1, 2, 21):
-            scale, wscale = k * p.den, w * p.wden
-            assert list(p.pieces(scale, wscale)) == [
-                (bp * scale, s * wscale, o * scale * wscale)
-                for bp, s, o in zip(ref.breakpoints, ref.slopes[1:], ref.offsets[1:])
-            ]
+        scale = k * p.den
+        assert list(p.pieces(scale)) == [
+            (bp * scale, s, o * scale)
+            for bp, s, o in zip(ref.breakpoints, ref.slopes[1:], ref.offsets[1:])
+        ]
 
 
 class TestAgainstReferences:
@@ -218,10 +202,10 @@ class TestAgainstReferences:
             conv = convolve(f, kernel, mu)
             profile = build_nu_profile(kernel, f, mu)
             for c in {-v + shift for v in conv.values} | {-v for v in conv.values}:
-                want = termwise_relu_sum(conv, mu, c)
+                want = termwise_relu_sum(conv, c)
                 assert profile.at(c) == want
                 assert loop_relu_sum(profile, c) == want
-                assert fraction_relu_sum(conv, mu, c) == want
+                assert fraction_relu_sum(conv, c) == want
 
     @settings(max_examples=100, deadline=None)
     @given(instances())
@@ -229,70 +213,47 @@ class TestAgainstReferences:
         kernel, fs, mu = instance
         for f in fs:
             profile = build_nu_profile(kernel, f, mu)
-            assert_table_matches(profile, convolve(f, kernel, mu), mu)
-
-    @settings(max_examples=100, deadline=None)
-    @given(instances(), st.data())
-    def test_profiles_under_different_measures(self, instance, data):
-        # Weight denominators differ between profiles, so the sweep's
-        # common weight scale is a proper multiple of some of them.
-        kernel, fs, mu = instance
-        n = kernel.group.order
-        weights = [Fraction(w, 3) for w in range(1, n + 1)]
-        other = Measure.from_weights(kernel.group, data.draw(st.permutations(weights)))
-        mus = [mu if k % 2 else other for k in range(len(fs))]
-        profiles = [build_nu_profile(kernel, f, m) for f, m in zip(fs, mus)]
-        refs = [fraction_build_nu_profile(kernel, f, m) for f, m in zip(fs, mus)]
-        crit = critical_set(profiles)
-        assert_sweep_matches(crit, *bisect_critical_set(refs))
+            assert_table_matches(profile, convolve(f, kernel, mu))
 
     @settings(max_examples=100, deadline=None)
     @given(instances())
     def test_scaled_above_the_profiles_own_scale(self, instance):
         # The sweep asks for the pieces at the lcm of the family's scales.
-        kernel, fs, _ = instance
-        n = kernel.group.order
-        mu = Measure.from_weights(kernel.group, [Fraction(w, 3) for w in range(1, n + 1)])
+        kernel, fs, mu = instance
         for f in fs:
-            profile = build_nu_profile(kernel, f, mu)
-            assert profile.wden > 1
             assert_pieces_match_reference(
-                profile, fraction_build_nu_profile(kernel, f, mu)
+                build_nu_profile(kernel, f, mu), fraction_build_nu_profile(kernel, f)
             )
 
     def test_three_nu_crossing_at_one_point(self):
-        # With weight w the convolution is w f, so f = (2 - w) / (3 w^2)
-        # gives nu = w (w f + c)^+ = 2/3 at c = 1/3 for w = 1, 2, 3: three
-        # pairs cross there, with crossings held over different
-        # denominators, and the point must appear once.
-        group = GROUPS["cyclic:1"]
+        # f_w holds w copies of (2 - w) / (3 w) and -10 elsewhere, so on
+        # (1/9, 10] nu_w = w ((2 - w) / (3 w) + c) = 2/3 at c = 1/3 for
+        # w = 1, 2, 3: three pairs cross there, each crossing formed from
+        # different slopes and offsets, and the point must appear once.
+        group = build_group("cyclic:3")
         kernel = indicator(group, group.identity)
-        pairs = [
-            (
-                GroupFunction.from_values(group, [Fraction(2 - w, 3 * w * w)]),
-                Measure.from_weights(group, [w]),
+        mu = counting_measure(group)
+        fs = [
+            GroupFunction.from_values(
+                group, [Fraction(2 - w, 3 * w)] * w + [Fraction(-10)] * (3 - w)
             )
             for w in (1, 2, 3)
         ]
-        crit = critical_set([build_nu_profile(kernel, f, mu) for f, mu in pairs])
-        assert crit.points == tuple(Fraction(c, 9) for c in (-3, 0, 1, 3))
-        refs = [fraction_build_nu_profile(kernel, f, mu) for f, mu in pairs]
-        assert_sweep_matches(crit, *bisect_critical_set(refs))
+        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        assert crit.points == (Fraction(-1, 3), 0, Fraction(1, 9), Fraction(1, 3), 10)
+        assert_matches_references(kernel, fs, mu)
 
-    def test_crossing_right_of_the_last_grid_point(self):
-        # nu_1 = (3 + c)^+ and nu_2 = 2 (1 + c)^+ (f_2 = 1/2 under weight
-        # 2) break at -3 and -1 and cross at c = 1, inside the unbounded
-        # last piece, where the slopes stand in for its right end.
-        group = GROUPS["cyclic:1"]
-        kernel = indicator(group, group.identity)
-        pairs = [
-            (GroupFunction.from_values(group, [v]), Measure.from_weights(group, [w]))
-            for v, w in ((Fraction(3), 1), (Fraction(1, 2), 2))
-        ]
-        crit = critical_set([build_nu_profile(kernel, f, mu) for f, mu in pairs])
-        assert crit.points == (-3, -1, 1)
-        refs = [fraction_build_nu_profile(kernel, f, mu) for f, mu in pairs]
-        assert_sweep_matches(crit, *bisect_critical_set(refs))
+    def test_profiles_of_groups_of_different_orders_are_refused(self):
+        # nu_1 = (3 + c)^+ on cyclic:1 and nu_2 = 2 (1/2 + c)^+ on cyclic:2
+        # would cross at c = 2, past every breakpoint: the sweep assumes
+        # one slope for every nu there, so it refuses the family.
+        profiles = []
+        for spec, value in (("cyclic:1", Fraction(3)), ("cyclic:2", Fraction(1, 2))):
+            group = GROUPS[spec]
+            f = GroupFunction.from_values(group, [value] * group.order)
+            profiles.append(build_nu_profile(indicator(group, 0), f, counting_measure(group)))
+        with pytest.raises(ValueError, match="different orders"):
+            critical_set(profiles)
 
     def test_crossing_on_a_grid_point(self):
         # nu_1 = (4+c)^+ + c^+ and nu_2 = 2(3+c)^+ cross at c = -2 on both
@@ -332,7 +293,7 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6"])
     def test_sparse_function_against_dense_kernel(self, spec):
-        # Two nonzero values in f, as in the tower functions, and a zero weight.
+        # Two nonzero values in f, as in the tower functions.
         group = GROUPS[spec]
         kernel = GroupFunction.from_values(
             group, [Fraction(g + 1, 3) for g in range(group.order)]
@@ -340,9 +301,7 @@ class TestAgainstReferences:
         f = GroupFunction.from_values(
             group, [Fraction(2) if g in (1, 4) else 0 for g in range(group.order)]
         )
-        mu = Measure.from_weights(
-            group, [0 if g == 2 else 1 for g in range(group.order)]
-        )
+        mu = counting_measure(group)
         assert_matches_references(kernel, [f, indicator(group, 3)], mu)
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6"])
@@ -354,7 +313,7 @@ class TestAgainstReferences:
         kernel = GroupFunction.from_values(
             group, [Fraction(-1) if g == 7 else 0 for g in range(group.order)]
         )
-        mu = Measure.from_weights(group, [1] * group.order)
+        mu = counting_measure(group)
         assert_matches_references(kernel, [f, f, indicator(group, 0)], mu)
 
 

@@ -5,10 +5,12 @@ mutations of the artifacts of `synth --group cyclic:18 --m 3` and of that
 bundle's `verify --out` file, fed to `verify` and `bounds --achieved`;
 group spec strings (groups of at most 32 elements, and product specs
 nested past MAX_PRODUCT_DEPTH) with `--m`, `--mode` and `--seed` values,
-fed to `group` and `synth`.  Every call must return a code in 0..5, no
-exception may escape `cli.main`, and no line on stderr may be longer
-than 500 characters.  Drawn arguments are well-formed for
-the parser, whose own usage errors (SystemExit 2) `TestParser` covers.
+fed to `group` and `synth`; 4 000-digit `--m` values of both signs, fed
+to `synth` and `orders`, and any text as `bounds --n`.  Every call must
+return a code in 0..5, no exception may escape `cli.main`, and no line
+on stderr may be longer than 500 characters.  Drawn arguments are
+well-formed for the parser, whose own usage errors (SystemExit 2)
+`TestParser` covers.
 """
 
 from __future__ import annotations
@@ -244,3 +246,22 @@ def test_specs_and_flags(workdir, spec, m, mode, seed):
     exit_code("group", "--spec", spec, "--seed", str(seed))
     exit_code("synth", "--group", spec, "--m", str(m), "--mode", mode,
               "--out-dir", str(workdir / "synth"))
+
+
+LONG_M = ["3" * 4000, "-" + "3" * 4000]
+
+
+@settings(FUZZ, max_examples=30)
+@given(
+    m=st.sampled_from(LONG_M + ["0", "2", "9"]),
+    large=st.booleans(),
+    n=st.one_of(st.text(max_size=30), st.sampled_from([LONG_DIGITS, "x" * 5000, "8," + LONG_DIGITS])),
+)
+def test_long_arguments(workdir, m, large, n):
+    allow = ["--allow-large"] if large else []
+    code = exit_code("synth", "--group", "cyclic:18", "--m", m, *allow,
+                     "--out-dir", str(workdir / "synth"))
+    orders = exit_code("orders", "--m", m, "--out-dir", str(workdir / "orders"))
+    if m in LONG_M:  # refused before any work: too large for the group, or for the cap
+        assert (code, orders) == (3 if large and m[0] != "-" else 2, 2)
+    exit_code("bounds", f"--n={n}")

@@ -1,4 +1,4 @@
-"""Exact function algebra: convolution, translation, measures."""
+"""Exact function algebra: convolution, translation, the counting measure."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gshatter.gfunc import (
     GroupFunction,
-    Measure,
     constant,
     convolve,
     counting_measure,
@@ -176,7 +175,6 @@ class TestValuesAndMeasures:
         for x in (0.5, 1.0, float("inf")):
             for make in (
                 lambda: GroupFunction.from_values(g, [x, 1]),
-                lambda: Measure.from_weights(g, [x, 1]),
                 lambda: constant(g, x),
             ):
                 with pytest.raises(TypeError, match="exact rationals"):
@@ -202,22 +200,6 @@ class TestValuesAndMeasures:
         g = build_group("cyclic:3")
         with pytest.raises(ValueError):
             GroupFunction.from_values(g, [1, 2])
-
-    def test_measure_must_be_nonnegative(self):
-        g = build_group("cyclic:2")
-        with pytest.raises(ValueError, match="non-negative"):
-            Measure.from_weights(g, [1, -1])
-
-    def test_a_negative_weight_is_named_before_the_mass(self):
-        g = build_group("cyclic:3")
-        with pytest.raises(ValueError, match="non-negative"):
-            Measure.from_weights(g, [0, -1, 0])
-
-    def test_measure_must_have_positive_mass(self):
-        g = build_group("cyclic:2")
-        with pytest.raises(ValueError, match="positive total mass"):
-            Measure.from_weights(g, [0, 0])
-        assert Measure.from_weights(g, [0, Fraction(1, 9)]).weights[1] == Fraction(1, 9)
 
     def test_support(self):
         g = build_group("cyclic:4")
