@@ -1,4 +1,4 @@
-"""Time `gshatter synth` + `gshatter verify` at the minimum group orders.
+"""Time `gshatter synth`, `verify` and `verify --out` at the minimum group orders.
 
 Run from anywhere; it measures the checkout it lives in:
 
@@ -10,15 +10,18 @@ cyclic:5040.  With --large it also runs order_two m = 9..12 (cyclic:2268,
 5040, 10164 and 22176), which takes minutes and, at m = 12, about a
 gigabyte of memory.  Each command runs in a fresh interpreter with this
 checkout's `src` first on PYTHONPATH, in a temporary directory that is
-removed afterwards.  A case records wall seconds and the peak resident
-set size of each command, from wait4 (Linux carries the parent's peak
-across exec, so sizes below this script's own, about 10 MB, are not
-resolved).  A case also records the sha256 of every artifact synth
-wrote but `run_manifest.json`, the one that differs between runs.  The
-point is printed as JSON, and with --append it is added to the "points"
-list of a BENCH file; a case whose digests differ from the same case in
-the file's previous point gets `"digests_differ": true`, is named on
-stderr and makes the exit code 1.  Standard library only.
+removed afterwards.  `verify --out` writes its report, and a run
+manifest with the sha256 of both inputs, beside the bundle.  A case
+records wall seconds and the peak resident set size of each command
+(`synth`, `verify`, `verify_out`), from wait4 (Linux carries the
+parent's peak across exec, so sizes below this script's own, about
+10 MB, are not resolved).  A case also records the sha256 of every
+artifact synth wrote but `run_manifest.json`, the one that differs
+between runs.  The point is printed as JSON, and with --append it is
+added to the "points" list of a BENCH file; a case whose digests differ
+from the same case in the file's previous point gets
+`"digests_differ": true`, is named on stderr and makes the exit code 1.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ def measure(label: str, selected) -> dict:
                            "--mode", mode, "--out-dir", "out", "--allow-large"]),
                 ("verify", ["verify", "--kernel", "out/kernel.json",
                             "--functions", "out/functions.json"]),
+                ("verify_out", ["verify", "--kernel", "out/kernel.json",
+                                "--functions", "out/functions.json",
+                                "--out", "verified/verify.json"]),
             ):
                 code, seconds, rss = timed(cli + args, work, env)
                 row[f"{name}_exit"] = code
@@ -132,7 +138,8 @@ def main() -> int:
     print(json.dumps(point, indent=2))
     for name in changed:
         print(f"artifacts differ from the previous point: {name}", file=sys.stderr)
-    ok = all(c["synth_exit"] == 0 == c["verify_exit"] for c in point["cases"])
+    ok = all(c["synth_exit"] == c["verify_exit"] == c["verify_out_exit"] == 0
+             for c in point["cases"])
     return 0 if ok and not changed else 1
 
 

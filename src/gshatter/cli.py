@@ -51,10 +51,10 @@ from .jsonio import (
     group_function_to_json,
     order_set_to_json,
     read_json,
-    sha256_of_file,
     synth_result_from_json,
     synth_result_to_json,
     write_json_atomic,
+    _sha256,
 )
 from .orders import build_complete_orders, completeness_lower_bound, is_complete
 from .shatter import attained_orders, certificate, critical_set
@@ -62,6 +62,7 @@ from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
 ORDERS_M_CAP = 16  # C(m, m // 2) rankings; each step past it doubles the time
+GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: about 3.5 s here
 
 # What reading and parsing a JSON input file may raise.
 _INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
@@ -83,13 +84,14 @@ class _Run:
         }
         self.started = datetime.now(timezone.utc).isoformat()
         self.t0 = time.monotonic()
-        self.inputs: list[Path] = []
+        self.inputs: dict[str, str] = {}  # path -> sha256 of the bytes parsed
         self.outputs: list[Path] = []
 
     def read(self, path: str | Path) -> Any:
-        path = Path(path)
-        self.inputs.append(path)
-        return read_json(path)
+        digest = _sha256()
+        data = read_json(path, digest)
+        self.inputs[str(Path(path))] = digest.hexdigest()
+        return data
 
     def write(self, path: Path, data: Any) -> None:
         write_json_atomic(path, data)
@@ -100,7 +102,7 @@ class _Run:
             "command": self.command,
             "args": self.args,
             "version": __version__,
-            "inputs": {str(p): sha256_of_file(p) for p in self.inputs},
+            "inputs": self.inputs,
             "outputs": sorted(p.name for p in self.outputs),
             "started_utc": self.started,
             "elapsed_seconds": round(time.monotonic() - self.t0, 3),
@@ -109,7 +111,13 @@ class _Run:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
-    group = build_group(args.spec)
+    group = build_group(args.spec)  # closed form: no product computed yet
+    if group.order > GROUP_ORDER_CAP and not args.allow_large:
+        return _fail(
+            f"{_quoted(group.label, str)} has more than {GROUP_ORDER_CAP} elements, "
+            "the default cap (pass --allow-large to override)",
+            2,
+        )
     report = validate_group(group, seed=args.seed)
     validation = asdict(report)
     data = {
@@ -201,9 +209,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     run = _Run("verify", args)
+    read = run.read if args.out else read_json  # only a manifest needs digests
     try:
-        kernel_data = run.read(args.kernel)
-        functions_data = run.read(args.functions)
+        kernel_data = read(args.kernel)
+        functions_data = read(args.functions)
         kernel = group_function_from_json(kernel_data)
         fs = function_family_from_json(functions_data, kernel.group)
     except _INPUT_ERRORS as exc:
@@ -349,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--spec", required=True, help="e.g. cyclic:12, dihedral:4, product:cyclic:2,cyclic:3")
     p_group.add_argument("--out", help="write the report JSON here")
     p_group.add_argument("--seed", type=int, default=0, help="seed for sampled validation of large groups")
+    p_group.add_argument("--allow-large", action="store_true", help=f"permit groups beyond {GROUP_ORDER_CAP} elements")
     p_group.set_defaults(func=cmd_group)
 
     p_orders = sub.add_parser("orders", help="build a minimum complete set of orders")

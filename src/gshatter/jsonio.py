@@ -4,7 +4,10 @@ Rationals travel as "p/q" strings (or "p" for integers) so nothing is
 ever rounded, at any length: past the interpreter's int/str digit limit
 (4 300 digits by default) a number is converted by halves.  Files are
 written atomically (temp file + rename) and with sorted keys, so
-identical inputs always produce byte-identical artifacts.
+identical inputs always produce byte-identical artifacts.  A file is
+read once, as bytes; a caller that records its sha256 (`verify --out`'s
+run manifest) has the digest computed from those same bytes, by
+CPython's built-in SHA-256, which maps no OpenSSL.
 """
 
 from __future__ import annotations
@@ -227,20 +230,34 @@ def write_json_atomic(path: Path | str, data: Any) -> Path:
     return path
 
 
-def read_json(path: Path | str) -> Any:
-    """The parsed file; nesting too deep to parse is a ValueError."""
-    with open(path, encoding="utf-8") as handle:
+def _sha256() -> Any:
+    """A new SHA-256 hash object from CPython's built-in module.
+
+    hashlib maps OpenSSL's libcrypto, several MB of resident memory, so it
+    serves only a build without `_sha2` (3.12+) or `_sha256` (3.10-3.11).
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
         try:
-            return json.load(handle)
-        except RecursionError as exc:
-            raise ValueError("JSON nested too deeply to parse") from exc
+            from _sha256 import sha256
+        except ImportError:  # a build without the built-in module
+            from hashlib import sha256
+    return sha256()
 
 
-def sha256_of_file(path: Path | str) -> str:
-    import hashlib  # maps OpenSSL: only a manifest with inputs pays for it
+def read_json(path: Path | str, digest: Any = None) -> Any:
+    """The parsed file; nesting too deep to parse is a ValueError.
 
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    A `digest` (a hash object) is first fed the bytes that are parsed, so
+    a digest and the data it vouches for come from one read.
+    """
+    raw = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(raw)
+    text = raw.decode("utf-8")
+    del raw  # the bytes go before the parse, as json.load's would
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply to parse") from exc

@@ -38,13 +38,12 @@ from gshatter.errors import (
 )
 from gshatter.groups import MAX_PRODUCT_DEPTH, build_group
 from gshatter.gfunc import counting_measure
-from gshatter.cli import main
+from gshatter.cli import GROUP_ORDER_CAP, main
 from gshatter.jsonio import (
     certificate_from_json,
     function_family_from_json,
     group_function_from_json,
     read_json,
-    sha256_of_file,
     synth_result_from_json,
     write_json_atomic,
 )
@@ -55,6 +54,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256_of_file(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def count_convolutions(monkeypatch):
@@ -234,6 +237,32 @@ class TestGroupCommand:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:1000000", f"cyclic:{GROUP_ORDER_CAP + 1}", "product:dihedral:64,cyclic:33",
+        # An order of 84 000 digits, past what str() converts.
+        "product:" * 20 + "cyclic:" + "9" * 4000 + (",cyclic:" + "9" * 4000) * 20,
+    ], ids=["million", "cap+1", "product", "past-the-digit-limit"])
+    def test_order_cap_refused_before_any_product(self, capsys, monkeypatch, spec):
+        def no_products(*args, **kwargs):
+            raise AssertionError("validate_group ran")
+
+        monkeypatch.setattr(gshatter.cli, "validate_group", no_products)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "group", "--spec", spec)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "--allow-large" in err
+        assert max(map(len, err.splitlines())) < 200
+
+    def test_order_cap_is_inclusive_and_lifted_by_allow_large(self, capsys, monkeypatch):
+        monkeypatch.setattr(gshatter.cli, "GROUP_ORDER_CAP", 6)
+        for argv, code in ((["dihedral:3"], 0), (["cyclic:7"], 2),
+                           (["cyclic:7", "--allow-large"], 0)):
+            assert run(capsys, "group", "--spec", *argv)[0] == code, argv
+
+    def test_options(self):
+        assert long_options(subcommands()["group"]) == {"--spec", "--out", "--seed", "--allow-large"}
 
 
 class TestOrdersCommand:
@@ -678,6 +707,19 @@ class TestVerifyCommand:
         assert manifest["inputs"] == {
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs
         }
+
+    def test_manifest_hashes_the_bytes_verified_when_out_overwrites_an_input(
+        self, capsys, bundle
+    ):
+        kernel, functions = bundle / "kernel.json", bundle / "functions.json"
+        verified = {str(p): sha256_of_file(p) for p in (kernel, functions)}
+        code, _, _ = run(
+            capsys, "verify", "--kernel", str(kernel), "--functions", str(functions),
+            "--out", str(functions),
+        )
+        assert code == 0
+        assert "certificate" in read_json(functions)  # the input is gone
+        assert read_json(bundle / "run_manifest.json")["inputs"] == verified
 
     def test_zero_kernel_agreeing_negative(self, capsys, bundle, tmp_path):
         kernel = read_json(bundle / "kernel.json")

@@ -1,10 +1,12 @@
 """Which standard-library modules the package loads, and when.
 
-`hashlib` maps OpenSSL's libcrypto, several MB of resident memory, and
-only a run manifest with input files hashes anything (`verify --out`;
-tests/test_cli.py checks its digests); `csv` serves only `bounds --csv`.
-Each case runs in a fresh interpreter, because this test process has
-imported both long ago.
+`hashlib` (with `_hashlib`) maps OpenSSL's libcrypto, several MB of
+resident memory, and no command loads it.  Only a run manifest with input
+files hashes anything (`verify --out`; tests/test_cli.py checks its
+digests), with CPython's built-in SHA-256 (`_sha256` on 3.10-3.11,
+`_sha2` on 3.12+); `csv` serves only `bounds --csv`.  Each case runs in a
+fresh interpreter, because this test process has imported them all long
+ago.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import gshatter
 from gshatter.cli import main
 
 SRC = Path(gshatter.__file__).resolve().parent.parent
-LAZY = ("hashlib", "_hashlib", "csv")
+LAZY = ("hashlib", "_hashlib", "_sha256", "_sha2", "csv")
 
 # Prints the LAZY modules that the statements after the first line loaded;
 # the interpreter's own start-up (site, .pth files) is not counted.
@@ -63,10 +65,22 @@ def test_no_command_but_a_manifest_with_inputs_loads_them(body, tmp_path):
     assert loaded_by(body, tmp_path) == []
 
 
-def test_verify_without_out_loads_no_hash(tmp_path):
+VERIFY = ("verify", "--kernel", "out/kernel.json", "--functions", "out/functions.json")
+
+
+@pytest.fixture()
+def bundle(tmp_path) -> Path:
     assert main(["synth", "--group", "cyclic:8", "--m", "2",
                  "--out-dir", str(tmp_path / "out")]) == 0
-    body = cli_run("verify", "--kernel", "out/kernel.json",
-                   "--functions", "out/functions.json")
-    assert loaded_by(body, tmp_path) == []
+    return tmp_path
+
+
+def test_verify_without_out_loads_no_hash(bundle):
+    assert loaded_by(cli_run(*VERIFY), bundle) == []
+
+
+def test_verify_out_hashes_without_openssl(bundle):
+    loaded = loaded_by(cli_run(*VERIFY, "--out", "verdict.json"), bundle)
+    assert not {"hashlib", "_hashlib"} & set(loaded)
+    assert {"_sha256", "_sha2"} & set(loaded)
 

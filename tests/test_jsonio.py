@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 import time
 from fractions import Fraction
 
@@ -20,10 +22,10 @@ from gshatter.jsonio import (
     group_function_from_json,
     group_function_to_json,
     read_json,
-    sha256_of_file,
     synth_result_from_json,
     synth_result_to_json,
     write_json_atomic,
+    _sha256,
 )
 from gshatter.shatter import is_shattered
 from gshatter.synth import synth_kernel
@@ -270,10 +272,23 @@ class TestFiles:
         payload = {"b": [1, 2], "a": "1/2"}
         write_json_atomic(target, payload)
         assert read_json(target) == payload
-        first = sha256_of_file(target)
+        first = target.read_bytes()
         write_json_atomic(target, payload)
-        assert sha256_of_file(target) == first  # byte-for-byte deterministic
-        assert len(first) == 64
+        assert target.read_bytes() == first  # byte-for-byte deterministic
+
+    @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 1 << 20])
+    def test_built_in_sha256_agrees_with_hashlib(self, size):
+        data = random.Random(size).randbytes(size)
+        digest = _sha256()
+        digest.update(data)
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_read_json_feeds_the_digest_the_bytes_parsed(self, tmp_path):
+        target = tmp_path / "in.json"
+        target.write_bytes(b'{"a": ["1/2", "\\u00e9", "\xc3\xa9"]}\r\n')
+        digest = _sha256()
+        assert read_json(target, digest) == {"a": ["1/2", "\u00e9", "\u00e9"]}
+        assert digest.hexdigest() == hashlib.sha256(target.read_bytes()).hexdigest()
 
     def test_nesting_too_deep_to_parse_is_a_value_error(self, tmp_path):
         target = tmp_path / "deep.json"
