@@ -62,7 +62,7 @@ from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
 ORDERS_M_CAP = 16  # C(m, m // 2) rankings; each step past it doubles the time
-GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: about 3.5 s here
+GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: 4.4-4.9 s at the cap
 
 # What reading and parsing a JSON input file may raise.
 _INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,

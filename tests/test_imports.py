@@ -3,10 +3,13 @@
 `hashlib` (with `_hashlib`) maps OpenSSL's libcrypto, several MB of
 resident memory, and no command loads it.  Only a run manifest with input
 files hashes anything (`verify --out`; tests/test_cli.py checks its
-digests), with CPython's built-in SHA-256 (`_sha256` on 3.10-3.11,
-`_sha2` on 3.12+); `csv` serves only `bounds --csv`.  Each case runs in a
-fresh interpreter, because this test process has imported them all long
-ago.
+digests), with CPython's built-in SHA-256; `csv` serves only
+`bounds --csv`.  Each case runs in a fresh interpreter, because this test
+process has imported them all long ago.  The baseline of a case includes
+`random`, which the package imports and which loads a built-in SHA module
+for itself (`_sha2` on 3.12), so the SHA module is watched only as
+`_sha256` (3.10-3.11), and `verify` without `--out` is also run with the
+hash constructor made to raise.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ import pytest
 
 import gshatter
 from gshatter.cli import main
+from gshatter.jsonio import _sha256
 
 SRC = Path(gshatter.__file__).resolve().parent.parent
-LAZY = ("hashlib", "_hashlib", "_sha256", "_sha2", "csv")
+LAZY = ("hashlib", "_hashlib", "_sha256", "csv")
 
 # Prints the LAZY modules that the statements after the first line loaded;
-# the interpreter's own start-up (site, .pth files) is not counted.
+# the interpreter's own start-up (site, .pth files) and what `random` loads
+# for itself are not counted.
 PROBE = """\
-import json, sys
+import json, random, sys
 before = set(sys.modules)
 {body}
 print(json.dumps(sorted(set(sys.modules) - before)))
@@ -75,12 +80,18 @@ def bundle(tmp_path) -> Path:
     return tmp_path
 
 
-def test_verify_without_out_loads_no_hash(bundle):
+def test_verify_without_out_loads_no_hash(bundle, monkeypatch):
     assert loaded_by(cli_run(*VERIFY), bundle) == []
+
+    def no_hash():
+        raise AssertionError("verify without --out hashed an input")
+
+    monkeypatch.chdir(bundle)
+    monkeypatch.setattr("gshatter.cli._sha256", no_hash)
+    assert main(list(VERIFY)) == 0
 
 
 def test_verify_out_hashes_without_openssl(bundle):
     loaded = loaded_by(cli_run(*VERIFY, "--out", "verdict.json"), bundle)
     assert not {"hashlib", "_hashlib"} & set(loaded)
-    assert {"_sha256", "_sha2"} & set(loaded)
-
+    assert type(_sha256()).__module__ in {"_sha2", "_sha256"}
