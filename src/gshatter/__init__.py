@@ -64,22 +64,17 @@ from .orders import (
     is_complete,
     is_strict,
     mask_elements,
-    mask_from_elements,
     peel_chain,
-    sigma_tilde,
 )
 from .shatter import (
     CriticalSet,
-    Dichotomy,
     ShatterCertificate,
     attained_orders,
     certificate,
     check_order_criterion,
     critical_points,
     critical_set,
-    enumerate_dichotomies,
     is_shattered,
-    order_set,
 )
 from .synth import (
     SynthResult,

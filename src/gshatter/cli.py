@@ -24,7 +24,6 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .bounds import build_bound_report
-from .classifier import build_nu_profiles
 from .errors import (
     GroupSpecError,
     GroupTooSmallError,
@@ -57,12 +56,13 @@ from .jsonio import (
     _sha256,
 )
 from .orders import build_complete_orders, completeness_lower_bound, is_complete
-from .shatter import attained_orders, certificate, critical_set
+from .shatter import attained_orders, certificate, critical_points
 from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
 ORDERS_M_CAP = 16  # C(m, m // 2) rankings; each step past it doubles the time
 GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: 4.4-4.9 s at the cap
+SYNTH_ORDER_CAP = 65536  # `synth` holds about 1.5 KB per element: 112 MB peak at the cap
 
 # What reading and parsing a JSON input file may raise.
 _INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
@@ -169,7 +169,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     if args.m < 1:
         return _fail(f"need m >= 1, got {_quoted(args.m, str)}", 2)
-    group = build_group(args.group)
+    group = build_group(args.group)  # closed form: nothing per element yet
+    if group.order > SYNTH_ORDER_CAP and not args.allow_large:
+        return _fail(
+            f"{_quoted(group.label, str)} has more than {SYNTH_ORDER_CAP} elements, "
+            "the default cap for synth (pass --allow-large to override)",
+            2,
+        )
     run = _Run("synth", args)
     out_dir = Path(args.out_dir)
     result = synth_kernel(group, args.m, args.mode)
@@ -222,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mu = counting_measure(kernel.group)
     # One sweep, two independent conclusions: the certificate is re-checked
     # on each profile's breakpoint table, the criterion decided from rankings.
-    critical = critical_set(build_nu_profiles(kernel, fs, mu))
+    critical = critical_points(kernel, fs, mu)
     cert = certificate(critical)
     criterion = is_complete(attained_orders(critical))
     del critical  # the profiles go before the report is built and written
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--m", type=int, required=True)
     p_synth.add_argument("--mode", choices=MODES, default="order_two")
     p_synth.add_argument("--out-dir", default=".", help="directory for the JSON artifacts")
-    p_synth.add_argument("--allow-large", action="store_true", help=f"permit m beyond {DEFAULT_M_CAP}")
+    p_synth.add_argument("--allow-large", action="store_true", help=f"permit m beyond {DEFAULT_M_CAP} and groups beyond {SYNTH_ORDER_CAP} elements")
     p_synth.set_defaults(func=cmd_synth)
 
     p_verify = sub.add_parser("verify", help="certify shattering for a kernel and function family")

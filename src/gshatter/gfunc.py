@@ -82,9 +82,6 @@ class GroupFunction:
     def support(self) -> list[int]:
         return [g for g in range(self.group.order) if self.values[g] != 0]
 
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
-
 
 @dataclass(frozen=True)
 class Measure:

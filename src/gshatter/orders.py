@@ -21,15 +21,6 @@ from math import comb
 from .errors import InvariantError
 
 
-def mask_from_elements(elements) -> int:
-    mask = 0
-    for e in elements:
-        if e < 1:
-            raise ValueError(f"elements are 1-based, got {e}")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 def mask_elements(mask: int) -> list[int]:
     out = []
     e = 1
@@ -114,20 +105,12 @@ def peel_chain(mask: int, m: int) -> list[int]:
     return chain
 
 
-def sigma_tilde(mask: int, m: int) -> dict[int, int]:
-    """Rank each element of A by the peel step that removes it.
-
-    The element dropped first gets rank 1; survivors of k peels always
-    rank above everything already dropped.
-    """
-    _check_subset(mask, mask.bit_count(), m, "sigma_tilde")
-    if not mask:
-        raise ValueError("sigma_tilde needs a nonempty subset")
-    return _chain_ranks(peel_chain(mask, m))
-
-
 def _chain_ranks(chain: list[int]) -> dict[int, int]:
-    """sigma_tilde read off a peel chain; each step must drop one element."""
+    """sigma~: rank each element of A = chain[0] by the peel step that drops it.
+
+    The element dropped first gets rank 1, so survivors of k peels rank
+    above everything already dropped.  Each step must drop one element.
+    """
     ranks: dict[int, int] = {}
     for k, (cur, nxt) in enumerate(zip(chain, chain[1:]), 1):
         dropped = cur & ~nxt
@@ -150,9 +133,6 @@ class OrderSet:
         for r in self.rankings:
             if len(r) != self.m:
                 raise ValueError(f"ranking {r} does not have length m={self.m}")
-
-    def strict_rankings(self) -> list[tuple[int, ...]]:
-        return [r for r in self.rankings if is_strict(r)]
 
 
 def is_strict(ranks: tuple[int, ...]) -> bool:

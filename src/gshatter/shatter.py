@@ -30,17 +30,6 @@ from .orders import OrderSet, is_complete
 
 
 @dataclass(frozen=True)
-class Dichotomy:
-    """One +-1 label per function."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v not in (-1, 1) for v in self.labels):
-            raise ValueError(f"labels must be -1 or +1, got {self.labels}")
-
-
-@dataclass(frozen=True)
 class DichotomyEntry:
     labels: tuple[int, ...]
     status: str  # "witnessed" | "unreachable"
@@ -218,21 +207,6 @@ def _witnesses(
     return found
 
 
-def enumerate_dichotomies(
-    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
-) -> set[Dichotomy]:
-    """The exact set of label patterns realizable by any rational (c1, c2)."""
-    found = _witnesses(critical_set(build_nu_profiles(kernel, fs, mu)))
-    m = len(fs)
-    n = fs[0].group.order
-    bound = (m + m * (m - 1) // 2) * (m * n + 1)
-    if len(found) > bound:
-        raise WitnessVerificationError(
-            f"{len(found)} label patterns exceed the counting bound {bound}"
-        )
-    return {Dichotomy(labels) for labels in found}
-
-
 def certificate(critical: CriticalSet) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns of a critical set.
 
@@ -271,14 +245,7 @@ def is_shattered(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns; see `certificate`."""
-    return certificate(critical_set(build_nu_profiles(kernel, fs, mu)))
-
-
-def order_set(
-    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
-) -> OrderSet:
-    """Every ranking the nu values attain over all bias values."""
-    return attained_orders(critical_set(build_nu_profiles(kernel, fs, mu)))
+    return certificate(critical_points(kernel, fs, mu))
 
 
 def check_order_criterion(
@@ -288,4 +255,4 @@ def check_order_criterion(
 
     Equivalent to is_shattered(...).shattered.
     """
-    return is_complete(order_set(kernel, fs, mu))
+    return is_complete(attained_orders(critical_points(kernel, fs, mu)))

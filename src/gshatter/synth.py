@@ -83,11 +83,6 @@ class UTower:
     epsilons: tuple[Fraction, ...]
     unit_points: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...]
 
-    def u_tilde(self, index: int, k: tuple[Fraction, Fraction]) -> Fraction:
-        """Value of u_index's coefficient form on the plane point k."""
-        a1, a2 = self.coeffs[index]
-        return a1 * k[0] + a2 * k[1]
-
 
 def build_u_tower(B: Fraction, C: Fraction, p: int) -> UTower:
     """Tower u_0 .. u_{2p+1} with eps_q = 4C/B + 1 + (p-q)(B/C + 1)."""
@@ -253,15 +248,15 @@ class SynthResult:
         return tuple(self.u[2 * k] for k in range(1, self.m + 1))
 
 
-def synth_epsilon(B: Fraction, C: Fraction, m: int, r: int) -> Fraction:
-    """The level-separation constant (C-B)(m-1) / (2m(m-1+m^{r+1}-1)).
+def synth_epsilon(B: Fraction, C: Fraction, m: int) -> Fraction:
+    """The level-separation constant (C-B)(m-1) / (2m(m-1+m^{r+1}-1)),
+    with r = C(m, floor(m/2)) the number of target orders.
 
     The formula vanishes at m = 1 where no separation between functions
     is needed; any positive value below C - B keeps the single spike
     target inside (B, C), so we use (C-B)/4 there.
     """
-    if m < 1 or r < 1:
-        raise ValueError("need m >= 1 and r >= 1")
+    r = completeness_lower_bound(m)  # refuses m < 1
     if m == 1:
         return (C - B) / 4
     return (C - B) * (m - 1) / (2 * m * (m - 1 + m ** (r + 1) - 1))
@@ -313,7 +308,7 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     layout = LAYOUTS[mode]
     tower = build_u_tower(B, C, p=m)
     subsets = choose_subsets(group, g, r, m, mode)
-    epsilon = synth_epsilon(B, C, m, r)
+    epsilon = synth_epsilon(B, C, m)
 
     kernel_values: dict[int, Fraction] = {}
 
@@ -454,7 +449,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
     epsilon = result.epsilon
     B, C = result.B, result.C
 
-    add("epsilon-formula", epsilon == synth_epsilon(B, C, m, r),
+    add("epsilon-formula", epsilon == synth_epsilon(B, C, m),
         f"epsilon = {fraction_to_str(epsilon)}")
 
     # u_i = a1 1_e + a2 1_g: a1 at e, a2 at g, and no other non-zero value.

@@ -282,7 +282,8 @@ def full_solve_k_vector(tower, i: int, A: Fraction) -> tuple[Fraction, Fraction]
         (r0[0] * rhs1 - rhs0 * r1[0]) / det,
     )
     for l in range(2 * tower.p + 2):
-        value = tower.u_tilde(l, k)
+        a1, a2 = tower.coeffs[l]
+        value = a1 * k[0] + a2 * k[1]
         if l == i:
             if value != A:
                 raise SynthesisVerificationError(f"u~_{i}(k) = {value}, expected {A}")

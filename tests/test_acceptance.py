@@ -42,13 +42,14 @@ from gshatter.orders import (
     f_map,
     f_map_base,
     is_complete,
+    is_strict,
 )
 from gshatter.shatter import (
+    attained_orders,
     check_order_criterion,
+    critical_points,
     critical_set,
-    enumerate_dichotomies,
     is_shattered,
-    order_set,
 )
 
 
@@ -292,8 +293,8 @@ def test_criterion_06_counting_bounds():
     checked = 0
     for kernel, fs, mu in random_instances(seed=1234, count=300):
         m, n = len(fs), kernel.group.order
-        patterns = enumerate_dichotomies(kernel, fs, mu)
-        assert len(patterns) <= (m + m * (m - 1) // 2) * (m * n + 1)
+        patterns = is_shattered(kernel, fs, mu).witnessed_count()
+        assert patterns <= (m + m * (m - 1) // 2) * (m * n + 1)
         for f in fs:
             profile = build_nu_profile(kernel, f, mu)
             offsets = piece_lists(profile, profile.den)[2]
@@ -308,8 +309,10 @@ def test_criterion_07_order_count_necessity(bundles):
     for bundle in bundles.values():
         kernel = bundle.kernel
         fs = bundle.family(kernel.group)
-        attained = order_set(kernel, fs, counting_measure(kernel.group))
-        strict = attained.strict_rankings()
+        attained = attained_orders(
+            critical_points(kernel, fs, counting_measure(kernel.group))
+        )
+        strict = [r for r in attained.rankings if is_strict(r)]
         assert len(strict) >= completeness_lower_bound(bundle.m)
         print(
             f"criterion 7: m={bundle.m} on {bundle.group_spec}: "

@@ -25,6 +25,7 @@ import gshatter.classifier
 import gshatter.cli
 import gshatter.gfunc
 import gshatter.orders
+import gshatter.shatter
 import gshatter.synth
 from gshatter.classifier import NuProfile
 from gshatter.errors import (
@@ -38,7 +39,7 @@ from gshatter.errors import (
 )
 from gshatter.groups import MAX_PRODUCT_DEPTH, build_group
 from gshatter.gfunc import counting_measure
-from gshatter.cli import GROUP_ORDER_CAP, main
+from gshatter.cli import GROUP_ORDER_CAP, SYNTH_ORDER_CAP, main
 from gshatter.jsonio import (
     certificate_from_json,
     function_family_from_json,
@@ -136,7 +137,7 @@ def shift_sweep_values(monkeypatch):
 
 
 def watch_profiles(monkeypatch):
-    """Keep a weakref to every profile built at the cli and synth bindings
+    """Keep a weakref to every profile built at the shatter and synth bindings
     of build_nu_profiles, and count, when the cli writes its first file,
     how many are still alive; returns (refs, alive), alive holding that
     count once the first file is written."""
@@ -153,7 +154,7 @@ def watch_profiles(monkeypatch):
             alive.append(sum(ref() is not None for ref in refs))
         return write(path, data)
 
-    monkeypatch.setattr(gshatter.cli, "build_nu_profiles", watched)
+    monkeypatch.setattr(gshatter.shatter, "build_nu_profiles", watched)
     monkeypatch.setattr(gshatter.synth, "build_nu_profiles", watched)
     monkeypatch.setattr(gshatter.cli, "write_json_atomic", checked)
     return refs, alive
@@ -382,9 +383,10 @@ class TestSynthCommand:
     def test_odd_order_has_no_involution_without_a_scan(self, capsys, tmp_path):
         # Lagrange: an element of order 2 needs 2 | |G|, so the odd group
         # of order 20000001 is rejected without looking at its elements.
+        # It is past the group cap, so only --allow-large gets that far.
         code, _, err, elapsed, peak = run_bounded(
             capsys, "synth", "--group", "cyclic:20000001", "--m", "2",
-            "--out-dir", str(tmp_path),
+            "--allow-large", "--out-dir", str(tmp_path),
         )
         assert code == 4
         assert err.startswith("error: ") and "order_two" in err
@@ -420,6 +422,45 @@ class TestSynthCommand:
         )
         assert code == 2
         assert "allow-large" in err
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:10000000", "product:dihedral:256,cyclic:129",
+    ], ids=["ten-million", "product"])
+    def test_group_cap_refused_before_synthesis(self, capsys, tmp_path, monkeypatch, spec):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synth_kernel ran")
+
+        monkeypatch.setattr(gshatter.cli, "synth_kernel", no_synthesis)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "synth", "--group", spec, "--m", "3", "--out-dir", str(tmp_path),
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--allow-large" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_group_cap_is_inclusive_and_lifted_by_allow_large(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The cap stands between build_group and synth_kernel: a group at
+        # the cap, or any group with --allow-large, reaches synth_kernel,
+        # which is stubbed out, so nothing is synthesized on them.
+        class Reached(Exception):
+            pass
+
+        def reached(group, m, mode):
+            raise Reached(group.order)
+
+        monkeypatch.setattr(gshatter.cli, "synth_kernel", reached)
+        for spec, large in ((f"cyclic:{SYNTH_ORDER_CAP}", []),
+                            ("cyclic:10000000", ["--allow-large"])):
+            with pytest.raises(Reached):
+                run(capsys, "synth", "--group", spec, "--m", "3", *large,
+                    "--out-dir", str(tmp_path))
+        code, _, _ = run(capsys, "synth", "--group", f"cyclic:{SYNTH_ORDER_CAP + 1}",
+                         "--m", "3", "--out-dir", str(tmp_path))
+        assert code == 2
 
     def test_required_size_checked_before_allocating(self, capsys, tmp_path):
         # m = 9 needs |G| >= 2268; the group of order 2000 is never tabled.
@@ -627,7 +668,7 @@ class TestSynthCommand:
         # goes through (round 2's smallest target is 5/4 > B = 1), but the
         # last level condition 2 - 10/8 > B fails; only verify_synth sees it.
         monkeypatch.setattr(
-            gshatter.synth, "synth_epsilon", lambda B, C, m, r: Fraction(1, 8)
+            gshatter.synth, "synth_epsilon", lambda B, C, m: Fraction(1, 8)
         )
         with pytest.raises(SynthesisVerificationError, match="level-condition"):
             synth_kernel(build_group("cyclic:8"), 2)

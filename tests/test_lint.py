@@ -3,10 +3,12 @@
 Invariants must survive ``python -O``: ``assert`` statements vanish under
 ``-O``, and a bare AssertionError ends the command line in a traceback
 instead of a mapped exit code, so the package raises typed
-``GShatterError`` subclasses instead.  And no module-level name outlives
-its last use: a private one must be read somewhere in the package, a
-public function or class read there or exported by ``gshatter``, and an
-imported name read in the module that imports it.
+``GShatterError`` subclasses instead.  And no name outlives its last
+use: a private module-level one must be read somewhere in the package, a
+public function or class read there or exported by ``gshatter``, a
+public method or property of a package class read as an attribute in the
+package, its demos or its benchmark, and an imported name read in the
+module that imports it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ import pytest
 import gshatter
 
 SOURCES = sorted(Path(gshatter.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# Everything that may call the package: itself, its demos and its benchmark.
+READERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py")
+)
 
 
 def _raises_assertion_error(node: ast.Raise) -> bool:
@@ -114,6 +121,47 @@ def test_every_public_name_is_used_or_exported():
     )
 
 
+def _public_methods(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, name, line) of each public method or property of a module-level class."""
+    return [
+        (cls.name, node.name, node.lineno)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_readers_are_found():
+    assert {p.parent.name for p in READERS} == {"gshatter", "demos", "perfbench"}
+
+
+def test_every_public_method_is_read():
+    read = set().union(
+        *(_attributes_read(ast.parse(p.read_text(encoding="utf-8"))) for p in READERS)
+    )
+    unread = [
+        f"{path.name}:{lineno} {cls}.{name}"
+        for path in SOURCES
+        for cls, name, lineno in _public_methods(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if name not in read
+    ]
+    assert not unread, (
+        f"public methods nothing in the package, demos or perfbench reads: {unread}"
+    )
+
+
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
     """Names a module imports and never reads; ``from __future__`` is exempt."""
     read = {
@@ -170,3 +218,17 @@ def test_unused_public_name_is_caught():
     assert "Used" in _uses(tree)
     exported = ast.parse("from .jsonio import order_set_from_json\n")
     assert "order_set_from_json" in _uses(exported)
+
+
+def test_unread_public_method_is_caught():
+    tree = ast.parse(
+        "class Tower:\n"
+        "    def u_tilde(self, i, k):\n        pass\n\n"
+        "    @property\n    def p(self):\n        pass\n\n"
+        "    def _spread(self):\n        pass\n\n"
+        "Tower().p\n"
+    )
+    assert _public_methods(tree) == [("Tower", "u_tilde", 2), ("Tower", "p", 6)]
+    assert _attributes_read(tree) == {"p"}
+    assert "u_tilde" in _attributes_read(ast.parse("tower.u_tilde(2, k)\n"))
+    assert not _attributes_read(ast.parse("tower.u_tilde = None\n"))

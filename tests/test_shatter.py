@@ -11,13 +11,13 @@ import pytest
 from gshatter.classifier import classify, nu
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
+from gshatter.orders import is_strict
 from gshatter.shatter import (
+    attained_orders,
     check_order_criterion,
     critical_points,
     critical_set,
-    enumerate_dichotomies,
     is_shattered,
-    order_set,
 )
 from gshatter.synth import synth_kernel
 
@@ -47,6 +47,12 @@ def random_instance(rng: random.Random, max_order: int = 8, max_m: int = 3,
     kernel = GroupFunction.from_values(g, rand_values())
     fs = [GroupFunction.from_values(g, rand_values()) for _ in range(m)]
     return kernel, fs, counting_measure(g)
+
+
+def witnessed(kernel, fs, mu) -> set[tuple[int, ...]]:
+    """The label patterns the certificate of (kernel, fs) witnesses."""
+    cert = is_shattered(kernel, fs, mu)
+    return {e.labels for e in cert.entries if e.status == "witnessed"}
 
 
 class TestCriticalPoints:
@@ -113,8 +119,7 @@ class TestCriticalPoints:
 class TestEmptyFamily:
     @pytest.mark.parametrize(
         "call",
-        [is_shattered, check_order_criterion, order_set, critical_points,
-         enumerate_dichotomies],
+        [is_shattered, check_order_criterion, critical_points],
     )
     def test_an_empty_family_is_refused(self, call):
         g = build_group("cyclic:3")
@@ -129,28 +134,27 @@ class TestEmptyFamily:
 class TestEnumeration:
     def test_m1_reaches_both_labels(self):
         k, fs, mu = delta_instance("cyclic:2", [1, 0])
-        patterns = {d.labels for d in enumerate_dichotomies(k, fs, mu)}
-        assert patterns == {(-1,), (1,)}
+        assert witnessed(k, fs, mu) == {(-1,), (1,)}
 
     def test_identical_pair_only_agreeing_labels(self):
         k, fs, mu = delta_instance("cyclic:2", [1, 0], [1, 0])
-        patterns = {d.labels for d in enumerate_dichotomies(k, fs, mu)}
-        assert patterns == {(-1, -1), (1, 1)}
+        assert witnessed(k, fs, mu) == {(-1, -1), (1, 1)}
 
     def test_zero_kernel(self):
         g = build_group("cyclic:4")
         k = constant(g, 0)
         fs = [GroupFunction.from_values(g, [i, 1, 0, -i]) for i in range(3)]
-        patterns = {d.labels for d in enumerate_dichotomies(k, fs, counting_measure(g))}
-        assert patterns == {(-1, -1, -1), (1, 1, 1)}
+        assert witnessed(k, fs, counting_measure(g)) == {(-1, -1, -1), (1, 1, 1)}
 
     def test_counting_bound(self):
+        # The closed-form bound on realizable label patterns, on the
+        # certificate's witnessed count over seeded small instances.
         rng = random.Random(11)
-        for _ in range(25):
-            kernel, fs, mu = random_instance(rng)
+        for _ in range(60):
+            kernel, fs, mu = random_instance(rng, max_order=12, max_m=4, max_den=8)
             m, n = len(fs), kernel.group.order
-            found = enumerate_dichotomies(kernel, fs, mu)
-            assert len(found) <= (m + m * (m - 1) // 2) * (m * n + 1)
+            count = is_shattered(kernel, fs, mu).witnessed_count()
+            assert count <= (m + m * (m - 1) // 2) * (m * n + 1)
 
     def test_sampled_patterns_are_enumerated(self):
         # Soundness of the probe set: any (c1, c2) whatsoever must land on
@@ -158,7 +162,7 @@ class TestEnumeration:
         rng = random.Random(23)
         for _ in range(12):
             kernel, fs, mu = random_instance(rng)
-            enumerated = {d.labels for d in enumerate_dichotomies(kernel, fs, mu)}
+            enumerated = witnessed(kernel, fs, mu)
             for _ in range(40):
                 c1 = Fraction(rng.randint(-64, 64), rng.choice([1, 3, 5, 7, 16]))
                 c2 = Fraction(rng.randint(-64, 64), rng.choice([1, 3, 5, 7, 16]))
@@ -179,7 +183,7 @@ class TestEnumeration:
                 for _ in range(2)
             ]
             mu = counting_measure(g)
-            enumerated = {d.labels for d in enumerate_dichotomies(kernel, fs, mu)}
+            enumerated = witnessed(kernel, fs, mu)
             crit = critical_points(kernel, fs, mu)
             pts = crit.points or (Fraction(0),)
             step = Fraction(1, 2 * lcm(*(p.denominator for p in pts), 1))
@@ -235,14 +239,14 @@ class TestCertificates:
 class TestOrderCriterion:
     def test_order_set_of_crossing_pair(self):
         k, fs, mu = delta_instance("cyclic:2", [4, 0], [3, 3])
-        orders = order_set(k, fs, mu)
-        strict = set(orders.strict_rankings())
+        orders = attained_orders(critical_points(k, fs, mu))
+        strict = {r for r in orders.rankings if is_strict(r)}
         assert strict == {(1, 2), (2, 1)}
         assert check_order_criterion(k, fs, mu)
 
     def test_identical_functions_tie(self):
         k, fs, mu = delta_instance("cyclic:2", [1, 0], [1, 0])
-        orders = order_set(k, fs, mu)
+        orders = attained_orders(critical_points(k, fs, mu))
         assert set(orders.rankings) == {(1, 1)}
         assert not check_order_criterion(k, fs, mu)
 

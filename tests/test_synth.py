@@ -37,6 +37,12 @@ from gshatter.synth import (
 HALF = Fraction(1, 2)
 
 
+def u_tilde(tower, index, k):
+    """u~_index(k): u_index's coefficient pair dotted with the plane point k."""
+    a1, a2 = tower.coeffs[index]
+    return a1 * k[0] + a2 * k[1]
+
+
 class TestUTower:
     def test_epsilon_values(self):
         tower = build_u_tower(Fraction(1), Fraction(2), p=2)
@@ -70,8 +76,8 @@ class TestKVector:
         tower = build_u_tower(Fraction(1), Fraction(2), p=1)
         k = solve_k_vector(tower, 2, Fraction(3, 2))
         assert k == (Fraction(1, 3), Fraction(-3, 2))
-        assert tower.u_tilde(2, k) == Fraction(3, 2)
-        assert tower.u_tilde(0, k) < 1 and tower.u_tilde(1, k) < 1
+        assert u_tilde(tower, 2, k) == Fraction(3, 2)
+        assert u_tilde(tower, 0, k) < 1 and u_tilde(tower, 1, k) < 1
 
     def test_target_must_be_strictly_inside(self):
         tower = build_u_tower(Fraction(1), Fraction(2), p=1)
@@ -97,28 +103,31 @@ class TestKVector:
         i = 2 * min(half_i, p)
         target = 1 + Fraction(num, den)  # strictly inside (1, 2)
         k = solve_k_vector(tower, i, target)
-        assert tower.u_tilde(i, k) == target
+        assert u_tilde(tower, i, k) == target
 
 
 class TestEpsilon:
     def test_formula(self):
-        assert synth_epsilon(Fraction(1), Fraction(2), 2, 2) == Fraction(1, 32)
-        assert synth_epsilon(Fraction(1), Fraction(2), 3, 1) == Fraction(
-            2, 3 * (2 + 9 - 1) * 2
+        # (C-B)(m-1) / (2m(m-1+m^{r+1}-1)) at r = C(m, floor(m/2)).
+        assert synth_epsilon(Fraction(1), Fraction(2), 2) == Fraction(1, 32)  # r = 2
+        assert synth_epsilon(Fraction(1), Fraction(2), 3) == Fraction(
+            2, 2 * 3 * (2 + 3**4 - 1)  # r = 3
+        )
+        assert synth_epsilon(Fraction(1), Fraction(2), 4) == Fraction(
+            3, 2 * 4 * (3 + 4**7 - 1)  # r = 6
         )
 
     def test_m1_uses_quarter_width(self):
-        assert synth_epsilon(Fraction(1), Fraction(2), 1, 3) == Fraction(1, 4)
+        assert synth_epsilon(Fraction(1), Fraction(2), 1) == Fraction(1, 4)
 
     def test_positive_and_below_width(self):
-        for m in range(1, 6):
-            for r in range(1, 8):
-                eps = synth_epsilon(Fraction(1), Fraction(2), m, r)
-                assert 0 < eps < 1
+        for m in range(1, 9):
+            eps = synth_epsilon(Fraction(1), Fraction(2), m)
+            assert 0 < eps < 1
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
-            synth_epsilon(Fraction(1), Fraction(2), 0, 1)
+            synth_epsilon(Fraction(1), Fraction(2), 0)
 
 
 class TestSubsets:
