@@ -13,8 +13,9 @@ downstream.
 
 Inside, a profile holds f*K as integers over one denominator, and one
 sorted table of its terms that gives nu at any bias and nu's pieces
-alike; a Fraction is formed only for the nu that `NuProfile.at`
-returns, and no float is used anywhere.
+alike; `NuProfile.scaled` gives nu at a bias as an integer pair, a
+Fraction is formed only for the nu that `NuProfile.at` returns, and no
+float is used anywhere.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ class NuProfile:
     (f*K)(g) is nums[g] / den.  The profile sorts its terms once, by
     x = (f*K)(g) * den, into `xs`, with suffix sums of x (`masses`), so
     the terms from position i on number len(xs) - i and add up to
-    masses[i].  `at` and `exceeds` read nu at one bias from that table;
-    `pieces` streams nu in closed form, piece by piece, from the same
-    table.
+    masses[i].  `scaled`, `at` and `exceeds` read nu at one bias from
+    that table; `pieces` streams nu in closed form, piece by piece, from
+    the same table.
     """
 
     nums: tuple[int, ...]
@@ -71,7 +72,7 @@ class NuProfile:
             if not i or xs[i - 1] != xs[i]:  # the first position of its value
                 yield -xs[i] * k, len(xs) - i, masses[i] * k
 
-    def _scaled(self, c: Fraction) -> tuple[int, int]:
+    def scaled(self, c: Fraction) -> tuple[int, int]:
         """(N, D) with nu(c) = N / D and D > 0, not reduced.
 
         With c = a/b the term of x is active exactly when x*b > -a*den,
@@ -86,11 +87,11 @@ class NuProfile:
 
     def at(self, c: Fraction) -> Fraction:
         """sum_g max(0, (f*K)(g) + c): nu at c, exactly."""
-        return Fraction(*self._scaled(c))
+        return Fraction(*self.scaled(c))
 
     def exceeds(self, c: Fraction, t: Fraction) -> bool:
         """Whether nu(c) > t, by cross-multiplication: no Fraction is formed."""
-        num, den = self._scaled(c)
+        num, den = self.scaled(c)
         return num * t.denominator > t.numerator * den
 
 

@@ -63,6 +63,9 @@ DEFAULT_M_CAP = 8
 ORDERS_M_CAP = 16  # C(m, m // 2) rankings; each step past it doubles the time
 GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: 4.4-4.9 s at the cap
 SYNTH_ORDER_CAP = 65536  # `synth` holds about 1.5 KB per element: 112 MB peak at the cap
+# `verify` writes all 2^m label patterns: 18 functions on cyclic:2 took
+# 7.5 s and 744 MB peak, and each further function doubles both.
+VERIFY_M_CAP = 20
 
 # What reading and parsing a JSON input file may raise.
 _INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
@@ -225,6 +228,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(f"cannot read inputs: {exc}", 2)
     if not fs:
         return _fail("functions file contains no functions", 2)
+    if len(fs) > VERIFY_M_CAP:
+        return _fail(
+            f"{len(fs)} functions exceed the cap {VERIFY_M_CAP}: a certificate "
+            "lists 2^m label patterns", 2
+        )
     mu = counting_measure(kernel.group)
     # One sweep, two independent conclusions: the certificate is re-checked
     # on each profile's breakpoint table, the criterion decided from rankings.

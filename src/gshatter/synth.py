@@ -21,11 +21,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor
-from typing import NamedTuple, Optional, Sequence
+from itertools import pairwise
+from math import ceil, floor, lcm
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
-from .classifier import build_nu_profiles, ranking_of_values
+from .classifier import NuProfile, build_nu_profiles, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError, _quoted
 from .gfunc import GroupFunction, counting_measure, fraction_to_str
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
@@ -271,14 +272,6 @@ def _guard_value(tower: UTower, k_max: Fraction) -> Fraction:
     return -k_max * max(even_entries) / min(even_entries)
 
 
-def _mode_element_ok(group: FiniteGroup, g: int, mode: str) -> bool:
-    if g == group.identity:
-        return False
-    if mode == "order_two":
-        return group.mul(g, g) == group.identity
-    return group.mul(g, g) != group.identity
-
-
 def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthResult:
     """Build a kernel realizing each target order o_l at bias -c_l.
 
@@ -310,18 +303,8 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     subsets = choose_subsets(group, g, r, m, mode)
     epsilon = synth_epsilon(B, C, m)
 
+    # choose_subsets keeps the windows apart; subset-disjointness checks it.
     kernel_values: dict[int, Fraction] = {}
-
-    def assign(position: int, value: Fraction, kind: str) -> None:
-        old = kernel_values.get(position)
-        if old is None:
-            kernel_values[position] = value
-        elif old != value:
-            raise SynthesisVerificationError(
-                f"{kind} position {position} already carries "
-                f"{fraction_to_str(old)}, cannot assign {fraction_to_str(value)}"
-            )
-
     # totals[k] = sum of function k+1's spike targets over the rounds so far.
     totals = [Fraction(0)] * m
     ms: list[Fraction] = []
@@ -340,8 +323,7 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
             k = o_inv[i + 1]
             point = solve_k_vector(tower, 2 * (k + 1), targets[i])
             spikes = _translates(group, g, subsets[l - 1][i], layout.spikes)
-            for x, value in zip(spikes, point):
-                assign(x, value, "spike")
+            kernel_values.update(zip(spikes, point))
             totals[k] += targets[i]
         m_cur = targets[0]
         # Every target so far is >= m_l, so at the probe -m_l + eps each nu
@@ -358,8 +340,7 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     guard = _guard_value(tower, max(abs(v) for v in kernel_values.values()))
     for sub in subsets:
         for h in sub:
-            for x in _translates(group, g, h, layout.guards):
-                assign(x, guard, "guard")
+            kernel_values.update(dict.fromkeys(_translates(group, g, h, layout.guards), guard))
 
     zero = Fraction(0)
     kernel = GroupFunction(
@@ -426,114 +407,147 @@ def verify_synth(result: SynthResult) -> SynthReport:
     Only the finished kernel, the tower functions and the group are
     consulted; the target orders, the level values m_l, the spreads M_l
     and the thresholds are recomputed rather than trusted.  Each function
-    is convolved with the kernel once, and every nu value a check reads
-    is taken from that profile's breakpoint table (`NuProfile.at`); the
-    shattering certificate's witnesses are re-checked on the same tables.
+    is convolved with the kernel once, and each check group reads the
+    result and the tables built here, nothing of another group.
     SynthResult has checked the shape: one level, threshold and subset of
     m centres per target order.
     """
-    checks: list[SynthCheck] = []
-
-    def add(name: str, passed: bool, detail: str) -> None:
-        checks.append(SynthCheck(name, bool(passed), detail))
-
-    group = result.group
-    m = result.m
+    m, B, C = result.m, result.B, result.C
     orders = build_complete_orders(m)
-    r = len(orders.rankings)
-    mu = counting_measure(group)
-    kernel = result.kernel
     # Under the counting measure every weight is 1, so each profile's xs
     # holds every convolution value, in ascending order.
-    profiles = build_nu_profiles(kernel, result.family(), mu)
-    epsilon = result.epsilon
-    B, C = result.B, result.C
-
-    add("epsilon-formula", epsilon == synth_epsilon(B, C, m),
-        f"epsilon = {fraction_to_str(epsilon)}")
-
-    # u_i = a1 1_e + a2 1_g: a1 at e, a2 at g, and no other non-zero value.
-    e, g = group.identity, result.g
+    profiles = build_nu_profiles(
+        result.kernel, result.family(), counting_measure(result.group)
+    )
     tower = build_u_tower(B, C, p=m)
+    read_levels = _level_reader(profiles)
+    eps_ok = result.epsilon == synth_epsilon(B, C, m)
+    checks = [
+        SynthCheck("epsilon-formula", eps_ok, f"epsilon = {fraction_to_str(result.epsilon)}"),
+        *_layout_checks(result, tower),
+        *_recursion_checks(result, read_levels),
+        *_level_checks(result, orders, read_levels),
+        *_value_checks(result, profiles, tower),
+    ]
+    cert = certificate(critical_set(profiles))
+    detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
+    checks.append(SynthCheck("shattering", cert.shattered, detail))
+    return SynthReport(tuple(checks), orders, cert)
+
+
+LevelReader = Callable[[Fraction], tuple[list[int], int]]
+
+
+def _level_reader(profiles: Sequence[NuProfile]) -> LevelReader:
+    """read(c) = (xs, D) with nu_k(c) = xs[k] / D for every profile k.
+
+    D is the lcm of the profiles' dens times c's denominator, so rankings,
+    spreads and gaps at one bias compare integers and no Fraction is
+    formed per profile.
+    """
+    scale = lcm(*(p.den for p in profiles))
+    factors = [scale // p.den for p in profiles]
+
+    def read(c: Fraction) -> tuple[list[int], int]:
+        # scaled(c) is over den * c.denominator, which k times is D.
+        return [p.scaled(c)[0] * k for p, k in zip(profiles, factors)], scale * c.denominator
+
+    return read
+
+
+def _layout_checks(result: SynthResult, tower: UTower) -> Iterator[SynthCheck]:
+    """u-tower-structure, mode-element and subset-disjointness."""
+    group, g, m = result.group, result.g, result.m
+    # u_i = a1 1_e + a2 1_g: a1 at e, a2 at g, and no other non-zero value.
     tower_ok = all(
-        (u.values[e], u.values[g]) == (a1, a2)
+        (u.values[group.identity], u.values[g]) == (a1, a2)
         and sum(map(bool, u.values)) == bool(a1) + bool(a2)
         for u, (a1, a2) in zip(result.u, tower.coeffs)
     )
-    add("u-tower-structure", tower_ok, f"{2 * m + 2} tower functions")
-
-    mode_ok = _mode_element_ok(group, result.g, result.mode)
-    add("mode-element", mode_ok, f"g = {result.g} suits mode {result.mode}")
+    yield SynthCheck("u-tower-structure", tower_ok, f"{2 * m + 2} tower functions")
+    # order_two needs g^2 = e, general g^2 != e, and neither g = e.
+    squares_to_e = group.mul(g, g) == group.identity
+    mode_ok = g != group.identity and squares_to_e == (result.mode == "order_two")
+    yield SynthCheck("mode-element", mode_ok, f"g = {g} suits mode {result.mode}")
     try:
-        _check_subsets(group, result.g, result.subsets, result.mode)
-        add("subset-disjointness", True, f"{r} rounds x {m} centres")
+        _check_subsets(group, g, result.subsets, result.mode)
     except SynthesisVerificationError as exc:
-        add("subset-disjointness", False, str(exc))
-
-    # Level recursion: m_l = m_{l-1} - m (M_{l-1} + eps), with the spread
-    # M_l read off the finished kernel at the probe -m_l + eps.  Spikes of
-    # rounds above l sit below m_l - eps, so they are invisible there and
-    # the recursion is well-defined on the final kernel.
-    recursion_ok = True
-    detail = ""
-    m_prev, big_m_prev = C, Fraction(0)
-    big_ms: list[Fraction] = []
-    for l in range(1, r + 1):
-        m_cur = m_prev - m * (big_m_prev + epsilon)
-        if result.ms[l - 1] != m_cur:
-            recursion_ok = False
-            detail = f"round {l}: recorded m_l disagrees with recursion"
-            break
-        values = [p.at(-m_cur + epsilon) for p in profiles]
-        big_m_cur = max(values) - min(values)
-        big_ms.append(big_m_cur)
-        m_prev, big_m_prev = m_cur, big_m_cur
-    add("level-recursion", recursion_ok, detail or f"m_l chain of length {r} reproduced")
-
-    if recursion_ok:
-        cond_ok = all(B < result.ms[l] - m * (big_ms[l] + epsilon) for l in range(r))
-        add("level-condition", cond_ok, "B < m_l - m(M_l + eps) at every level")
-        spread_ok = all(big_ms[l] <= epsilon * (m ** (l + 1) - 1) for l in range(r))
-        add("spread-bound", spread_ok, "M_l <= eps (m^l - 1) at every level")
+        yield SynthCheck("subset-disjointness", False, str(exc))
     else:
-        add("level-condition", False, "skipped: level recursion broken")
-        add("spread-bound", False, "skipped: level recursion broken")
+        detail = f"{len(result.subsets)} rounds x {m} centres"
+        yield SynthCheck("subset-disjointness", True, detail)
 
+
+def _recursion_checks(result: SynthResult, read_levels: LevelReader) -> Iterator[SynthCheck]:
+    """level-recursion, then level-condition and spread-bound on its spreads.
+
+    m_l = m_{l-1} - m (M_{l-1} + eps), with the spread M_l read off the
+    finished kernel at the probe -m_l + eps.  Spikes of rounds above l
+    sit below m_l - eps, so they are invisible there and the recursion is
+    well-defined on the final kernel.  The other two checks read the
+    spreads, so a broken recursion skips them.
+    """
+    m, epsilon = result.m, result.epsilon
+    m_prev, big_m, big_ms = result.C, Fraction(0), []
+    for l, m_l in enumerate(result.ms, 1):
+        if m_l != m_prev - m * (big_m + epsilon):
+            yield SynthCheck("level-recursion", False, f"round {l}: recorded m_l disagrees with recursion")
+            yield SynthCheck("level-condition", False, "skipped: level recursion broken")
+            yield SynthCheck("spread-bound", False, "skipped: level recursion broken")
+            return
+        xs, scale = read_levels(-m_l + epsilon)
+        big_m = Fraction(max(xs) - min(xs), scale)
+        big_ms.append(big_m)
+        m_prev = m_l
+    yield SynthCheck("level-recursion", True, f"m_l chain of length {len(big_ms)} reproduced")
+    cond_ok = all(result.B < m_l - m * (M + epsilon) for m_l, M in zip(result.ms, big_ms))
+    yield SynthCheck("level-condition", cond_ok, "B < m_l - m(M_l + eps) at every level")
+    spread_ok = all(M <= epsilon * (m**l - 1) for l, M in enumerate(big_ms, 1))
+    yield SynthCheck("spread-bound", spread_ok, "M_l <= eps (m^l - 1) at every level")
+
+
+def _level_checks(
+    result: SynthResult, orders: OrderSet, read_levels: LevelReader
+) -> Iterator[SynthCheck]:
+    """thresholds, then the target order and the eps gaps at each -c_l."""
+    epsilon = result.epsilon
     thresholds_ok = all(
-        c == ml - epsilon / 2 for c, ml in zip(result.thresholds, result.ms)
+        c == m_l - epsilon / 2 for c, m_l in zip(result.thresholds, result.ms)
     )
-    add("thresholds", thresholds_ok, "c_l = m_l - eps/2 for every level")
-
-    level_nus = [[p.at(-c) for p in profiles] for c in result.thresholds]
-    orders_ok = True
-    detail = ""
-    for l, values in enumerate(level_nus):
-        got = ranking_of_values(values)
-        if got != orders.rankings[l]:
-            orders_ok = False
-            detail = f"level {l + 1}: ranking {got} != target {orders.rankings[l]}"
-            break
-    add("orders-realized", orders_ok, detail or f"all {r} target orders hit")
-
+    yield SynthCheck("thresholds", thresholds_ok, "c_l = m_l - eps/2 for every level")
+    levels = [read_levels(-c) for c in result.thresholds]
+    misses = (
+        f"level {l}: ranking {got} != target {want}"
+        for l, ((xs, _), want) in enumerate(zip(levels, orders.rankings), 1)
+        if (got := ranking_of_values(xs)) != want
+    )
+    detail = next(misses, None)
+    yield SynthCheck("orders-realized", detail is None, detail or f"all {len(levels)} target orders hit")
     # Two of m values are closer than eps exactly when two neighbours in
-    # their sorted order are.
-    gaps_ok = True
-    detail = ""
-    for l, values in enumerate(level_nus):
-        ordered = sorted(values)
-        if any(b - a < epsilon for a, b in zip(ordered, ordered[1:])):
-            gaps_ok = False
-            detail = f"level {l + 1}: gap below eps"
-    add("pairwise-gaps", gaps_ok, detail or "all nu gaps >= eps at each -c_l")
+    # their sorted order are; for xs / D that is (b - a) eps.den < eps.num D.
+    narrow = [
+        l for l, (xs, scale) in enumerate(levels, 1)
+        if any((b - a) * epsilon.denominator < epsilon.numerator * scale
+               for a, b in pairwise(sorted(xs)))
+    ]
+    detail = f"level {narrow[-1]}: gap below eps" if narrow else "all nu gaps >= eps at each -c_l"
+    yield SynthCheck("pairwise-gaps", not narrow, detail)
 
-    # Value checks on each profile's sorted integers x = v * den: for an
-    # integer x, v > lo exactly when x > floor(lo * den), and v < hi
-    # exactly when x < ceil(hi * den), so one pair of bisects finds the
-    # values inside a band.  The detail names the band's last value in
-    # element order, at the last level and profile that have one.
+
+def _value_checks(
+    result: SynthResult, profiles: Sequence[NuProfile], tower: UTower
+) -> Iterator[SynthCheck]:
+    """forbidden-band, kernel-minimum-level, support-structure, and in
+    general mode guard-translates, on each profile's sorted integers.
+
+    For an integer x = v * den, v > lo exactly when x > floor(lo * den),
+    and v < hi exactly when x < ceil(hi * den), so one pair of bisects
+    finds the values inside a band.  The band's detail names its last
+    value in element order, at the last level and profile that have one.
+    """
     last = None
     for l, hi in enumerate(result.ms):
-        lo = hi - epsilon
+        lo = hi - result.epsilon
         for p in profiles:
             x_lo, x_hi = floor(lo * p.den), ceil(hi * p.den)
             if bisect_right(p.xs, x_lo) < bisect_left(p.xs, x_hi):
@@ -543,28 +557,23 @@ def verify_synth(result: SynthResult) -> SynthReport:
         l, p, x_lo, x_hi = last
         x = next(x for x in reversed(p.nums) if x_lo < x < x_hi)
         detail = f"value {fraction_to_str(Fraction(x, p.den))} inside the band around m_{l + 1}"
-    add("forbidden-band", last is None, detail)
+    yield SynthCheck("forbidden-band", last is None, detail)
 
     above_b = []
     for p in profiles:
-        i = bisect_right(p.xs, floor(B * p.den))
+        i = bisect_right(p.xs, floor(result.B * p.den))
         if i < len(p.xs):
             above_b.append(Fraction(p.xs[i], p.den))
     min_over_b = min(above_b, default=None)
     value = "None" if min_over_b is None else fraction_to_str(min_over_b)
-    add(
-        "kernel-minimum-level",
-        min_over_b == result.ms[-1],
-        f"smallest convolution value above B is {value}",
-    )
+    detail = f"smallest convolution value above B is {value}"
+    yield SynthCheck("kernel-minimum-level", min_over_b == result.ms[-1], detail)
 
-    layout = LAYOUTS[result.mode]
+    group, kernel, layout = result.group, result.kernel, LAYOUTS[result.mode]
     centres = [h for sub in result.subsets for h in sub]
 
     def positions(offsets: Sequence[int]) -> set[int]:
-        return {
-            x for h in centres for x in _translates(group, result.g, h, offsets)
-        }
+        return {x for h in centres for x in _translates(group, result.g, h, offsets)}
 
     spikes, guards = positions(layout.spikes), positions(layout.guards)
     guard = _guard_value(
@@ -574,13 +583,9 @@ def verify_synth(result: SynthResult) -> SynthReport:
     support_ok = all(kernel.values[x] == guard for x in guards) and all(
         kernel.values[x] == 0 for x in range(group.order) if x not in support
     )
-    add(
-        "support-structure",
-        support_ok,
-        "kernel vanishes outside the centres and their g-translates"
-        if result.mode == "order_two"
-        else "spikes, exact guard values, zero elsewhere",
-    )
+    detail = ("spikes, exact guard values, zero elsewhere" if layout.guards
+              else "kernel vanishes outside the centres and their g-translates")
+    yield SynthCheck("support-structure", support_ok, detail)
     if layout.guards:
         translate_ok = all(
             p.nums[x] <= 0
@@ -589,13 +594,5 @@ def verify_synth(result: SynthResult) -> SynthReport:
             if x != h
             for p in profiles
         )
-        add(
-            "guard-translates",
-            translate_ok,
-            "convolutions are <= 0 on every guarded translate",
-        )
-
-    cert = certificate(critical_set(profiles))
-    detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
-    add("shattering", cert.shattered, detail)
-    return SynthReport(tuple(checks), orders, cert)
+        detail = "convolutions are <= 0 on every guarded translate"
+        yield SynthCheck("guard-translates", translate_ok, detail)

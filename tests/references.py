@@ -7,9 +7,9 @@ runs them on integers over one denominator), the bisect-based crossing
 search over every pair on every grid piece, the ReLU sum term by term
 (in Fractions and on a profile's integers), the witness table by
 comparing every value with every cut, ranks by counting, the u-tower
-functions by their dense formula, and the k-vector solved and checked
-on every tower level for each target.  The differential tests assert
-identical results.
+functions by their dense formula, the k-vector solved and checked on
+every tower level for each target, and verify_synth's level and value
+checks in Fractions.  The differential tests assert identical results.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Sequence
 
 from gshatter.errors import SynthesisVerificationError
 from gshatter.gfunc import GroupFunction, indicator
+from gshatter.orders import build_complete_orders
 
 
 def dense_convolve(f: GroupFunction, kernel: GroupFunction) -> tuple[Fraction, ...]:
@@ -343,4 +344,70 @@ def fraction_value_checks(result) -> dict[str, tuple[bool, str]]:
         checks["guard-translates"] = (
             translate_ok, "convolutions are <= 0 on every guarded translate"
         )
+    return checks
+
+
+def fraction_level_checks(result) -> dict[str, tuple[bool, str]]:
+    """verify_synth's level-recursion, level-condition, spread-bound,
+    thresholds, orders-realized and pairwise-gaps checks, with each nu a
+    termwise ReLU sum over Fraction convolution values, ranks counted and
+    every pair of values tested for the eps gap."""
+    convs = [
+        GroupFunction(result.group, fraction_convolve(f, result.kernel))
+        for f in result.family()
+    ]
+
+    def nus(c: Fraction) -> list[Fraction]:
+        return [termwise_relu_sum(conv, c) for conv in convs]
+
+    m, epsilon, ms = result.m, result.epsilon, result.ms
+    checks: dict[str, tuple[bool, str]] = {}
+    m_prev, big_m, big_ms = result.C, Fraction(0), []
+    detail = ""
+    for l in range(1, len(ms) + 1):
+        m_cur = m_prev - m * (big_m + epsilon)
+        if ms[l - 1] != m_cur:
+            detail = f"round {l}: recorded m_l disagrees with recursion"
+            break
+        values = nus(-m_cur + epsilon)
+        big_m = max(values) - min(values)
+        big_ms.append(big_m)
+        m_prev = m_cur
+    checks["level-recursion"] = (
+        not detail, detail or f"m_l chain of length {len(ms)} reproduced"
+    )
+    if detail:
+        skipped = (False, "skipped: level recursion broken")
+        checks["level-condition"] = checks["spread-bound"] = skipped
+    else:
+        checks["level-condition"] = (
+            all(result.B < ms[l] - m * (big_ms[l] + epsilon) for l in range(len(ms))),
+            "B < m_l - m(M_l + eps) at every level",
+        )
+        checks["spread-bound"] = (
+            all(big_ms[l - 1] <= epsilon * (m**l - 1) for l in range(1, len(ms) + 1)),
+            "M_l <= eps (m^l - 1) at every level",
+        )
+    checks["thresholds"] = (
+        all(c == ml - epsilon / 2 for c, ml in zip(result.thresholds, ms)),
+        "c_l = m_l - eps/2 for every level",
+    )
+    level_nus = [nus(-c) for c in result.thresholds]
+    targets = build_complete_orders(m).rankings
+    detail = ""
+    for l, values in enumerate(level_nus):
+        got = counted_ranks(values)
+        if got != targets[l]:
+            detail = f"level {l + 1}: ranking {got} != target {targets[l]}"
+            break
+    checks["orders-realized"] = (
+        not detail, detail or f"all {len(targets)} target orders hit"
+    )
+    detail = ""
+    for l, values in enumerate(level_nus):
+        if any(abs(a - b) < epsilon for a, b in combinations(values, 2)):
+            detail = f"level {l + 1}: gap below eps"
+    checks["pairwise-gaps"] = (
+        not detail, detail or "all nu gaps >= eps at each -c_l"
+    )
     return checks

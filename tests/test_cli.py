@@ -39,7 +39,7 @@ from gshatter.errors import (
 )
 from gshatter.groups import MAX_PRODUCT_DEPTH, build_group
 from gshatter.gfunc import counting_measure
-from gshatter.cli import GROUP_ORDER_CAP, SYNTH_ORDER_CAP, main
+from gshatter.cli import GROUP_ORDER_CAP, SYNTH_ORDER_CAP, VERIFY_M_CAP, main
 from gshatter.jsonio import (
     certificate_from_json,
     function_family_from_json,
@@ -956,6 +956,43 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @staticmethod
+    def write_family(tmp_path, n):
+        """A kernel and n distinct functions on cyclic:2, a few bytes each."""
+        kernel, functions = tmp_path / "kernel.json", tmp_path / "functions.json"
+        write_json_atomic(kernel, {"group": "cyclic:2", "values": ["1", "0"]})
+        family = [[str(i + 1), str(-i)] for i in range(n)]
+        write_json_atomic(functions, {"group": "cyclic:2", "functions": family})
+        return kernel, functions
+
+    def test_family_cap_refused_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("critical_points reached past the cap")
+
+        monkeypatch.setattr(gshatter.cli, "critical_points", no_sweep)
+        kernel, functions = self.write_family(tmp_path, VERIFY_M_CAP + 1)
+        target = tmp_path / "verdict" / "verdict.json"
+        for out in ([], ["--out", str(target)]):
+            start = time.perf_counter()
+            code, stdout, err = run(
+                capsys, "verify", "--kernel", str(kernel), "--functions", str(functions), *out
+            )
+            assert time.perf_counter() - start < 1
+            assert code == 2
+            assert f"{VERIFY_M_CAP + 1} functions exceed the cap {VERIFY_M_CAP}" in err
+            assert stdout == ""
+        assert not target.parent.exists()
+
+    def test_family_cap_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(gshatter.cli, "VERIFY_M_CAP", 3)
+        for n, want in ((3, 0), (4, 2)):
+            kernel, functions = self.write_family(tmp_path, n)
+            code, out, _ = run(
+                capsys, "verify", "--kernel", str(kernel), "--functions", str(functions)
+            )
+            assert code == want
+            assert ("agreement=True" in out) == (want == 0)
 
     def test_mismatched_groups(self, capsys, bundle, tmp_path):
         functions = read_json(bundle / "functions.json")

@@ -1,9 +1,11 @@
-"""The narrated demos run to completion against the package in `src`."""
+"""The narrated demos and README's Python examples run to completion
+against the package in `src`."""
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,19 +25,40 @@ DEMOS = (
 )
 
 
-@pytest.mark.parametrize("name", DEMOS)
-def test_demo_runs(name, tmp_path):
+# The body of every ```python block in README.md.
+README_EXAMPLES = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+)
+
+
+def run_python(args, cwd):
+    """A fresh interpreter with `src` first on PYTHONPATH."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    proc = run_python([str(ROOT / "demos" / name)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_has_python_examples():
+    assert README_EXAMPLES
+
+
+@pytest.mark.parametrize("index", range(len(README_EXAMPLES)))
+def test_readme_example_runs(index, tmp_path):
+    proc = run_python(["-c", README_EXAMPLES[index]], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def load_bench_point():

@@ -47,6 +47,7 @@ from references import (
     fraction_build_nu_profile,
     fraction_convolve,
     fraction_critical_set,
+    fraction_level_checks,
     fraction_relu_sum,
     fraction_value_checks,
     full_solve_k_vector,
@@ -459,3 +460,90 @@ class TestVerifySynthValueChecks:
                 result, kernel=GroupFunction(group, tuple(values))
             )
             assert_value_checks_match(broken)
+
+
+def rechained(result, epsilon):
+    """result with eps replaced and m_l, c_l rebuilt by the level recursion
+    on its own kernel, so the recursion holds and the spreads may not."""
+    convs = [
+        GroupFunction(result.group, fraction_convolve(f, result.kernel))
+        for f in result.family()
+    ]
+    ms, big_m = [result.C], Fraction(0)
+    for _ in result.ms:
+        ms.append(ms[-1] - result.m * (big_m + epsilon))
+        values = [termwise_relu_sum(conv, -ms[-1] + epsilon) for conv in convs]
+        big_m = max(values) - min(values)
+    ms = tuple(ms[1:])
+    thresholds = tuple(ml - epsilon / 2 for ml in ms)
+    return dataclasses.replace(result, epsilon=epsilon, ms=ms, thresholds=thresholds)
+
+
+def tampered_results(spec, m, mode):
+    """A synthesized result and copies with eps halved (alone, and at 3/4
+    with the levels rebuilt to match), one m_l or c_l moved, B raised to
+    the last level, a spike of the first and of the last round bumped up
+    and down (the first moves every later level, the last only its own),
+    and the kernel zeroed."""
+    group = build_group(spec)
+    result = synth_kernel(group, m, mode=mode)
+    eps, ms, cs = result.epsilon, result.ms, result.thresholds
+
+    def moved(values, l, delta):
+        return tuple(v + delta if i == l else v for i, v in enumerate(values))
+
+    def with_kernel(values):
+        return dataclasses.replace(result, kernel=GroupFunction(group, tuple(values)))
+
+    def bumped(position, delta):
+        values = list(result.kernel.values)
+        values[position] += delta
+        return with_kernel(values)
+
+    spikes = (result.subsets[0][0], result.subsets[-1][1])
+    deltas = (eps / 10, -eps / 10, eps / 3, -eps / 3, Fraction(1, 2), -1)
+    return [
+        result,
+        dataclasses.replace(result, epsilon=eps / 2),
+        rechained(result, eps * 3 / 4),
+        dataclasses.replace(result, B=ms[-1]),
+        dataclasses.replace(result, ms=moved(ms, len(ms) - 1, eps / 3)),
+        dataclasses.replace(result, ms=moved(ms, 0, -eps)),
+        dataclasses.replace(result, thresholds=moved(cs, 0, eps / 4)),
+        dataclasses.replace(result, thresholds=moved(cs, len(cs) - 1, -eps)),
+        *(bumped(x, d) for x in spikes for d in deltas),
+        with_kernel([Fraction(0)] * group.order),
+    ]
+
+
+def assert_level_checks_match(result) -> set[str]:
+    """verify_synth's integer level checks equal their Fraction forms;
+    returns the names of those that fail on their own test, not skipped."""
+    want = fraction_level_checks(result)
+    got = {
+        c.name: (c.passed, c.detail)
+        for c in verify_synth(result).checks
+        if c.name in want
+    }
+    assert got == want
+    return {
+        name for name, (passed, detail) in got.items()
+        if not passed and not detail.startswith("skipped")
+    }
+
+
+class TestVerifySynthLevelChecks:
+    """The integer recursion and level checks against Fraction nu values."""
+
+    def test_checks_match_on_real_and_tampered_results(self):
+        failed = set()
+        for case in (("cyclic:8", 2, "order_two"), ("cyclic:18", 3, "order_two"),
+                     ("cyclic:81", 3, "general")):
+            result, *tampered = tampered_results(*case)
+            assert assert_level_checks_match(result) == set()
+            for broken in tampered:
+                failed |= assert_level_checks_match(broken)
+        assert failed == {  # each check is seen failing on its own test
+            "level-recursion", "level-condition", "spread-bound",
+            "thresholds", "orders-realized", "pairwise-gaps",
+        }
