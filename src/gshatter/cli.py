@@ -77,6 +77,13 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _input_error(exc: Exception) -> str:
+    """What went wrong with an input; a KeyError is a field the file lacks."""
+    if isinstance(exc, KeyError):
+        return f"missing field {_quoted(exc.args[0])}"
+    return str(exc)
+
+
 class _Run:
     """Collects inputs/outputs so every command leaves a manifest."""
 
@@ -225,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kernel = group_function_from_json(kernel_data)
         fs = function_family_from_json(functions_data, kernel.group)
     except _INPUT_ERRORS as exc:
-        return _fail(f"cannot read inputs: {exc}", 2)
+        return _fail(f"cannot read inputs: {_input_error(exc)}", 2)
     if not fs:
         return _fail("functions file contains no functions", 2)
     if len(fs) > VERIFY_M_CAP:
@@ -236,6 +243,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mu = counting_measure(kernel.group)
     # One sweep, two independent conclusions: the certificate is re-checked
     # on each profile's breakpoint table, the criterion decided from rankings.
+    # The sweep stops once its strict rankings are complete, which settles
+    # both; a family that never gets there is swept to the end.
     critical = critical_points(kernel, fs, mu)
     cert = certificate(critical)
     criterion = is_complete(attained_orders(critical))
@@ -262,7 +271,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "shattering verdict and order criterion disagree (internal bug)",
             5,
         )
-    return 0
+    return 0 if cert.shattered else 1
 
 
 _BOUND_COLUMNS = (
@@ -310,7 +319,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         try:
             pair = _achieved_from_file(path)
         except _INPUT_ERRORS as exc:
-            return _fail(f"cannot read certificate {path}: {exc}", 2)
+            return _fail(f"cannot read certificate {path}: {_input_error(exc)}", 2)
         if pair is not None:
             n, m = pair
             achieved[n] = max(achieved.get(n, 0), m)

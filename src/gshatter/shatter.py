@@ -10,7 +10,9 @@ at the witness from each profile's breakpoint table (`NuProfile.exceeds`),
 not read off the sweep's pieces, crossings, probes or cuts that found it.
 
 The sweep runs on integers over one common denominator: Fractions
-appear only in emitted (c1, c2) witnesses, and floats nowhere.
+appear only in emitted (c1, c2) witnesses, and floats nowhere.  It ends
+once the strict rankings it has seen form a complete set of orders,
+which decides both the certificate and the order criterion.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .classifier import NuProfile, build_nu_profiles, ranking_of_values
-from .errors import WitnessVerificationError
+from .errors import InvariantError, WitnessVerificationError
 from .gfunc import GroupFunction, Measure
-from .orders import OrderSet, is_complete
+from .orders import OrderSet, is_complete, separated_masks
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,15 @@ class CriticalSet:
     reach every ranking attained on the whole real line.  `rows` maps
     each attained ranking, in probe order, to its first probe (p, q) and
     its values: `values[k]` is nu of `profiles[k]` there times q*scale.
-    No point is kept: `points` walks again.
+    When `stopped`, the walk ended at the row whose strict rankings
+    became a complete set, and `rows` holds the rankings up to it only.
+    No point is kept: `points` and `probes` walk the whole line again.
     """
 
     profiles: tuple[NuProfile, ...]
     scale: int
     rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]]
+    stopped: bool
 
     @property
     def points(self) -> tuple[Fraction, ...]:
@@ -134,6 +139,12 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     the ranking there is that of the last point.  Profiles of groups of
     different orders are refused (`ValueError`): their slopes differ past
     the last point.
+
+    The walk stops at the first row after which the recorded strict
+    rankings separate all 2^m subsets.  Such a set is complete, so every
+    label pattern is a cut of some row already kept, and no later row
+    can change a first witness or the order criterion.  A family that
+    never gets there is walked to the end.
     """
     if not profiles:  # each has a breakpoint, its group an element
         raise ValueError("need at least one function")
@@ -142,26 +153,36 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     scale = lcm(*(p.den for p in profiles))
     rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]] = {}
     tied = True  # whether the last point tied; the first probe is ranked
+    separated: set[int] = set()  # the subsets the strict rows separate
+    everything = 1 << len(profiles)
 
-    def probe(p: int, q: int, point: bool, values: Optional[list[int]] = None) -> None:
+    def probe(p: int, q: int, point: bool, values: Optional[list[int]] = None) -> bool:
+        """Rank one probe; whether the strict rows kept are now complete."""
         nonlocal tied
         if point or tied:  # not a probe just after a point without a tie
             if values is None:
                 values = [s * p + o * q for s, o in pieces]
             tied = not point or len(set(values)) < len(values)  # a midpoint keeps it
             if tied:
-                rows.setdefault(ranking_of_values(values), ((p, q), values))
+                ranking = ranking_of_values(values)
+                if ranking not in rows:
+                    rows[ranking] = (p, q), values
+                    separated.update(separated_masks(ranking))
+                    return len(separated) == everything
+        return False
 
-    last = None
+    last, stopped = None, False
     for p, q, pieces, values in _walk(profiles, scale):
         if last is None:  # one unit of c1 before the first point
-            probe(p - scale * q, q, False)
+            bp, bq = p - scale * q, q
         else:  # the midpoint after the previous point
             lp, lq = last
-            probe(lp * q + p * lq, 2 * lq * q, False)
-        probe(p, q, True, values)
+            bp, bq = lp * q + p * lq, 2 * lq * q
+        if probe(bp, bq, False) or probe(p, q, True, values):
+            stopped = True
+            break
         last = p, q
-    return CriticalSet(tuple(profiles), scale, rows)
+    return CriticalSet(tuple(profiles), scale, rows, stopped)
 
 
 def critical_points(
@@ -214,10 +235,18 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
     the witness on each of `critical.profiles` by `NuProfile.exceeds`, not
     taken from the sweep's values; a witness that failed re-verification
     would mean an internal inconsistency, so it raises
-    WitnessVerificationError instead of being silently dropped.
+    WitnessVerificationError instead of being silently dropped.  A sweep
+    that stopped early claims a complete set of rankings, so a pattern
+    left without a witness there raises InvariantError: a stop rule that
+    fired too early never passes as a negative verdict.
     """
     m = len(critical.profiles)
     found = _witnesses(critical)
+    if critical.stopped and len(found) < 2 ** m:
+        raise InvariantError(
+            "the sweep stopped at a complete set of rankings, yet "
+            f"{2 ** m - len(found)} of {2 ** m} label patterns have no witness"
+        )
     entries: list[DichotomyEntry] = []
     for labels in product((-1, 1), repeat=m):
         if labels in found:
@@ -237,7 +266,9 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
 
 
 def attained_orders(critical: CriticalSet) -> OrderSet:
-    """Every ranking the nu values of a critical set attain, in probe order."""
+    """The rankings of a critical set's rows, in probe order: every one
+    the nu values attain, or those up to the first complete set when the
+    sweep stopped there."""
     return OrderSet(len(critical.profiles), tuple(critical.rows))
 
 

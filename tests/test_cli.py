@@ -773,7 +773,7 @@ class TestVerifyCommand:
             "--kernel", str(zeroed),
             "--functions", str(bundle / "functions.json"),
         )
-        assert code == 0
+        assert code == 1
         assert "shattered=False order_criterion=False agreement=True" in out
 
     def test_group_nested_past_the_limit(self, capsys, tmp_path):
@@ -894,7 +894,7 @@ class TestVerifyCommand:
                 *extra,
             )
             assert time.perf_counter() - start < 1.0
-            assert (code, err) == (0, "")
+            assert (code, err) == (1, "")
             assert stdout.endswith(
                 "shattered=False order_criterion=False agreement=True\n"
             )
@@ -942,6 +942,37 @@ class TestVerifyCommand:
         assert code == 5
         assert "witness re-verification failed" in err
 
+    def test_missing_field_is_named(self, capsys, bundle, tmp_path):
+        functions = read_json(bundle / "functions.json")
+        del functions["functions"]
+        path = tmp_path / "functions.json"
+        write_json_atomic(path, functions)
+        code, out, err = run(
+            capsys, "verify", "--kernel", str(bundle / "kernel.json"), "--functions", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read inputs: missing field 'functions'\n"
+
+    def test_a_stop_one_row_early_exits_5(self, capsys, bundle, monkeypatch):
+        # A sweep that claims a complete set of rankings it does not have
+        # must not pass as a negative verdict.
+        true_critical_points = gshatter.cli.critical_points
+
+        def stopped_one_row_early(*args):
+            crit = true_critical_points(*args)
+            assert crit.stopped
+            return dataclasses.replace(crit, rows=dict(list(crit.rows.items())[:-1]))
+
+        monkeypatch.setattr(gshatter.cli, "critical_points", stopped_one_row_early)
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--kernel", str(bundle / "kernel.json"),
+            "--functions", str(bundle / "functions.json"),
+        )
+        assert (code, out) == (5, "")
+        assert err.startswith("error: internal invariant violated: the sweep stopped")
+
     @pytest.mark.parametrize("group", [5, ["cyclic:8"]])
     def test_non_string_group(self, capsys, bundle, tmp_path, group):
         kernel = read_json(bundle / "kernel.json")
@@ -986,13 +1017,13 @@ class TestVerifyCommand:
 
     def test_family_cap_is_inclusive(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(gshatter.cli, "VERIFY_M_CAP", 3)
-        for n, want in ((3, 0), (4, 2)):
+        for n, want in ((3, 1), (4, 2)):  # 3 functions verified, not shattered
             kernel, functions = self.write_family(tmp_path, n)
             code, out, _ = run(
                 capsys, "verify", "--kernel", str(kernel), "--functions", str(functions)
             )
             assert code == want
-            assert ("agreement=True" in out) == (want == 0)
+            assert ("agreement=True" in out) == (want == 1)
 
     def test_mismatched_groups(self, capsys, bundle, tmp_path):
         functions = read_json(bundle / "functions.json")
@@ -1283,6 +1314,15 @@ class TestBoundsCommand:
         assert code == 0
         row8 = next(l for l in out.splitlines() if l.strip().startswith("8"))
         assert row8.split()[-1] == "-"
+
+    def test_missing_field_in_achieved_is_named(self, capsys, tmp_path, cyclic8_bundle):
+        data = read_json(cyclic8_bundle / "shatter_certificate.json")
+        del data["group"]
+        path = tmp_path / "certificate.json"
+        write_json_atomic(path, data)
+        code, out, err = run(capsys, "bounds", "--n", "8", "--achieved", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read certificate {path}: missing field 'group'\n"
 
     @pytest.mark.parametrize("group", [5, ["cyclic:8"]])
     def test_non_string_group_in_achieved(self, capsys, tmp_path, group):

@@ -30,6 +30,7 @@ from gshatter.gfunc import (
 )
 from gshatter.errors import SynthesisVerificationError
 from gshatter.groups import build_group
+from gshatter.orders import OrderSet, is_complete, is_strict
 from gshatter.shatter import _witnesses, attained_orders, critical_set
 from gshatter.synth import (
     build_u_tower,
@@ -110,17 +111,28 @@ def instances(draw):
 def assert_sweep_matches(crit, points, probes, values) -> None:
     """The sweep against a reference's (points, probes, values).
 
-    The sweep keeps the row of the first probe of each ranking only, so
+    The sweep keeps the row of the first probe of each ranking only, and
+    stops at the first row that makes its strict rankings a complete set.
+    So the kept rankings must be the distinct counted rankings in probe
+    order, cut at the first prefix that `is_complete` finds complete (the
+    cut is found from the reference's rankings, not the sweep's), and
     each kept row must carry the first probe with that counted ranking
-    and, divided back into nu units, be the reference row there, and the
-    kept rankings must be the distinct counted rankings in probe order.  The witnesses
-    are compared with cut_witnesses over every reference probe, so a row
-    the sweep drops cannot have held a first witness.
+    and, divided back into nu units, be the reference row there.  The
+    witnesses are compared with cut_witnesses over every reference probe,
+    so a row the sweep drops cannot have held a first witness.
     """
     assert (crit.points, crit.probes) == (points, probes)
+    m = len(crit.profiles)
     first: dict[tuple[int, ...], int] = {}
+    complete = False
     for i, row in enumerate(values):
-        first.setdefault(counted_ranks(row), i)
+        ranks = counted_ranks(row)
+        if ranks not in first:
+            first[ranks] = i
+            complete = is_complete(OrderSet(m, tuple(first)))
+            if complete:
+                break
+    assert crit.stopped == complete
     assert list(crit.rows) == list(first)
     for ((p, q), row), i in zip(crit.rows.values(), first.values()):
         assert Fraction(p, q * crit.scale) == probes[i]
@@ -290,6 +302,28 @@ class TestAgainstReferences:
         mu = counting_measure(group)
         crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
         assert crit.points == (-2, -1, 0)
+        assert_matches_references(kernel, fs, mu)
+
+    def test_a_family_that_is_not_shattered_keeps_every_reference_row(self):
+        # Its rankings include 3 strict ones, which separate too few
+        # subsets to be complete, so the sweep never stops: it keeps the
+        # first row of all 8 rankings the reference attains, and 6 of the
+        # 8 label patterns get a witness.
+        group = build_group("cyclic:3")
+        fs = [
+            GroupFunction.from_values(group, row)
+            for row in ([4, 0, 0], [3, 3, -1], [2, 1, 2])
+        ]
+        kernel = indicator(group, group.identity)
+        mu = counting_measure(group)
+        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        refs = [fraction_build_nu_profile(kernel, f) for f in fs]
+        _, _, values = bisect_critical_set(refs)
+        every = list(dict.fromkeys(map(counted_ranks, values)))
+        assert not crit.stopped
+        assert list(crit.rows) == every
+        assert (len(every), sum(map(is_strict, every))) == (8, 3)
+        assert len(_witnesses(crit)) == 6
         assert_matches_references(kernel, fs, mu)
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6"])

@@ -202,11 +202,13 @@ def test_long_rational_in_every_field(workdir):
             mutant = workdir / f"long-{name}"
             mutant.write_text(json.dumps(with_value(json.loads(original[name]), path, value)))
             assert exit_code("bounds", "--achieved", str(mutant)) == 0, (name, value[:8])
-    for name, path in [("kernel.json", ("values", 9)), ("functions.json", ("functions", 1, 3))]:
-        for value in LONG_RATIONALS:
+    # verify runs to a verdict on each, and exits 1 where it is negative.
+    for name, path, codes in [("kernel.json", ("values", 9), (1, 1, 1, 1)),
+                              ("functions.json", ("functions", 1, 3), (0, 1, 1, 0))]:
+        for value, want in zip(LONG_RATIONALS, codes):
             mutant = workdir / f"long-{name}"
             mutant.write_text(json.dumps(with_value(json.loads(original[name]), path, value)))
-            assert verify_with(workdir, name, mutant) == 0, (name, value[:8])
+            assert verify_with(workdir, name, mutant) == want, (name, value[:8])
 
 
 def nested(depth: int) -> str:

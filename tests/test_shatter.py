@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from gshatter import shatter
 from gshatter.classifier import classify, nu
+from gshatter.errors import InvariantError
 from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.orders import is_strict
 from gshatter.shatter import (
     attained_orders,
+    certificate,
     check_order_criterion,
     critical_points,
     critical_set,
@@ -55,6 +59,15 @@ def witnessed(kernel, fs, mu) -> set[tuple[int, ...]]:
     return {e.labels for e in cert.entries if e.status == "witnessed"}
 
 
+@pytest.fixture(scope="module")
+def synth_m5():
+    """The kernel, functions and measure of `gshatter synth --group
+    cyclic:100 --m 5`."""
+    g = build_group("cyclic:100")
+    result = synth_kernel(g, 5)
+    return result.kernel, list(result.family()), counting_measure(g)
+
+
 class TestCriticalPoints:
     def test_single_constant_function(self):
         g = build_group("cyclic:3")
@@ -77,18 +90,38 @@ class TestCriticalPoints:
         assert crit.probes[0] == Fraction(-3)
         assert crit.probes[-1] == Fraction(1)
 
-    def test_synth_m5_sweep_counts(self):
-        # The kernel and functions of `gshatter synth --group cyclic:100
-        # --m 5`: the probes and their distinct rankings are pinned, so the
-        # probe set and the rows the sweep keeps cannot change silently.
-        g = build_group("cyclic:100")
-        result = synth_kernel(g, 5)
-        crit = critical_points(
-            result.kernel, list(result.family()), counting_measure(g)
-        )
+    def test_synth_m5_sweep_counts(self, synth_m5):
+        # The probes and the rankings the sweep keeps (77 of the 103 the
+        # whole line attains, up to the first complete set) are pinned, so
+        # neither can change silently.
+        crit = critical_points(*synth_m5)
+        assert crit.stopped
         assert len(crit.points) == 560
         assert len(crit.probes) == 1121
-        assert len(crit.rows) == 103
+        assert len(crit.rows) == 77
+
+    def test_synth_m5_walk_stops_by_grid_point_74(self, synth_m5, monkeypatch):
+        # The kept strict rankings become complete at the midpoint after
+        # the 74th critical point; the walk yields the 75th to form it,
+        # and nothing after.
+        true_walk = shatter._walk
+        yielded = 0
+
+        def counted(*args):
+            nonlocal yielded
+            for item in true_walk(*args):
+                yielded += 1
+                yield item
+
+        monkeypatch.setattr(shatter, "_walk", counted)
+        assert critical_points(*synth_m5).stopped
+        assert yielded <= 75
+
+    def test_a_stop_one_row_early_raises(self, synth_m5):
+        crit = critical_points(*synth_m5)
+        early = dataclasses.replace(crit, rows=dict(list(crit.rows.items())[:-1]))
+        with pytest.raises(InvariantError, match="1 of 32 label patterns have no witness"):
+            certificate(early)
 
     def test_ranking_constant_between_points(self):
         rng = random.Random(7)
