@@ -52,7 +52,6 @@ from .groups import (
     find_order_ge3_element,
     find_order_two_element,
     product_group,
-    table_group,
     validate_group,
 )
 from .orders import (

@@ -48,11 +48,8 @@ def fraction_to_str(x: Fraction | int) -> str:
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
-    if a is b or a.key == b.key:
-        return
-    raise ValueError(
-        f"{what}: group mismatch ({a.label!r} vs {b.label!r})"
-    )
+    if a.label != b.label:
+        raise ValueError(f"{what}: group mismatch ({a.label!r} vs {b.label!r})")
 
 
 @dataclass(frozen=True)
@@ -75,9 +72,6 @@ class GroupFunction:
     ) -> "GroupFunction":
         vals = tuple(_as_fraction(v, "function values") for v in values)
         return cls(group, vals)
-
-    def __call__(self, g: int) -> Fraction:
-        return self.values[g]
 
     def support(self) -> list[int]:
         return [g for g in range(self.group.order) if self.values[g] != 0]

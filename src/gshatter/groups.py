@@ -1,11 +1,12 @@
 """Finite groups given by their operations.
 
 Elements are dense indices ``0..n-1``.  A group is its order, its
-identity, ``mul``, ``inv`` and a label.  Groups built from spec strings
-such as ``"cyclic:12"``, ``"dihedral:4"`` (order 8) or
-``"product:cyclic:2,cyclic:3"`` compute ``mul`` and ``inv`` in closed
-form and store no table; only ``table_group`` keeps an explicit n x n
-multiplication table.  Groups are immutable after construction.
+identity, ``mul``, ``inv`` and a label.  Every group is built from a spec
+string such as ``"cyclic:12"``, ``"dihedral:4"`` (order 8) or
+``"product:cyclic:2,cyclic:3"``, computes ``mul`` and ``inv`` in closed
+form and stores no table.  Its label is that spec in canonical form, so
+two groups with one label are one group.  Groups are immutable after
+construction.
 The only action used anywhere in the package is the left-regular action of
 a group on itself, so functions on the acted-on space are simply functions
 on the group.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .errors import GroupSpecError, _quoted
 
@@ -34,9 +35,8 @@ MAX_PRODUCT_DEPTH = 100
 class FiniteGroup:
     """A finite group given by its operations on the indices 0..order-1.
 
-    ``key`` decides whether two groups are the same group: the label (the
-    canonical spec string) for spec-built groups, and the label together
-    with the stored table for ``table_group``.
+    ``label`` is the canonical spec string the group was built from;
+    ``build_group(label)`` builds the same group again.
     """
 
     order: int
@@ -44,11 +44,6 @@ class FiniteGroup:
     mul: Callable[[int, int], int]
     inv: Callable[[int], int]
     label: str
-    key: Hashable = None  # None means the label
-
-    def __post_init__(self):
-        if self.key is None:
-            object.__setattr__(self, "key", self.label)
 
     @property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
@@ -70,45 +65,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
-
-
-def table_group(mul_table: Sequence[Sequence[int]], label: str = "") -> FiniteGroup:
-    """The group an explicit multiplication table describes.
-
-    The identity and the inverses are found by search; a table without a
-    two-sided identity or inverse is rejected.  The stored table is part
-    of the group's key, so two different tables never count as one group.
-    """
-    n = len(mul_table)
-    if n == 0:
-        raise GroupSpecError("a group must have at least one element")
-    table = tuple(tuple(row) for row in mul_table)
-    if any(len(row) != n for row in table):
-        raise GroupSpecError("multiplication table must be square")
-    if not all(type(x) is int and 0 <= x < n for row in table for x in row):
-        raise GroupSpecError(f"table entries must be integers in 0..{n - 1}")
-    label = label or f"table:{n}"
-
-    for identity in range(n):
-        if all(table[identity][g] == g and table[g][identity] == g for g in range(n)):
-            break
-    else:
-        raise GroupSpecError(f"table for '{label}' has no identity element")
-
-    def find_inverse(g: int) -> int:
-        for h in range(n):
-            if table[g][h] == identity:
-                if table[h][g] != identity:
-                    raise GroupSpecError(
-                        f"element {h} is only a one-sided inverse of {g}"
-                    )
-                return h
-        raise GroupSpecError(f"element {g} has no inverse in '{label}'")
-
-    inverses = tuple(find_inverse(g) for g in range(n))
-    return FiniteGroup(
-        n, identity, lambda a, b: table[a][b], inverses.__getitem__, label, (label, table)
-    )
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -154,11 +110,9 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     def inv(x: int) -> int:
         return inv1(x // n2) * n2 + inv2(x % n2)
 
-    label = f"product:{g1.label},{g2.label}"
-    # A factor's stored table is part of the product's key.
-    key = None if (g1.key, g2.key) == (g1.label, g2.label) else (label, g1.key, g2.key)
     return FiniteGroup(
-        g1.order * n2, g1.identity * n2 + g2.identity, mul, inv, label, key=key
+        g1.order * n2, g1.identity * n2 + g2.identity, mul, inv,
+        f"product:{g1.label},{g2.label}",
     )
 
 

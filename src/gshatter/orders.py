@@ -143,17 +143,18 @@ def is_strict(ranks: tuple[int, ...]) -> bool:
 def separated_masks(ranking: tuple[int, ...]) -> set[int]:
     """All subsets this ranking places strictly below their complement.
 
-    For a strict ranking these are exactly its m+1 rank prefixes; tied
-    rankings never separate anything beyond the trivial subsets.
+    For a strict ranking these are exactly its m+1 rank prefixes; a
+    ranking that is not strict separates only the trivial subsets.
     """
     m = len(ranking)
-    out = {0, (1 << m) - 1}
-    if not is_strict(ranking):
-        return out
-    by_rank = sorted(range(m), key=ranking.__getitem__)
-    acc = 0
-    for i in by_rank:
-        acc |= 1 << i
+    at_rank = [0] * m  # at_rank[k - 1]: the bit of the element ranked k
+    for i, r in enumerate(ranking):
+        if not 0 < r <= m or at_rank[r - 1]:  # a rank outside 1..m, or a tie
+            return {0, (1 << m) - 1}
+        at_rank[r - 1] = 1 << i
+    out, acc = {0}, 0
+    for bit in at_rank:
+        acc |= bit
         out.add(acc)
     return out
 

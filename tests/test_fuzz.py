@@ -10,7 +10,8 @@ to `synth` and `orders`, and any text as `bounds --n`.  Every call must
 return a code in 0..5, no exception may escape `cli.main`, and no line
 on stderr may be longer than 500 characters.  Drawn arguments are
 well-formed for the parser, whose own usage errors (SystemExit 2)
-`TestParser` covers.
+`TestParser` covers.  The drawn specs also check that a group's label
+builds the same group again, since the label is what files store.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gshatter.cli import main
-from gshatter.groups import MAX_PRODUCT_DEPTH
+from gshatter.groups import MAX_PRODUCT_DEPTH, build_group
 from gshatter.synth import MODES
 
 ARTIFACTS = (
@@ -226,6 +227,19 @@ def small_specs(draw, budget: int = 32) -> str:
     first_budget = draw(st.integers(1, budget // 2))
     first = draw(small_specs(first_budget))
     return f"product:{first},{draw(small_specs(budget // first_budget))}"
+
+
+@settings(FUZZ, max_examples=60)
+@given(spec=small_specs(), data=st.data())
+def test_a_label_builds_its_group_again(spec, data):
+    group = build_group(spec)  # every spec small_specs draws builds
+    again = build_group(group.label)
+    assert (again.label, again.order, again.identity) == (
+        group.label, group.order, group.identity)
+    sample = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=6))
+    for x in sample:
+        assert again.inv(x) == group.inv(x)
+        assert [again.mul(x, y) for y in sample] == [group.mul(x, y) for y in sample]
 
 
 specs = st.one_of(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from gshatter.gfunc import (
     indicator,
     translate,
 )
-from gshatter.groups import build_group, product_group, table_group
+from gshatter.groups import build_group
+from gshatter.jsonio import group_function_from_json, group_function_to_json
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -100,51 +102,31 @@ class TestConvolution:
         with pytest.raises(ValueError):
             convolve(f, k, counting_measure(f.group))
 
-    def test_custom_tables_of_one_order_are_told_apart(self):
-        # Both tables are labelled "table:4"; only their content differs.
-        z4 = table_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
-        klein = table_group([[a ^ b for b in range(4)] for a in range(4)])
-        assert z4.label == klein.label == "table:4"
-        f = GroupFunction.from_values(z4, [1, 2, 3, 4])
-        k = GroupFunction.from_values(klein, [1, 0, 0, 5])
-        with pytest.raises(ValueError, match="group mismatch"):
-            convolve(f, k, counting_measure(z4))
-        with pytest.raises(ValueError, match="group mismatch"):
-            convolve(f, f, counting_measure(klein))
-        same = table_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
-        g = GroupFunction.from_values(same, [1, 0, 0, 0])
-        assert convolve(f, g, counting_measure(z4)).values == f.values
-        # The same explicit label does not make two tables one group.
-        z4_named = table_group(z4.mul_table, label="g4")
-        klein_named = table_group(klein.mul_table, label="g4")
-        f = GroupFunction.from_values(z4_named, [1, 2, 3, 4])
-        k = GroupFunction.from_values(klein_named, [1, 0, 0, 5])
-        with pytest.raises(ValueError, match="group mismatch"):
-            convolve(f, k, counting_measure(z4_named))
+    def test_groups_of_one_order_are_told_apart(self):
+        for specs in (["cyclic:4", "product:cyclic:2,cyclic:2"],
+                      ["cyclic:6", "dihedral:3", "product:cyclic:2,cyclic:3"]):
+            groups = [build_group(spec) for spec in specs]
+            for g in groups:
+                f = GroupFunction.from_values(g, range(g.order))
+                for h in groups:
+                    k = GroupFunction.from_values(h, [1] + [0] * (h.order - 1))
+                    if g is h:
+                        assert convolve(f, k, counting_measure(g)).values == f.values
+                        continue
+                    with pytest.raises(ValueError, match="group mismatch"):
+                        convolve(f, k, counting_measure(g))
+                    with pytest.raises(ValueError, match="group mismatch"):
+                        convolve(f, f, counting_measure(h))
 
-    def test_tables_never_pass_for_spec_groups(self):
-        spec = build_group("cyclic:4")
-        table = table_group(spec.mul_table, label="cyclic:4")
-        f = GroupFunction.from_values(spec, [1, 2, 3, 4])
-        k = GroupFunction.from_values(table, [1, 0, 0, 0])
-        with pytest.raises(ValueError, match="group mismatch"):
-            convolve(f, k, counting_measure(spec))
-        # Products carry their factors' tables into their key.
-        z4 = table_group(spec.mul_table)
-        klein = table_group([[a ^ b for b in range(4)] for a in range(4)])
-        p1 = product_group(z4, spec)
-        p2 = product_group(klein, spec)
-        assert p1.label == p2.label
-        f = GroupFunction.from_values(p1, range(16))
-        k = GroupFunction.from_values(p2, range(16))
-        with pytest.raises(ValueError, match="group mismatch"):
-            convolve(f, k, counting_measure(p1))
-        # Spec groups built twice are one group.
-        again = build_group("cyclic:4")
-        k = GroupFunction.from_values(again, [1, 0, 0, 0])
-        assert convolve(GroupFunction.from_values(spec, [1, 2, 3, 4]), k,
-                        counting_measure(again)).values == tuple(
-            Fraction(v) for v in (1, 2, 3, 4))
+    def test_a_function_read_back_convolves_with_the_original(self):
+        for spec in GROUP_POOL:
+            group = build_group(spec)
+            f = GroupFunction.from_values(group, [Fraction(i, 3) for i in range(group.order)])
+            back = group_function_from_json(json.loads(json.dumps(group_function_to_json(f))))
+            assert back.group is not group and back.values == f.values
+            mu = counting_measure(back.group)
+            assert convolve(f, back, mu).values == convolve(back, f, mu).values == (
+                convolve(f, f, mu).values)
 
 
 class TestTranslation:
@@ -194,7 +176,7 @@ class TestValuesAndMeasures:
     def test_integers_and_strings_of_values_coerce(self):
         g = build_group("cyclic:2")
         f = GroupFunction.from_values(g, [1, Fraction(1, 2)])
-        assert f(0) == 1 and f(1) == Fraction(1, 2)
+        assert f.values == (1, Fraction(1, 2))
 
     def test_wrong_length_rejected(self):
         g = build_group("cyclic:3")

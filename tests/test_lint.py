@@ -49,6 +49,37 @@ def test_no_assert_statements(path):
     assert not offenders, f"{path.name}: assert or AssertionError at lines {offenders}"
 
 
+def _group_constructions(tree: ast.Module) -> list[int]:
+    """Lines that call ``FiniteGroup(...)``, by name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "FiniteGroup" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "groups.py"], ids=lambda p: p.name
+)
+def test_every_group_comes_from_a_spec(path):
+    """Only ``groups.py`` builds a ``FiniteGroup``, so every group has a spec label."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = _group_constructions(tree)
+    assert not calls, f"{path.name}: FiniteGroup(...) called at lines {calls}"
+
+
+def test_group_construction_is_caught():
+    tree = ast.parse(
+        "from . import groups\nfrom .groups import FiniteGroup\n"
+        "def table(n: int) -> FiniteGroup:\n"
+        "    return FiniteGroup(n, 0, mul, inv, 'table')\n"
+        "other = groups.FiniteGroup(1, 0, mul, inv, 'x')\n"
+        "isinstance(other, FiniteGroup)\n"
+    )
+    assert _group_constructions(tree) == [4, 5]
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     """Module-level ``_name`` definitions: functions, classes, assignments."""
     found = []

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -125,6 +125,25 @@ class TestSeparation:
 
     def test_tied_ranking_separates_only_trivial(self):
         assert separated_masks((1, 1)) == {0, 3}
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_every_ranking_matches_the_definition(self, m):
+        """Ranks 0..m+1 in every position: ties and ranks outside 1..m too.
+
+        A strict ranking (a permutation of 1..m) separates each subset it
+        ranks strictly below its complement; any other, only 0 and [m]."""
+        full = (1 << m) - 1
+        for ranking in product(range(m + 2), repeat=m):
+            if set(ranking) == set(range(1, m + 1)):
+                expected = {
+                    mask for mask in range(full + 1)
+                    if all(ranking[i] < ranking[j]
+                           for i in range(m) if mask >> i & 1
+                           for j in range(m) if not mask >> j & 1)
+                }
+            else:
+                expected = {0, full}
+            assert separated_masks(ranking) == expected, ranking
 
     def test_single_ranking_incomplete_at_m2(self):
         assert not is_complete(OrderSet(2, ((1, 2),)))
