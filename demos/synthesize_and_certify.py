@@ -32,7 +32,7 @@ def show(spec: str = "cyclic:18", m: int = 3) -> None:
         print(f"  {line}")
     assert report.passed
 
-    cert = report.certificate  # computed by the report's shattering check
+    cert = report.certificate  # cut from the levels: every c1 is some -c_l
     print(f"\nshattered: {cert.shattered}")
     print("witnesses (labels -> c1, c2):")
     for entry in cert.entries:

@@ -66,7 +66,8 @@ class CriticalSet:
     its values: `values[k]` is nu of `profiles[k]` there times q*scale.
     When `stopped`, the walk ended at the row whose strict rankings
     became a complete set, and `rows` holds the rankings up to it only.
-    No point is kept: `points` and `probes` walk the whole line again.
+    `verify_synth` builds its rows from level probes (c1 = -c_l) instead.
+    No point is kept: `points` and `probes` walk the profiles' line again.
     """
 
     profiles: tuple[NuProfile, ...]

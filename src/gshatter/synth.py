@@ -31,7 +31,7 @@ from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationE
 from .gfunc import GroupFunction, counting_measure, fraction_to_str
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
 from .orders import OrderSet, build_complete_orders, completeness_lower_bound
-from .shatter import ShatterCertificate, certificate, critical_set
+from .shatter import CriticalSet, ShatterCertificate, certificate, critical_set
 
 MODES = tuple(ELEMENTS_PER_CENTRE)
 # The open interval (B, C) that holds every level; any 0 < B < C works.
@@ -410,7 +410,9 @@ def verify_synth(result: SynthResult) -> SynthReport:
     is convolved with the kernel once, and each check group reads the
     result and the tables built here, nothing of another group.
     SynthResult has checked the shape: one level, threshold and subset of
-    m centres per target order.
+    m centres per target order.  `shattering` cuts the patterns from the
+    levels, one CriticalSet row per -c_l; only levels that witness fewer
+    than 2^m, so missed a target order, fall back to the full sweep.
     """
     m, B, C = result.m, result.B, result.C
     orders = build_complete_orders(m)
@@ -421,15 +423,22 @@ def verify_synth(result: SynthResult) -> SynthReport:
     )
     tower = build_u_tower(B, C, p=m)
     read_levels = _level_reader(profiles)
+    levels = [read_levels(-c) for c in result.thresholds]
     eps_ok = result.epsilon == synth_epsilon(B, C, m)
     checks = [
         SynthCheck("epsilon-formula", eps_ok, f"epsilon = {fraction_to_str(result.epsilon)}"),
         *_layout_checks(result, tower),
         *_recursion_checks(result, read_levels),
-        *_level_checks(result, orders, read_levels),
+        *_level_checks(result, orders, levels),
         *_value_checks(result, profiles, tower),
     ]
-    cert = certificate(critical_set(profiles))
+    # Level l's xs are nu * D at c1 = -c_l = -a/b, with D = b * scale.
+    scale, rows = lcm(*(p.den for p in profiles)), {}
+    for c, (xs, _) in zip(result.thresholds, levels):
+        rows.setdefault(ranking_of_values(xs), ((-c.numerator * scale, c.denominator), xs))
+    cert = certificate(CriticalSet(tuple(profiles), scale, rows, stopped=False))
+    if not cert.shattered:
+        cert = certificate(critical_set(profiles))
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
     checks.append(SynthCheck("shattering", cert.shattered, detail))
     return SynthReport(tuple(checks), orders, cert)
@@ -507,7 +516,7 @@ def _recursion_checks(result: SynthResult, read_levels: LevelReader) -> Iterator
 
 
 def _level_checks(
-    result: SynthResult, orders: OrderSet, read_levels: LevelReader
+    result: SynthResult, orders: OrderSet, levels: Sequence[tuple[list[int], int]]
 ) -> Iterator[SynthCheck]:
     """thresholds, then the target order and the eps gaps at each -c_l."""
     epsilon = result.epsilon
@@ -515,7 +524,6 @@ def _level_checks(
         c == m_l - epsilon / 2 for c, m_l in zip(result.thresholds, result.ms)
     )
     yield SynthCheck("thresholds", thresholds_ok, "c_l = m_l - eps/2 for every level")
-    levels = [read_levels(-c) for c in result.thresholds]
     misses = (
         f"level {l}: ranking {got} != target {want}"
         for l, ((xs, _), want) in enumerate(zip(levels, orders.rankings), 1)

@@ -136,6 +136,28 @@ def shift_sweep_values(monkeypatch):
     monkeypatch.setattr(NuProfile, "pieces", shifted)
 
 
+def shift_level_values(monkeypatch):
+    """Make the nu values that verify_synth reads at each level wrong by 1.
+
+    Every value at a bias gains D, its common denominator, so rankings,
+    spreads and gaps stay right while every cut, and with it every
+    witness that synth takes from the levels, is off by 1; the re-check
+    reads nu off each profile's breakpoint table (`NuProfile.exceeds`).
+    """
+    true_reader = gshatter.synth._level_reader
+
+    def shifted_reader(profiles):
+        read = true_reader(profiles)
+
+        def shifted(c):
+            xs, scale = read(c)
+            return [x + scale for x in xs], scale
+
+        return shifted
+
+    monkeypatch.setattr(gshatter.synth, "_level_reader", shifted_reader)
+
+
 def watch_profiles(monkeypatch):
     """Keep a weakref to every profile built at the shatter and synth bindings
     of build_nu_profiles, and count, when the cli writes its first file,
@@ -570,21 +592,21 @@ class TestSynthCommand:
             ("cyclic:18", 3, "order_two"): {
                 "functions.json": "4a4b4faab32198f801b7a8cd23f4995cbd058d3906e4df8e31ae7671126d8f35",
                 "kernel.json": "d034bd723a2d68d06ed33825ab6351ba77367765aa987c218990316df63683f4",
-                "shatter_certificate.json": "8b8ba8b18ff9b9068e39a5406a827d7d5193e4b855045448688310e1d578fe85",
+                "shatter_certificate.json": "95765b6265cc563d7a2e2f9e2ab79dec859ea8cf2bc9fb7208d427beffa794e3",
                 "synth_result.json": "6c39658a1033e911cc072c91d76a309c1f755fb3a5aa5f523e5e964116a6fc20",
                 "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
             },
             ("dihedral:9", 3, "order_two"): {
                 "functions.json": "b71166475c9111bc5ffb34d2d68faf5443e275ff8c5e8f547c553785fac6c81a",
                 "kernel.json": "7e94d0cde42b01feffe2803c578fe9b38c1d0d452e1c635a7d7ec24150f15ebb",
-                "shatter_certificate.json": "dab2b916719e9fc3856a682773a919575bb40777e50173971a89022a79bde629",
+                "shatter_certificate.json": "73b1a01a0eab6c8e0b029c7f37c8849bc4dedda8c3055df13b1f695dc0160919",
                 "synth_result.json": "9c0e1c2f01864f8009a6d4598f3569f1bcf203f7a76a623fad3896e61a5d6892",
                 "verify_report.json": "475eb1681f6e9082cd296c73e651e14347fb8d86348ed85510798fbc4c88539f",
             },
             ("cyclic:81", 3, "general"): {
                 "functions.json": "a34259f1c3d8c05abaad483d73d882599ed37bd256d645175df2532e483a782a",
                 "kernel.json": "fdf470d0c2461cfae23b2af877dfb7f5cfe233b6c31a25a7c5d722e15c867f34",
-                "shatter_certificate.json": "a8fa59ce0ecf4ba36f838c291103cb084756c90a08e416cd8126917122b278e8",
+                "shatter_certificate.json": "af2ea3a9f89c3f41c61dd046c2828037d4684c67f2097659f83eeb933aa9069d",
                 "synth_result.json": "3333d67a22d8443d456f040236a25fe1cef9c52206a7f0b8b2211dc7cadac68d",
                 "verify_report.json": "107099ed7beb7d8d8beca105b0d639ede38af62c64bd5c0cf3cd7d598f55f673",
             },
@@ -593,7 +615,7 @@ class TestSynthCommand:
                 "functions.json": "fb3ac310ba3df94b623fc853ca6c3723531e1bd480187dd1c0b091f7eb5bec4d",
                 "kernel.json": "7dc7f5facc6b659ec475f9a613118aa057627f833e1d4d1dcd4d274f25888812",
                 "orders.json": "be4ba762794a2e477be087e62cc85acd20e120fe969aacbc1f242952db1f1438",
-                "shatter_certificate.json": "2a08e80e6aef9084e270f66ef9103f5c770a2f616865ec50f042b13e3989ce16",
+                "shatter_certificate.json": "d73625dd91ae49cd8f00170b0e46be1bb278563b0fe4803a6cd3a61b7453c4b4",
                 "synth_result.json": "0e13814aad8ea582e04eed7afa78277a33bb894c0af020e4d7b677cdf411f2b1",
                 "verify_report.json": "5ec7c1dc0a87452488b716aafb0efebd2f910ea9363f7f8627dc03ebb9d39f78",
             },
@@ -684,7 +706,7 @@ class TestSynthCommand:
     def test_failed_witness_recheck_exits_5_without_artifacts(
         self, capsys, tmp_path, monkeypatch
     ):
-        shift_sweep_values(monkeypatch)
+        shift_level_values(monkeypatch)
         out = tmp_path / "out"
         code, _, err = run(
             capsys, "synth", "--group", "cyclic:8", "--m", "2",
@@ -694,6 +716,40 @@ class TestSynthCommand:
         assert err.startswith("error: witness re-verification failed")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, mode", [
+        ("cyclic:18", "order_two"), ("dihedral:9", "order_two"), ("cyclic:81", "general"),
+    ])
+    def test_certificate_comes_from_the_levels(self, capsys, tmp_path, monkeypatch, spec, mode):
+        # A passing synth cuts every pattern from its levels and never
+        # sweeps; verify on its bundle still does, and agrees.
+        def no_sweep(profiles):
+            raise AssertionError("synth swept the line")
+
+        monkeypatch.setattr(gshatter.synth, "critical_set", no_sweep)
+        sweeps = []
+        sweep = gshatter.shatter.critical_set
+        monkeypatch.setattr(
+            gshatter.shatter, "critical_set", lambda ps: sweeps.append(1) or sweep(ps)
+        )
+        code, _, _ = run(
+            capsys, "synth", "--group", spec, "--m", "3", "--mode", mode,
+            "--out-dir", str(tmp_path),
+        )
+        assert (code, sweeps) == (0, [])
+        result = synth_result_from_json(read_json(tmp_path / "synth_result.json"))
+        cert = certificate_from_json(read_json(tmp_path / "shatter_certificate.json"))
+        levels = {-c for c in result.thresholds}
+        assert cert.shattered and all(e.c1 in levels for e in cert.entries)
+        out = tmp_path / "verify" / "verdict.json"
+        code, _, _ = run(
+            capsys,
+            "verify",
+            "--kernel", str(tmp_path / "kernel.json"),
+            "--functions", str(tmp_path / "functions.json"),
+            "--out", str(out),
+        )
+        assert (code, sweeps, read_json(out)["agreement"]) == (0, [1], True)
 
     def test_failed_shattering_exits_1_with_artifacts(
         self, capsys, tmp_path, monkeypatch

@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 
 import gshatter.synth
 from gshatter.bounds import required_group_size
+from gshatter.classifier import build_nu_profiles
 from gshatter.errors import (
     GroupTooSmallError,
     ModeElementError,
     SynthesisVerificationError,
 )
-from gshatter.gfunc import constant
+from gshatter.gfunc import constant, counting_measure
 from gshatter.groups import build_group
 from gshatter.orders import build_complete_orders
+from gshatter.shatter import certificate, critical_set
 from gshatter.synth import (
     LEVEL_INTERVAL,
     _check_subsets,
@@ -413,6 +415,22 @@ class TestVerification:
         failed = {c.name for c in report.checks if not c.passed}
         assert "orders-realized" in failed
         assert "kernel-minimum-level" in failed
+
+    def test_levels_that_miss_patterns_fall_back_to_the_sweep(self):
+        # With every threshold at c_1 the one level ranking cuts only m + 1
+        # patterns, so the certificate comes from the sweep over the line.
+        result = synth_kernel(build_group("cyclic:100"), 5)
+        broken = dataclasses.replace(
+            result, thresholds=(result.thresholds[0],) * len(result.thresholds)
+        )
+        report = verify_synth(broken)
+        verdicts = {c.name: (c.passed, c.detail) for c in report.checks}
+        assert not verdicts["thresholds"][0] and not verdicts["orders-realized"][0]
+        assert verdicts["shattering"] == (True, "32 of 32 label patterns witnessed")
+        profiles = build_nu_profiles(
+            broken.kernel, broken.family(), counting_measure(broken.group)
+        )
+        assert report.certificate == certificate(critical_set(profiles))
 
     def test_report_lines_format(self):
         group = build_group("cyclic:8")
