@@ -38,11 +38,9 @@ from .errors import (
 from .gfunc import (
     GroupFunction,
     Measure,
-    constant,
     convolve,
     counting_measure,
     indicator,
-    translate,
 )
 from .groups import (
     FiniteGroup,

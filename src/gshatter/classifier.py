@@ -13,8 +13,9 @@ downstream.
 
 Inside, a profile holds f*K as integers over one denominator, and one
 sorted table of its terms that gives nu at any bias and nu's pieces
-alike; `NuProfile.scaled` gives nu at a bias as an integer pair, a
-Fraction is formed only for the nu that `NuProfile.at` returns, and no
+alike; `NuProfile.scaled` gives nu at a bias as an integer pair, and
+`nu_values` gives every profile's nu at one bias over one denominator.
+A Fraction is formed only for the nu that `NuProfile.at` returns, and no
 float is used anywhere.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .gfunc import GroupFunction, Measure, _convolve
@@ -35,9 +37,9 @@ class NuProfile:
     (f*K)(g) is nums[g] / den.  The profile sorts its terms once, by
     x = (f*K)(g) * den, into `xs`, with suffix sums of x (`masses`), so
     the terms from position i on number len(xs) - i and add up to
-    masses[i].  `scaled`, `at` and `exceeds` read nu at one bias from
-    that table; `pieces` streams nu in closed form, piece by piece, from
-    the same table.
+    masses[i].  `scaled` and `at` read nu at one bias from that table;
+    `pieces` streams nu in closed form, piece by piece, from the same
+    table.
     """
 
     nums: tuple[int, ...]
@@ -89,10 +91,17 @@ class NuProfile:
         """sum_g max(0, (f*K)(g) + c): nu at c, exactly."""
         return Fraction(*self.scaled(c))
 
-    def exceeds(self, c: Fraction, t: Fraction) -> bool:
-        """Whether nu(c) > t, by cross-multiplication: no Fraction is formed."""
-        num, den = self.scaled(c)
-        return num * t.denominator > t.numerator * den
+
+def nu_values(profiles: Sequence[NuProfile], c: Fraction) -> tuple[list[int], int]:
+    """(xs, D) with nu_k(c) = xs[k] / D for every profile k.
+
+    D is the lcm of the profiles' dens times c's denominator, so rankings,
+    spreads, gaps and cuts at one bias compare integers and no Fraction is
+    formed per profile.
+    """
+    scale = lcm(*(p.den for p in profiles))
+    # scaled(c) is over den * c.denominator, which scale // den times is D.
+    return [p.scaled(c)[0] * (scale // p.den) for p in profiles], scale * c.denominator
 
 
 def build_nu_profiles(

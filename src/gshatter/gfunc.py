@@ -104,20 +104,6 @@ def indicator(group: FiniteGroup, g: int) -> GroupFunction:
     return GroupFunction(group, values)
 
 
-def constant(group: FiniteGroup, value: object) -> GroupFunction:
-    v = _as_fraction(value, "constant value")
-    return GroupFunction(group, tuple(v for _ in range(group.order)))
-
-
-def translate(f: GroupFunction, a: int) -> GroupFunction:
-    """The function g -> f(a*g)."""
-    group = f.group
-    if not 0 <= a < group.order:
-        raise ValueError(f"element index {a} out of range for {group.label}")
-    values = tuple(f.values[group.mul(a, g)] for g in range(group.order))
-    return GroupFunction(group, values)
-
-
 def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """(nums, den): values[i] = nums[i] / den, den the lcm of the denominators."""
     den = lcm(*(v.denominator for v in values))

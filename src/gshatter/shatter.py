@@ -6,8 +6,9 @@ nu functions at c1.  Those are piecewise affine in c1, so probing one
 rational point inside every maximal piece — plus every breakpoint and
 crossing — visits every realizable label pattern.  Each witnessed
 pattern is re-verified before it enters a certificate: nu is evaluated
-at the witness from each profile's breakpoint table (`NuProfile.exceeds`),
-not read off the sweep's pieces, crossings, probes or cuts that found it.
+at the witness from each profile's breakpoint table (`nu_values`, through
+`NuProfile.scaled`), not read off the sweep's pieces, crossings, probes
+or cuts that found it, nor off synth's level cuts.
 
 The sweep runs on integers over one common denominator: Fractions
 appear only in emitted (c1, c2) witnesses, and floats nowhere.  It ends
@@ -25,7 +26,7 @@ from itertools import chain, combinations, groupby, product, repeat
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .classifier import NuProfile, build_nu_profiles, ranking_of_values
+from .classifier import NuProfile, build_nu_profiles, nu_values, ranking_of_values
 from .errors import InvariantError, WitnessVerificationError
 from .gfunc import GroupFunction, Measure
 from .orders import OrderSet, is_complete, separated_masks
@@ -233,13 +234,17 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
     """Certificate covering all 2^m label patterns of a critical set.
 
     Every witness is re-verified by classify's rule, with nu evaluated at
-    the witness on each of `critical.profiles` by `NuProfile.exceeds`, not
-    taken from the sweep's values; a witness that failed re-verification
-    would mean an internal inconsistency, so it raises
-    WitnessVerificationError instead of being silently dropped.  A sweep
-    that stopped early claims a complete set of rankings, so a pattern
-    left without a witness there raises InvariantError: a stop rule that
-    fired too early never passes as a negative verdict.
+    the witness from each of `critical.profiles`' breakpoint tables
+    (`nu_values`, which reads `NuProfile.scaled`), not taken from the
+    sweep's pieces or values nor from synth's level cuts.  A row's
+    witnesses are contiguous in discovery order and share its c1, so nu
+    is read once per distinct c1.  A witness that failed re-verification
+    would mean an internal inconsistency, so the first such one in
+    discovery order raises WitnessVerificationError instead of being
+    silently dropped.  A sweep that stopped early claims a complete set
+    of rankings, so a pattern left without a witness there raises
+    InvariantError: a stop rule that fired too early never passes as a
+    negative verdict.
     """
     m = len(critical.profiles)
     found = _witnesses(critical)
@@ -248,22 +253,27 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
             "the sweep stopped at a complete set of rankings, yet "
             f"{2 ** m - len(found)} of {2 ** m} label patterns have no witness"
         )
-    entries: list[DichotomyEntry] = []
-    for labels in product((-1, 1), repeat=m):
-        if labels in found:
-            c1, c2 = found[labels]
-            for k, profile in enumerate(critical.profiles):
-                got = 1 if profile.exceeds(c1, -c2) else -1
-                if got != labels[k]:
-                    raise WitnessVerificationError(
-                        f"witness ({c1}, {c2}) for {labels} fails on "
-                        f"function {k}: the classifier gives {got}"
-                    )
-            entries.append(DichotomyEntry(labels, "witnessed", c1, c2))
-        else:
-            entries.append(DichotomyEntry(labels, "unreachable"))
-    shattered = all(e.status == "witnessed" for e in entries)
-    return ShatterCertificate(m=m, entries=tuple(entries), shattered=shattered)
+    read = None
+    for labels, (c1, c2) in found.items():
+        if read != c1:
+            read, (xs, scale) = c1, nu_values(critical.profiles, c1)
+        # nu_k(c1) + c2 > 0 exactly when xs[k] * c2.den > -c2.num * scale.
+        cut = -c2.numerator * scale
+        for k, x in enumerate(xs):
+            got = 1 if x * c2.denominator > cut else -1
+            if got != labels[k]:
+                raise WitnessVerificationError(
+                    f"witness ({c1}, {c2}) for {labels} fails on "
+                    f"function {k}: the classifier gives {got}"
+                )
+    entries = tuple(
+        DichotomyEntry(labels, "witnessed", *found[labels])
+        if labels in found
+        else DichotomyEntry(labels, "unreachable")
+        for labels in product((-1, 1), repeat=m)
+    )
+    shattered = len(found) == 2 ** m
+    return ShatterCertificate(m=m, entries=entries, shattered=shattered)
 
 
 def attained_orders(critical: CriticalSet) -> OrderSet:

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import pairwise
 from math import ceil, floor, lcm
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
-from .classifier import NuProfile, build_nu_profiles, ranking_of_values
+from .classifier import NuProfile, build_nu_profiles, nu_values, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError, _quoted
 from .gfunc import GroupFunction, counting_measure, fraction_to_str
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
@@ -422,13 +422,12 @@ def verify_synth(result: SynthResult) -> SynthReport:
         result.kernel, result.family(), counting_measure(result.group)
     )
     tower = build_u_tower(B, C, p=m)
-    read_levels = _level_reader(profiles)
-    levels = [read_levels(-c) for c in result.thresholds]
+    levels = [nu_values(profiles, -c) for c in result.thresholds]
     eps_ok = result.epsilon == synth_epsilon(B, C, m)
     checks = [
         SynthCheck("epsilon-formula", eps_ok, f"epsilon = {fraction_to_str(result.epsilon)}"),
         *_layout_checks(result, tower),
-        *_recursion_checks(result, read_levels),
+        *_recursion_checks(result, profiles),
         *_level_checks(result, orders, levels),
         *_value_checks(result, profiles, tower),
     ]
@@ -442,26 +441,6 @@ def verify_synth(result: SynthResult) -> SynthReport:
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
     checks.append(SynthCheck("shattering", cert.shattered, detail))
     return SynthReport(tuple(checks), orders, cert)
-
-
-LevelReader = Callable[[Fraction], tuple[list[int], int]]
-
-
-def _level_reader(profiles: Sequence[NuProfile]) -> LevelReader:
-    """read(c) = (xs, D) with nu_k(c) = xs[k] / D for every profile k.
-
-    D is the lcm of the profiles' dens times c's denominator, so rankings,
-    spreads and gaps at one bias compare integers and no Fraction is
-    formed per profile.
-    """
-    scale = lcm(*(p.den for p in profiles))
-    factors = [scale // p.den for p in profiles]
-
-    def read(c: Fraction) -> tuple[list[int], int]:
-        # scaled(c) is over den * c.denominator, which k times is D.
-        return [p.scaled(c)[0] * k for p, k in zip(profiles, factors)], scale * c.denominator
-
-    return read
 
 
 def _layout_checks(result: SynthResult, tower: UTower) -> Iterator[SynthCheck]:
@@ -487,7 +466,9 @@ def _layout_checks(result: SynthResult, tower: UTower) -> Iterator[SynthCheck]:
         yield SynthCheck("subset-disjointness", True, detail)
 
 
-def _recursion_checks(result: SynthResult, read_levels: LevelReader) -> Iterator[SynthCheck]:
+def _recursion_checks(
+    result: SynthResult, profiles: Sequence[NuProfile]
+) -> Iterator[SynthCheck]:
     """level-recursion, then level-condition and spread-bound on its spreads.
 
     m_l = m_{l-1} - m (M_{l-1} + eps), with the spread M_l read off the
@@ -504,7 +485,7 @@ def _recursion_checks(result: SynthResult, read_levels: LevelReader) -> Iterator
             yield SynthCheck("level-condition", False, "skipped: level recursion broken")
             yield SynthCheck("spread-bound", False, "skipped: level recursion broken")
             return
-        xs, scale = read_levels(-m_l + epsilon)
+        xs, scale = nu_values(profiles, -m_l + epsilon)
         big_m = Fraction(max(xs) - min(xs), scale)
         big_ms.append(big_m)
         m_prev = m_l

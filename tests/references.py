@@ -9,7 +9,10 @@ search over every pair on every grid piece, the ReLU sum term by term
 comparing every value with every cut, ranks by counting, the u-tower
 functions by their dense formula, the k-vector solved and checked on
 every tower level for each target, and verify_synth's level and value
-checks in Fractions.  The differential tests assert identical results.
+checks in Fractions, and the certificate's witness re-check one
+(witness, profile) pair at a time.  The differential tests assert
+identical results.  `translate`, the left translation g -> f(a g), is
+what the translation-invariance tests apply.
 """
 
 from __future__ import annotations
@@ -17,12 +20,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
-from gshatter.errors import SynthesisVerificationError
+from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
 from gshatter.gfunc import GroupFunction, indicator
 from gshatter.orders import build_complete_orders
+
+
+def translate(f: GroupFunction, a: int) -> GroupFunction:
+    """The function g -> f(a*g)."""
+    group = f.group
+    values = tuple(f.values[group.mul(a, g)] for g in range(group.order))
+    return GroupFunction(group, values)
 
 
 def dense_convolve(f: GroupFunction, kernel: GroupFunction) -> tuple[Fraction, ...]:
@@ -303,6 +313,27 @@ def cut_witnesses(probes, values):
             labels = tuple(1 if v > threshold else -1 for v in row)
             found.setdefault(labels, (c1, -threshold))
     return found
+
+
+def exceeds_recheck(profiles, found) -> None:
+    """certificate's witness re-check, one (witness, profile) pair at a time.
+
+    Walks the patterns in product order and reads nu(c1) > -c2 on each
+    profile by cross-multiplication of `NuProfile.scaled`; the first
+    failure raises WitnessVerificationError with certificate's text.
+    """
+    for labels in product((-1, 1), repeat=len(profiles)):
+        if labels not in found:
+            continue
+        c1, c2 = found[labels]
+        for k, profile in enumerate(profiles):
+            num, den = profile.scaled(c1)
+            got = 1 if num * c2.denominator > -c2.numerator * den else -1
+            if got != labels[k]:
+                raise WitnessVerificationError(
+                    f"witness ({c1}, {c2}) for {labels} fails on "
+                    f"function {k}: the classifier gives {got}"
+                )
 
 
 def counted_ranks(values) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from gshatter.bounds import (
 )
 from gshatter.classifier import build_nu_profile, build_nu_profiles, classify, nu
 from gshatter.cli import main
-from gshatter.gfunc import GroupFunction, counting_measure, translate
+from gshatter.gfunc import GroupFunction, counting_measure
 from gshatter.groups import build_group
 from gshatter.jsonio import (
     certificate_from_json,
@@ -269,6 +269,20 @@ def test_nu_profile_scaled_above_its_own_scale_on_criterion_05_instances():
             )
 
 
+def test_witness_recheck_matches_its_reference_on_criterion_05_instances():
+    """certificate accepts and rejects what the per-witness re-check does."""
+    from test_fast_paths import ROW_TAMPERS, assert_recheck_matches, tampered_rows
+
+    outcomes = set()
+    for kernel, fs, mu in random_instances(seed=42, count=1000):
+        crit = critical_set(build_nu_profiles(kernel, fs, mu))
+        assert assert_recheck_matches(crit)
+        for tamper in ROW_TAMPERS:
+            for rows in (range(len(crit.rows)), {0}):
+                outcomes.add(assert_recheck_matches(tampered_rows(crit, rows, tamper)))
+    assert outcomes == {True, False}
+
+
 def test_last_critical_point_is_the_largest_breakpoint_on_criterion_05_instances():
     """Past the largest breakpoint every nu has slope |G|, so no two cross there."""
     for kernel, fs, mu in random_instances(seed=42, count=1000):
@@ -392,6 +406,8 @@ def test_criterion_10_bound_consistency(bundles):
 
 def test_criterion_11_translation_invariance():
     """Labels never move under f -> f(a.) on groups up to order 48."""
+    from references import translate
+
     specs = (
         "cyclic:7",
         "dihedral:2",

@@ -14,11 +14,11 @@ from gshatter.classifier import (
     nu,
     ranking_of_values,
 )
-from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
+from gshatter.gfunc import GroupFunction, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.orders import is_strict
 
-from references import piece_lists, profile_value
+from references import piece_lists, profile_value, translate
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -94,8 +94,7 @@ class TestNuProfile:
 
     def test_constant_convolution_single_breakpoint(self):
         g = build_group("cyclic:4")
-        f = constant(g, 1)
-        k = constant(g, 1)
+        f = k = GroupFunction.from_values(g, [1] * g.order)
         profile = build_nu_profile(k, f, counting_measure(g))
         breakpoints, slopes, _ = piece_lists(profile, profile.den)
         assert breakpoints == [-4]
@@ -235,8 +234,6 @@ class TestClassifierInvariance:
                 g, [Fraction((5 * i) % 4 - 1, 3) for i in range(n)]
             )
             mu = counting_measure(g)
-            from gshatter.gfunc import translate
-
             for c1 in (Fraction(-1), Fraction(0), Fraction(1, 2)):
                 for c2 in (Fraction(-2), Fraction(0), Fraction(3)):
                     base = classify(k, f, mu, c1, c2)

@@ -124,8 +124,8 @@ def shift_sweep_values(monkeypatch):
     slope * t + offset, so adding scale to each offset adds 1 to nu on
     every piece from the first breakpoint on (left of it the sweep's own
     zero piece stays right); the re-check of each witness reads nu off
-    the profile's breakpoint table (`NuProfile.exceeds`) and never calls
-    `pieces`.
+    each profile's breakpoint table (`nu_values`, through
+    `NuProfile.scaled`) and never calls `pieces`.
     """
     true_pieces = NuProfile.pieces
 
@@ -141,21 +141,18 @@ def shift_level_values(monkeypatch):
 
     Every value at a bias gains D, its common denominator, so rankings,
     spreads and gaps stay right while every cut, and with it every
-    witness that synth takes from the levels, is off by 1; the re-check
-    reads nu off each profile's breakpoint table (`NuProfile.exceeds`).
+    witness that synth takes from the levels, is off by 1.  Only synth's
+    binding of `nu_values` is shifted: the re-check reads each profile's
+    breakpoint table through shatter's binding (and `NuProfile.scaled`),
+    never synth's level cuts.
     """
-    true_reader = gshatter.synth._level_reader
+    true_values = gshatter.synth.nu_values
 
-    def shifted_reader(profiles):
-        read = true_reader(profiles)
+    def shifted(profiles, c):
+        xs, scale = true_values(profiles, c)
+        return [x + scale for x in xs], scale
 
-        def shifted(c):
-            xs, scale = read(c)
-            return [x + scale for x in xs], scale
-
-        return shifted
-
-    monkeypatch.setattr(gshatter.synth, "_level_reader", shifted_reader)
+    monkeypatch.setattr(gshatter.synth, "nu_values", shifted)
 
 
 def watch_profiles(monkeypatch):

@@ -28,10 +28,10 @@ from gshatter.gfunc import (
     counting_measure,
     indicator,
 )
-from gshatter.errors import SynthesisVerificationError
+from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
 from gshatter.groups import build_group
 from gshatter.orders import OrderSet, is_complete, is_strict
-from gshatter.shatter import _witnesses, attained_orders, critical_set
+from gshatter.shatter import _witnesses, attained_orders, certificate, critical_set
 from gshatter.synth import (
     build_u_tower,
     solve_k_vector,
@@ -45,6 +45,7 @@ from references import (
     cut_witnesses,
     dense_convolve,
     dense_u_tower_functions,
+    exceeds_recheck,
     fraction_build_nu_profile,
     fraction_convolve,
     fraction_critical_set,
@@ -184,6 +185,55 @@ def assert_matches_references(kernel, fs, mu) -> None:
     points, probes, values = bisect_critical_set(refs)
     assert fraction_critical_set(refs) == (points, probes, values)
     assert_sweep_matches(crit, points, probes, values)
+
+
+def recheck_accepts(recheck, *args) -> bool:
+    """Whether a witness re-check passes rather than raising."""
+    try:
+        recheck(*args)
+    except WitnessVerificationError:
+        return False
+    return True
+
+
+def assert_recheck_matches(crit) -> bool:
+    """certificate accepts a critical set's witnesses exactly when the
+    per-(witness, profile) reference does; returns whether both accept."""
+    accepted = recheck_accepts(exceeds_recheck, crit.profiles, _witnesses(crit))
+    assert recheck_accepts(certificate, crit) == accepted
+    return accepted
+
+
+# Ways to make a row's values wrong: xs are nu times the row's unit u.
+ROW_TAMPERS = (
+    lambda xs, u: [x + u for x in xs],  # as shift_level_values does
+    lambda xs, u: [x - u for x in xs],
+    lambda xs, u: [x + 1 for x in xs],
+    lambda xs, u: [x - 1 for x in xs],
+    lambda xs, u: [xs[0] - 1, *xs[1:]],
+    lambda xs, u: [*xs[:-1], xs[-1] + u],
+)
+
+
+def tampered_rows(crit, rows, tamper):
+    """crit with the values of the rows at the positions in `rows` passed
+    through tamper.  It claims no stop: a tampered ranking may leave a
+    pattern without a witness, which is then no InvariantError."""
+    kept = {
+        ranking: ((p, q), tamper(values, q * crit.scale) if i in rows else values)
+        for i, (ranking, ((p, q), values)) in enumerate(crit.rows.items())
+    }
+    return dataclasses.replace(crit, rows=kept, stopped=False)
+
+
+def level_rows(result, monkeypatch):
+    """The rows verify_synth cuts its certificate from, one per level -c_l."""
+    made = []
+    monkeypatch.setattr(
+        gshatter.synth, "certificate", lambda crit: made.append(crit) or certificate(crit)
+    )
+    verify_synth(result)
+    return made[0]
 
 
 def assert_pieces_match_reference(p, ref) -> None:
@@ -581,3 +631,22 @@ class TestVerifySynthLevelChecks:
             "level-recursion", "level-condition", "spread-bound",
             "thresholds", "orders-realized", "pairwise-gaps",
         }
+
+
+class TestWitnessRecheck:
+    """certificate's re-check, one nu read per c1, against the reference
+    that reads nu once per (witness, profile)."""
+
+    def test_matches_on_real_and_tampered_level_rows(self, monkeypatch):
+        outcomes = set()
+        for spec, m, mode in (("cyclic:8", 2, "order_two"), ("cyclic:48", 4, "order_two"),
+                              ("cyclic:81", 3, "general")):
+            crit = level_rows(synth_kernel(build_group(spec), m, mode=mode), monkeypatch)
+            assert assert_recheck_matches(crit)
+            every = range(len(crit.rows))
+            # Every level off by D, as shift_level_values makes it, fails.
+            assert not assert_recheck_matches(tampered_rows(crit, every, ROW_TAMPERS[0]))
+            for tamper in ROW_TAMPERS:
+                for rows in (every, *({i} for i in every)):
+                    outcomes.add(assert_recheck_matches(tampered_rows(crit, rows, tamper)))
+        assert outcomes == {True, False}

@@ -9,16 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshatter.gfunc import (
-    GroupFunction,
-    constant,
-    convolve,
-    counting_measure,
-    indicator,
-    translate,
-)
+from gshatter.gfunc import GroupFunction, convolve, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.jsonio import group_function_from_json, group_function_to_json
+from references import translate
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -157,7 +151,7 @@ class TestValuesAndMeasures:
         for x in (0.5, 1.0, float("inf")):
             for make in (
                 lambda: GroupFunction.from_values(g, [x, 1]),
-                lambda: constant(g, x),
+                lambda: GroupFunction.from_values(g, [x] * g.order),
             ):
                 with pytest.raises(TypeError, match="exact rationals"):
                     make()
@@ -188,7 +182,6 @@ class TestValuesAndMeasures:
         f = GroupFunction.from_values(g, [0, 3, 0, -1])
         assert f.support() == [1, 3]
 
-    def test_indicator_and_constant(self):
+    def test_indicator(self):
         g = build_group("cyclic:4")
         assert indicator(g, 2).values == (0, 0, 1, 0)
-        assert constant(g, Fraction(1, 2)).values == (Fraction(1, 2),) * 4

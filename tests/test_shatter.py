@@ -12,7 +12,7 @@ import pytest
 from gshatter import shatter
 from gshatter.classifier import classify, nu
 from gshatter.errors import InvariantError
-from gshatter.gfunc import GroupFunction, constant, counting_measure, indicator
+from gshatter.gfunc import GroupFunction, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.orders import is_strict
 from gshatter.shatter import (
@@ -72,7 +72,7 @@ class TestCriticalPoints:
     def test_single_constant_function(self):
         g = build_group("cyclic:3")
         k = indicator(g, 0)
-        crit = critical_points(k, [constant(g, 1)], counting_measure(g))
+        crit = critical_points(k, [GroupFunction.from_values(g, [1] * g.order)], counting_measure(g))
         assert crit.points == (Fraction(-1),)
         assert crit.probes == (Fraction(-2), Fraction(-1), Fraction(0))
 
@@ -175,7 +175,7 @@ class TestEnumeration:
 
     def test_zero_kernel(self):
         g = build_group("cyclic:4")
-        k = constant(g, 0)
+        k = GroupFunction.from_values(g, [0] * g.order)
         fs = [GroupFunction.from_values(g, [i, 1, 0, -i]) for i in range(3)]
         assert witnessed(k, fs, counting_measure(g)) == {(-1, -1, -1), (1, 1, 1)}
 

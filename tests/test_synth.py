@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 import gshatter.synth
 from gshatter.bounds import required_group_size
-from gshatter.classifier import build_nu_profiles
+from gshatter.classifier import NuProfile, build_nu_profiles
 from gshatter.errors import (
     GroupTooSmallError,
     ModeElementError,
     SynthesisVerificationError,
 )
-from gshatter.gfunc import constant, counting_measure
+from gshatter.gfunc import GroupFunction, counting_measure
 from gshatter.groups import build_group
 from gshatter.orders import build_complete_orders
 from gshatter.shatter import certificate, critical_set
@@ -409,7 +409,8 @@ class TestVerification:
     def test_zero_kernel_fails_order_checks(self):
         group = build_group("cyclic:8")
         result = synth_kernel(group, 2)
-        broken = dataclasses.replace(result, kernel=constant(group, 0))
+        zero = GroupFunction.from_values(group, [0] * group.order)
+        broken = dataclasses.replace(result, kernel=zero)
         report = verify_synth(broken)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
@@ -431,6 +432,29 @@ class TestVerification:
             broken.kernel, broken.family(), counting_measure(broken.group)
         )
         assert report.certificate == certificate(critical_set(profiles))
+
+    def test_certificate_reads_nu_once_per_distinct_c1(self, monkeypatch):
+        # cyclic:48 at m = 4 certifies from 6 levels: its 16 witnesses sit
+        # at 6 distinct c1, so the re-check reads 6 x 4 values, not 16 x 4.
+        calls = []
+        scaled = NuProfile.scaled
+        made = gshatter.synth.certificate
+
+        def counted(critical):
+            monkeypatch.setattr(
+                NuProfile, "scaled", lambda self, c: calls.append(c) or scaled(self, c)
+            )
+            try:
+                return made(critical)
+            finally:
+                monkeypatch.setattr(NuProfile, "scaled", scaled)
+
+        monkeypatch.setattr(gshatter.synth, "certificate", counted)
+        cert = synth_kernel(build_group("cyclic:48"), 4).report.certificate
+        assert cert.shattered
+        distinct = {e.c1 for e in cert.entries}
+        assert len(distinct) == 6
+        assert len(calls) == len(distinct) * cert.m == 24
 
     def test_report_lines_format(self):
         group = build_group("cyclic:8")
