@@ -9,8 +9,7 @@ n / 2^(m+1) (or 2^(m+4)) with integer squares that bracket (log2 n)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 def upper_bound_implicit(n: int) -> int:
     """Largest m >= 1 with m - 3 log2(m+1) <= log2(n).
@@ -112,8 +111,7 @@ def lower_bound_at_most(n: int, has_order_two: bool, m: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bounds evaluated at one group order."""
 
     n: int

@@ -22,7 +22,6 @@ float is used anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
@@ -30,7 +29,6 @@ from typing import Iterator, Sequence
 from .gfunc import GroupFunction, Measure, _convolve
 
 
-@dataclass(frozen=True)
 class NuProfile:
     """One convolution f*K, as integers, and nu's breakpoint table.
 
@@ -42,19 +40,21 @@ class NuProfile:
     table.
     """
 
-    nums: tuple[int, ...]
-    den: int
-    xs: list[int] = field(init=False, repr=False, compare=False)
-    masses: list[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("nums", "den", "xs", "masses", "__weakref__")
 
-    def __post_init__(self):
-        xs = sorted(self.nums)
+    def __init__(self, nums: tuple[int, ...], den: int):
+        self.nums, self.den = nums, den
+        self.xs = xs = sorted(nums)
         masses = [0]
         for x in reversed(xs):
             masses.append(masses[-1] + x)
         masses.reverse()
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "masses", masses)
+        self.masses = masses
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not NuProfile:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
 
     def pieces(self, scale: int) -> Iterator[tuple[int, int, int]]:
         """nu's breakpoints on t = c * scale, ascending, each with the piece

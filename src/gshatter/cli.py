@@ -17,8 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -84,6 +82,14 @@ def _input_error(exc: Exception) -> str:
     return str(exc)
 
 
+def _utc_iso(ns: int) -> str:
+    """Nanoseconds since the epoch as datetime's UTC isoformat() spells
+    them: whole microseconds, shown only when not zero, and +00:00."""
+    seconds, micros = divmod(ns // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
+
+
 class _Run:
     """Collects inputs/outputs so every command leaves a manifest."""
 
@@ -92,7 +98,7 @@ class _Run:
         self.args = {
             k: v for k, v in vars(args).items() if k != "func" and v is not None
         }
-        self.started = datetime.now(timezone.utc).isoformat()
+        self.started = _utc_iso(time.time_ns())
         self.t0 = time.monotonic()
         self.inputs: dict[str, str] = {}  # path -> sha256 of the bytes parsed
         self.outputs: list[Path] = []
@@ -129,7 +135,7 @@ def cmd_group(args: argparse.Namespace) -> int:
             2,
         )
     report = validate_group(group, seed=args.seed)
-    validation = asdict(report)
+    validation = report._asdict()
     data = {
         "spec": group.label,
         "order": group.order,

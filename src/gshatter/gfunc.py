@@ -11,11 +11,10 @@ denominator; `convolve` gives its values as Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational as _RationalABC
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import FiniteGroup
 
@@ -52,19 +51,17 @@ def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
         raise ValueError(f"{what}: group mismatch ({a.label!r} vs {b.label!r})")
 
 
-@dataclass(frozen=True)
 class GroupFunction:
     """An exact function G -> Q, stored as one value per element index."""
 
-    group: FiniteGroup
-    values: tuple[Fraction, ...]
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.group.order:
+    def __init__(self, group: FiniteGroup, values: tuple[Fraction, ...]):
+        if len(values) != group.order:
             raise ValueError(
-                f"function has {len(self.values)} values for a group of "
-                f"order {self.group.order}"
+                f"function has {len(values)} values for a group of order {group.order}"
             )
+        self.group, self.values = group, values
 
     @classmethod
     def from_values(
@@ -77,8 +74,7 @@ class GroupFunction:
         return [g for g in range(self.group.order) if self.values[g] != 0]
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(NamedTuple):
     """The counting (Haar) measure on the group: weight 1 on every element.
 
     It is the one translation-invariant measure up to a scale, and a scale

@@ -15,9 +15,8 @@ on the group.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import GroupSpecError, _quoted
 
@@ -31,8 +30,7 @@ RANDOM_TRIPLE_SAMPLES = 10_000
 MAX_PRODUCT_DEPTH = 100
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     """A finite group given by its operations on the indices 0..order-1.
 
     ``label`` is the canonical spec string the group was built from;
@@ -174,8 +172,7 @@ def find_order_ge3_element(group: FiniteGroup) -> Optional[int]:
     return None
 
 
-@dataclass
-class GroupReport:
+class GroupReport(NamedTuple):
     """Validation outcome: one flag per group axiom, under the names
     `gshatter group` prints, and whether every pair of elements commutes."""
 

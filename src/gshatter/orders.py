@@ -14,7 +14,6 @@ strict when the ranks are a permutation of 1..m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -122,17 +121,21 @@ def _chain_ranks(chain: list[int]) -> dict[int, int]:
     return ranks
 
 
-@dataclass(frozen=True)
 class OrderSet:
     """A collection of rankings of [m]."""
 
-    m: int
-    rankings: tuple[tuple[int, ...], ...]
+    __slots__ = ("m", "rankings")
 
-    def __post_init__(self):
-        for r in self.rankings:
-            if len(r) != self.m:
-                raise ValueError(f"ranking {r} does not have length m={self.m}")
+    def __init__(self, m: int, rankings: tuple[tuple[int, ...], ...]):
+        for r in rankings:
+            if len(r) != m:
+                raise ValueError(f"ranking {r} does not have length m={m}")
+        self.m, self.rankings = m, rankings
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not OrderSet:
+            return NotImplemented
+        return self.m == other.m and self.rankings == other.rankings
 
 
 def is_strict(ranks: tuple[int, ...]) -> bool:

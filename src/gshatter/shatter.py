@@ -18,13 +18,12 @@ which decides both the certificate and the order criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import merge
 from itertools import chain, combinations, groupby, product, repeat
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .classifier import NuProfile, build_nu_profiles, nu_values, ranking_of_values
 from .errors import InvariantError, WitnessVerificationError
@@ -32,16 +31,14 @@ from .gfunc import GroupFunction, Measure
 from .orders import OrderSet, is_complete, separated_masks
 
 
-@dataclass(frozen=True)
-class DichotomyEntry:
+class DichotomyEntry(NamedTuple):
     labels: tuple[int, ...]
     status: str  # "witnessed" | "unreachable"
     c1: Optional[Fraction] = None
     c2: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class ShatterCertificate:
+class ShatterCertificate(NamedTuple):
     """Witness or absence marker for each of the 2^m label patterns."""
 
     m: int
@@ -52,8 +49,7 @@ class ShatterCertificate:
         return sum(1 for e in self.entries if e.status == "witnessed")
 
 
-@dataclass(frozen=True)
-class CriticalSet:
+class CriticalSet(NamedTuple):
     """The first row of each ranking over the points where one can change.
 
     On the scale t = c1 * scale, with scale the lcm of the profiles' den,
@@ -238,13 +234,15 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
     (`nu_values`, which reads `NuProfile.scaled`), not taken from the
     sweep's pieces or values nor from synth's level cuts.  A row's
     witnesses are contiguous in discovery order and share its c1, so nu
-    is read once per distinct c1.  A witness that failed re-verification
+    is read once per distinct c1.  Each witness is then decided by two
+    products: its smallest nu among +1 functions and its largest among -1
+    functions against its cut.  A witness that failed re-verification
     would mean an internal inconsistency, so the first such one in
-    discovery order raises WitnessVerificationError instead of being
-    silently dropped.  A sweep that stopped early claims a complete set
-    of rankings, so a pattern left without a witness there raises
-    InvariantError: a stop rule that fired too early never passes as a
-    negative verdict.
+    discovery order raises WitnessVerificationError, naming its first
+    failing function, instead of being silently dropped.  A sweep that
+    stopped early claims a complete set of rankings, so a pattern left
+    without a witness there raises InvariantError: a stop rule that fired
+    too early never passes as a negative verdict.
     """
     m = len(critical.profiles)
     found = _witnesses(critical)
@@ -257,15 +255,24 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
     for labels, (c1, c2) in found.items():
         if read != c1:
             read, (xs, scale) = c1, nu_values(critical.profiles, c1)
-        # nu_k(c1) + c2 > 0 exactly when xs[k] * c2.den > -c2.num * scale.
-        cut = -c2.numerator * scale
-        for k, x in enumerate(xs):
-            got = 1 if x * c2.denominator > cut else -1
-            if got != labels[k]:
-                raise WitnessVerificationError(
-                    f"witness ({c1}, {c2}) for {labels} fails on "
-                    f"function {k}: the classifier gives {got}"
-                )
+        # nu_k(c1) + c2 > 0 exactly when xs[k] * c2.den > -c2.num * scale,
+        # so the smallest +1 value and the largest -1 value decide them all.
+        cut, den = -c2.numerator * scale, c2.denominator
+        low = high = None
+        for x, label in zip(xs, labels):
+            if label > 0:
+                if low is None or x < low:
+                    low = x
+            elif high is None or x > high:
+                high = x
+        if low is not None and low * den <= cut or high is not None and high * den > cut:
+            for k, x in enumerate(xs):
+                got = 1 if x * den > cut else -1
+                if got != labels[k]:
+                    raise WitnessVerificationError(
+                        f"witness ({c1}, {c2}) for {labels} fails on "
+                        f"function {k}: the classifier gives {got}"
+                    )
     entries = tuple(
         DichotomyEntry(labels, "witnessed", *found[labels])
         if labels in found

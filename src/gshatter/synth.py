@@ -19,7 +19,6 @@ the kernel.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import pairwise
 from math import ceil, floor, lcm
@@ -64,8 +63,7 @@ def _translates(
     return [group.mul(group.power(g, j), h) for j in offsets]
 
 
-@dataclass(frozen=True)
-class UTower:
+class UTower(NamedTuple):
     """The coefficient pairs u_i = a_{i,1} 1_e + a_{i,2} 1_g of the tower
     u_0 = 1_e, u_1 = 1_g and its alternating recursion
 
@@ -202,23 +200,29 @@ def _check_subsets(
         )
 
 
-@dataclass(frozen=True)
 class SynthResult:
-    kernel: GroupFunction
-    u: tuple[GroupFunction, ...]
-    subsets: tuple[tuple[int, ...], ...]
-    epsilon: Fraction
-    thresholds: tuple[Fraction, ...]
-    ms: tuple[Fraction, ...]
-    g: int
-    mode: str
-    B: Fraction
-    C: Fraction
-    # verify_synth's report on the kernel; None when read back from JSON.
-    report: Optional[SynthReport]
+    # report is verify_synth's report on the kernel; None when read back from JSON.
+    __slots__ = ("kernel", "u", "subsets", "epsilon", "thresholds", "ms", "g", "mode",
+                 "B", "C", "report")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kernel: GroupFunction,
+        u: tuple[GroupFunction, ...],
+        subsets: tuple[tuple[int, ...], ...],
+        epsilon: Fraction,
+        thresholds: tuple[Fraction, ...],
+        ms: tuple[Fraction, ...],
+        g: int,
+        mode: str,
+        B: Fraction,
+        C: Fraction,
+        report: Optional[SynthReport],
+    ):
         """The shape every reader may rely on; the values are verify_synth's."""
+        self.kernel, self.u, self.subsets, self.epsilon = kernel, u, subsets, epsilon
+        self.thresholds, self.ms, self.g, self.mode = thresholds, ms, g, mode
+        self.B, self.C, self.report = B, C, report
         if len(self.u) % 2 or len(self.u) < 4:
             raise ValueError(f"need 2m + 2 >= 4 tower functions, got {len(self.u)}")
         m, order = self.m, self.group.order
@@ -352,7 +356,7 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
         values = [zero] * group.order
         values[group.identity], values[g] = a1, a2
         u.append(GroupFunction(group, tuple(values)))
-    result = SynthResult(
+    fields = dict(
         kernel=kernel,
         u=tuple(u),
         subsets=subsets,
@@ -363,9 +367,8 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
         mode=mode,
         B=B,
         C=C,
-        report=None,
     )
-    report = verify_synth(result)
+    report = verify_synth(SynthResult(**fields, report=None))
     failed = [
         c.name for c in report.checks if not c.passed and c.name != "shattering"
     ]
@@ -373,18 +376,16 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
         raise SynthesisVerificationError(
             f"synthesized kernel failed self-checks: {', '.join(failed)}"
         )
-    return replace(result, report=report)
+    return SynthResult(**fields, report=report)
 
 
-@dataclass(frozen=True)
-class SynthCheck:
+class SynthCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class SynthReport:
+class SynthReport(NamedTuple):
     checks: tuple[SynthCheck, ...]
     # The target orders checked, and the "shattering" check's certificate.
     orders: OrderSet

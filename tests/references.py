@@ -12,7 +12,9 @@ every tower level for each target, and verify_synth's level and value
 checks in Fractions, and the certificate's witness re-check one
 (witness, profile) pair at a time.  The differential tests assert
 identical results.  `translate`, the left translation g -> f(a g), is
-what the translation-invariance tests apply.
+what the translation-invariance tests apply, and `edited` is how tests
+change fields of a SynthResult: through its constructor, so its shape
+check runs again.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Sequence
 from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
 from gshatter.gfunc import GroupFunction, indicator
 from gshatter.orders import build_complete_orders
+from gshatter.synth import SynthResult
 
 
 def translate(f: GroupFunction, a: int) -> GroupFunction:
@@ -33,6 +36,12 @@ def translate(f: GroupFunction, a: int) -> GroupFunction:
     group = f.group
     values = tuple(f.values[group.mul(a, g)] for g in range(group.order))
     return GroupFunction(group, values)
+
+
+def edited(result: SynthResult, **changes) -> SynthResult:
+    """result with the fields in `changes` replaced, built anew."""
+    fields = {name: getattr(result, name) for name in SynthResult.__slots__}
+    return SynthResult(**(fields | changes))
 
 
 def dense_convolve(f: GroupFunction, kernel: GroupFunction) -> tuple[Fraction, ...]:

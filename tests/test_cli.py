@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import errno
 import hashlib
 import inspect
@@ -16,6 +15,7 @@ import sys
 import time
 import tracemalloc
 import weakref
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,10 +186,10 @@ def fail_check(monkeypatch, name):
     def failing(result):
         report = original(result)
         checks = tuple(
-            dataclasses.replace(c, passed=False) if c.name == name else c
+            c._replace(passed=False) if c.name == name else c
             for c in report.checks
         )
-        return dataclasses.replace(report, checks=checks)
+        return report._replace(checks=checks)
 
     monkeypatch.setattr(gshatter.synth, "verify_synth", failing)
 
@@ -298,6 +298,16 @@ class TestOrdersCommand:
         manifest = read_json(tmp_path / "run_manifest.json")
         assert manifest["command"] == "orders"
         assert "order_set_m4.json" in manifest["outputs"]
+        started = datetime.fromisoformat(manifest["started_utc"])
+        assert timedelta(0) <= datetime.now(timezone.utc) - started < timedelta(minutes=5)
+
+    @pytest.mark.parametrize("micros", [0, 1, 250_000, 999_999])
+    def test_started_utc_is_spelled_as_datetime_spells_it(self, micros):
+        """Microseconds appear only when not zero, and nanoseconds are cut off,
+        as in datetime.now(timezone.utc).isoformat()."""
+        at = datetime(2026, 3, 7, 4, 5, 6, micros, tzinfo=timezone.utc)
+        ns = (int(at.timestamp()) * 1_000_000 + micros) * 1000 + 999
+        assert gshatter.cli._utc_iso(ns) == at.isoformat()
 
     @pytest.mark.parametrize("m", ["0", "17", "33"])
     def test_m_out_of_range(self, capsys, m, tmp_path):
@@ -1014,7 +1024,7 @@ class TestVerifyCommand:
         def stopped_one_row_early(*args):
             crit = true_critical_points(*args)
             assert crit.stopped
-            return dataclasses.replace(crit, rows=dict(list(crit.rows.items())[:-1]))
+            return crit._replace(rows=dict(list(crit.rows.items())[:-1]))
 
         monkeypatch.setattr(gshatter.cli, "critical_points", stopped_one_row_early)
         code, out, err = run(

@@ -8,14 +8,15 @@ ones.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
+from itertools import product
 from math import ceil, comb, floor, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gshatter.shatter
 import gshatter.synth
 from gshatter.classifier import (
     build_nu_profile,
@@ -45,6 +46,7 @@ from references import (
     cut_witnesses,
     dense_convolve,
     dense_u_tower_functions,
+    edited,
     exceeds_recheck,
     fraction_build_nu_profile,
     fraction_convolve,
@@ -223,7 +225,7 @@ def tampered_rows(crit, rows, tamper):
         ranking: ((p, q), tamper(values, q * crit.scale) if i in rows else values)
         for i, (ranking, ((p, q), values)) in enumerate(crit.rows.items())
     }
-    return dataclasses.replace(crit, rows=kept, stopped=False)
+    return crit._replace(rows=kept, stopped=False)
 
 
 def level_rows(result, monkeypatch):
@@ -463,13 +465,13 @@ class TestKVector:
         tower = build_u_tower(B, B + width, p=p)
         A = B + t * width  # inside (B, C) for 0 < t < 1
         # With B lowered after the build, the post-condition can fail.
-        for checked in (tower, dataclasses.replace(tower, B=B / 1000)):
+        for checked in (tower, tower._replace(B=B / 1000)):
             want = solve_outcome(full_solve_k_vector, checked, i, A)
             assert solve_outcome(solve_k_vector, checked, i, A) == want
 
     def test_post_condition_failure(self):
         tower = build_u_tower(Fraction(1), Fraction(2), p=2)
-        low = dataclasses.replace(tower, B=Fraction(1, 1000))
+        low = tower._replace(B=Fraction(1, 1000))
         for solve in (solve_k_vector, full_solve_k_vector):
             outcome = solve_outcome(solve, low, 2, Fraction(3, 2))
             assert outcome is SynthesisVerificationError
@@ -510,9 +512,7 @@ class TestVerifySynthValueChecks:
         kernels.append([abs(v) for v in result.kernel.values])
         failed = set()
         for values in kernels:
-            broken = dataclasses.replace(
-                result, kernel=GroupFunction(group, tuple(values))
-            )
+            broken = edited(result, kernel=GroupFunction(group, tuple(values)))
             got = assert_value_checks_match(broken)
             failed |= {name for name, (passed, _) in got.items() if not passed}
         assert failed == set(got)  # every check is seen failing
@@ -530,7 +530,7 @@ class TestVerifySynthValueChecks:
         group = build_group(spec)
         result = synth_kernel(group, 3, mode=mode)
         delta = indicator(group, group.identity)
-        result = dataclasses.replace(result, u=(delta,) * len(result.u))
+        result = edited(result, u=(delta,) * len(result.u))
         D = 10007
         lo, hi = result.ms[0] - result.epsilon, result.ms[0]
         assert (lo * D).denominator != 1 and (hi * D).denominator != 1
@@ -540,9 +540,7 @@ class TestVerifySynthValueChecks:
                       lo, hi, result.B):
             values = [Fraction(0)] * group.order
             values[pin], values[spot] = Fraction(1, D), value
-            broken = dataclasses.replace(
-                result, kernel=GroupFunction(group, tuple(values))
-            )
+            broken = edited(result, kernel=GroupFunction(group, tuple(values)))
             assert_value_checks_match(broken)
 
 
@@ -560,7 +558,7 @@ def rechained(result, epsilon):
         big_m = max(values) - min(values)
     ms = tuple(ms[1:])
     thresholds = tuple(ml - epsilon / 2 for ml in ms)
-    return dataclasses.replace(result, epsilon=epsilon, ms=ms, thresholds=thresholds)
+    return edited(result, epsilon=epsilon, ms=ms, thresholds=thresholds)
 
 
 def tampered_results(spec, m, mode):
@@ -577,7 +575,7 @@ def tampered_results(spec, m, mode):
         return tuple(v + delta if i == l else v for i, v in enumerate(values))
 
     def with_kernel(values):
-        return dataclasses.replace(result, kernel=GroupFunction(group, tuple(values)))
+        return edited(result, kernel=GroupFunction(group, tuple(values)))
 
     def bumped(position, delta):
         values = list(result.kernel.values)
@@ -588,13 +586,13 @@ def tampered_results(spec, m, mode):
     deltas = (eps / 10, -eps / 10, eps / 3, -eps / 3, Fraction(1, 2), -1)
     return [
         result,
-        dataclasses.replace(result, epsilon=eps / 2),
+        edited(result, epsilon=eps / 2),
         rechained(result, eps * 3 / 4),
-        dataclasses.replace(result, B=ms[-1]),
-        dataclasses.replace(result, ms=moved(ms, len(ms) - 1, eps / 3)),
-        dataclasses.replace(result, ms=moved(ms, 0, -eps)),
-        dataclasses.replace(result, thresholds=moved(cs, 0, eps / 4)),
-        dataclasses.replace(result, thresholds=moved(cs, len(cs) - 1, -eps)),
+        edited(result, B=ms[-1]),
+        edited(result, ms=moved(ms, len(ms) - 1, eps / 3)),
+        edited(result, ms=moved(ms, 0, -eps)),
+        edited(result, thresholds=moved(cs, 0, eps / 4)),
+        edited(result, thresholds=moved(cs, len(cs) - 1, -eps)),
         *(bumped(x, d) for x in spikes for d in deltas),
         with_kernel([Fraction(0)] * group.order),
     ]
@@ -650,3 +648,28 @@ class TestWitnessRecheck:
                 for rows in (every, *({i} for i in every)):
                     outcomes.add(assert_recheck_matches(tampered_rows(crit, rows, tamper)))
         assert outcomes == {True, False}
+
+    def test_names_the_reference_function_when_a_plus_and_a_minus_fail(self, monkeypatch):
+        """Move a witness to the pattern that flips one of its -1 functions i
+        and one of its +1 functions j, so that both fail there; certificate
+        must name the function the per-(witness, profile) loop names."""
+        named = set()
+        for spec, m in (("cyclic:18", 3), ("cyclic:48", 4)):
+            crit = level_rows(synth_kernel(build_group(spec), m), monkeypatch)
+            found = _witnesses(crit)
+            for labels, witness in found.items():
+                for i, j in product(range(m), repeat=2):
+                    if labels[i] > 0 or labels[j] < 0:
+                        continue
+                    moved = tuple(-x if k in (i, j) else x for k, x in enumerate(labels))
+                    tampered = {**found, moved: witness}
+                    with pytest.raises(WitnessVerificationError) as want:
+                        exceeds_recheck(crit.profiles, tampered)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(gshatter.shatter, "_witnesses", lambda _: tampered)
+                        with pytest.raises(WitnessVerificationError) as got:
+                            certificate(crit)
+                    assert str(got.value) == str(want.value)
+                    assert f"fails on function {min(i, j)}:" in str(want.value)
+                    named.add(i < j)
+        assert named == {True, False}  # named: a claimed +1 function, and a claimed -1 one

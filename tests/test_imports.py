@@ -4,8 +4,10 @@
 resident memory, and no command loads it.  Only a run manifest with input
 files hashes anything (`verify --out`; tests/test_cli.py checks its
 digests), with CPython's built-in SHA-256; `csv` serves only
-`bounds --csv`.  Each case runs in a fresh interpreter, because this test
-process has imported them all long ago.  The baseline of a case includes
+`bounds --csv`.  No command loads `dataclasses` (with `inspect`) or
+`datetime` either: records are NamedTuples and slotted classes, and the
+manifest's time comes from `time`.  Each case runs in a fresh
+interpreter, because this test process has imported them all long ago.  The baseline of a case includes
 `random`, which the package imports and which loads a built-in SHA module
 for itself (`_sha2` on 3.12), so the SHA module is watched only as
 `_sha256` (3.10-3.11), and `verify` without `--out` is also run with the
@@ -27,7 +29,7 @@ from gshatter.cli import main
 from gshatter.jsonio import _sha256
 
 SRC = Path(gshatter.__file__).resolve().parent.parent
-LAZY = ("hashlib", "_hashlib", "_sha256", "csv")
+LAZY = ("hashlib", "_hashlib", "_sha256", "csv", "dataclasses", "inspect", "datetime")
 
 # Prints the LAZY modules that the statements after the first line loaded;
 # the interpreter's own start-up (site, .pth files) and what `random` loads

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -119,7 +118,7 @@ class TestCriticalPoints:
 
     def test_a_stop_one_row_early_raises(self, synth_m5):
         crit = critical_points(*synth_m5)
-        early = dataclasses.replace(crit, rows=dict(list(crit.rows.items())[:-1]))
+        early = crit._replace(rows=dict(list(crit.rows.items())[:-1]))
         with pytest.raises(InvariantError, match="1 of 32 label patterns have no witness"):
             certificate(early)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import time
 import tracemalloc
@@ -35,6 +34,8 @@ from gshatter.synth import (
     synth_kernel,
     verify_synth,
 )
+
+from references import edited
 
 HALF = Fraction(1, 2)
 
@@ -354,9 +355,9 @@ class TestShape:
     @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_result_rejected(self, results, spec, edit):
         result = results[spec]
-        dataclasses.replace(result)  # the unedited shape holds
+        edited(result)  # the unedited shape holds
         with pytest.raises(ValueError):
-            dataclasses.replace(result, **edit(result))
+            edited(result, **edit(result))
 
     @pytest.mark.parametrize("B, spelled", [
         (Fraction(-1, 2), "-1/2"),
@@ -365,7 +366,7 @@ class TestShape:
     ], ids=["negative", "above-C", "5000-digits"])
     def test_bad_interval_quotes_the_values_cut_short(self, results, B, spelled):
         with pytest.raises(ValueError) as caught:
-            dataclasses.replace(results["cyclic:8"], B=B)
+            edited(results["cyclic:8"], B=B)
         assert str(caught.value) == f"need C > B > 0, got B={spelled}, C=2"
 
 
@@ -387,8 +388,8 @@ class TestVerification:
         assert values[x] != y
         values[x] = y
         u = list(result.u)
-        u[i] = dataclasses.replace(u[i], values=tuple(values))
-        report = verify_synth(dataclasses.replace(result, u=tuple(u)))
+        u[i] = GroupFunction(u[i].group, tuple(values))
+        report = verify_synth(edited(result, u=tuple(u)))
         failed = {c.name for c in report.checks if not c.passed}
         assert "u-tower-structure" in failed
 
@@ -398,9 +399,7 @@ class TestVerification:
         spike = result.subsets[0][0]
         bumped = list(result.kernel.values)
         bumped[spike] += result.epsilon / 4
-        broken = dataclasses.replace(
-            result, kernel=dataclasses.replace(result.kernel, values=tuple(bumped))
-        )
+        broken = edited(result, kernel=GroupFunction(group, tuple(bumped)))
         report = verify_synth(broken)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
@@ -410,7 +409,7 @@ class TestVerification:
         group = build_group("cyclic:8")
         result = synth_kernel(group, 2)
         zero = GroupFunction.from_values(group, [0] * group.order)
-        broken = dataclasses.replace(result, kernel=zero)
+        broken = edited(result, kernel=zero)
         report = verify_synth(broken)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
@@ -421,7 +420,7 @@ class TestVerification:
         # With every threshold at c_1 the one level ranking cuts only m + 1
         # patterns, so the certificate comes from the sweep over the line.
         result = synth_kernel(build_group("cyclic:100"), 5)
-        broken = dataclasses.replace(
+        broken = edited(
             result, thresholds=(result.thresholds[0],) * len(result.thresholds)
         )
         report = verify_synth(broken)
