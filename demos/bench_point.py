@@ -1,4 +1,5 @@
-"""Time `gshatter synth`, `verify` and `verify --out` at the minimum group orders.
+"""Time `gshatter synth`, `verify` and `verify --out` at the minimum group
+orders, and `gshatter group` on four specs.
 
 Run from anywhere; it measures the checkout it lives in:
 
@@ -15,19 +16,23 @@ manifest with the sha256 of both inputs, beside the bundle.  A case
 records wall seconds and the peak resident set size of each command
 (`synth`, `verify`, `verify_out`), from wait4 (Linux carries the
 parent's peak across exec, so sizes below this script's own, about
-10 MB, are not resolved).  A case also records the sha256 of every
-artifact synth wrote but `run_manifest.json`, the one that differs
-between runs.  The point is printed as JSON, and with --append it is
-added to the "points" list of a BENCH file; a case whose digests differ
-from the same case in the file's previous point gets
-`"digests_differ": true`, is named on stderr and makes the exit code 1.
-Standard library only.
+15 MB, are not resolved; hashing with CPython's built-in SHA-256
+instead of hashlib keeps OpenSSL, about 4 MB, out of that floor).  A
+case also records the sha256 of every artifact synth wrote but
+`run_manifest.json`, the one that differs between runs.  `gshatter group --spec S --seed 1` runs on the three
+order-1120 specs of perfbench's group-build workload and on
+`cyclic:4096`, the CLI's default order cap; each records its exit code,
+wall seconds, peak RSS and the sha256 of its stdout.  The point is
+printed as JSON, and with --append it is added to the "points" list of
+a BENCH file; a case whose digests differ from the same case in the
+file's previous point gets `"digests_differ": true`, a group whose
+stdout digest differs gets `"stdout_differs": true`, and either is
+named on stderr and makes the exit code 1.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -36,6 +41,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = (
@@ -46,12 +59,14 @@ CASES = (
 LARGE_CASES = tuple(
     ("order_two", m, n) for m, n in ((9, 2268), (10, 5040), (11, 10164), (12, 22176))
 )
+GROUP_SPECS = ("cyclic:1120", "dihedral:560", "product:dihedral:20,cyclic:28", "cyclic:4096")
 
 
-def timed(argv: list[str], cwd: str, env: dict[str, str]) -> tuple[int, float, float]:
+def timed(argv: list[str], cwd: str, env: dict[str, str],
+          stdout: object = subprocess.DEVNULL) -> tuple[int, float, float]:
     """(exit code, wall seconds, peak RSS in MB) of one command."""
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=stdout,
                             stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     elapsed = time.perf_counter() - start
@@ -90,24 +105,37 @@ def measure(label: str, selected) -> dict:
                 row[f"{name}_s"] = round(seconds, 2)
                 row[f"{name}_peak_rss_mb"] = round(rss, 1)
             row["digests"] = {
-                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                path.name: sha256(path.read_bytes()).hexdigest()
                 for path in sorted(Path(work, "out").glob("*"))  # none if synth failed
                 if path.name != "run_manifest.json"
             }
             cases.append(row)
             print(json.dumps(row), file=sys.stderr, flush=True)
+    groups = []
+    for spec in GROUP_SPECS:
+        with tempfile.TemporaryFile() as out:
+            code, seconds, rss = timed(cli + ["group", "--spec", spec, "--seed", "1"],
+                                       str(ROOT), env, stdout=out)
+            out.seek(0)
+            digest = sha256(out.read()).hexdigest()
+        row = {"spec": spec, "exit": code, "s": round(seconds, 2),
+               "peak_rss_mb": round(rss, 1), "stdout_sha256": digest}
+        groups.append(row)
+        print(json.dumps(row), file=sys.stderr, flush=True)
     return {
         "label": label,
         "commit": commit(),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "cases": cases,
+        "groups": groups,
     }
 
 
 def flag_digest_changes(point: dict, previous: dict) -> list[str]:
     """Mark each case of `point` whose digests differ from the same case
-    (mode, m, group) in `previous`; returns the marked cases' names."""
+    (mode, m, group) in `previous`, and each group whose stdout digest
+    differs from the same spec's there; returns the marked names."""
     def name(case: dict) -> str:
         return f"{case['mode']} m={case['m']} {case['group']}"
 
@@ -115,7 +143,12 @@ def flag_digest_changes(point: dict, previous: dict) -> list[str]:
     for case in point["cases"]:
         if name(case) in before:
             case["digests_differ"] = case["digests"] != before[name(case)]
-    return [name(c) for c in point["cases"] if c.get("digests_differ")]
+    before_groups = {g["spec"]: g["stdout_sha256"] for g in previous.get("groups", ())}
+    for group in point.get("groups", ()):
+        if group["spec"] in before_groups:
+            group["stdout_differs"] = group["stdout_sha256"] != before_groups[group["spec"]]
+    return ([name(c) for c in point["cases"] if c.get("digests_differ")]
+            + [f"group {g['spec']}" for g in point.get("groups", ()) if g.get("stdout_differs")])
 
 
 def main() -> int:
@@ -137,9 +170,9 @@ def main() -> int:
         path.write_text(json.dumps(data, indent=2) + "\n")
     print(json.dumps(point, indent=2))
     for name in changed:
-        print(f"artifacts differ from the previous point: {name}", file=sys.stderr)
+        print(f"output differs from the previous point: {name}", file=sys.stderr)
     ok = all(c["synth_exit"] == c["verify_exit"] == c["verify_out_exit"] == 0
-             for c in point["cases"])
+             for c in point["cases"]) and all(g["exit"] == 0 for g in point["groups"])
     return 0 if ok and not changed else 1
 
 

@@ -194,21 +194,26 @@ def validate_group(group: FiniteGroup, seed: int = 0) -> GroupReport:
     """Check the group axioms through ``mul`` and ``inv``.
 
     Closure, the bijectivity of left translations and commutativity are
-    read from one pass over each element's row of products: row a is
-    compared with its column from a + 1 on, until one row fails to
-    commute.  Associativity is checked on every triple for groups of
-    order at most EXHAUSTIVE_VALIDATION_LIMIT and on RANDOM_TRIPLE_SAMPLES
-    seeded random triples above that.
+    read from one pass over each element's row of products.  A row whose
+    set of products equals the set of all n elements is in range and a
+    permutation, so only a row that differs is scanned for its least and
+    greatest product and counted.  Row a is compared with its column from
+    a + 1 on, until one row fails to commute.  Associativity is checked on
+    every triple for groups of order at most EXHAUSTIVE_VALIDATION_LIMIT
+    and on RANDOM_TRIPLE_SAMPLES seeded random triples above that.
     """
     n = group.order
     mul, inv, e = group.mul, group.inv, group.identity
     failures: list[str] = []
 
+    elements = set(range(n))
     closure = translations_bijective = abelian = True
     for a in range(n):
         row = [mul(a, b) for b in range(n)]
-        closure = closure and 0 <= min(row) and max(row) < n
-        translations_bijective = translations_bijective and len(set(row)) == n
+        products = set(row)
+        if products != elements:
+            closure = closure and 0 <= min(row) and max(row) < n
+            translations_bijective = translations_bijective and len(products) == n
         # Row b < a already compared every pair (b, a).
         abelian = abelian and row[a + 1:] == [mul(b, a) for b in range(a + 1, n)]
     if not closure:

@@ -213,19 +213,26 @@ def synth_result_from_json(data: dict[str, Any]) -> SynthResult:
 
 
 def write_json_atomic(path: Path | str, data: Any) -> Path:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`.  An OSError while the temporary file is made, written or
+    renamed names `path`, the file the caller asked for, and leaves no
+    temporary file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
+    tmp_name = ""
     try:
+        fd, tmp_name = tempfile.mkstemp(
+            dir=path.parent, prefix=path.name, suffix=".tmp"
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
+    except BaseException as exc:
+        if tmp_name and os.path.exists(tmp_name):
             os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
     return path
 

@@ -1399,7 +1399,8 @@ class TestBoundsCommand:
 
 
 class TestUnwritableOutput:
-    """An output path under a regular file exits 2, never 1 or a traceback."""
+    """An output path under a regular file, or on a directory, exits 2,
+    never 1 or a traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1422,6 +1423,28 @@ class TestUnwritableOutput:
         assert code == 2
         assert err.startswith(f"error: cannot write {blocked}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "--spec", "cyclic:12", "--out", "{target}"],
+            ["verify", "--kernel", "{bundle}/kernel.json",
+             "--functions", "{bundle}/functions.json", "--out", "{target}"],
+            ["bounds", "--n", "8", "--json", "{target}"],
+        ],
+        ids=["group", "verify", "bounds-json"],
+    )
+    def test_a_directory_target_is_named(self, capsys, tmp_path, cyclic8_bundle, argv):
+        # The rename onto the directory fails; the error names the
+        # destination, not the temporary file, and that file is gone.
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        argv = [a.format(target=target, bundle=cyclic8_bundle) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: cannot write {target}: Is a directory\n"
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert not any(target.iterdir())
 
 
 # One instance of each error a command may raise, with its documented exit code.

@@ -83,3 +83,19 @@ def test_bench_point_flags_changed_digests():
     point = {"cases": [case(2, "a"), case(3, "c"), case(4, "d"), case(8, "e", "general")]}
     assert bench_point.flag_digest_changes(point, previous) == ["order_two m=3 cyclic:3"]
     assert [c.get("digests_differ") for c in point["cases"]] == [False, True, None, None]
+
+
+def test_bench_point_flags_changed_group_stdout():
+    bench_point = load_bench_point()
+
+    def group(spec, digest):
+        return {"spec": spec, "stdout_sha256": digest}
+
+    # A previous point without groups, or a spec absent before, is not compared.
+    assert bench_point.flag_digest_changes(
+        {"cases": [], "groups": [group("cyclic:4", "a")]}, {"cases": []}) == []
+    previous = {"cases": [], "groups": [group("cyclic:4", "a"), group("dihedral:2", "b")]}
+    point = {"cases": [], "groups": [group("cyclic:4", "a"), group("dihedral:2", "c"),
+                                     group("cyclic:8", "d")]}
+    assert bench_point.flag_digest_changes(point, previous) == ["group dihedral:2"]
+    assert [g.get("stdout_differs") for g in point["groups"]] == [False, True, None]

@@ -256,6 +256,41 @@ class TestValidation:
         assert not report.closure
         assert report.failures[0].startswith("closure")
 
+    # cyclic:6 with some products changed; each maps a pair (a, b) to its
+    # new product.  Row and column 0 stay intact and no product g * g^-1
+    # changes, so identity and inverses hold.
+    CORRUPTED_ROWS = {
+        # Row 5 is 5, 0, 1, 2, 3, 10: distinct, one product too large.
+        "one-too-large": ({(5, 5): 10}, False, True),
+        # Row 2 is 2, 3, 4, -1, 0, 1: distinct, one product negative.
+        "one-negative": ({(2, 3): -1}, False, True),
+        # Row 4 is 4, 5, 0, 1, 2, 0: in range, 0 twice and 3 missing.
+        "in-range-repeat": ({(4, 5): 0}, True, False),
+        # Row 5 is 5, 0, 1, 2, 9, 5: 9 out of range and 5 twice.
+        "both-in-one-row": ({(5, 4): 9, (5, 5): 5}, False, False),
+        # Row 1 has 7 among distinct products; row 3 repeats 1.
+        "both-in-two-rows": ({(1, 2): 7, (3, 5): 1}, False, False),
+    }
+
+    @pytest.mark.parametrize("changes, closure, bijective", CORRUPTED_ROWS.values(),
+                             ids=CORRUPTED_ROWS.keys())
+    def test_rows_off_the_element_set(self, changes, closure, bijective):
+        base = cyclic_group(6)
+        g = base._replace(mul=lambda a, b: changes.get((a, b), base.mul(a, b)))
+        report = validate_group(g)
+        assert (report.closure, report.translations_bijective) == (closure, bijective)
+        assert report.identity and report.inverses and report.exhaustive
+        # Every change breaks some triple, which the exhaustive check finds.
+        assert not report.associativity
+        assert report.abelian == pairwise_abelian(g)
+        expected = (
+            ([] if closure else ["closure: table entry out of range"])
+            + ["associativity"]
+            + ([] if bijective else ["translation: left multiplication not bijective"])
+        )
+        assert [f.split(":")[0] if f.startswith("associativity:") else f
+                for f in report.failures] == expected
+
 
 def pairwise_abelian(g) -> bool:
     """The definition: every pair of elements commutes."""
