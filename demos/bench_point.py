@@ -17,7 +17,9 @@ records wall seconds and the peak resident set size of each command
 (`synth`, `verify`, `verify_out`), from wait4 (Linux carries the
 parent's peak across exec, so sizes below this script's own, about
 15 MB, are not resolved; hashing with CPython's built-in SHA-256
-instead of hashlib keeps OpenSSL, about 4 MB, out of that floor).  A
+instead of hashlib keeps OpenSSL, about 4 MB, out of that floor; the
+point's "sha256" names the module that hashed, so a point from a build
+without the built-in module, whose floor is higher, can be told apart).  A
 case also records the sha256 of every artifact synth wrote but
 `run_manifest.json`, the one that differs between runs.  `gshatter group --spec S --seed 1` runs on the three
 order-1120 specs of perfbench's group-build workload and on
@@ -127,6 +129,7 @@ def measure(label: str, selected) -> dict:
         "commit": commit(),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
+        "sha256": sha256.__module__,
         "cases": cases,
         "groups": groups,
     }

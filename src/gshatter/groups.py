@@ -194,10 +194,9 @@ def validate_group(group: FiniteGroup, seed: int = 0) -> GroupReport:
     """Check the group axioms through ``mul`` and ``inv``.
 
     Closure, the bijectivity of left translations and commutativity are
-    read from one pass over each element's row of products.  A row whose
-    set of products equals the set of all n elements is in range and a
-    permutation, so only a row that differs is scanned for its least and
-    greatest product and counted.  Row a is compared with its column from
+    read from one pass over each element's row of products: a row is closed
+    when its set of products is a subset of the n elements, and bijective
+    when that set has n members.  Row a is compared with its column from
     a + 1 on, until one row fails to commute.  Associativity is checked on
     every triple for groups of order at most EXHAUSTIVE_VALIDATION_LIMIT
     and on RANDOM_TRIPLE_SAMPLES seeded random triples above that.
@@ -211,9 +210,8 @@ def validate_group(group: FiniteGroup, seed: int = 0) -> GroupReport:
     for a in range(n):
         row = [mul(a, b) for b in range(n)]
         products = set(row)
-        if products != elements:
-            closure = closure and 0 <= min(row) and max(row) < n
-            translations_bijective = translations_bijective and len(products) == n
+        closure = closure and products <= elements
+        translations_bijective = translations_bijective and len(products) == n
         # Row b < a already compared every pair (b, a).
         abelian = abelian and row[a + 1:] == [mul(b, a) for b in range(a + 1, n)]
     if not closure:

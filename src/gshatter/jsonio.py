@@ -228,12 +228,11 @@ def write_json_atomic(path: Path | str, data: Any) -> Path:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
-    except BaseException as exc:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
         if tmp_name and os.path.exists(tmp_name):
             os.unlink(tmp_name)
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
-        raise
     return path
 
 
