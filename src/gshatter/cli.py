@@ -59,7 +59,7 @@ from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
 ORDERS_M_CAP = 16  # C(m, m // 2) rankings; each step past it doubles the time
-GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: 2.6-2.7 s at the cap
+GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: 2.6-2.8 s at the cap
 SYNTH_ORDER_CAP = 65536  # `synth` holds about 1.5 KB per element: 112 MB peak at the cap
 # `verify` writes all 2^m label patterns: 18 functions on cyclic:2 took
 # 7.5 s and 744 MB peak, and each further function doubles both.
