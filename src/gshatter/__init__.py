@@ -57,7 +57,6 @@ from .orders import (
     build_complete_orders,
     completeness_lower_bound,
     f_map,
-    f_map_base,
     is_complete,
     is_strict,
     mask_elements,

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .bounds import build_bound_report
+from .bounds import BoundReport, build_bound_report
 from .errors import (
     GroupSpecError,
     GroupTooSmallError,
@@ -58,7 +58,7 @@ from .shatter import attained_orders, certificate, critical_points
 from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
-ORDERS_M_CAP = 16  # C(m, m // 2) rankings; each step past it doubles the time
+ORDERS_M_CAP = 16  # C(m, m // 2) rankings: 0.5 s at the cap, twice that per step past it
 GROUP_ORDER_CAP = 4096  # `group` makes n^2 exact products: 2.6-2.8 s at the cap
 SYNTH_ORDER_CAP = 65536  # `synth` holds about 1.5 KB per element: 112 MB peak at the cap
 # `verify` writes all 2^m label patterns: 18 functions on cyclic:2 took
@@ -280,16 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if cert.shattered else 1
 
 
-_BOUND_COLUMNS = (
-    "n",
-    "implicit_upper",
-    "simple_upper",
-    "simple_upper_ceil",
-    "refined_upper",
-    "lower_order_two",
-    "lower_general",
-    "achieved_m",
-)
+_BOUND_COLUMNS = (*BoundReport._fields, "achieved_m")
 
 
 def _achieved_from_file(path: str) -> Optional[tuple[int, int]]:
@@ -332,12 +323,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             if n not in ns:
                 ns.append(n)
 
-    rows: list[dict[str, Any]] = []
-    for n in sorted(set(ns)):
-        report = build_bound_report(n)
-        # Every column but achieved_m is the report field it names.
-        row = {col: getattr(report, col) for col in _BOUND_COLUMNS[:-1]}
-        rows.append({**row, "achieved_m": achieved.get(n)})
+    rows: list[dict[str, Any]] = [
+        {**build_bound_report(n)._asdict(), "achieved_m": achieved.get(n)}
+        for n in sorted(set(ns))
+    ]
 
     def fmt(value: Any) -> str:
         if value is None:

@@ -6,6 +6,9 @@ complete when every one of the 2^m subsets is separated by some strict
 ranking in the set.  This module constructs a complete set of exactly
 C(m, floor(m/2)) rankings — the smallest possible — by peeling subsets
 one element at a time with a family of maps F: S(q, m) -> S(q-1, m).
+`f_map` computes F by bracket matching, as in Greene and Kleitman's
+symmetric chain decomposition; F is injective when C(m, q) <= C(m, q-1),
+surjective when C(m, q) >= C(m, q-1) and bijective at m = 2q-1.
 
 Subsets of [m] = {1, ..., m} are bitmasks: bit i-1 stands for element i.
 A ranking of [m] is a tuple of m ranks, element k's at index k-1; it is
@@ -31,66 +34,38 @@ def mask_elements(mask: int) -> list[int]:
     return out
 
 
-def _check_subset(mask: int, q: int, m: int, where: str) -> None:
-    if m < 1 or not 0 <= q <= m:
-        raise ValueError(f"{where}: need 0 <= q <= m with m >= 1, got q={q}, m={m}")
-    if mask >> m:
-        raise ValueError(f"{where}: mask {mask:#x} has elements above {m}")
-    if mask.bit_count() != q:
-        raise ValueError(
-            f"{where}: mask has {mask.bit_count()} elements, expected {q}"
-        )
-
-
-def f_map_base(q: int, mask: int) -> int:
-    """The peeling map S(q, 2q-1) -> S(q-1, 2q-1); a bijection.
-
-    Removes j, the largest element of A whose successor (within the
-    universe) is missing from A, then recurses on the gap-closed copy of
-    the remainder.  The one set with no such j is the suffix interval
-    {q, ..., 2q-1}, which loses its minimum.
-    """
-    m = 2 * q - 1
-    _check_subset(mask, q, m, "f_map_base")
-    if q == 1:
-        return 0
-    j = None
-    for a in range(m - 1, 0, -1):  # a+1 must stay inside the universe
-        if mask & (1 << (a - 1)) and not mask & (1 << a):
-            j = a
-            break
-    if j is None:
-        # mask is {q, ..., 2q-1}: drop its minimum.
-        return mask & ~(1 << (q - 1))
-    # Close the two-slot gap {j, j+1} and recurse one size down.
-    inner = 0
-    rest = mask & ~(1 << (j - 1))
-    for a in mask_elements(rest):
-        inner |= 1 << ((a - 1) if a < j else (a - 3))
-    image = f_map_base(q - 1, inner)
-    lifted = 0
-    for b in mask_elements(image):
-        lifted |= 1 << ((b - 1) if b < j else (b + 1))
-    return lifted | (1 << (j - 1))
-
-
 def f_map(q: int, m: int, mask: int) -> int:
-    """The general peeling map S(q, m) -> S(q-1, m) with F(A) a subset of A.
+    """F(A) for A in S(q, m): A without one element, found in one pass.
 
-    Injective when C(m, q) <= C(m, q-1), surjective when C(m, q) >=
-    C(m, q-1), bijective at m = 2q-1.
+    Strip [m] from the top while q > 1 and m != 2q-1; a stripped element of
+    A stays in F(A) and takes q down by one.  If q = 1 now, F(A) drops A's
+    one element in [1, m].  Otherwise read 1..m: each element of A opens a
+    bracket, each missing one closes the latest open one, and F(A) drops
+    the smallest element left open.  The paper's recursion strips the same
+    way; at m = 2q-1 it keeps in F(A) a j in A with j+1 missing and recurses
+    on the rest.  The pair is matched, so the rest matches as before; the
+    interval {q, ..., 2q-1} it ends on drops its minimum, the first open one.
     """
-    _check_subset(mask, q, m, "f_map")
+    if m < 1 or not 0 <= q <= m:
+        raise ValueError(f"f_map: need 0 <= q <= m with m >= 1, got q={q}, m={m}")
+    if mask >> m:
+        raise ValueError(f"f_map: mask {mask:#x} has elements above {m}")
+    if mask.bit_count() != q:
+        raise ValueError(f"f_map: mask has {mask.bit_count()} elements, expected {q}")
     if q < 1:
         raise ValueError("f_map needs a nonempty subset")
+    while q > 1 and m != 2 * q - 1:
+        m -= 1
+        q -= mask >> m & 1
     if q == 1:
-        return 0
-    if m == 2 * q - 1:
-        return f_map_base(q, mask)
-    top = 1 << (m - 1)
-    if mask & top:
-        return f_map(q - 1, m - 1, mask & ~top) | top
-    return f_map(q, m - 1, mask)
+        return mask >> m << m
+    opened = []
+    for i in range(m):  # bit i stands for element i + 1
+        if mask >> i & 1:
+            opened.append(i)
+        elif opened:
+            opened.pop()
+    return mask & ~(1 << opened[0])
 
 
 def peel_chain(mask: int, m: int) -> list[int]:

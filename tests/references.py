@@ -9,12 +9,13 @@ search over every pair on every grid piece, the ReLU sum term by term
 comparing every value with every cut, ranks by counting, the u-tower
 functions by their dense formula, the k-vector solved and checked on
 every tower level for each target, and verify_synth's level and value
-checks in Fractions, and the certificate's witness re-check one
-(witness, profile) pair at a time.  The differential tests assert
-identical results.  `translate`, the left translation g -> f(a g), is
-what the translation-invariance tests apply, and `edited` is how tests
-change fields of a SynthResult: through its constructor, so its shape
-check runs again.
+checks in Fractions, the certificate's witness re-check one
+(witness, profile) pair at a time, and the peeling map F by its
+recursive definition, which `orders.f_map` computes in one scan.  The
+differential tests assert identical results.  `translate`, the left
+translation g -> f(a g), is what the translation-invariance tests apply,
+and `edited` is how tests change fields of a SynthResult: through its
+constructor, so its shape check runs again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
 from gshatter.gfunc import GroupFunction, indicator
-from gshatter.orders import build_complete_orders
+from gshatter.orders import build_complete_orders, mask_elements
 from gshatter.synth import SynthResult
 
 
@@ -451,3 +452,65 @@ def fraction_level_checks(result) -> dict[str, tuple[bool, str]]:
         not detail, detail or "all nu gaps >= eps at each -c_l"
     )
     return checks
+
+
+def _check_subset(mask: int, q: int, m: int, where: str) -> None:
+    if m < 1 or not 0 <= q <= m:
+        raise ValueError(f"{where}: need 0 <= q <= m with m >= 1, got q={q}, m={m}")
+    if mask >> m:
+        raise ValueError(f"{where}: mask {mask:#x} has elements above {m}")
+    if mask.bit_count() != q:
+        raise ValueError(
+            f"{where}: mask has {mask.bit_count()} elements, expected {q}"
+        )
+
+
+def recursive_f_map_base(q: int, mask: int) -> int:
+    """The peeling map S(q, 2q-1) -> S(q-1, 2q-1); a bijection.
+
+    Removes j, the largest element of A whose successor (within the
+    universe) is missing from A, then recurses on the gap-closed copy of
+    the remainder.  The one set with no such j is the suffix interval
+    {q, ..., 2q-1}, which loses its minimum.
+    """
+    m = 2 * q - 1
+    _check_subset(mask, q, m, "f_map_base")
+    if q == 1:
+        return 0
+    j = None
+    for a in range(m - 1, 0, -1):  # a+1 must stay inside the universe
+        if mask & (1 << (a - 1)) and not mask & (1 << a):
+            j = a
+            break
+    if j is None:
+        # mask is {q, ..., 2q-1}: drop its minimum.
+        return mask & ~(1 << (q - 1))
+    # Close the two-slot gap {j, j+1} and recurse one size down.
+    inner = 0
+    rest = mask & ~(1 << (j - 1))
+    for a in mask_elements(rest):
+        inner |= 1 << ((a - 1) if a < j else (a - 3))
+    image = recursive_f_map_base(q - 1, inner)
+    lifted = 0
+    for b in mask_elements(image):
+        lifted |= 1 << ((b - 1) if b < j else (b + 1))
+    return lifted | (1 << (j - 1))
+
+
+def recursive_f_map(q: int, m: int, mask: int) -> int:
+    """The general peeling map S(q, m) -> S(q-1, m) with F(A) a subset of A.
+
+    Injective when C(m, q) <= C(m, q-1), surjective when C(m, q) >=
+    C(m, q-1), bijective at m = 2q-1.
+    """
+    _check_subset(mask, q, m, "f_map")
+    if q < 1:
+        raise ValueError("f_map needs a nonempty subset")
+    if q == 1:
+        return 0
+    if m == 2 * q - 1:
+        return recursive_f_map_base(q, mask)
+    top = 1 << (m - 1)
+    if mask & top:
+        return recursive_f_map(q - 1, m - 1, mask & ~top) | top
+    return recursive_f_map(q, m - 1, mask)

@@ -40,7 +40,6 @@ from gshatter.orders import (
     build_complete_orders,
     completeness_lower_bound,
     f_map,
-    f_map_base,
     is_complete,
     is_strict,
 )
@@ -220,7 +219,7 @@ def test_criterion_04_peeling_map_suite():
     for q in range(1, 7):
         universe = 2 * q - 1
         images = {
-            f_map_base(q, sum(1 << (e - 1) for e in combo))
+            f_map(q, universe, sum(1 << (e - 1) for e in combo))
             for combo in combinations(range(1, universe + 1), q)
         }
         assert len(images) == comb(universe, q - 1)

@@ -7,18 +7,20 @@ from math import comb
 
 import pytest
 
+import gshatter.orders
 from gshatter.orders import (
     OrderSet,
     _chain_ranks,
     build_complete_orders,
     completeness_lower_bound,
     f_map,
-    f_map_base,
     is_complete,
     mask_elements,
     peel_chain,
     separated_masks,
 )
+
+from references import recursive_f_map
 
 
 def mask_from_elements(elements) -> int:
@@ -37,30 +39,32 @@ class TestMasks:
 
 
 class TestBaseMap:
+    """F at m = 2q - 1, where it is a bijection S(q, 2q-1) -> S(q-1, 2q-1)."""
+
     def test_q2_table(self):
         # On the universe {1,2,3}: {1,2} -> {2}, {1,3} -> {1}, {2,3} -> {3}.
-        assert f_map_base(2, mask_from_elements([1, 2])) == mask_from_elements([2])
-        assert f_map_base(2, mask_from_elements([1, 3])) == mask_from_elements([1])
-        assert f_map_base(2, mask_from_elements([2, 3])) == mask_from_elements([3])
+        assert f_map(2, 3, mask_from_elements([1, 2])) == mask_from_elements([2])
+        assert f_map(2, 3, mask_from_elements([1, 3])) == mask_from_elements([1])
+        assert f_map(2, 3, mask_from_elements([2, 3])) == mask_from_elements([3])
 
     def test_q1_singleton_to_empty(self):
-        assert f_map_base(1, mask_from_elements([1])) == 0
+        assert f_map(1, 1, mask_from_elements([1])) == 0
 
     def test_suffix_interval_loses_minimum(self):
         # {3,4,5} in the universe {1,...,5} has no removable pair.
-        assert f_map_base(3, mask_from_elements([3, 4, 5])) == mask_from_elements(
+        assert f_map(3, 5, mask_from_elements([3, 4, 5])) == mask_from_elements(
             [4, 5]
         )
 
     @pytest.mark.parametrize("q", range(1, 7))
     def test_bijective(self, q):
         m = 2 * q - 1
-        images = [f_map_base(q, a) for a in subsets_of_size(q, m)]
+        images = [f_map(q, m, a) for a in subsets_of_size(q, m)]
         assert sorted(images) == sorted(subsets_of_size(q - 1, m))
 
     def test_wrong_cardinality_rejected(self):
         with pytest.raises(ValueError):
-            f_map_base(2, mask_from_elements([1]))
+            f_map(2, 3, mask_from_elements([1]))
 
 
 class TestGeneralMap:
@@ -87,6 +91,33 @@ class TestGeneralMap:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             f_map(0, 3, 0)
+
+
+class TestRecursiveReference:
+    """F against its recursive definition, kept in tests/references.py."""
+
+    def test_every_subset_up_to_m12(self):
+        for m in range(1, 13):
+            for q in range(1, m + 1):
+                for a in subsets_of_size(q, m):
+                    assert f_map(q, m, a) == recursive_f_map(q, m, a), (q, m, a)
+
+    @pytest.mark.parametrize(
+        "q, m, mask",
+        [(0, 3, 0), (-1, 3, 0), (1, 0, 0), (4, 3, 0b111), (1, 3, 0b1000), (2, 3, 0b1)],
+    )
+    def test_same_errors(self, q, m, mask):
+        with pytest.raises(ValueError) as got:
+            f_map(q, m, mask)
+        with pytest.raises(ValueError) as want:
+            recursive_f_map(q, m, mask)
+        assert str(got.value) == str(want.value)
+
+    def test_same_order_sets_up_to_m14(self, monkeypatch):
+        built = [build_complete_orders(m).rankings for m in range(1, 15)]
+        monkeypatch.setattr(gshatter.orders, "f_map", recursive_f_map)
+        for m, rankings in enumerate(built, 1):
+            assert build_complete_orders(m).rankings == rankings, m
 
 
 class TestPeeling:
