@@ -11,10 +11,10 @@ non-decreasing and piecewise affine with rational breakpoints, which is
 what makes exact enumeration of all realizable label patterns possible
 downstream.
 
-Inside, a profile holds f*K as integers over one denominator, and one
-sorted table of its terms that gives nu at any bias and nu's pieces
-alike; `NuProfile.scaled` gives nu at a bias as an integer pair, and
-`nu_values` gives every profile's nu at one bias over one denominator.
+Inside, a profile holds f*K as integers over one denominator, which
+every profile of a family shares, and one sorted table of its terms that
+gives nu at any bias and nu's pieces alike; `nu_values` gives every
+profile's nu at one bias over one denominator, from one cut per bias.
 A Fraction is formed only for the nu that `NuProfile.at` returns, and no
 float is used anywhere.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
 from .gfunc import GroupFunction, Measure, _convolve
@@ -32,12 +31,12 @@ from .gfunc import GroupFunction, Measure, _convolve
 class NuProfile:
     """One convolution f*K, as integers, and nu's breakpoint table.
 
-    (f*K)(g) is nums[g] / den.  The profile sorts its terms once, by
-    x = (f*K)(g) * den, into `xs`, with suffix sums of x (`masses`), so
-    the terms from position i on number len(xs) - i and add up to
-    masses[i].  `scaled` and `at` read nu at one bias from that table;
-    `pieces` streams nu in closed form, piece by piece, from the same
-    table.
+    (f*K)(g) is nums[g] / den, and the profiles of one `build_nu_profiles`
+    call share den.  The profile sorts its terms once, by x = (f*K)(g) *
+    den, into `xs`, with suffix sums of x (`masses`), so the terms from
+    position i on number len(xs) - i and add up to masses[i].
+    `nu_values` and `at` read nu at one bias from that table; `pieces`
+    streams nu in closed form, piece by piece, from the same table.
     """
 
     __slots__ = ("nums", "den", "xs", "masses", "__weakref__")
@@ -56,59 +55,58 @@ class NuProfile:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
-    def pieces(self, scale: int) -> Iterator[tuple[int, int, int]]:
-        """nu's breakpoints on t = c * scale, ascending, each with the piece
-        that starts there; den must divide scale.
+    def pieces(self) -> Iterator[tuple[int, int, int]]:
+        """nu's breakpoints on t = c * den, ascending, each with the piece
+        that starts there.
 
-        Each item (t, slope, offset) gives nu(c) * scale = slope * t +
-        offset from t up to the next breakpoint, and offset / scale sums
+        Each item (t, slope, offset) gives nu(c) * den = slope * t +
+        offset from t up to the next breakpoint, and offset / den sums
         (f*K)(g) over the active terms.  Left of the first breakpoint nu
         is 0, and nu is continuous, so either piece gives the value at a
-        breakpoint.  A breakpoint sits at t = -x * scale / den for each x
-        in `xs`; crossing it activates every term with that value, which
-        are the terms from the first position i of x on, so the piece is
-        read off the table at i.
+        breakpoint.  A breakpoint sits at t = -x for each x in `xs`;
+        crossing it activates every term with that value, which are the
+        terms from the first position i of x on, so the piece is read off
+        the table at i.
         """
-        k, xs, masses = scale // self.den, self.xs, self.masses
+        xs, masses = self.xs, self.masses
         for i in reversed(range(len(xs))):
             if not i or xs[i - 1] != xs[i]:  # the first position of its value
-                yield -xs[i] * k, len(xs) - i, masses[i] * k
-
-    def scaled(self, c: Fraction) -> tuple[int, int]:
-        """(N, D) with nu(c) = N / D and D > 0, not reduced.
-
-        With c = a/b the term of x is active exactly when x*b > -a*den,
-        that is when x > (-a*den) // b; the active terms are one sorted
-        tail, found by one bisect, and they add up to
-        (mass*b + a*den*count) / (den*b).
-        """
-        a, b = c.numerator, c.denominator
-        den = self.den
-        i = bisect_right(self.xs, (-a * den) // b)
-        return self.masses[i] * b + a * den * (len(self.xs) - i), den * b
+                yield -xs[i], len(xs) - i, masses[i]
 
     def at(self, c: Fraction) -> Fraction:
         """sum_g max(0, (f*K)(g) + c): nu at c, exactly."""
-        return Fraction(*self.scaled(c))
+        [x], d = nu_values([self], c)
+        return Fraction(x, d)
 
 
 def nu_values(profiles: Sequence[NuProfile], c: Fraction) -> tuple[list[int], int]:
-    """(xs, D) with nu_k(c) = xs[k] / D for every profile k.
+    """(xs, D) with nu_k(c) = xs[k] / D for every profile k, D = den * b.
 
-    D is the lcm of the profiles' dens times c's denominator, so rankings,
-    spreads, gaps and cuts at one bias compare integers and no Fraction is
-    formed per profile.
+    The profiles share one den, as those of one `build_nu_profiles` call
+    do (`ValueError` otherwise).  With c = a/b the term of x is active
+    exactly when x*b > -a*den, that is when x > (-a*den) // b: one cut
+    for the family.  Each profile's active terms are one sorted tail,
+    found by one bisect, and add up to (mass*b + a*den*count) / (den*b).
+    Rankings, spreads, gaps and cuts at one bias compare integers.
     """
-    scale = lcm(*(p.den for p in profiles))
-    # scaled(c) is over den * c.denominator, which scale // den times is D.
-    return [p.scaled(c)[0] * (scale // p.den) for p in profiles], scale * c.denominator
+    den = profiles[0].den
+    if any(p.den != den for p in profiles):
+        raise ValueError("profiles over different denominators")
+    ad, b = c.numerator * den, c.denominator
+    cut = (-ad) // b
+    xs = []
+    for p in profiles:
+        i = bisect_right(p.xs, cut)
+        xs.append(p.masses[i] * b + ad * (len(p.xs) - i))
+    return xs, den * b
 
 
 def build_nu_profiles(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> list[NuProfile]:
-    """build_nu_profile for each f in fs; K is converted once for them all."""
-    return [NuProfile(tuple(nums), den) for nums, den in _convolve(fs, kernel, mu)]
+    """build_nu_profile for each f in fs, all over `_convolve`'s one den."""
+    family, den = _convolve(fs, kernel, mu)
+    return [NuProfile(tuple(nums), den) for nums in family]
 
 
 def build_nu_profile(

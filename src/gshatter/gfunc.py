@@ -5,7 +5,7 @@ Everything here is exact: values are `fractions.Fraction` and floats are
 rejected outright, because downstream constructions compare quantities
 whose gaps shrink super-exponentially and a single rounding step could
 flip an order comparison.  The convolution runs on integers over one
-denominator; `convolve` gives its values as Fractions.
+denominator for a whole family; `convolve` gives its values as Fractions.
 `fraction_to_str` spells a value at any length, for files and messages.
 """
 
@@ -108,34 +108,34 @@ def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _convolve(
     fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure
-) -> list[tuple[list[int], int]]:
-    """(f * K)(g) = sum_h f(g h^-1) K(h) as (nums, den) per f in fs.
+) -> tuple[list[list[int]], int]:
+    """(fs[k] * K)(g) = sum_h fs[k](g h^-1) K(h) as nums[k][g] / den.
 
     Each term f(a) K(h) lands at g = a h, so only pairs of a support point
     of f and one of K are visited: O(|supp f| * |supp K|).  With K made
-    integer once and each f over its own denominator every term is an
-    integer; one gcd at the end leaves den the lcm of the reduced
-    denominators of the values nums[g] / den.
+    integer once and the whole family over one denominator every term is
+    an integer; one gcd at the end leaves den the lcm of the reduced
+    denominators of all the family's values, so the family shares it.
     """
     mul, n = kernel.group.mul, kernel.group.order
     k_nums, k_den = as_integers(kernel.values)
     terms = [(h, k) for h, k in enumerate(k_nums) if k]
-    results = []
-    for f in fs:
+    f_nums, f_den = as_integers([v for f in fs for v in f.values])
+    accs, common = [], f_den * k_den
+    for i, f in enumerate(fs):
         _same_group(f.group, kernel.group, "convolve")
         _same_group(f.group, mu.group, "convolve")
-        f_nums, f_den = as_integers(f.values)
         acc = [0] * n
-        for a, fa in enumerate(f_nums):
+        for a, fa in enumerate(f_nums[i * n : (i + 1) * n]):
             if fa:
                 for h, k in terms:
                     acc[mul(a, h)] += fa * k
-        common = gcd(f_den * k_den, *acc)
-        results.append(([x // common for x in acc], f_den * k_den // common))
-    return results
+        accs.append(acc)
+        common = gcd(common, *acc)
+    return [[x // common for x in acc] for acc in accs], f_den * k_den // common
 
 
 def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
     """Group convolution (f * K)(g) = sum_h f(g h^-1) K(h) under mu."""
-    [(nums, den)] = _convolve([f], kernel, mu)
+    [nums], den = _convolve([f], kernel, mu)
     return GroupFunction(f.group, tuple(Fraction(x, den) for x in nums))

@@ -6,11 +6,11 @@ nu functions at c1.  Those are piecewise affine in c1, so probing one
 rational point inside every maximal piece — plus every breakpoint and
 crossing — visits every realizable label pattern.  Each witnessed
 pattern is re-verified before it enters a certificate: nu is evaluated
-at the witness from each profile's breakpoint table (`nu_values`, through
-`NuProfile.scaled`), not read off the sweep's pieces, crossings, probes
-or cuts that found it, nor off synth's level cuts.
+at the witness from each profile's breakpoint table (`nu_values`), not
+read off the sweep's pieces, crossings, probes or cuts that found it,
+nor off synth's level cuts.
 
-The sweep runs on integers over one common denominator: Fractions
+The sweep runs on integers over the family's one denominator: Fractions
 appear only in emitted (c1, c2) witnesses, and floats nowhere.  It ends
 once the strict rankings it has seen form a complete set of orders,
 which decides both the certificate and the order criterion.
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from heapq import merge
 from itertools import chain, combinations, groupby, product, repeat
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .classifier import NuProfile, build_nu_profiles, nu_values, ranking_of_values
@@ -52,15 +52,15 @@ class ShatterCertificate(NamedTuple):
 class CriticalSet(NamedTuple):
     """The first row of each ranking over the points where one can change.
 
-    On the scale t = c1 * scale, with scale the lcm of the profiles' den,
-    every breakpoint is an integer.  The critical points t = p / q
+    On the scale t = c1 * den, with den the one denominator the profiles
+    share, every breakpoint is an integer.  The critical points t = p / q
     (integers, q > 0) are every nu breakpoint and every crossing of two
     nu inside a shared affine piece.  Between consecutive points every nu
     is affine, so the ranking is constant there, and the probes (each
     point, the midpoints between them and one unit of c1 past either end)
     reach every ranking attained on the whole real line.  `rows` maps
     each attained ranking, in probe order, to its first probe (p, q) and
-    its values: `values[k]` is nu of `profiles[k]` there times q*scale.
+    its values: `values[k]` is nu of `profiles[k]` there times q*den.
     When `stopped`, the walk ended at the row whose strict rankings
     became a complete set, and `rows` holds the rankings up to it only.
     `verify_synth` builds its rows from level probes (c1 = -c_l) instead.
@@ -68,15 +68,14 @@ class CriticalSet(NamedTuple):
     """
 
     profiles: tuple[NuProfile, ...]
-    scale: int
     rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]]
     stopped: bool
 
     @property
     def points(self) -> tuple[Fraction, ...]:
         """The critical bias values c1, in ascending order."""
-        walk = _walk(self.profiles, self.scale)
-        return tuple(Fraction(p, q * self.scale) for p, q, _, _ in walk)
+        den = self.profiles[0].den
+        return tuple(Fraction(p, q * den) for p, q, _, _ in _walk(self.profiles))
 
     @property
     def probes(self) -> tuple[Fraction, ...]:
@@ -90,11 +89,11 @@ class CriticalSet(NamedTuple):
 _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _walk(profiles: Sequence[NuProfile], scale: int) -> Iterator[tuple]:
+def _walk(profiles: Sequence[NuProfile]) -> Iterator[tuple]:
     """The critical points t = p / q, ascending, as (p, q, pieces, values).
 
     The profiles' piece streams merge by t into one grid, so on each open
-    piece of it nu_k * scale = s * t + o with (s, o) = pieces[k].  Two
+    piece of it nu_k * den = s * t + o with (s, o) = pieces[k].  Two
     affine functions cross strictly inside a piece exactly when their
     strict order differs at its two ends (a tie at either end is no flip).
     Left of the grid every nu is 0; past it every term is active, so
@@ -105,7 +104,7 @@ def _walk(profiles: Sequence[NuProfile], scale: int) -> Iterator[tuple]:
     the next point.
     """
     m = len(profiles)
-    streams = [zip(p.pieces(scale), repeat(k)) for k, p in enumerate(profiles)]
+    streams = [zip(p.pieces(), repeat(k)) for k, p in enumerate(profiles)]
     pieces, left = [(0, 0)] * m, [0] * m  # left of the grid every nu is 0
     pairs = list(combinations(range(m), 2))
     for t, entering in groupby(merge(*streams), key=lambda item: item[0][0]):
@@ -134,9 +133,9 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
     previous point is kept.  No ranking changes across a point where no
     two nu tie: only the first probe, tied points and the probes after
     them are ranked.  Past the last point every nu has the same slope, so
-    the ranking there is that of the last point.  Profiles of groups of
-    different orders are refused (`ValueError`): their slopes differ past
-    the last point.
+    the ranking there is that of the last point.  `ValueError` refuses
+    profiles of groups of different orders, whose slopes differ past the
+    last point, and profiles over different dens, which share no grid.
 
     The walk stops at the first row after which the recorded strict
     rankings separate all 2^m subsets.  Such a set is complete, so every
@@ -148,7 +147,9 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
         raise ValueError("need at least one function")
     if len({len(p.nums) for p in profiles}) > 1:
         raise ValueError("profiles of groups of different orders")
-    scale = lcm(*(p.den for p in profiles))
+    if len({p.den for p in profiles}) > 1:
+        raise ValueError("profiles over different denominators")
+    den = profiles[0].den
     rows: dict[tuple[int, ...], tuple[tuple[int, int], list[int]]] = {}
     tied = True  # whether the last point tied; the first probe is ranked
     separated: set[int] = set()  # the subsets the strict rows separate
@@ -170,9 +171,9 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
         return False
 
     last, stopped = None, False
-    for p, q, pieces, values in _walk(profiles, scale):
+    for p, q, pieces, values in _walk(profiles):
         if last is None:  # one unit of c1 before the first point
-            bp, bq = p - scale * q, q
+            bp, bq = p - den * q, q
         else:  # the midpoint after the previous point
             lp, lq = last
             bp, bq = lp * q + p * lq, 2 * lq * q
@@ -180,7 +181,7 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
             stopped = True
             break
         last = p, q
-    return CriticalSet(tuple(profiles), scale, rows, stopped)
+    return CriticalSet(tuple(profiles), rows, stopped)
 
 
 def critical_points(
@@ -202,7 +203,7 @@ def _witnesses(
     gives every first witness.  Only a witness becomes a Fraction pair.
     """
     found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
-    scale = critical.scale
+    den = critical.profiles[0].den
     patterns = 2 ** len(critical.profiles)
     for (p, q), values in critical.rows.values():
         if len(found) == patterns:  # every pattern has its first witness
@@ -217,12 +218,12 @@ def _witnesses(
             places[k] = len(cuts) - 1
         # One threshold per distinct value (that value lands on -1), plus
         # a cut one unit of nu below the minimum that labels everything +1.
-        unit = q * scale
+        unit = q * den
         for j in range(len(cuts) + 1):
             labels = tuple(1 if i < j else -1 for i in places)
             if labels not in found:
                 threshold = cuts[j] if j < len(cuts) else cuts[-1] - unit
-                found[labels] = (Fraction(p, q * scale), Fraction(-threshold, unit))
+                found[labels] = (Fraction(p, unit), Fraction(-threshold, unit))
     return found
 
 
@@ -231,18 +232,18 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
 
     Every witness is re-verified by classify's rule, with nu evaluated at
     the witness from each of `critical.profiles`' breakpoint tables
-    (`nu_values`, which reads `NuProfile.scaled`), not taken from the
-    sweep's pieces or values nor from synth's level cuts.  A row's
-    witnesses are contiguous in discovery order and share its c1, so nu
-    is read once per distinct c1.  Each witness is then decided by two
-    products: its smallest nu among +1 functions and its largest among -1
-    functions against its cut.  A witness that failed re-verification
-    would mean an internal inconsistency, so the first such one in
-    discovery order raises WitnessVerificationError, naming its first
-    failing function, instead of being silently dropped.  A sweep that
-    stopped early claims a complete set of rankings, so a pattern left
-    without a witness there raises InvariantError: a stop rule that fired
-    too early never passes as a negative verdict.
+    (`nu_values`), not taken from the sweep's pieces or values nor from
+    synth's level cuts.  A row's witnesses are contiguous in discovery
+    order and share its c1, so nu is read once per distinct c1.  Each
+    witness is then decided by two products: its smallest nu among +1
+    functions and its largest among -1 functions against its cut.  A
+    witness that failed re-verification would mean an internal
+    inconsistency, so the first such one in discovery order raises
+    WitnessVerificationError, naming its first failing function, instead
+    of being silently dropped.  A sweep that stopped early claims a
+    complete set of rankings, so a pattern left without a witness there
+    raises InvariantError: a stop rule that fired too early never passes
+    as a negative verdict.
     """
     m = len(critical.profiles)
     found = _witnesses(critical)

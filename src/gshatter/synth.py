@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import pairwise
-from math import ceil, floor, lcm
+from math import ceil, floor
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
@@ -432,11 +432,11 @@ def verify_synth(result: SynthResult) -> SynthReport:
         *_level_checks(result, orders, levels),
         *_value_checks(result, profiles, tower),
     ]
-    # Level l's xs are nu * D at c1 = -c_l = -a/b, with D = b * scale.
-    scale, rows = lcm(*(p.den for p in profiles)), {}
+    # Level l's xs are nu * D at c1 = -c_l = -a/b, with D = b * den.
+    den, rows = profiles[0].den, {}
     for c, (xs, _) in zip(result.thresholds, levels):
-        rows.setdefault(ranking_of_values(xs), ((-c.numerator * scale, c.denominator), xs))
-    cert = certificate(CriticalSet(tuple(profiles), scale, rows, stopped=False))
+        rows.setdefault(ranking_of_values(xs), ((-c.numerator * den, c.denominator), xs))
+    cert = certificate(CriticalSet(tuple(profiles), rows, stopped=False))
     if not cert.shattered:
         cert = certificate(critical_set(profiles))
     detail = f"{cert.witnessed_count()} of {2 ** m} label patterns witnessed"
@@ -531,29 +531,29 @@ def _value_checks(
     general mode guard-translates, on each profile's sorted integers.
 
     For an integer x = v * den, v > lo exactly when x > floor(lo * den),
-    and v < hi exactly when x < ceil(hi * den), so one pair of bisects
-    finds the values inside a band.  The band's detail names its last
+    and v < hi exactly when x < ceil(hi * den): each level's band ends are
+    found once, on the family's one den, and one pair of bisects per
+    profile finds the values inside.  The band's detail names its last
     value in element order, at the last level and profile that have one.
     """
-    last = None
+    den, last = profiles[0].den, None
     for l, hi in enumerate(result.ms):
-        lo = hi - result.epsilon
+        x_lo, x_hi = floor((hi - result.epsilon) * den), ceil(hi * den)
         for p in profiles:
-            x_lo, x_hi = floor(lo * p.den), ceil(hi * p.den)
             if bisect_right(p.xs, x_lo) < bisect_left(p.xs, x_hi):
                 last = (l, p, x_lo, x_hi)
     detail = "no convolution value in any band"
     if last is not None:
         l, p, x_lo, x_hi = last
         x = next(x for x in reversed(p.nums) if x_lo < x < x_hi)
-        detail = f"value {fraction_to_str(Fraction(x, p.den))} inside the band around m_{l + 1}"
+        detail = f"value {fraction_to_str(Fraction(x, den))} inside the band around m_{l + 1}"
     yield SynthCheck("forbidden-band", last is None, detail)
 
-    above_b = []
+    above_b, x_b = [], floor(result.B * den)
     for p in profiles:
-        i = bisect_right(p.xs, floor(result.B * p.den))
+        i = bisect_right(p.xs, x_b)
         if i < len(p.xs):
-            above_b.append(Fraction(p.xs[i], p.den))
+            above_b.append(Fraction(p.xs[i], den))
     min_over_b = min(above_b, default=None)
     value = "None" if min_over_b is None else fraction_to_str(min_over_b)
     detail = f"smallest convolution value above B is {value}"

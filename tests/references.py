@@ -181,14 +181,16 @@ def fraction_critical_set(profiles: Sequence[FractionProfile]):
 
 
 def piece_lists(profile, scale: int) -> tuple[list[int], ...]:
-    """profile.pieces collected as breakpoints, slopes and offsets: slopes
-    and offsets start with the zero piece left of the first breakpoint, so
-    piece i covers t in (breakpoints[i-1], breakpoints[i]]."""
+    """profile.pieces collected as breakpoints, slopes and offsets on
+    t = c * scale, a multiple of profile.den: slopes and offsets start with
+    the zero piece left of the first breakpoint, so piece i covers t in
+    (breakpoints[i-1], breakpoints[i]]."""
+    k = scale // profile.den
     breakpoints, slopes, offsets = [], [0], [0]
-    for t, slope, offset in profile.pieces(scale):
-        breakpoints.append(t)
+    for t, slope, offset in profile.pieces():
+        breakpoints.append(t * k)
         slopes.append(slope)
-        offsets.append(offset)
+        offsets.append(offset * k)
     return breakpoints, slopes, offsets
 
 
@@ -328,8 +330,8 @@ def cut_witnesses(probes, values):
 def exceeds_recheck(profiles, found) -> None:
     """certificate's witness re-check, one (witness, profile) pair at a time.
 
-    Walks the patterns in product order and reads nu(c1) > -c2 on each
-    profile by cross-multiplication of `NuProfile.scaled`; the first
+    Walks the patterns in product order and reads nu(c1) + c2 > 0 on each
+    profile, with nu summed term by term (`loop_relu_sum`); the first
     failure raises WitnessVerificationError with certificate's text.
     """
     for labels in product((-1, 1), repeat=len(profiles)):
@@ -337,8 +339,7 @@ def exceeds_recheck(profiles, found) -> None:
             continue
         c1, c2 = found[labels]
         for k, profile in enumerate(profiles):
-            num, den = profile.scaled(c1)
-            got = 1 if num * c2.denominator > -c2.numerator * den else -1
+            got = 1 if loop_relu_sum(profile, c1) + c2 > 0 else -1
             if got != labels[k]:
                 raise WitnessVerificationError(
                     f"witness ({c1}, {c2}) for {labels} fails on "

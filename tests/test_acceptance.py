@@ -256,16 +256,14 @@ def test_fast_paths_match_references_on_criterion_05_instances():
 
 
 def test_nu_profile_scaled_above_its_own_scale_on_criterion_05_instances():
-    """NuProfile.pieces at multiples of a profile's scales equals the reference."""
+    """NuProfile.pieces on a family's one den, the lcm of its profiles' own
+    scales, equals the reference."""
     from references import fraction_build_nu_profile
     from test_fast_paths import assert_pieces_match_reference
 
     for kernel, fs, mu in random_instances(seed=42, count=1000):
-        for f in fs:
-            assert_pieces_match_reference(
-                build_nu_profile(kernel, f, mu),
-                fraction_build_nu_profile(kernel, f),
-            )
+        for f, p in zip(fs, build_nu_profiles(kernel, fs, mu)):
+            assert_pieces_match_reference(p, fraction_build_nu_profile(kernel, f))
 
 
 def test_witness_recheck_matches_its_reference_on_criterion_05_instances():

@@ -88,8 +88,9 @@ class TestNuProfile:
         # conv = f = (1/2, -1/3, 2) over den 6; xs sorted, masses its suffix sums.
         assert (profile.nums, profile.den) == ((3, -2, 12), 6)
         assert (profile.xs, profile.masses) == ([-2, 3, 12], [13, 15, 12, 0])
-        # Each piece's slope counts its active terms; at scale 12, t = 12c.
-        assert list(profile.pieces(12)) == [(-24, 1, 24), (-6, 2, 30), (4, 3, 26)]
+        # Each piece's slope counts its active terms; on t = 6c the
+        # breakpoints are -x and the offsets the suffix sums.
+        assert list(profile.pieces()) == [(-12, 1, 12), (-3, 2, 15), (2, 3, 13)]
         assert profile.at(Fraction(0)) == Fraction(5, 2)
 
     def test_constant_convolution_single_breakpoint(self):
@@ -127,9 +128,9 @@ class TestNuProfile:
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(g.order)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(g.order)])
         profile = build_nu_profile(k, f, counting_measure(g))
-        *_, (t, slope, offset) = profile.pieces(2 * profile.den)
-        assert t == -2 * min(profile.nums)
-        assert (slope, offset) == (g.order, 2 * sum(profile.nums))
+        *_, (t, slope, offset) = profile.pieces()
+        assert t == -min(profile.nums)
+        assert (slope, offset) == (g.order, sum(profile.nums))
 
     def test_keeps_its_convolution(self):
         g = build_group("cyclic:5")

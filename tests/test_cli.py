@@ -120,18 +120,18 @@ def shift_sweep_values(monkeypatch):
     """Make the sweep's nu values wrong by 1 past each first breakpoint;
     the definition stays right.
 
-    The sweep reads every value from NuProfile.pieces, where nu * scale =
-    slope * t + offset, so adding scale to each offset adds 1 to nu on
+    The sweep reads every value from NuProfile.pieces, where nu * den =
+    slope * t + offset, so adding den to each offset adds 1 to nu on
     every piece from the first breakpoint on (left of it the sweep's own
     zero piece stays right); the re-check of each witness reads nu off
-    each profile's breakpoint table (`nu_values`, through
-    `NuProfile.scaled`) and never calls `pieces`.
+    each profile's breakpoint table (`nu_values`) and never calls
+    `pieces`.
     """
     true_pieces = NuProfile.pieces
 
-    def shifted(self, scale):
-        for t, slope, offset in true_pieces(self, scale):
-            yield t, slope, offset + scale
+    def shifted(self):
+        for t, slope, offset in true_pieces(self):
+            yield t, slope, offset + self.den
 
     monkeypatch.setattr(NuProfile, "pieces", shifted)
 
@@ -143,8 +143,7 @@ def shift_level_values(monkeypatch):
     spreads and gaps stay right while every cut, and with it every
     witness that synth takes from the levels, is off by 1.  Only synth's
     binding of `nu_values` is shifted: the re-check reads each profile's
-    breakpoint table through shatter's binding (and `NuProfile.scaled`),
-    never synth's level cuts.
+    breakpoint table through shatter's binding, never synth's level cuts.
     """
     true_values = gshatter.synth.nu_values
 
@@ -811,6 +810,55 @@ class TestVerifyCommand:
         assert manifest["inputs"] == {
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs
         }
+
+    def test_golden_out_digests(self, capsys, tmp_path):
+        # The reports `verify --out` writes on the golden bundles of
+        # TestSynthCommand.test_golden_digests; any refactor of the sweep
+        # must keep them.
+        golden = {
+            ("cyclic:18", 3, "order_two"):
+                "289edbc81c12329da4c5fd598240d58905519f779b7eeaaf0995695c2bb2ff3c",
+            ("dihedral:9", 3, "order_two"):
+                "e6a6da583f8a86300f85319da0a5766074b722b95669efec02319844391bc0d0",
+            ("cyclic:81", 3, "general"):
+                "8cc1052eee5e9e6264798bb01ef37719b3ec2b21253db29bc7d22c9db9f63fc3",
+            ("cyclic:100", 5, "order_two"):
+                "2b9acf6ef02bd884510ffb1fddd7545e0c917d4759533f56e53af844a0d706e3",
+        }
+        for (spec, m, mode), digest in golden.items():
+            out = tmp_path / spec.replace(":", "_")
+            code, _, _ = run(
+                capsys, "synth", "--group", spec, "--m", str(m), "--mode", mode,
+                "--out-dir", str(out),
+            )
+            assert code == 0, spec
+            target = out / "verified" / "verify.json"
+            code, _, _ = run(
+                capsys, "verify", "--kernel", str(out / "kernel.json"),
+                "--functions", str(out / "functions.json"), "--out", str(target),
+            )
+            assert code == 0, spec
+            assert sha256_of_file(target) == digest, spec
+
+    def test_disagreeing_verdicts_exit_5(self, capsys, bundle, monkeypatch):
+        # The certificate and the order criterion are two conclusions from
+        # one sweep; should they ever differ, verify reports an internal bug.
+        true_is_complete = gshatter.cli.is_complete
+        monkeypatch.setattr(
+            gshatter.cli, "is_complete", lambda orders: not true_is_complete(orders)
+        )
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--kernel", str(bundle / "kernel.json"),
+            "--functions", str(bundle / "functions.json"),
+        )
+        assert code == 5
+        assert "shattered=True order_criterion=False agreement=False" in out
+        assert err == (
+            "error: shattering verdict and order criterion disagree (internal bug)\n"
+        )
+        assert "Traceback" not in err
 
     def test_manifest_hashes_the_bytes_verified_when_out_overwrites_an_input(
         self, capsys, bundle

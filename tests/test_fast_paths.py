@@ -21,6 +21,7 @@ import gshatter.synth
 from gshatter.classifier import (
     build_nu_profile,
     build_nu_profiles,
+    nu_values,
     ranking_of_values,
 )
 from gshatter.gfunc import (
@@ -138,8 +139,8 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
     assert crit.stopped == complete
     assert list(crit.rows) == list(first)
     for ((p, q), row), i in zip(crit.rows.values(), first.values()):
-        assert Fraction(p, q * crit.scale) == probes[i]
-        unit = q * crit.scale
+        unit = q * crit.profiles[0].den
+        assert Fraction(p, unit) == probes[i]
         assert [Fraction(v, unit) for v in row] == values[i]
     rankings = attained_orders(crit).rankings
     assert rankings == tuple(first)
@@ -168,14 +169,18 @@ def assert_table_matches(profile, conv: GroupFunction) -> None:
 def assert_matches_references(kernel, fs, mu) -> None:
     # The family's convolutions, made together, are each one's alone.
     profiles = build_nu_profiles(kernel, fs, mu)
-    assert profiles == [build_nu_profile(kernel, f, mu) for f in fs]
+    family_values = []
     for f, p in zip(fs, profiles):
         values = convolve(f, kernel, mu).values
         assert values == dense_convolve(f, kernel)
         assert values == fraction_convolve(f, kernel)
         assert values == tuple(Fraction(x, p.den) for x in p.nums)
-        # One denominator, no larger than the values need.
-        assert p.den == lcm(*(v.denominator for v in values))
+        alone = build_nu_profile(kernel, f, mu)
+        assert values == tuple(Fraction(x, alone.den) for x in alone.nums)
+        assert alone.den == lcm(*(v.denominator for v in values))
+        family_values += values
+    # One denominator for the family, no larger than its values need.
+    assert {p.den for p in profiles} == {lcm(*(v.denominator for v in family_values))}
     refs = [fraction_build_nu_profile(kernel, f) for f in fs]
     for p, ref in zip(profiles, refs):
         assert_table_matches(p, ref.conv)
@@ -222,7 +227,7 @@ def tampered_rows(crit, rows, tamper):
     through tamper.  It claims no stop: a tampered ranking may leave a
     pattern without a witness, which is then no InvariantError."""
     kept = {
-        ranking: ((p, q), tamper(values, q * crit.scale) if i in rows else values)
+        ranking: ((p, q), tamper(values, q * crit.profiles[0].den) if i in rows else values)
         for i, (ranking, ((p, q), values)) in enumerate(crit.rows.items())
     }
     return crit._replace(rows=kept, stopped=False)
@@ -239,18 +244,16 @@ def level_rows(result, monkeypatch):
 
 
 def assert_pieces_match_reference(p, ref) -> None:
-    """p.pieces at multiples of p's own scale, against the Fraction pieces.
+    """p.pieces, on t = c * p.den, against the Fraction pieces.
 
     The reference starts from the zero piece left of the first breakpoint;
     the stream yields each breakpoint with the piece that starts there.
     """
     assert (ref.slopes[0], ref.offsets[0]) == (0, 0)
-    for k in (1, 2, 21):
-        scale = k * p.den
-        assert list(p.pieces(scale)) == [
-            (bp * scale, s, o * scale)
-            for bp, s, o in zip(ref.breakpoints, ref.slopes[1:], ref.offsets[1:])
-        ]
+    assert list(p.pieces()) == [
+        (bp * p.den, s, o * p.den)
+        for bp, s, o in zip(ref.breakpoints, ref.slopes[1:], ref.offsets[1:])
+    ]
 
 
 class TestAgainstReferences:
@@ -283,12 +286,13 @@ class TestAgainstReferences:
     @settings(max_examples=100, deadline=None)
     @given(instances())
     def test_scaled_above_the_profiles_own_scale(self, instance):
-        # The sweep asks for the pieces at the lcm of the family's scales.
+        # A family's profiles share the lcm of their own scales, and adding
+        # f / 21 to the family usually lifts it above f's; the sweep reads
+        # the pieces on that one scale.
         kernel, fs, mu = instance
-        for f in fs:
-            assert_pieces_match_reference(
-                build_nu_profile(kernel, f, mu), fraction_build_nu_profile(kernel, f)
-            )
+        fs = [*fs, GroupFunction(kernel.group, tuple(v / 21 for v in fs[0].values))]
+        for f, p in zip(fs, build_nu_profiles(kernel, fs, mu)):
+            assert_pieces_match_reference(p, fraction_build_nu_profile(kernel, f))
 
     def test_three_nu_crossing_at_one_point(self):
         # f_w holds w copies of (2 - w) / (3 w) and -10 elsewhere, so on
@@ -304,7 +308,7 @@ class TestAgainstReferences:
             )
             for w in (1, 2, 3)
         ]
-        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        crit = critical_set(build_nu_profiles(kernel, fs, mu))
         assert crit.points == (Fraction(-1, 3), 0, Fraction(1, 9), Fraction(1, 3), 10)
         assert_matches_references(kernel, fs, mu)
 
@@ -320,6 +324,23 @@ class TestAgainstReferences:
         with pytest.raises(ValueError, match="different orders"):
             critical_set(profiles)
 
+    def test_profiles_over_different_denominators_are_refused(self):
+        # f_1 = (1, 0) and f_2 = (1/2, 0) built one at a time are over 1
+        # and 2; built together they share 2, and only then do they sweep.
+        group = GROUPS["cyclic:2"]
+        kernel, mu = indicator(group, 0), counting_measure(group)
+        fs = [GroupFunction.from_values(group, row) for row in ([1, 0], [Fraction(1, 2), 0])]
+        apart = [build_nu_profile(kernel, f, mu) for f in fs]
+        assert [p.den for p in apart] == [1, 2]
+        with pytest.raises(ValueError, match="different denominators"):
+            critical_set(apart)
+        with pytest.raises(ValueError, match="different denominators"):
+            nu_values(apart, Fraction(0))
+        together = build_nu_profiles(kernel, fs, mu)
+        assert [p.den for p in together] == [2, 2]
+        assert critical_set(together).points == (-1, Fraction(-1, 2), 0)
+        assert_matches_references(kernel, fs, mu)
+
     def test_crossing_on_a_grid_point(self):
         # nu_1 = (4+c)^+ + c^+ and nu_2 = 2(3+c)^+ cross at c = -2 on both
         # of their shared pieces (-3, -2] and (-2, 0], and -2 is the
@@ -332,7 +353,7 @@ class TestAgainstReferences:
         ]
         kernel = indicator(group, group.identity)
         mu = counting_measure(group)
-        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        crit = critical_set(build_nu_profiles(kernel, fs, mu))
         assert crit.points == (-4, -3, -2, 0)
         assert Fraction(-2) in crit.probes
         assert_matches_references(kernel, fs, mu)
@@ -340,7 +361,7 @@ class TestAgainstReferences:
         thirds = [
             GroupFunction.from_values(group, [v / 3 for v in f.values]) for f in fs
         ]
-        crit = critical_set([build_nu_profile(kernel, f, mu) for f in thirds])
+        crit = critical_set(build_nu_profiles(kernel, thirds, mu))
         assert crit.points == tuple(Fraction(c, 3) for c in (-4, -3, -2, 0))
         assert_matches_references(kernel, thirds, mu)
 
@@ -352,7 +373,7 @@ class TestAgainstReferences:
         fs = [GroupFunction.from_values(group, row) for row in ([2, 0], [2, 1])]
         kernel = indicator(group, group.identity)
         mu = counting_measure(group)
-        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        crit = critical_set(build_nu_profiles(kernel, fs, mu))
         assert crit.points == (-2, -1, 0)
         assert_matches_references(kernel, fs, mu)
 
@@ -368,7 +389,7 @@ class TestAgainstReferences:
         ]
         kernel = indicator(group, group.identity)
         mu = counting_measure(group)
-        crit = critical_set([build_nu_profile(kernel, f, mu) for f in fs])
+        crit = critical_set(build_nu_profiles(kernel, fs, mu))
         refs = [fraction_build_nu_profile(kernel, f) for f in fs]
         _, _, values = bisect_critical_set(refs)
         every = list(dict.fromkeys(map(counted_ranks, values)))

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gshatter.shatter
 import gshatter.synth
 from gshatter.bounds import required_group_size
-from gshatter.classifier import NuProfile, build_nu_profiles
+from gshatter.classifier import build_nu_profiles
 from gshatter.errors import (
     GroupTooSmallError,
     ModeElementError,
@@ -393,6 +394,17 @@ class TestVerification:
         failed = {c.name for c in report.checks if not c.passed}
         assert "u-tower-structure" in failed
 
+    def test_coinciding_centres_fail_subset_disjointness(self, results):
+        result = results["cyclic:18"]
+        first, *rest = result.subsets
+        subsets = ((first[0], first[0], *first[2:]), *rest)
+        report = verify_synth(edited(result, subsets=subsets))
+        verdicts = {c.name: (c.passed, c.detail) for c in report.checks}
+        assert verdicts["subset-disjointness"] == (
+            False, "the windows of the 9 centres are not pairwise disjoint"
+        )
+        assert not report.passed
+
     def test_perturbed_kernel_fails(self):
         group = build_group("cyclic:8")
         result = synth_kernel(group, 2)
@@ -436,24 +448,25 @@ class TestVerification:
         # cyclic:48 at m = 4 certifies from 6 levels: its 16 witnesses sit
         # at 6 distinct c1, so the re-check reads 6 x 4 values, not 16 x 4.
         calls = []
-        scaled = NuProfile.scaled
+        read = gshatter.shatter.nu_values
         made = gshatter.synth.certificate
 
         def counted(critical):
             monkeypatch.setattr(
-                NuProfile, "scaled", lambda self, c: calls.append(c) or scaled(self, c)
+                gshatter.shatter, "nu_values",
+                lambda profiles, c: calls.append(len(profiles)) or read(profiles, c),
             )
             try:
                 return made(critical)
             finally:
-                monkeypatch.setattr(NuProfile, "scaled", scaled)
+                monkeypatch.setattr(gshatter.shatter, "nu_values", read)
 
         monkeypatch.setattr(gshatter.synth, "certificate", counted)
         cert = synth_kernel(build_group("cyclic:48"), 4).report.certificate
         assert cert.shattered
         distinct = {e.c1 for e in cert.entries}
         assert len(distinct) == 6
-        assert len(calls) == len(distinct) * cert.m == 24
+        assert calls == [cert.m] * len(distinct) == [4] * 6
 
     def test_report_lines_format(self):
         group = build_group("cyclic:8")
