@@ -77,7 +77,6 @@ from .synth import (
     UTower,
     build_u_tower,
     choose_subsets,
-    solve_k_vector,
     synth_epsilon,
     synth_kernel,
     verify_synth,

@@ -50,11 +50,6 @@ class NuProfile:
         masses.reverse()
         self.masses = masses
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not NuProfile:
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
     def pieces(self) -> Iterator[tuple[int, int, int]]:
         """nu's breakpoints on t = c * den, ascending, each with the piece
         that starts there.

@@ -45,7 +45,6 @@ from .jsonio import (
     function_family_to_json,
     group_from_json,
     group_function_from_json,
-    group_function_to_json,
     order_set_to_json,
     read_json,
     synth_result_from_json,
@@ -198,8 +197,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     report = result.report
     cert = report.certificate
 
-    run.write(out_dir / "synth_result.json", synth_result_to_json(result))
-    run.write(out_dir / "kernel.json", group_function_to_json(result.kernel))
+    bundle = synth_result_to_json(result)
+    run.write(out_dir / "synth_result.json", bundle)
+    run.write(out_dir / "kernel.json", bundle["kernel"])  # formatted once
     run.write(
         out_dir / "functions.json", function_family_to_json(result.family())
     )

@@ -1,12 +1,12 @@
 """Rational-valued functions on a finite group, the counting measure, and
 convolution.
 
-Everything here is exact: values are `fractions.Fraction` and floats are
-rejected outright, because downstream constructions compare quantities
-whose gaps shrink super-exponentially and a single rounding step could
-flip an order comparison.  The convolution runs on integers over one
-denominator for a whole family; `convolve` gives its values as Fractions.
-`fraction_to_str` spells a value at any length, for files and messages.
+Everything here is exact and floats are rejected outright, because
+downstream constructions compare quantities whose gaps shrink
+super-exponentially and one rounding step could flip an order
+comparison.  A function is integers over one least denominator, and the
+convolution runs on them for a whole family.  `values` forms Fractions
+on demand, and `ratio_to_str` spells a value at any length.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from typing import Iterable, NamedTuple, Sequence
 from .groups import FiniteGroup
 
 
-def _as_fraction(x: object, what: str) -> Fraction:
-    if type(x) is Fraction:  # immutable: no copy needed
-        return x
+def _as_ratio(x: object, what: str) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational; no Fraction is made."""
     if isinstance(x, float):
         raise TypeError(f"{what} must be exact rationals, got float {x!r}")
-    if isinstance(x, _RationalABC):
-        return Fraction(x)
-    raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
+    if not isinstance(x, _RationalABC):
+        raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
+    return int(x.numerator), int(x.denominator)
 
 
 def _long_str(n: int) -> str:
@@ -39,11 +38,20 @@ def _long_str(n: int) -> str:
         return "-" * (n < 0) + _long_str(high) + _long_str(low).zfill(k)
 
 
+def ratio_to_str(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms as "p/q", or "p" when whole."""
+    if not num:
+        return "0"
+    if (d := gcd(num, den)) > 1:
+        num, den = num // d, den // d
+    if den == 1:
+        return _long_str(num)
+    return f"{_long_str(num)}/{_long_str(den)}"
+
+
 def fraction_to_str(x: Fraction | int) -> str:
-    """x as "p/q", or "p" when whole; ints have .numerator and .denominator too."""
-    if x.denominator == 1:
-        return _long_str(x.numerator)
-    return f"{_long_str(x.numerator)}/{_long_str(x.denominator)}"
+    """x as ratio_to_str spells it; ints have .numerator and .denominator too."""
+    return ratio_to_str(x.numerator, x.denominator)
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
@@ -52,26 +60,43 @@ def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
 
 
 class GroupFunction:
-    """An exact function G -> Q, stored as one value per element index."""
+    """An exact function G -> Q: the value at element g is nums[g] / den,
+    with den the least common denominator, which the constructor ensures."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "nums", "den")
 
-    def __init__(self, group: FiniteGroup, values: tuple[Fraction, ...]):
-        if len(values) != group.order:
+    def __init__(self, group: FiniteGroup, nums: Sequence[int], den: int):
+        if len(nums) != group.order:
             raise ValueError(
-                f"function has {len(values)} values for a group of order {group.order}"
+                f"function has {len(nums)} values for a group of order {group.order}"
             )
-        self.group, self.values = group, values
+        if den < 1:
+            raise ValueError(f"denominator must be at least 1, got {den}")
+        if den > 1 and (d := gcd(den, *nums)) > 1:
+            nums, den = [x // d for x in nums], den // d
+        self.group, self.nums, self.den = group, tuple(nums), den
+
+    @classmethod
+    def from_ratios(
+        cls, group: FiniteGroup, ratios: Sequence[tuple[int, int]]
+    ) -> "GroupFunction":
+        """The function whose value at g is p / q for (p, q) = ratios[g], q > 0."""
+        den = lcm(*(q for _, q in ratios))
+        return cls(group, [p and p * (den // q) for p, q in ratios], den)
 
     @classmethod
     def from_values(
         cls, group: FiniteGroup, values: Iterable[object]
     ) -> "GroupFunction":
-        vals = tuple(_as_fraction(v, "function values") for v in values)
-        return cls(group, vals)
+        return cls.from_ratios(group, [_as_ratio(v, "function values") for v in values])
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as Fractions, formed on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def support(self) -> list[int]:
-        return [g for g in range(self.group.order) if self.values[g] != 0]
+        return [g for g, x in enumerate(self.nums) if x]
 
 
 class Measure(NamedTuple):
@@ -94,16 +119,7 @@ def indicator(group: FiniteGroup, g: int) -> GroupFunction:
     """The function that is 1 at g and 0 elsewhere."""
     if not 0 <= g < group.order:
         raise ValueError(f"element index {g} out of range for {group.label}")
-    values = tuple(
-        Fraction(1) if h == g else Fraction(0) for h in range(group.order)
-    )
-    return GroupFunction(group, values)
-
-
-def as_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(nums, den): values[i] = nums[i] / den, den the lcm of the denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return GroupFunction(group, [int(h == g) for h in range(group.order)], 1)
 
 
 def _convolve(
@@ -112,30 +128,30 @@ def _convolve(
     """(fs[k] * K)(g) = sum_h fs[k](g h^-1) K(h) as nums[k][g] / den.
 
     Each term f(a) K(h) lands at g = a h, so only pairs of a support point
-    of f and one of K are visited: O(|supp f| * |supp K|).  With K made
-    integer once and the whole family over one denominator every term is
-    an integer; one gcd at the end leaves den the lcm of the reduced
-    denominators of all the family's values, so the family shares it.
+    of f and one of K are visited: O(|supp f| * |supp K|).  With each f
+    scaled to the family's lcm of denominators every term is an integer;
+    one gcd at the end leaves den the lcm of the reduced denominators of
+    all the family's values, so the family shares it.
     """
     mul, n = kernel.group.mul, kernel.group.order
-    k_nums, k_den = as_integers(kernel.values)
-    terms = [(h, k) for h, k in enumerate(k_nums) if k]
-    f_nums, f_den = as_integers([v for f in fs for v in f.values])
-    accs, common = [], f_den * k_den
-    for i, f in enumerate(fs):
+    terms = [(h, k) for h, k in enumerate(kernel.nums) if k]
+    f_den = lcm(*(f.den for f in fs))
+    accs, common = [], f_den * kernel.den
+    for f in fs:
         _same_group(f.group, kernel.group, "convolve")
         _same_group(f.group, mu.group, "convolve")
-        acc = [0] * n
-        for a, fa in enumerate(f_nums[i * n : (i + 1) * n]):
+        scale, acc = f_den // f.den, [0] * n
+        for a, fa in enumerate(f.nums):
             if fa:
+                fa *= scale
                 for h, k in terms:
                     acc[mul(a, h)] += fa * k
         accs.append(acc)
         common = gcd(common, *acc)
-    return [[x // common for x in acc] for acc in accs], f_den * k_den // common
+    return [[x // common for x in acc] for acc in accs], f_den * kernel.den // common
 
 
 def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
     """Group convolution (f * K)(g) = sum_h f(g h^-1) K(h) under mu."""
     [nums], den = _convolve([f], kernel, mu)
-    return GroupFunction(f.group, tuple(Fraction(x, den) for x in nums))
+    return GroupFunction(f.group, nums, den)

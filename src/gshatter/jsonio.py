@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .errors import _quoted
-from .gfunc import GroupFunction, fraction_to_str
+from .gfunc import GroupFunction, fraction_to_str, ratio_to_str
 from .groups import FiniteGroup, build_group
 from .orders import OrderSet
 from .shatter import DichotomyEntry, ShatterCertificate
@@ -48,8 +48,8 @@ def _long_int(text: str) -> int:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def fraction_from_str(text: str) -> Fraction:
-    """Parse "p" or "p/q": ASCII digits, an optional leading '-', q > 0."""
+def _ratio_from_str(text: str) -> tuple[int, int]:
+    """(p, q) of "p" or "p/q": ASCII digits, an optional leading '-', q > 0."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {_quoted(text)}")
     if len(text) > MAX_RATIONAL_CHARS:
@@ -60,7 +60,12 @@ def fraction_from_str(text: str) -> Fraction:
     q = _long_int(den) if sep else 1
     if not q:
         raise ValueError(f"malformed rational {_quoted(text)}")
-    return Fraction(_long_int(num), q)
+    return _long_int(num), q
+
+
+def fraction_from_str(text: str) -> Fraction:
+    """Parse "p" or "p/q" as `_ratio_from_str` does, into a Fraction."""
+    return Fraction(*_ratio_from_str(text))
 
 
 def _json_list(data: Any, what: str) -> list[Any]:
@@ -71,6 +76,10 @@ def _json_list(data: Any, what: str) -> list[Any]:
 
 def _json_rationals(data: Any, what: str) -> tuple[Fraction, ...]:
     return tuple(fraction_from_str(v) for v in _json_list(data, what))
+
+
+def _json_ratios(data: Any, what: str) -> list[tuple[int, int]]:
+    return [_ratio_from_str(v) for v in _json_list(data, what)]
 
 
 def _json_int(data: Any, what: str, least: Optional[int] = None) -> int:
@@ -93,7 +102,7 @@ def group_from_json(data: dict[str, Any], group: FiniteGroup | None = None) -> F
 def group_function_to_json(f: GroupFunction) -> dict[str, Any]:
     return {
         "group": f.group.label,
-        "values": [fraction_to_str(v) for v in f.values],
+        "values": [ratio_to_str(x, f.den) for x in f.nums],
     }
 
 
@@ -101,7 +110,7 @@ def group_function_from_json(
     data: dict[str, Any], group: FiniteGroup | None = None
 ) -> GroupFunction:
     group = group_from_json(data, group)
-    return GroupFunction(group, _json_rationals(data["values"], "values"))
+    return GroupFunction.from_ratios(group, _json_ratios(data["values"], "values"))
 
 
 def function_family_to_json(fs: Sequence[GroupFunction]) -> dict[str, Any]:
@@ -109,7 +118,7 @@ def function_family_to_json(fs: Sequence[GroupFunction]) -> dict[str, Any]:
         raise ValueError("cannot serialize an empty family")
     return {
         "group": fs[0].group.label,
-        "functions": [[fraction_to_str(v) for v in f.values] for f in fs],
+        "functions": [[ratio_to_str(x, f.den) for x in f.nums] for f in fs],
     }
 
 
@@ -118,7 +127,7 @@ def function_family_from_json(
 ) -> list[GroupFunction]:
     group = group_from_json(data, group)
     return [
-        GroupFunction(group, _json_rationals(row, "a function row"))
+        GroupFunction.from_ratios(group, _json_ratios(row, "a function row"))
         for row in _json_list(data["functions"], "functions")
     ]
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import pairwise
-from math import ceil, floor
+from itertools import chain, pairwise
+from math import ceil, floor, lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
 from .classifier import NuProfile, build_nu_profiles, nu_values, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError, _quoted
-from .gfunc import GroupFunction, counting_measure, fraction_to_str
+from .gfunc import GroupFunction, counting_measure, fraction_to_str, ratio_to_str
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
 from .orders import OrderSet, build_complete_orders, completeness_lower_bound
 from .shatter import CriticalSet, ShatterCertificate, certificate, critical_set
@@ -72,7 +72,7 @@ class UTower(NamedTuple):
 
     as points of the plane; they do not depend on the group or on g.
     unit_points[q - 1] is the plane point k^ with u~_{2q}(k^) = 1 that
-    solve_k_vector scales, and the largest u~_l(k^) over l != 2q.
+    synth_kernel scales, and the largest u~_l(k^) over l != 2q.
     """
 
     B: Fraction
@@ -123,32 +123,6 @@ def build_u_tower(B: Fraction, C: Fraction, p: int) -> UTower:
             raise SynthesisVerificationError(f"u~_{i}(k) = {values[i]}, expected 1")
         unit_points.append((k, max(values[:i] + values[i + 1:])))
     return UTower(B, C, p, tuple(coeffs), epsilons, tuple(unit_points))
-
-
-def solve_k_vector(
-    tower: UTower, i: int, A: Fraction
-) -> tuple[Fraction, Fraction]:
-    """The plane point k with u~_i(k) = A and u~_l(k) < B for every l != i.
-
-    k is A times the tower's unit point for i, whose u~_i is 1, so
-    u~_l(k) = A u~_l(unit point) and the post-condition is that A times
-    the largest of those over l != i is below B.
-    """
-    if i % 2 != 0 or not 2 <= i <= 2 * tower.p:
-        raise ValueError(f"index must be even in [2, 2p], got {i}")
-    A = Fraction(A)
-    if not tower.B < A < tower.C:
-        raise ValueError(
-            f"target {fraction_to_str(A)} outside the open interval "
-            f"({fraction_to_str(tower.B)}, {fraction_to_str(tower.C)})"
-        )
-    (k0, k1), top = tower.unit_points[i // 2 - 1]
-    if not A * top < tower.B:
-        raise SynthesisVerificationError(
-            f"max over l != {i} of u~_l(k) = {fraction_to_str(A * top)} "
-            f"is not below B = {fraction_to_str(tower.B)}"
-        )
-    return (A * k0, A * k1)
 
 
 def choose_subsets(
@@ -267,13 +241,13 @@ def synth_epsilon(B: Fraction, C: Fraction, m: int) -> Fraction:
     return (C - B) * (m - 1) / (2 * m * (m - 1 + m ** (r + 1) - 1))
 
 
-def _guard_value(tower: UTower, k_max: Fraction) -> Fraction:
-    """The guard value -K_max s_max / s_min, where s ranges over the
-    coefficients of u_2, u_4, ..., u_2p and K_max is the largest spike."""
+def _guard_ratio(tower: UTower) -> Fraction:
+    """s_max / s_min over the coefficients s of u_2, u_4, ..., u_2p: a
+    guard is -K_max times it, with K_max the largest spike."""
     even_entries = [
         tower.coeffs[2 * q][j] for q in range(1, tower.p + 1) for j in (0, 1)
     ]
-    return -k_max * max(even_entries) / min(even_entries)
+    return max(even_entries) / min(even_entries)
 
 
 def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthResult:
@@ -307,55 +281,62 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     subsets = choose_subsets(group, g, r, m, mode)
     epsilon = synth_epsilon(B, C, m)
 
+    # Targets, totals and levels are integers over D.  A spike of target t / D
+    # is t (k^ L) / (D L), with L clearing the unit points' and the guard
+    # ratio's denominators, so the guard -K_max s_max / s_min is one too.
+    D = lcm(B.denominator, C.denominator, epsilon.denominator)
+    lo, hi, e = int(B * D), int(C * D), int(epsilon * D)
+    ratio = _guard_ratio(tower)
+    L = lcm(ratio.denominator, *(x.denominator for k, _ in tower.unit_points for x in k))
+    units = [((int(k0 * L), int(k1 * L)), top) for (k0, k1), top in tower.unit_points]
     # choose_subsets keeps the windows apart; subset-disjointness checks it.
-    kernel_values: dict[int, Fraction] = {}
+    nums = [0] * group.order
     # totals[k] = sum of function k+1's spike targets over the rounds so far.
-    totals = [Fraction(0)] * m
+    totals = [0] * m
     ms: list[Fraction] = []
     thresholds: list[Fraction] = []
-    m_prev, big_m_prev = C, Fraction(0)
-    for l in range(1, r + 1):
-        o_inv = {rank: k for k, rank in enumerate(orders[l - 1])}
-        targets = [m_prev - (m - i) * (big_m_prev + epsilon) for i in range(m)]
+    m_prev, big_m_prev = hi, 0
+    for l, (order, subset) in enumerate(zip(orders, subsets), 1):
+        targets = [m_prev - (m - i) * (big_m_prev + e) for i in range(m)]
         # For l > 1 this is round l-1's level condition B < m - m(M + eps).
-        if not B < targets[0]:
+        if not lo < targets[0]:
             raise SynthesisVerificationError(
-                f"round {l}: smallest spike target {fraction_to_str(targets[0])} "
-                "fell below B"
+                f"round {l}: smallest spike target {ratio_to_str(targets[0], D)} fell below B"
             )
-        for i in range(m):
-            k = o_inv[i + 1]
-            point = solve_k_vector(tower, 2 * (k + 1), targets[i])
-            spikes = _translates(group, g, subsets[l - 1][i], layout.spikes)
-            kernel_values.update(zip(spikes, point))
-            totals[k] += targets[i]
-        m_cur = targets[0]
+        for k, rank in enumerate(order):  # function k+1 takes the rank-th target
+            h, t, (point, top) = subset[rank - 1], targets[rank - 1], units[k]
+            # t / D lies in (B, C), and k^ scaled to it keeps the other levels below B.
+            if not (lo < t < hi and t * top.numerator < lo * top.denominator):
+                raise SynthesisVerificationError(
+                    f"round {l}: spike target {ratio_to_str(t, D)} of "
+                    f"u_{2 * (k + 1)} leaves (B, C) or lifts another level to B"
+                )
+            for x, k_x in zip(_translates(group, g, h, layout.spikes), point):
+                nums[x] = t * k_x
+            totals[k] += t
         # Every target so far is >= m_l, so at the probe -m_l + eps each nu
         # is its total plus the common l(-m_l + eps): M_l is the totals' spread.
         big_m_cur = max(totals) - min(totals)
-        if l == 1 and big_m_cur != (m - 1) * epsilon:
+        if l == 1 and big_m_cur != (m - 1) * e:
             raise SynthesisVerificationError(
                 "round 1 spread must equal (m-1) * eps exactly"
             )
-        ms.append(m_cur)
-        thresholds.append(m_cur - epsilon / 2)
-        m_prev, big_m_prev = m_cur, big_m_cur
+        ms.append(Fraction(targets[0], D))
+        thresholds.append(Fraction(2 * targets[0] - e, 2 * D))
+        m_prev, big_m_prev = targets[0], big_m_cur
 
-    guard = _guard_value(tower, max(abs(v) for v in kernel_values.values()))
-    for sub in subsets:
-        for h in sub:
-            kernel_values.update(dict.fromkeys(_translates(group, g, h, layout.guards), guard))
-
-    zero = Fraction(0)
-    kernel = GroupFunction(
-        group, tuple(kernel_values.get(x, zero) for x in range(group.order))
-    )
+    guard = -(max(map(abs, nums)) // ratio.denominator) * ratio.numerator
+    for h in chain.from_iterable(subsets):
+        for x in _translates(group, g, h, layout.guards):
+            nums[x] = guard
+    kernel = GroupFunction(group, nums, D * L)
     # u_i = a1 1_e + a2 1_g is a1 at e, a2 at g and zero elsewhere.
     u = []
     for a1, a2 in tower.coeffs:
-        values = [zero] * group.order
-        values[group.identity], values[g] = a1, a2
-        u.append(GroupFunction(group, tuple(values)))
+        den = lcm(a1.denominator, a2.denominator)
+        values = [0] * group.order
+        values[group.identity], values[g] = int(a1 * den), int(a2 * den)
+        u.append(GroupFunction(group, values, den))
     fields = dict(
         kernel=kernel,
         u=tuple(u),
@@ -449,8 +430,8 @@ def _layout_checks(result: SynthResult, tower: UTower) -> Iterator[SynthCheck]:
     group, g, m = result.group, result.g, result.m
     # u_i = a1 1_e + a2 1_g: a1 at e, a2 at g, and no other non-zero value.
     tower_ok = all(
-        (u.values[group.identity], u.values[g]) == (a1, a2)
-        and sum(map(bool, u.values)) == bool(a1) + bool(a2)
+        [Fraction(u.nums[x], u.den) for x in (group.identity, g)] == [a1, a2]
+        and sum(map(bool, u.nums)) == bool(a1) + bool(a2)
         for u, (a1, a2) in zip(result.u, tower.coeffs)
     )
     yield SynthCheck("u-tower-structure", tower_ok, f"{2 * m + 2} tower functions")
@@ -546,7 +527,7 @@ def _value_checks(
     if last is not None:
         l, p, x_lo, x_hi = last
         x = next(x for x in reversed(p.nums) if x_lo < x < x_hi)
-        detail = f"value {fraction_to_str(Fraction(x, den))} inside the band around m_{l + 1}"
+        detail = f"value {ratio_to_str(x, den)} inside the band around m_{l + 1}"
     yield SynthCheck("forbidden-band", last is None, detail)
 
     above_b, x_b = [], floor(result.B * den)
@@ -566,13 +547,13 @@ def _value_checks(
         return {x for h in centres for x in _translates(group, result.g, h, offsets)}
 
     spikes, guards = positions(layout.spikes), positions(layout.guards)
-    guard = _guard_value(
-        tower, max((abs(kernel.values[x]) for x in spikes), default=Fraction(0))
-    )
+    # Each guard's num is -k_max s_max / s_min, with k_max the largest spike num.
+    k_max = max((abs(kernel.nums[x]) for x in spikes), default=0)
+    ratio = _guard_ratio(tower)
     support = spikes | guards
-    support_ok = all(kernel.values[x] == guard for x in guards) and all(
-        kernel.values[x] == 0 for x in range(group.order) if x not in support
-    )
+    support_ok = all(
+        kernel.nums[x] * ratio.denominator == -k_max * ratio.numerator for x in guards
+    ) and all(not kernel.nums[x] for x in range(group.order) if x not in support)
     detail = ("spikes, exact guard values, zero elsewhere" if layout.guards
               else "kernel vanishes outside the centres and their g-translates")
     yield SynthCheck("support-structure", support_ok, detail)

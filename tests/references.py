@@ -7,15 +7,17 @@ runs them on integers over one denominator), the bisect-based crossing
 search over every pair on every grid piece, the ReLU sum term by term
 (in Fractions and on a profile's integers), the witness table by
 comparing every value with every cut, ranks by counting, the u-tower
-functions by their dense formula, the k-vector solved and checked on
-every tower level for each target, and verify_synth's level and value
-checks in Fractions, the certificate's witness re-check one
-(witness, profile) pair at a time, and the peeling map F by its
-recursive definition, which `orders.f_map` computes in one scan.  The
-differential tests assert identical results.  `translate`, the left
-translation g -> f(a g), is what the translation-invariance tests apply,
-and `edited` is how tests change fields of a SynthResult: through its
-constructor, so its shape check runs again.
+functions by their dense formula, synth_kernel's construction in
+Fractions with each k-vector scaled from its unit point
+(`solve_k_vector`), the k-vector solved and checked on every tower level
+for each target, verify_synth's level and value checks in Fractions,
+the certificate's witness re-check one (witness, profile) pair at a
+time, and the peeling map F by its recursive definition, which
+`orders.f_map` computes in one scan.  The differential tests assert
+identical results.  `translate`, the left translation g -> f(a g), is
+what the translation-invariance tests apply, and `edited` is how tests
+change fields of a SynthResult: through its constructor, so its shape
+check runs again.
 """
 
 from __future__ import annotations
@@ -28,15 +30,24 @@ from typing import Sequence
 
 from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
 from gshatter.gfunc import GroupFunction, indicator
+from gshatter.groups import find_order_ge3_element, find_order_two_element
 from gshatter.orders import build_complete_orders, mask_elements
-from gshatter.synth import SynthResult
+from gshatter.synth import (
+    LAYOUTS,
+    LEVEL_INTERVAL,
+    SynthResult,
+    build_u_tower,
+    choose_subsets,
+    synth_epsilon,
+)
 
 
 def translate(f: GroupFunction, a: int) -> GroupFunction:
     """The function g -> f(a*g)."""
     group = f.group
-    values = tuple(f.values[group.mul(a, g)] for g in range(group.order))
-    return GroupFunction(group, values)
+    return GroupFunction.from_values(
+        group, [f.values[group.mul(a, g)] for g in range(group.order)]
+    )
 
 
 def edited(result: SynthResult, **changes) -> SynthResult:
@@ -102,7 +113,7 @@ class FractionProfile:
 
 def fraction_build_nu_profile(kernel: GroupFunction, f: GroupFunction) -> FractionProfile:
     """Breakpoints at c = -(f*K)(g); slopes (term counts) and offsets summed."""
-    conv = GroupFunction(f.group, fraction_convolve(f, kernel))
+    conv = GroupFunction.from_values(f.group, fraction_convolve(f, kernel))
     by_breakpoint: dict[Fraction, tuple[int, Fraction]] = {}
     for v in conv.values:
         count, mass = by_breakpoint.get(-v, (0, Fraction(0)))
@@ -207,12 +218,9 @@ def dense_u_tower_functions(group, g: int, coeffs) -> tuple[GroupFunction, ...]:
     one_e = indicator(group, group.identity)
     one_g = indicator(group, g)
     return tuple(
-        GroupFunction(
+        GroupFunction.from_values(
             group,
-            tuple(
-                a1 * one_e.values[x] + a2 * one_g.values[x]
-                for x in range(group.order)
-            ),
+            [a1 * one_e.values[x] + a2 * one_g.values[x] for x in range(group.order)],
         )
         for a1, a2 in coeffs
     )
@@ -285,6 +293,69 @@ def loop_relu_sum(profile, c: Fraction) -> Fraction:
             mass += x
             count += 1
     return Fraction(mass * b + a * den * count, den * b)
+
+
+def solve_k_vector(tower, i: int, A: Fraction) -> tuple[Fraction, Fraction]:
+    """The plane point k with u~_i(k) = A and u~_l(k) < B for every l != i.
+
+    k is A times the tower's unit point for i, whose u~_i is 1, so
+    u~_l(k) = A u~_l(unit point) and the post-condition is that A times
+    the largest of those over l != i is below B.
+    """
+    if i % 2 != 0 or not 2 <= i <= 2 * tower.p:
+        raise ValueError(f"index must be even in [2, 2p], got {i}")
+    A = Fraction(A)
+    if not tower.B < A < tower.C:
+        raise ValueError(f"target {A} outside the open interval ({tower.B}, {tower.C})")
+    (k0, k1), top = tower.unit_points[i // 2 - 1]
+    if not A * top < tower.B:
+        raise SynthesisVerificationError(
+            f"max over l != {i} of u~_l(k) = {A * top} is not below B = {tower.B}"
+        )
+    return (A * k0, A * k1)
+
+
+def fraction_synth_kernel(group, m: int, mode: str):
+    """synth_kernel's construction in Fractions: (kernel, ms, thresholds).
+
+    Each round's targets, the running totals and their spread are
+    Fractions, and each spike is solve_k_vector's point for its target.
+    """
+    B, C = LEVEL_INTERVAL
+    find = find_order_two_element if mode == "order_two" else find_order_ge3_element
+    g = find(group)
+    orders = build_complete_orders(m).rankings
+    layout = LAYOUTS[mode]
+    tower = build_u_tower(B, C, p=m)
+    subsets = choose_subsets(group, g, len(orders), m, mode)
+    epsilon = synth_epsilon(B, C, m)
+
+    def translates(h, offsets):
+        return [group.mul(group.power(g, j), h) for j in offsets]
+
+    values: dict[int, Fraction] = {}
+    totals = [Fraction(0)] * m
+    ms, thresholds = [], []
+    m_prev, big_m_prev = C, Fraction(0)
+    for order, subset in zip(orders, subsets):
+        targets = [m_prev - (m - i) * (big_m_prev + epsilon) for i in range(m)]
+        assert B < targets[0]
+        for i, h in enumerate(subset):
+            k = order.index(i + 1)
+            point = solve_k_vector(tower, 2 * (k + 1), targets[i])
+            values.update(zip(translates(h, layout.spikes), point))
+            totals[k] += targets[i]
+        ms.append(targets[0])
+        thresholds.append(targets[0] - epsilon / 2)
+        m_prev, big_m_prev = targets[0], max(totals) - min(totals)
+    even = [tower.coeffs[2 * q][j] for q in range(1, m + 1) for j in (0, 1)]
+    guard = -max(abs(v) for v in values.values()) * max(even) / min(even)
+    for h in (h for sub in subsets for h in sub):
+        values.update(dict.fromkeys(translates(h, layout.guards), guard))
+    kernel = GroupFunction.from_values(
+        group, [values.get(x, Fraction(0)) for x in range(group.order)]
+    )
+    return kernel, tuple(ms), tuple(thresholds)
 
 
 def full_solve_k_vector(tower, i: int, A: Fraction) -> tuple[Fraction, Fraction]:
@@ -395,7 +466,7 @@ def fraction_level_checks(result) -> dict[str, tuple[bool, str]]:
     termwise ReLU sum over Fraction convolution values, ranks counted and
     every pair of values tested for the eps gap."""
     convs = [
-        GroupFunction(result.group, fraction_convolve(f, result.kernel))
+        GroupFunction.from_values(result.group, fraction_convolve(f, result.kernel))
         for f in result.family()
     ]
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import cProfile
 import errno
+import fractions
 import hashlib
 import inspect
 import json
 import os
+import pstats
 import re
 import subprocess
 import sys
@@ -41,6 +44,7 @@ from gshatter.groups import MAX_PRODUCT_DEPTH, build_group
 from gshatter.gfunc import counting_measure
 from gshatter.cli import GROUP_ORDER_CAP, SYNTH_ORDER_CAP, VERIFY_M_CAP, main
 from gshatter.jsonio import (
+    MAX_RATIONAL_CHARS,
     certificate_from_json,
     function_family_from_json,
     group_function_from_json,
@@ -102,6 +106,17 @@ def cyclic8_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("cyclic8")
     assert main(["synth", "--group", "cyclic:8", "--m", "2", "--out-dir", str(out)]) == 0
     return out
+
+
+def fractions_built(*argv: str) -> int:
+    """Fraction.__new__ calls while main(argv) runs, counted by cProfile;
+    the command must exit 0."""
+    profile = cProfile.Profile()
+    assert profile.runcall(main, list(argv)) == 0
+    return sum(
+        calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if path == fractions.__file__ and name == "__new__"
+    )
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -1028,6 +1043,78 @@ class TestVerifyCommand:
         assert err.startswith("error: cannot read inputs: rational over")
         assert err.count("\n") == 1 and len(err) < 200
         assert elapsed < 1.0
+
+    def test_unreduced_values_give_the_same_report_bytes(self, capsys, tmp_path):
+        # A file may spell "1/2" as "2/4" or "0" as "0/7": it loads as the
+        # same function, so `verify --out` writes the same bytes.
+        def unreduced(values):
+            out = []
+            for i, text in enumerate(values):
+                p, _, q = text.partition("/")
+                k = 2 + i % 5
+                out.append(f"{int(p) * k}/{int(q or 1) * k}")
+            return out
+
+        reduced = tmp_path / "reduced"
+        code, _, _ = run(
+            capsys, "synth", "--group", "cyclic:18", "--m", "3", "--out-dir", str(reduced)
+        )
+        assert code == 0
+        kernel = read_json(reduced / "kernel.json")
+        functions = read_json(reduced / "functions.json")
+        kernel["values"] = unreduced(kernel["values"])
+        functions["functions"] = [unreduced(row) for row in functions["functions"]]
+        spelled = tmp_path / "unreduced"
+        write_json_atomic(spelled / "kernel.json", kernel)
+        write_json_atomic(spelled / "functions.json", functions)
+        for bundle in (reduced, spelled):
+            code, out, err = run(
+                capsys, "verify", "--kernel", str(bundle / "kernel.json"),
+                "--functions", str(bundle / "functions.json"),
+                "--out", str(bundle / "v" / "verify.json"),
+            )
+            assert (code, out, err) == (
+                0, "shattered=True order_criterion=True agreement=True\n", ""
+            )
+        assert (reduced / "v" / "verify.json").read_bytes() == (
+            spelled / "v" / "verify.json").read_bytes()
+        k1, k2 = (group_function_from_json(read_json(b / "kernel.json"))
+                  for b in (reduced, spelled))
+        assert (k1.nums, k1.den) == (k2.nums, k2.den)
+
+    def test_no_fraction_per_group_element(self, capsys, tmp_path):
+        # `synth` and then `verify` at m = 8 build as many Fractions on a
+        # group twice the minimum order as on the minimum one: values are
+        # integers over one denominator from the construction through the
+        # files to the profiles, and Fractions are formed only per level,
+        # bias or witness.
+        counts = {}
+        for n in (1120, 2240):
+            out = tmp_path / str(n)
+            counts[n] = (
+                fractions_built("synth", "--group", f"cyclic:{n}", "--m", "8",
+                                "--out-dir", str(out)),
+                fractions_built("verify", "--kernel", str(out / "kernel.json"),
+                                "--functions", str(out / "functions.json")),
+            )
+        capsys.readouterr()
+        assert counts[1120] == counts[2240]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "malformed rational '1/0'"),
+        ("1" * (MAX_RATIONAL_CHARS + 1), f"rational over {MAX_RATIONAL_CHARS} characters: '111"),
+        ("1/" + "2" * MAX_RATIONAL_CHARS, f"rational over {MAX_RATIONAL_CHARS} characters: '1/22"),
+    ], ids=["zero-denominator", "long-numerator", "long-denominator"])
+    def test_a_bad_value_in_a_function_row(self, capsys, tmp_path, text, message):
+        kernel, functions = tmp_path / "k.json", tmp_path / "f.json"
+        write_json_atomic(kernel, {"group": "cyclic:2", "values": ["1", "0"]})
+        write_json_atomic(functions, {"group": "cyclic:2", "functions": [["1", text]]})
+        code, out, err = run(
+            capsys, "verify", "--kernel", str(kernel), "--functions", str(functions)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read inputs: {message}")
+        assert err.count("\n") == 1 and len(err) < 200
 
     def test_certificate_is_checked_against_the_definition(
         self, capsys, bundle, monkeypatch

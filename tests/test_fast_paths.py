@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, floor, lcm
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,16 +30,12 @@ from gshatter.gfunc import (
     counting_measure,
     indicator,
 )
+from gshatter.bounds import required_group_size
 from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
 from gshatter.groups import build_group
 from gshatter.orders import OrderSet, is_complete, is_strict
 from gshatter.shatter import _witnesses, attained_orders, certificate, critical_set
-from gshatter.synth import (
-    build_u_tower,
-    solve_k_vector,
-    synth_kernel,
-    verify_synth,
-)
+from gshatter.synth import MODES, build_u_tower, synth_kernel, verify_synth
 
 from references import (
     bisect_critical_set,
@@ -54,10 +50,12 @@ from references import (
     fraction_critical_set,
     fraction_level_checks,
     fraction_relu_sum,
+    fraction_synth_kernel,
     fraction_value_checks,
     full_solve_k_vector,
     loop_relu_sum,
     piece_lists,
+    solve_k_vector,
     termwise_relu_sum,
 )
 
@@ -106,9 +104,9 @@ def instances(draw):
     denominators."""
     group = GROUPS[draw(st.sampled_from(SPECS))]
     n = group.order
-    kernel = GroupFunction(group, tuple(draw(group_values(n))))
+    kernel = GroupFunction.from_values(group, draw(group_values(n)))
     m = draw(st.integers(min_value=1, max_value=4))
-    fs = [GroupFunction(group, tuple(draw(group_values(n)))) for _ in range(m)]
+    fs = [GroupFunction.from_values(group, draw(group_values(n))) for _ in range(m)]
     return kernel, fs, counting_measure(group)
 
 
@@ -290,7 +288,7 @@ class TestAgainstReferences:
         # f / 21 to the family usually lifts it above f's; the sweep reads
         # the pieces on that one scale.
         kernel, fs, mu = instance
-        fs = [*fs, GroupFunction(kernel.group, tuple(v / 21 for v in fs[0].values))]
+        fs = [*fs, GroupFunction.from_values(kernel.group, [v / 21 for v in fs[0].values])]
         for f, p in zip(fs, build_nu_profiles(kernel, fs, mu)):
             assert_pieces_match_reference(p, fraction_build_nu_profile(kernel, f))
 
@@ -459,21 +457,6 @@ def solve_outcome(solve, tower, i, A):
 class TestKVector:
     """The scaled unit solution against a fresh solve checked on every level."""
 
-    @pytest.mark.parametrize("m, n", [(2, 8), (3, 18), (4, 48), (5, 100), (6, 240)])
-    def test_every_call_synth_makes(self, m, n, monkeypatch):
-        calls = []
-
-        def recording(tower, i, A):
-            k = solve_k_vector(tower, i, A)
-            calls.append((tower, i, A, k))
-            return k
-
-        monkeypatch.setattr(gshatter.synth, "solve_k_vector", recording)
-        synth_kernel(build_group(f"cyclic:{n}"), m)
-        assert len(calls) == m * comb(m, m // 2)
-        for tower, i, A, k in calls:
-            assert full_solve_k_vector(tower, i, A) == k
-
     @settings(max_examples=100, deadline=None)
     @given(
         p=st.integers(min_value=1, max_value=5),
@@ -496,6 +479,19 @@ class TestKVector:
         for solve in (solve_k_vector, full_solve_k_vector):
             outcome = solve_outcome(solve, low, 2, Fraction(3, 2))
             assert outcome is SynthesisVerificationError
+
+
+class TestIntegerConstruction:
+    """synth_kernel's rounds on integers against the Fraction construction."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_kernel_levels_and_thresholds_match(self, m, mode):
+        group = build_group(f"cyclic:{required_group_size(m, mode)}")
+        result = synth_kernel(group, m, mode)
+        kernel, ms, thresholds = fraction_synth_kernel(group, m, mode)
+        assert (result.kernel.nums, result.kernel.den) == (kernel.nums, kernel.den)
+        assert (result.ms, result.thresholds) == (ms, thresholds)
 
 
 def assert_value_checks_match(result) -> dict[str, tuple[bool, str]]:
@@ -533,7 +529,7 @@ class TestVerifySynthValueChecks:
         kernels.append([abs(v) for v in result.kernel.values])
         failed = set()
         for values in kernels:
-            broken = edited(result, kernel=GroupFunction(group, tuple(values)))
+            broken = edited(result, kernel=GroupFunction.from_values(group, values))
             got = assert_value_checks_match(broken)
             failed |= {name for name, (passed, _) in got.items() if not passed}
         assert failed == set(got)  # every check is seen failing
@@ -561,7 +557,7 @@ class TestVerifySynthValueChecks:
                       lo, hi, result.B):
             values = [Fraction(0)] * group.order
             values[pin], values[spot] = Fraction(1, D), value
-            broken = edited(result, kernel=GroupFunction(group, tuple(values)))
+            broken = edited(result, kernel=GroupFunction.from_values(group, values))
             assert_value_checks_match(broken)
 
 
@@ -569,7 +565,7 @@ def rechained(result, epsilon):
     """result with eps replaced and m_l, c_l rebuilt by the level recursion
     on its own kernel, so the recursion holds and the spreads may not."""
     convs = [
-        GroupFunction(result.group, fraction_convolve(f, result.kernel))
+        GroupFunction.from_values(result.group, fraction_convolve(f, result.kernel))
         for f in result.family()
     ]
     ms, big_m = [result.C], Fraction(0)
@@ -596,7 +592,7 @@ def tampered_results(spec, m, mode):
         return tuple(v + delta if i == l else v for i, v in enumerate(values))
 
     def with_kernel(values):
-        return edited(result, kernel=GroupFunction(group, tuple(values)))
+        return edited(result, kernel=GroupFunction.from_values(group, values))
 
     def bumped(position, delta):
         values = list(result.kernel.values)

@@ -81,8 +81,8 @@ class TestConvolution:
         a = data.draw(rationals())
         b = data.draw(rationals())
         mu = counting_measure(group)
-        combined = GroupFunction(
-            group, tuple(a * x + b * y for x, y in zip(k1.values, k2.values))
+        combined = GroupFunction.from_values(
+            group, [a * x + b * y for x, y in zip(k1.values, k2.values)]
         )
         lhs = convolve(f, combined, mu)
         c1, c2 = convolve(f, k1, mu), convolve(f, k2, mu)
@@ -161,11 +161,16 @@ class TestValuesAndMeasures:
             pass
 
         g = build_group("cyclic:4")
-        x = Fraction(2, 3)
-        f = GroupFunction.from_values(g, [x, 2, True, Half(1, 2)])
-        assert f.values[0] is x
+        f = GroupFunction.from_values(g, [Fraction(2, 3), 2, True, Half(1, 2)])
+        assert (f.nums, f.den) == ((4, 12, 6, 3), 6)
+        assert [type(x) for x in f.nums] == [int] * 4
         assert [type(v) for v in f.values] == [Fraction] * 4
         assert f.values == (Fraction(2, 3), 2, 1, Fraction(1, 2))
+
+    def test_a_string_value_is_refused(self):
+        g = build_group("cyclic:2")
+        with pytest.raises(TypeError, match="must be int or Fraction, got str"):
+            GroupFunction.from_values(g, [1, "1/2"])
 
     def test_integers_and_strings_of_values_coerce(self):
         g = build_group("cyclic:2")
@@ -176,6 +181,24 @@ class TestValuesAndMeasures:
         g = build_group("cyclic:3")
         with pytest.raises(ValueError):
             GroupFunction.from_values(g, [1, 2])
+
+    def test_the_constructor_makes_the_denominator_least(self):
+        g = build_group("cyclic:3")
+        f = GroupFunction(g, (2, 4, 6), 2)
+        assert (f.nums, f.den) == ((1, 2, 3), 1)
+        f = GroupFunction(g, [3, -9, 0], 12)
+        assert (f.nums, f.den) == ((1, -3, 0), 4)
+        zero = GroupFunction(g, (0, 0, 0), 7)
+        assert (zero.nums, zero.den) == ((0, 0, 0), 1)
+        assert GroupFunction(g, (1, 2, 4), 6).den == 6  # already least
+
+    def test_the_constructor_refuses_a_denominator_below_one(self):
+        g = build_group("cyclic:3")
+        for den in (0, -1, -6):
+            with pytest.raises(ValueError, match="denominator must be at least 1"):
+                GroupFunction(g, (1, 2, 3), den)
+        with pytest.raises(ValueError, match="2 values for a group of order 3"):
+            GroupFunction(g, (1, 2), 1)
 
     def test_support(self):
         g = build_group("cyclic:4")

@@ -30,13 +30,12 @@ from gshatter.synth import (
     _check_subsets,
     build_u_tower,
     choose_subsets,
-    solve_k_vector,
     synth_epsilon,
     synth_kernel,
     verify_synth,
 )
 
-from references import edited
+from references import edited, solve_k_vector
 
 HALF = Fraction(1, 2)
 
@@ -389,7 +388,7 @@ class TestVerification:
         assert values[x] != y
         values[x] = y
         u = list(result.u)
-        u[i] = GroupFunction(u[i].group, tuple(values))
+        u[i] = GroupFunction.from_values(u[i].group, values)
         report = verify_synth(edited(result, u=tuple(u)))
         failed = {c.name for c in report.checks if not c.passed}
         assert "u-tower-structure" in failed
@@ -411,7 +410,7 @@ class TestVerification:
         spike = result.subsets[0][0]
         bumped = list(result.kernel.values)
         bumped[spike] += result.epsilon / 4
-        broken = edited(result, kernel=GroupFunction(group, tuple(bumped)))
+        broken = edited(result, kernel=GroupFunction.from_values(group, bumped))
         report = verify_synth(broken)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
