@@ -21,15 +21,17 @@ instead of hashlib keeps OpenSSL, about 4 MB, out of that floor; the
 point's "sha256" names the module that hashed, so a point from a build
 without the built-in module, whose floor is higher, can be told apart).  A
 case also records the sha256 of every artifact synth wrote but
-`run_manifest.json`, the one that differs between runs.  `gshatter group --spec S --seed 1` runs on the three
-order-1120 specs of perfbench's group-build workload and on
-`cyclic:4096`, the CLI's default order cap; each records its exit code,
-wall seconds, peak RSS and the sha256 of its stdout.  The point is
-printed as JSON, and with --append it is added to the "points" list of
-a BENCH file; a case whose digests differ from the same case in the
-file's previous point gets `"digests_differ": true`, a group whose
-stdout digest differs gets `"stdout_differs": true`, and either is
-named on stderr and makes the exit code 1.  Standard library only.
+`run_manifest.json`, the one that differs between runs, and of the
+`verify --out` report, as "verified/verify.json".  `gshatter group
+--spec S --seed 1` runs on the three order-1120 specs of perfbench's
+group-build workload and on `cyclic:4096`, the CLI's default order cap;
+each records its exit code, wall seconds, peak RSS and the sha256 of
+its stdout.  The point is printed as JSON, and with --append it is
+added to the "points" list of a BENCH file; a case whose digests differ
+from the same case in the file's previous point (on the files that
+point digested) gets `"digests_differ": true`, a group whose stdout
+digest differs gets `"stdout_differs": true`, and either is named on
+stderr and makes the exit code 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -106,11 +108,13 @@ def measure(label: str, selected) -> dict:
                 row[f"{name}_exit"] = code
                 row[f"{name}_s"] = round(seconds, 2)
                 row[f"{name}_peak_rss_mb"] = round(rss, 1)
-            row["digests"] = {
-                path.name: sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(work, "out").glob("*"))  # none if synth failed
-                if path.name != "run_manifest.json"
-            }
+            digested = {path.name: path for path in sorted(Path(work, "out").glob("*"))
+                        if path.name != "run_manifest.json"}  # none if synth failed
+            report = Path(work, "verified", "verify.json")  # not its manifest
+            if report.exists():
+                digested["verified/verify.json"] = report
+            row["digests"] = {name: sha256(path.read_bytes()).hexdigest()
+                              for name, path in digested.items()}
             cases.append(row)
             print(json.dumps(row), file=sys.stderr, flush=True)
     groups = []
@@ -138,14 +142,18 @@ def measure(label: str, selected) -> dict:
 def flag_digest_changes(point: dict, previous: dict) -> list[str]:
     """Mark each case of `point` whose digests differ from the same case
     (mode, m, group) in `previous`, and each group whose stdout digest
-    differs from the same spec's there; returns the marked names."""
+    differs from the same spec's there; returns the marked names.  A case
+    is compared on the files `previous` digested: one it lacks is a
+    difference, one `previous` did not digest (a digest added since) is
+    not."""
     def name(case: dict) -> str:
         return f"{case['mode']} m={case['m']} {case['group']}"
 
     before = {name(c): c["digests"] for c in previous["cases"] if "digests" in c}
     for case in point["cases"]:
         if name(case) in before:
-            case["digests_differ"] = case["digests"] != before[name(case)]
+            case["digests_differ"] = any(case["digests"].get(file) != digest
+                                         for file, digest in before[name(case)].items())
     before_groups = {g["spec"]: g["stdout_sha256"] for g in previous.get("groups", ())}
     for group in point.get("groups", ()):
         if group["spec"] in before_groups:

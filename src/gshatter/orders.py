@@ -148,7 +148,7 @@ def is_complete(order_set: OrderSet) -> bool:
     covered: set[int] = {0, (1 << m) - 1}
     for r in order_set.rankings:
         covered |= separated_masks(r)
-    return all(mask in covered for mask in range(1 << m))
+    return len(covered) == 1 << m  # rankings have length m: masks < 2^m
 
 
 def completeness_lower_bound(m: int) -> int:

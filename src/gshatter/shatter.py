@@ -191,39 +191,34 @@ def critical_points(
     return critical_set(build_nu_profiles(kernel, fs, mu))
 
 
-def _witnesses(
-    critical: CriticalSet,
-) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
-    """First witness (c1, c2) for every realizable label pattern.
+def _witnesses(critical: CriticalSet) -> dict[int, tuple[Fraction, Fraction]]:
+    """First witness (c1, c2) for every realizable label pattern, by mask.
 
-    At a fixed c1, sweeping c2 across the distinct nu values produces
-    every realizable cut: the pattern labels +1 exactly the functions
-    with nu strictly above the cut: tied values share a label, and the
-    patterns depend only on the ranking, so the first row of each ranking
-    gives every first witness.  Only a witness becomes a Fraction pair.
+    Function k's +1 sits on bit m-1-k, so ascending masks run in
+    `product((-1, 1), repeat=m)` order.  They never meet `separated_masks`'
+    masks: the certificate and the order criterion stay independent.  At a
+    fixed c1, the cuts of c2 at the distinct nu values give every pattern
+    realizable there (+1 exactly above the cut), and the patterns depend
+    only on the ranking, so the first row of each ranking gives every first
+    witness.  A row's cuts are prefix ORs over its indices sorted by value,
+    descending, then one a unit of nu below the minimum that labels all +1.
     """
-    found: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
+    found: dict[int, tuple[Fraction, Fraction]] = {}
     den = critical.profiles[0].den
-    patterns = 2 ** len(critical.profiles)
+    m = len(critical.profiles)
+    bits = [1 << (m - 1 - k) for k in range(m)]
     for (p, q), values in critical.rows.values():
-        if len(found) == patterns:  # every pattern has its first witness
+        if len(found) == 1 << m:  # every pattern has its first witness
             break
-        # The distinct values from the top, and the index of each value's
-        # own cut: a value lies above cut j exactly when that index is < j.
-        cuts: list[int] = []
-        places = [0] * len(values)
-        for k in sorted(range(len(values)), key=values.__getitem__, reverse=True):
-            if not cuts or values[k] != cuts[-1]:
-                cuts.append(values[k])
-            places[k] = len(cuts) - 1
-        # One threshold per distinct value (that value lands on -1), plus
-        # a cut one unit of nu below the minimum that labels everything +1.
-        unit = q * den
-        for j in range(len(cuts) + 1):
-            labels = tuple(1 if i < j else -1 for i in places)
-            if labels not in found:
-                threshold = cuts[j] if j < len(cuts) else cuts[-1] - unit
-                found[labels] = (Fraction(p, unit), Fraction(-threshold, unit))
+        unit, mask = q * den, 0
+        top_down = sorted(range(m), key=values.__getitem__, reverse=True)
+        for value, group in groupby(top_down, key=values.__getitem__):
+            if mask not in found:
+                found[mask] = (Fraction(p, unit), Fraction(-value, unit))
+            for k in group:
+                mask |= bits[k]
+        if mask not in found:
+            found[mask] = (Fraction(p, unit), Fraction(unit - value, unit))
     return found
 
 
@@ -235,17 +230,19 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
     (`nu_values`), not taken from the sweep's pieces or values nor from
     synth's level cuts.  A row's witnesses are contiguous in discovery
     order and share its c1, so nu is read once per distinct c1.  Each
-    witness is then decided by two products: its smallest nu among +1
-    functions and its largest among -1 functions against its cut.  A
+    witness is then decided by two products: the smallest nu on its
+    mask's +1 bits and the largest on its -1 bits against its cut.  A
     witness that failed re-verification would mean an internal
     inconsistency, so the first such one in discovery order raises
     WitnessVerificationError, naming its first failing function, instead
     of being silently dropped.  A sweep that stopped early claims a
     complete set of rankings, so a pattern left without a witness there
     raises InvariantError: a stop rule that fired too early never passes
-    as a negative verdict.
+    as a negative verdict.  Entry i is mask i; a label tuple is formed
+    only for an entry or an error message.
     """
     m = len(critical.profiles)
+    bits = [1 << (m - 1 - k) for k in range(m)]
     found = _witnesses(critical)
     if critical.stopped and len(found) < 2 ** m:
         raise InvariantError(
@@ -253,20 +250,21 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
             f"{2 ** m - len(found)} of {2 ** m} label patterns have no witness"
         )
     read = None
-    for labels, (c1, c2) in found.items():
+    for mask, (c1, c2) in found.items():
         if read != c1:
             read, (xs, scale) = c1, nu_values(critical.profiles, c1)
         # nu_k(c1) + c2 > 0 exactly when xs[k] * c2.den > -c2.num * scale,
         # so the smallest +1 value and the largest -1 value decide them all.
         cut, den = -c2.numerator * scale, c2.denominator
         low = high = None
-        for x, label in zip(xs, labels):
-            if label > 0:
+        for x, bit in zip(xs, bits):
+            if mask & bit:
                 if low is None or x < low:
                     low = x
             elif high is None or x > high:
                 high = x
         if low is not None and low * den <= cut or high is not None and high * den > cut:
+            labels = tuple(1 if mask & bit else -1 for bit in bits)
             for k, x in enumerate(xs):
                 got = 1 if x * den > cut else -1
                 if got != labels[k]:
@@ -275,10 +273,10 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
                         f"function {k}: the classifier gives {got}"
                     )
     entries = tuple(
-        DichotomyEntry(labels, "witnessed", *found[labels])
-        if labels in found
+        DichotomyEntry(labels, "witnessed", *found[mask])
+        if mask in found
         else DichotomyEntry(labels, "unreachable")
-        for labels in product((-1, 1), repeat=m)
+        for mask, labels in enumerate(product((-1, 1), repeat=m))
     )
     shattered = len(found) == 2 ** m
     return ShatterCertificate(m=m, entries=entries, shattered=shattered)

@@ -17,7 +17,8 @@ time, and the peeling map F by its recursive definition, which
 identical results.  `translate`, the left translation g -> f(a g), is
 what the translation-invariance tests apply, and `edited` is how tests
 change fields of a SynthResult: through its constructor, so its shape
-check runs again.
+check runs again.  The witness references key patterns by label tuple;
+`labelled` and `masked` convert to and from `shatter`'s masks.
 """
 
 from __future__ import annotations
@@ -416,6 +417,23 @@ def exceeds_recheck(profiles, found) -> None:
                     f"witness ({c1}, {c2}) for {labels} fails on "
                     f"function {k}: the classifier gives {got}"
                 )
+
+
+def labelled(found, m: int) -> dict:
+    """Mask-keyed patterns as label tuples, in the same order: function k
+    is +1 exactly where bit m-1-k of the mask is set.  `masked` inverts it."""
+    return {
+        tuple(1 if mask >> (m - 1 - k) & 1 else -1 for k in range(m)): witness
+        for mask, witness in found.items()
+    }
+
+
+def masked(found) -> dict:
+    """Label-tuple-keyed patterns as masks, in the same order."""
+    return {
+        sum(1 << (len(labels) - 1 - k) for k, x in enumerate(labels) if x > 0): witness
+        for labels, witness in found.items()
+    }
 
 
 def counted_ranks(values) -> tuple[int, ...]:

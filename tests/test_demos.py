@@ -85,6 +85,25 @@ def test_bench_point_flags_changed_digests():
     assert [c.get("digests_differ") for c in point["cases"]] == [False, True, None, None]
 
 
+def test_bench_point_compares_the_files_the_previous_point_digested():
+    bench_point = load_bench_point()
+
+    def case(m, **digests):
+        return {"mode": "order_two", "m": m, "group": f"cyclic:{m}", "digests": digests}
+
+    # A digest added since (the verify --out report) is not compared; one
+    # the previous point had is, whether changed or missing.
+    report = "verified/verify.json"
+    previous = {"cases": [case(2, k="a"), case(3, k="b"), case(4, k="c", r="d"),
+                          case(5, k="e", r="f")]}
+    point = {"cases": [case(2, k="a", **{report: "x"}), case(3, k="z", **{report: "y"}),
+                       case(4, k="c"), case(5, k="e", r="g")]}
+    assert bench_point.flag_digest_changes(point, previous) == [
+        "order_two m=3 cyclic:3", "order_two m=4 cyclic:4", "order_two m=5 cyclic:5"
+    ]
+    assert [c["digests_differ"] for c in point["cases"]] == [False, True, True, True]
+
+
 def test_bench_point_flags_changed_group_stdout():
     bench_point = load_bench_point()
 

@@ -53,7 +53,9 @@ from references import (
     fraction_synth_kernel,
     fraction_value_checks,
     full_solve_k_vector,
+    labelled,
     loop_relu_sum,
+    masked,
     piece_lists,
     solve_k_vector,
     termwise_relu_sum,
@@ -142,7 +144,7 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
         assert [Fraction(v, unit) for v in row] == values[i]
     rankings = attained_orders(crit).rankings
     assert rankings == tuple(first)
-    assert _witnesses(crit) == cut_witnesses(probes, values)
+    assert labelled(_witnesses(crit), m) == cut_witnesses(probes, values)
 
 
 def assert_table_matches(profile, conv: GroupFunction) -> None:
@@ -204,7 +206,8 @@ def recheck_accepts(recheck, *args) -> bool:
 def assert_recheck_matches(crit) -> bool:
     """certificate accepts a critical set's witnesses exactly when the
     per-(witness, profile) reference does; returns whether both accept."""
-    accepted = recheck_accepts(exceeds_recheck, crit.profiles, _witnesses(crit))
+    found = labelled(_witnesses(crit), len(crit.profiles))
+    accepted = recheck_accepts(exceeds_recheck, crit.profiles, found)
     assert recheck_accepts(certificate, crit) == accepted
     return accepted
 
@@ -394,7 +397,7 @@ class TestAgainstReferences:
         assert not crit.stopped
         assert list(crit.rows) == every
         assert (len(every), sum(map(is_strict, every))) == (8, 3)
-        assert len(_witnesses(crit)) == 6
+        assert len(labelled(_witnesses(crit), 3)) == 6
         assert_matches_references(kernel, fs, mu)
 
     @pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6"])
@@ -673,7 +676,7 @@ class TestWitnessRecheck:
         named = set()
         for spec, m in (("cyclic:18", 3), ("cyclic:48", 4)):
             crit = level_rows(synth_kernel(build_group(spec), m), monkeypatch)
-            found = _witnesses(crit)
+            found = labelled(_witnesses(crit), m)
             for labels, witness in found.items():
                 for i, j in product(range(m), repeat=2):
                     if labels[i] > 0 or labels[j] < 0:
@@ -683,7 +686,9 @@ class TestWitnessRecheck:
                     with pytest.raises(WitnessVerificationError) as want:
                         exceeds_recheck(crit.profiles, tampered)
                     with monkeypatch.context() as patch:
-                        patch.setattr(gshatter.shatter, "_witnesses", lambda _: tampered)
+                        patch.setattr(
+                            gshatter.shatter, "_witnesses", lambda _: masked(tampered)
+                        )
                         with pytest.raises(WitnessVerificationError) as got:
                             certificate(crit)
                     assert str(got.value) == str(want.value)

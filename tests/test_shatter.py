@@ -267,6 +267,24 @@ class TestCertificates:
             if e.status == "unreachable":
                 assert e.c1 is None and e.c2 is None
 
+    def test_a_row_with_two_tie_groups(self):
+        # Two copies each of a crossing pair: every row has two groups of
+        # tied values, so its cuts give only patterns that agree within each.
+        k, fs, mu = delta_instance("cyclic:2", [4, 0], [4, 0], [3, 3], [3, 3])
+        cert = is_shattered(k, fs, mu)
+        witnessed = [e for e in cert.entries if e.status == "witnessed"]
+        assert [e.labels for e in witnessed] == [
+            (-1, -1, -1, -1), (-1, -1, 1, 1), (1, 1, -1, -1), (1, 1, 1, 1)
+        ]
+        for entry in witnessed:
+            for f, want in zip(fs, entry.labels):
+                assert classify(k, f, mu, entry.c1, entry.c2) == want
+        unreachable = [e for e in cert.entries if e.status == "unreachable"]
+        assert len(unreachable) == 12
+        assert all(e.c1 is None and e.c2 is None for e in unreachable)
+        assert not cert.shattered
+        assert not check_order_criterion(k, fs, mu)
+
 
 class TestOrderCriterion:
     def test_order_set_of_crossing_pair(self):
