@@ -6,7 +6,8 @@ downstream constructions compare quantities whose gaps shrink
 super-exponentially and one rounding step could flip an order
 comparison.  A function is integers over one least denominator, and the
 convolution runs on them for a whole family.  `values` forms Fractions
-on demand, and `ratio_to_str` spells a value at any length.
+on demand, and `ratio_to_str` spells a value at any length, reduced once;
+`fraction_to_str` spells a Fraction as it stands.
 """
 
 from __future__ import annotations
@@ -38,20 +39,26 @@ def _long_str(n: int) -> str:
         return "-" * (n < 0) + _long_str(high) + _long_str(low).zfill(k)
 
 
-def ratio_to_str(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms as "p/q", or "p" when whole."""
-    if not num:
-        return "0"
-    if (d := gcd(num, den)) > 1:
-        num, den = num // d, den // d
+def _spell(num: int, den: int) -> str:
+    """num/den as "p/q", or "p" when den is 1; no reduction."""
     if den == 1:
         return _long_str(num)
     return f"{_long_str(num)}/{_long_str(den)}"
 
 
+def ratio_to_str(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms as "p/q", or "p" when whole."""
+    if not num:  # one shared "0" for the many zero values of a function
+        return "0"
+    if (d := gcd(num, den)) > 1:
+        num, den = num // d, den // d
+    return _spell(num, den)
+
+
 def fraction_to_str(x: Fraction | int) -> str:
-    """x as ratio_to_str spells it; ints have .numerator and .denominator too."""
-    return ratio_to_str(x.numerator, x.denominator)
+    """x as ratio_to_str spells it, with no gcd: a Fraction or an int is
+    already in lowest terms, and both have .numerator and .denominator."""
+    return _spell(x.numerator, x.denominator)
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:

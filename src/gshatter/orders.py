@@ -8,7 +8,9 @@ C(m, floor(m/2)) rankings — the smallest possible — by peeling subsets
 one element at a time with a family of maps F: S(q, m) -> S(q-1, m).
 `f_map` computes F by bracket matching, as in Greene and Kleitman's
 symmetric chain decomposition; F is injective when C(m, q) <= C(m, q-1),
-surjective when C(m, q) >= C(m, q-1) and bijective at m = 2q-1.
+surjective when C(m, q) >= C(m, q-1) and bijective at m = 2q-1.  A
+ranking is the order in which a peel chain, read upward, adds elements:
+the paper's sigma~, the step that drops each element, read in reverse.
 
 Subsets of [m] = {1, ..., m} are bitmasks: bit i-1 stands for element i.
 A ranking of [m] is a tuple of m ranks, element k's at index k-1; it is
@@ -17,7 +19,7 @@ strict when the ranks are a permutation of 1..m.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import comb
 
 from .errors import InvariantError
@@ -77,23 +79,6 @@ def peel_chain(mask: int, m: int) -> list[int]:
         q -= 1
         chain.append(mask)
     return chain
-
-
-def _chain_ranks(chain: list[int]) -> dict[int, int]:
-    """sigma~: rank each element of A = chain[0] by the peel step that drops it.
-
-    The element dropped first gets rank 1, so survivors of k peels rank
-    above everything already dropped.  Each step must drop one element.
-    """
-    ranks: dict[int, int] = {}
-    for k, (cur, nxt) in enumerate(zip(chain, chain[1:]), 1):
-        dropped = cur & ~nxt
-        if dropped.bit_count() != 1 or nxt & ~cur:
-            raise InvariantError(
-                f"peeling map broke the chain at step {k} for mask {chain[0]:#x}"
-            )
-        ranks[dropped.bit_length()] = k
-    return ranks
 
 
 class OrderSet:
@@ -165,20 +150,19 @@ def completeness_lower_bound(m: int) -> int:
 def _ranking_for(chain: list[int], m: int) -> tuple[int, ...]:
     """Strict ranking that separates a subset A and its whole peel chain.
 
-    `chain` is A's peel chain.  Elements of A occupy ranks 1..|A| in
-    reverse peel order (the longest survivor ranks lowest), so every
-    bottom prefix of the ranking is a chain set.  The complement occupies
-    the top ranks, mirrored the same way.
+    Read upward (sigma~ reversed), A's peel chain `chain` adds one element
+    per step: ranks 1..|A| in that order, so every bottom prefix is a chain
+    set.  The complement's chain adds ranks |A|+1..m.  f_map checks its
+    input's size on every call, so each step adds one element; one that
+    did not would leave an element at rank 0, which `is_strict` refuses.
     """
-    mask = chain[0]
-    s = mask.bit_count()
+    comp = ((1 << m) - 1) & ~chain[0]
+    added = (
+        a & ~b for c in (chain, peel_chain(comp, m)) for b, a in pairwise(reversed(c))
+    )
     ranks = [0] * m
-    for a, k in _chain_ranks(chain).items():
-        ranks[a - 1] = s + 1 - k
-    comp = ((1 << m) - 1) & ~mask
-    csize = comp.bit_count()
-    for b, k in _chain_ranks(peel_chain(comp, m)).items():
-        ranks[b - 1] = s + (csize + 1 - k)
+    for rank, bit in enumerate(added, 1):
+        ranks[bit.bit_length() - 1] = rank
     return tuple(ranks)
 
 

@@ -202,6 +202,8 @@ def _witnesses(critical: CriticalSet) -> dict[int, tuple[Fraction, Fraction]]:
     only on the ranking, so the first row of each ranking gives every first
     witness.  A row's cuts are prefix ORs over its indices sorted by value,
     descending, then one a unit of nu below the minimum that labels all +1.
+    A row forms its c1 once, at its first new pattern, and its entries
+    share it; a row that cuts no new pattern forms none.
     """
     found: dict[int, tuple[Fraction, Fraction]] = {}
     den = critical.profiles[0].den
@@ -210,15 +212,18 @@ def _witnesses(critical: CriticalSet) -> dict[int, tuple[Fraction, Fraction]]:
     for (p, q), values in critical.rows.values():
         if len(found) == 1 << m:  # every pattern has its first witness
             break
-        unit, mask = q * den, 0
+        unit, mask, c1 = q * den, 0, None
         top_down = sorted(range(m), key=values.__getitem__, reverse=True)
         for value, group in groupby(top_down, key=values.__getitem__):
             if mask not in found:
-                found[mask] = (Fraction(p, unit), Fraction(-value, unit))
+                if c1 is None:  # the row's first new pattern
+                    c1 = Fraction(p, unit)
+                found[mask] = (c1, Fraction(-value, unit))
             for k in group:
                 mask |= bits[k]
         if mask not in found:
-            found[mask] = (Fraction(p, unit), Fraction(unit - value, unit))
+            c1 = Fraction(p, unit) if c1 is None else c1
+            found[mask] = (c1, Fraction(unit - value, unit))
     return found
 
 

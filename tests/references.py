@@ -12,9 +12,11 @@ Fractions with each k-vector scaled from its unit point
 (`solve_k_vector`), the k-vector solved and checked on every tower level
 for each target, verify_synth's level and value checks in Fractions,
 the certificate's witness re-check one (witness, profile) pair at a
-time, and the peeling map F by its recursive definition, which
-`orders.f_map` computes in one scan.  The differential tests assert
-identical results.  `translate`, the left translation g -> f(a g), is
+time, the peeling map F by its recursive definition, which
+`orders.f_map` computes in one scan, and each ranking of the complete
+order set from sigma~, the peel step that drops each element, which
+`orders._ranking_for` reads off the chains upward.  The differential
+tests assert identical results.  `translate`, the left translation g -> f(a g), is
 what the translation-invariance tests apply, and `edited` is how tests
 change fields of a SynthResult: through its constructor, so its shape
 check runs again.  The witness references key patterns by label tuple;
@@ -29,10 +31,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from gshatter.errors import SynthesisVerificationError, WitnessVerificationError
+from gshatter.errors import (
+    InvariantError,
+    SynthesisVerificationError,
+    WitnessVerificationError,
+)
 from gshatter.gfunc import GroupFunction, indicator
 from gshatter.groups import find_order_ge3_element, find_order_two_element
-from gshatter.orders import build_complete_orders, mask_elements
+from gshatter.orders import build_complete_orders, mask_elements, peel_chain
 from gshatter.synth import (
     LAYOUTS,
     LEVEL_INTERVAL,
@@ -604,3 +610,40 @@ def recursive_f_map(q: int, m: int, mask: int) -> int:
     if mask & top:
         return recursive_f_map(q - 1, m - 1, mask & ~top) | top
     return recursive_f_map(q, m - 1, mask)
+
+
+def chain_ranks(chain: list[int]) -> dict[int, int]:
+    """sigma~: rank each element of A = chain[0] by the peel step that drops it.
+
+    The element dropped first gets rank 1, so survivors of k peels rank
+    above everything already dropped.  Each step must drop one element.
+    """
+    ranks: dict[int, int] = {}
+    for k, (cur, nxt) in enumerate(zip(chain, chain[1:]), 1):
+        dropped = cur & ~nxt
+        if dropped.bit_count() != 1 or nxt & ~cur:
+            raise InvariantError(
+                f"peeling map broke the chain at step {k} for mask {chain[0]:#x}"
+            )
+        ranks[dropped.bit_length()] = k
+    return ranks
+
+
+def sigma_ranking_for(chain: list[int], m: int) -> tuple[int, ...]:
+    """Strict ranking that separates a subset A and its whole peel chain.
+
+    `chain` is A's peel chain.  Elements of A occupy ranks 1..|A| in
+    reverse peel order (the longest survivor ranks lowest), so every
+    bottom prefix of the ranking is a chain set.  The complement occupies
+    the top ranks, mirrored the same way.
+    """
+    mask = chain[0]
+    s = mask.bit_count()
+    ranks = [0] * m
+    for a, k in chain_ranks(chain).items():
+        ranks[a - 1] = s + 1 - k
+    comp = ((1 << m) - 1) & ~mask
+    csize = comp.bit_count()
+    for b, k in chain_ranks(peel_chain(comp, m)).items():
+        ranks[b - 1] = s + (csize + 1 - k)
+    return tuple(ranks)

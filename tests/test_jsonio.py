@@ -6,10 +6,12 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from gshatter.gfunc import GroupFunction
+from gshatter import gfunc
+from gshatter.gfunc import GroupFunction, ratio_to_str
 from gshatter.groups import build_group
 from gshatter.jsonio import (
     MAX_RATIONAL_CHARS,
@@ -66,6 +68,17 @@ class TestFractions:
         assert text == "-" * (sign < 0) + "1" + "0" * 9_999 + "1/" + "9" * 10_000
         assert fraction_from_str(text) == value
         assert fraction_from_str(fraction_to_str(value * den)) == sign * num
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(10**5_000 + 1, 10**4_999 - 1), -12, Fraction(0)]
+    )
+    def test_spelled_without_a_gcd(self, value, monkeypatch):
+        # A Fraction or an int is in lowest terms already.
+        calls = []
+        monkeypatch.setattr(gfunc, "gcd", lambda *a: calls.append(None) or gcd(*a))
+        text = fraction_to_str(value)
+        assert not calls
+        assert text == ratio_to_str(value.numerator, value.denominator)
 
     def test_zero_denominator_past_the_digit_limit(self):
         with pytest.raises(ValueError, match="malformed rational"):

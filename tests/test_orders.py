@@ -10,17 +10,18 @@ import pytest
 import gshatter.orders
 from gshatter.orders import (
     OrderSet,
-    _chain_ranks,
+    _ranking_for,
     build_complete_orders,
     completeness_lower_bound,
     f_map,
     is_complete,
+    is_strict,
     mask_elements,
     peel_chain,
     separated_masks,
 )
 
-from references import recursive_f_map
+from references import chain_ranks, recursive_f_map, sigma_ranking_for
 
 
 def mask_from_elements(elements) -> int:
@@ -135,13 +136,32 @@ class TestPeeling:
             for q in range(1, m + 1):
                 for a in subsets_of_size(q, m):
                     chain = peel_chain(a, m)
-                    st = _chain_ranks(chain)
+                    st = chain_ranks(chain)
                     assert sorted(st.values()) == list(range(1, q + 1))
                     for k in range(q + 1):
                         survivors = mask_from_elements(
                             [e for e, rank in st.items() if rank > k]
                         )
                         assert survivors == chain[k]
+
+    def test_same_order_sets_as_sigma_tilde_up_to_m14(self, monkeypatch):
+        """Rankings read off the chains upward equal those from sigma~."""
+        built = [build_complete_orders(m).rankings for m in range(1, 15)]
+        monkeypatch.setattr(gshatter.orders, "_ranking_for", sigma_ranking_for)
+        for m, rankings in enumerate(built, 1):
+            assert build_complete_orders(m).rankings == rankings, m
+
+    def test_ranking_separates_both_chains(self):
+        """For every A: strict, with A's chain sets and A joined with each
+        of its complement's chain sets all bottom prefixes."""
+        for m in range(1, 11):
+            full = (1 << m) - 1
+            for a in range(full + 1):
+                ranking = _ranking_for(peel_chain(a, m), m)
+                assert is_strict(ranking), (m, a)
+                prefixes = separated_masks(ranking)
+                assert set(peel_chain(a, m)) <= prefixes, (m, a)
+                assert {a | c for c in peel_chain(full & ~a, m)} <= prefixes, (m, a)
 
 
 class TestSeparation:

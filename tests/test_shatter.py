@@ -285,6 +285,21 @@ class TestCertificates:
         assert not cert.shattered
         assert not check_order_criterion(k, fs, mu)
 
+    def test_a_row_forms_its_c1_once(self, monkeypatch):
+        # cyclic:48 at m = 4: 16 patterns cut from 6 level rows, each row's
+        # entries sharing one c1 object; one c1 per entry would form 32.
+        formed = []
+
+        def counted(*args):
+            formed.append(Fraction(*args))
+            return formed[-1]
+
+        monkeypatch.setattr(shatter, "Fraction", counted)
+        entries = synth_kernel(build_group("cyclic:48"), 4).report.certificate.entries
+        assert len(formed) == 22
+        assert len({e.c2 for e in entries}) == 16
+        assert len({id(e.c1) for e in entries}) == len({e.c1 for e in entries}) == 6
+
 
 class TestOrderCriterion:
     def test_order_set_of_crossing_pair(self):
