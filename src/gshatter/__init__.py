@@ -21,9 +21,7 @@ from .bounds import (
 )
 from .classifier import (
     NuProfile,
-    build_nu_profile,
     classify,
-    nu,
     ranking_of_values,
 )
 from .errors import (

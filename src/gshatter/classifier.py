@@ -5,7 +5,7 @@ For a kernel K and a function f the classifier is
     H_{c1,c2}(K)(f) = sign( sum_g ReLU((f*K)(g) + c1) + c2 )
 
 with sign(0) = -1 and the sum over every element of the group (the
-counting measure `mu` that every function here takes).  The inner sum,
+counting measure, the `mu` that `classify` takes).  The inner sum,
 as a function of c1, is written ``nu`` here; it is continuous, convex,
 non-decreasing and piecewise affine with rational breakpoints, which is
 what makes exact enumeration of all realizable label patterns possible
@@ -15,17 +15,17 @@ Inside, a profile holds f*K as integers over one denominator, which
 every profile of a family shares, and one sorted table of its terms that
 gives nu at any bias and nu's pieces alike; `nu_values` gives every
 profile's nu at one bias over one denominator, from one cut per bias.
-A Fraction is formed only for the nu that `NuProfile.at` returns, and no
-float is used anywhere.
+Only `classify` forms a Fraction of nu, and no float is used anywhere.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .gfunc import GroupFunction, Measure, _convolve
+from .gfunc import GroupFunction, Measure, _convolve, _same_group
 
 
 class NuProfile:
@@ -35,7 +35,7 @@ class NuProfile:
     call share den.  The profile sorts its terms once, by x = (f*K)(g) *
     den, into `xs`, with suffix sums of x (`masses`), so the terms from
     position i on number len(xs) - i and add up to masses[i].
-    `nu_values` and `at` read nu at one bias from that table; `pieces`
+    `nu_values` reads nu at one bias from that table; `pieces`
     streams nu in closed form, piece by piece, from the same table.
     """
 
@@ -44,11 +44,8 @@ class NuProfile:
     def __init__(self, nums: tuple[int, ...], den: int):
         self.nums, self.den = nums, den
         self.xs = xs = sorted(nums)
-        masses = [0]
-        for x in reversed(xs):
-            masses.append(masses[-1] + x)
+        self.masses = masses = list(accumulate(reversed(xs), initial=0))
         masses.reverse()
-        self.masses = masses
 
     def pieces(self) -> Iterator[tuple[int, int, int]]:
         """nu's breakpoints on t = c * den, ascending, each with the piece
@@ -67,11 +64,6 @@ class NuProfile:
         for i in reversed(range(len(xs))):
             if not i or xs[i - 1] != xs[i]:  # the first position of its value
                 yield -xs[i], len(xs) - i, masses[i]
-
-    def at(self, c: Fraction) -> Fraction:
-        """sum_g max(0, (f*K)(g) + c): nu at c, exactly."""
-        [x], d = nu_values([self], c)
-        return Fraction(x, d)
 
 
 def nu_values(profiles: Sequence[NuProfile], c: Fraction) -> tuple[list[int], int]:
@@ -97,36 +89,22 @@ def nu_values(profiles: Sequence[NuProfile], c: Fraction) -> tuple[list[int], in
 
 
 def build_nu_profiles(
-    kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
+    kernel: GroupFunction, fs: Sequence[GroupFunction]
 ) -> list[NuProfile]:
-    """build_nu_profile for each f in fs, all over `_convolve`'s one den."""
-    family, den = _convolve(fs, kernel, mu)
+    """f*K as integers and nu's table for each f in fs, all over
+    `_convolve`'s one den."""
+    family, den = _convolve(fs, kernel)
     return [NuProfile(tuple(nums), den) for nums in family]
 
 
-def build_nu_profile(
-    kernel: GroupFunction, f: GroupFunction, mu: Measure
-) -> NuProfile:
-    """f*K as integers over one denominator, and nu's table."""
-    return build_nu_profiles(kernel, [f], mu)[0]
-
-
-def nu(
-    kernel: GroupFunction, f: GroupFunction, mu: Measure, c: Fraction
-) -> Fraction:
-    """sum_g max(0, (f*K)(g) + c), exactly."""
-    return build_nu_profile(kernel, f, mu).at(c)
-
-
 def classify(
-    kernel: GroupFunction,
-    f: GroupFunction,
-    mu: Measure,
-    c1: Fraction,
-    c2: Fraction,
+    kernel: GroupFunction, f: GroupFunction, mu: Measure, c1: Fraction, c2: Fraction
 ) -> int:
-    """+1 if nu(K, f, mu, c1) + c2 > 0, else -1 (zero counts as -1)."""
-    return 1 if nu(kernel, f, mu, c1) + c2 > 0 else -1
+    """+1 if nu(c1) + c2 > 0, else -1 (zero counts as -1), with mu the
+    counting measure on K's group."""
+    _same_group(mu.group, kernel.group, "classify")
+    [x], d = nu_values(build_nu_profiles(kernel, [f]), c1)
+    return 1 if Fraction(x, d) > -c2 else -1
 
 
 def ranking_of_values(values: Sequence[Fraction]) -> tuple[int, ...]:

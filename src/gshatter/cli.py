@@ -22,6 +22,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .bounds import BoundReport, build_bound_report
+from .classifier import build_nu_profiles
 from .errors import (
     GroupSpecError,
     GroupTooSmallError,
@@ -31,7 +32,6 @@ from .errors import (
     WitnessVerificationError,
     _quoted,
 )
-from .gfunc import counting_measure
 from .groups import (
     build_group,
     find_order_ge3_element,
@@ -53,7 +53,7 @@ from .jsonio import (
     _sha256,
 )
 from .orders import build_complete_orders, completeness_lower_bound, is_complete
-from .shatter import attained_orders, certificate, critical_points
+from .shatter import attained_orders, certificate, critical_set
 from .synth import MODES, synth_kernel, verify_synth
 
 DEFAULT_M_CAP = 8
@@ -239,6 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fs = function_family_from_json(functions_data, kernel.group)
     except _INPUT_ERRORS as exc:
         return _fail(f"cannot read inputs: {_input_error(exc)}", 2)
+    del kernel_data, functions_data  # parsed: their value strings go now
     if not fs:
         return _fail("functions file contains no functions", 2)
     if len(fs) > VERIFY_M_CAP:
@@ -246,12 +247,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{len(fs)} functions exceed the cap {VERIFY_M_CAP}: a certificate "
             "lists 2^m label patterns", 2
         )
-    mu = counting_measure(kernel.group)
     # One sweep, two independent conclusions: the certificate is re-checked
     # on each profile's breakpoint table, the criterion decided from rankings.
     # The sweep stops once its strict rankings are complete, which settles
     # both; a family that never gets there is swept to the end.
-    critical = critical_points(kernel, fs, mu)
+    critical = critical_set(build_nu_profiles(kernel, fs))
     cert = certificate(critical)
     criterion = is_complete(attained_orders(critical))
     del critical  # the profiles go before the report is built and written

@@ -5,9 +5,9 @@ Everything here is exact and floats are rejected outright, because
 downstream constructions compare quantities whose gaps shrink
 super-exponentially and one rounding step could flip an order
 comparison.  A function is integers over one least denominator, and the
-convolution runs on them for a whole family.  `values` forms Fractions
-on demand, and `ratio_to_str` spells a value at any length, reduced once;
-`fraction_to_str` spells a Fraction as it stands.
+convolution runs on them for a whole family, over one common denominator.
+`values` forms Fractions on demand, and `ratio_to_str` spells a value at
+any length, reduced once; `fraction_to_str` spells a Fraction as it stands.
 """
 
 from __future__ import annotations
@@ -130,23 +130,22 @@ def indicator(group: FiniteGroup, g: int) -> GroupFunction:
 
 
 def _convolve(
-    fs: Sequence[GroupFunction], kernel: GroupFunction, mu: Measure
+    fs: Sequence[GroupFunction], kernel: GroupFunction
 ) -> tuple[list[list[int]], int]:
     """(fs[k] * K)(g) = sum_h fs[k](g h^-1) K(h) as nums[k][g] / den.
 
     Each term f(a) K(h) lands at g = a h, so only pairs of a support point
     of f and one of K are visited: O(|supp f| * |supp K|).  With each f
-    scaled to the family's lcm of denominators every term is an integer;
-    one gcd at the end leaves den the lcm of the reduced denominators of
-    all the family's values, so the family shares it.
+    scaled to the family's lcm of denominators every term is an integer,
+    so den = lcm(f.den ...) * K.den is a common denominator of the whole
+    family, not always the least: nothing that reads it needs it least.
     """
     mul, n = kernel.group.mul, kernel.group.order
     terms = [(h, k) for h, k in enumerate(kernel.nums) if k]
     f_den = lcm(*(f.den for f in fs))
-    accs, common = [], f_den * kernel.den
+    accs = []
     for f in fs:
         _same_group(f.group, kernel.group, "convolve")
-        _same_group(f.group, mu.group, "convolve")
         scale, acc = f_den // f.den, [0] * n
         for a, fa in enumerate(f.nums):
             if fa:
@@ -154,11 +153,12 @@ def _convolve(
                 for h, k in terms:
                     acc[mul(a, h)] += fa * k
         accs.append(acc)
-        common = gcd(common, *acc)
-    return [[x // common for x in acc] for acc in accs], f_den * kernel.den // common
+    return accs, f_den * kernel.den
 
 
 def convolve(f: GroupFunction, kernel: GroupFunction, mu: Measure) -> GroupFunction:
-    """Group convolution (f * K)(g) = sum_h f(g h^-1) K(h) under mu."""
-    [nums], den = _convolve([f], kernel, mu)
+    """Group convolution (f * K)(g) = sum_h f(g h^-1) K(h) under mu, the
+    counting measure on K's group."""
+    _same_group(mu.group, kernel.group, "convolve")
+    [nums], den = _convolve([f], kernel)
     return GroupFunction(f.group, nums, den)

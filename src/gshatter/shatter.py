@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .classifier import NuProfile, build_nu_profiles, nu_values, ranking_of_values
 from .errors import InvariantError, WitnessVerificationError
-from .gfunc import GroupFunction, Measure
+from .gfunc import GroupFunction, Measure, _same_group
 from .orders import OrderSet, is_complete, separated_masks
 
 
@@ -187,8 +187,10 @@ def critical_set(profiles: Sequence[NuProfile]) -> CriticalSet:
 def critical_points(
     kernel: GroupFunction, fs: Sequence[GroupFunction], mu: Measure
 ) -> CriticalSet:
-    """Bias values at which the ranking of the nu functions can change."""
-    return critical_set(build_nu_profiles(kernel, fs, mu))
+    """Bias values at which the ranking of the nu functions can change,
+    with mu the counting measure on K's group."""
+    _same_group(mu.group, kernel.group, "critical_points")
+    return critical_set(build_nu_profiles(kernel, fs))
 
 
 def _witnesses(critical: CriticalSet) -> dict[int, tuple[Fraction, Fraction]]:

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .bounds import ELEMENTS_PER_CENTRE, required_group_size
 from .classifier import NuProfile, build_nu_profiles, nu_values, ranking_of_values
 from .errors import GroupTooSmallError, ModeElementError, SynthesisVerificationError, _quoted
-from .gfunc import GroupFunction, counting_measure, fraction_to_str, ratio_to_str
+from .gfunc import GroupFunction, fraction_to_str, ratio_to_str
 from .groups import FiniteGroup, find_order_ge3_element, find_order_two_element
 from .orders import OrderSet, build_complete_orders, completeness_lower_bound
 from .shatter import CriticalSet, ShatterCertificate, certificate, critical_set
@@ -400,9 +400,7 @@ def verify_synth(result: SynthResult) -> SynthReport:
     orders = build_complete_orders(m)
     # Under the counting measure every weight is 1, so each profile's xs
     # holds every convolution value, in ascending order.
-    profiles = build_nu_profiles(
-        result.kernel, result.family(), counting_measure(result.group)
-    )
+    profiles = build_nu_profiles(result.kernel, result.family())
     tower = build_u_tower(B, C, p=m)
     levels = [nu_values(profiles, -c) for c in result.thresholds]
     eps_ok = result.epsilon == synth_epsilon(B, C, m)

@@ -20,7 +20,8 @@ tests assert identical results.  `translate`, the left translation g -> f(a g), 
 what the translation-invariance tests apply, and `edited` is how tests
 change fields of a SynthResult: through its constructor, so its shape
 check runs again.  The witness references key patterns by label tuple;
-`labelled` and `masked` convert to and from `shatter`'s masks.
+`labelled` and `masked` convert to and from `shatter`'s masks.  `nu` and
+`table_value` read one nu value through the package's `nu_values`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
+from gshatter.classifier import build_nu_profiles, nu_values
 from gshatter.errors import (
     InvariantError,
     SynthesisVerificationError,
@@ -218,6 +220,17 @@ def profile_value(profile, c: Fraction) -> Fraction:
     breakpoints, slopes, offsets = piece_lists(profile, profile.den)
     i = bisect_left(breakpoints, t)
     return (slopes[i] * t + offsets[i]) / profile.den
+
+
+def table_value(profile, c: Fraction) -> Fraction:
+    """nu(c) from a profile's breakpoint table, read by `nu_values`."""
+    [x], d = nu_values([profile], c)
+    return Fraction(x, d)
+
+
+def nu(kernel: GroupFunction, f: GroupFunction, c: Fraction) -> Fraction:
+    """nu(c) = sum_g max(0, (f*K)(g) + c), from f's own profile."""
+    return table_value(build_nu_profiles(kernel, [f])[0], c)
 
 
 def dense_u_tower_functions(group, g: int, coeffs) -> tuple[GroupFunction, ...]:

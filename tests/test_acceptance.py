@@ -25,7 +25,7 @@ from gshatter.bounds import (
     upper_bound_implicit,
     upper_bound_refined,
 )
-from gshatter.classifier import build_nu_profile, build_nu_profiles, classify, nu
+from gshatter.classifier import NuProfile, build_nu_profiles, classify
 from gshatter.cli import main
 from gshatter.gfunc import GroupFunction, counting_measure
 from gshatter.groups import build_group
@@ -45,11 +45,15 @@ from gshatter.orders import (
 )
 from gshatter.shatter import (
     attained_orders,
+    certificate,
     check_order_criterion,
     critical_points,
     critical_set,
     is_shattered,
 )
+from gshatter.synth import synth_kernel
+
+from references import nu
 
 
 @dataclass
@@ -256,13 +260,13 @@ def test_fast_paths_match_references_on_criterion_05_instances():
 
 
 def test_nu_profile_scaled_above_its_own_scale_on_criterion_05_instances():
-    """NuProfile.pieces on a family's one den, the lcm of its profiles' own
-    scales, equals the reference."""
+    """NuProfile.pieces on a family's one den, lcm(f.den ...) * K.den,
+    equals the reference."""
     from references import fraction_build_nu_profile
     from test_fast_paths import assert_pieces_match_reference
 
-    for kernel, fs, mu in random_instances(seed=42, count=1000):
-        for f, p in zip(fs, build_nu_profiles(kernel, fs, mu)):
+    for kernel, fs, _ in random_instances(seed=42, count=1000):
+        for f, p in zip(fs, build_nu_profiles(kernel, fs)):
             assert_pieces_match_reference(p, fraction_build_nu_profile(kernel, f))
 
 
@@ -271,8 +275,8 @@ def test_witness_recheck_matches_its_reference_on_criterion_05_instances():
     from test_fast_paths import ROW_TAMPERS, assert_recheck_matches, tampered_rows
 
     outcomes = set()
-    for kernel, fs, mu in random_instances(seed=42, count=1000):
-        crit = critical_set(build_nu_profiles(kernel, fs, mu))
+    for kernel, fs, _ in random_instances(seed=42, count=1000):
+        crit = critical_set(build_nu_profiles(kernel, fs))
         assert assert_recheck_matches(crit)
         for tamper in ROW_TAMPERS:
             for rows in (range(len(crit.rows)), {0}):
@@ -282,10 +286,37 @@ def test_witness_recheck_matches_its_reference_on_criterion_05_instances():
 
 def test_last_critical_point_is_the_largest_breakpoint_on_criterion_05_instances():
     """Past the largest breakpoint every nu has slope |G|, so no two cross there."""
-    for kernel, fs, mu in random_instances(seed=42, count=1000):
-        profiles = build_nu_profiles(kernel, fs, mu)
+    for kernel, fs, _ in random_instances(seed=42, count=1000):
+        profiles = build_nu_profiles(kernel, fs)
         largest = max(Fraction(-x, p.den) for p in profiles for x in p.nums)
         assert critical_set(profiles).points[-1] == largest
+
+
+def sweep_outcome(profiles):
+    """The rankings with their first probes as c1, the certificate and the
+    attained orders of one sweep: all that it emits or decides."""
+    crit = critical_set(profiles)
+    den = profiles[0].den
+    firsts = [(r, Fraction(p, q * den)) for r, ((p, q), _) in crit.rows.items()]
+    orders = attained_orders(crit)
+    return firsts, certificate(crit), (orders.m, orders.rankings)
+
+
+def test_a_common_multiple_of_den_changes_nothing_emitted():
+    """A family's den is a common denominator, not always the least: with
+    every profile's nums and den multiplied by k, the sweep, its witnesses
+    and the attained orders stay the same, on the criterion-05 instances
+    and on synthesized families at m = 3..5."""
+    families = [(kernel, fs) for kernel, fs, _ in random_instances(seed=42, count=1000)]
+    for m, spec in ((3, "cyclic:18"), (4, "cyclic:48"), (5, "cyclic:100")):
+        result = synth_kernel(build_group(spec), m)
+        families.append((result.kernel, list(result.family())))
+    for kernel, fs in families:
+        profiles = build_nu_profiles(kernel, fs)
+        want = sweep_outcome(profiles)
+        for k in (2, 6):
+            scaled = [NuProfile(tuple(k * x for x in p.nums), k * p.den) for p in profiles]
+            assert sweep_outcome(scaled) == want
 
 
 def test_fast_paths_match_references_on_bundles(bundles):
@@ -307,7 +338,7 @@ def test_criterion_06_counting_bounds():
         patterns = is_shattered(kernel, fs, mu).witnessed_count()
         assert patterns <= (m + m * (m - 1) // 2) * (m * n + 1)
         for f in fs:
-            profile = build_nu_profile(kernel, f, mu)
+            profile = build_nu_profiles(kernel, [f])[0]
             offsets = piece_lists(profile, profile.den)[2]
             assert len(set(offsets)) <= n + 1
         checked += 1
@@ -338,7 +369,6 @@ def test_criterion_08_level_recursion_independent(bundles):
         kernel = bundle.kernel
         group = kernel.group
         fs = bundle.family(group)
-        mu = counting_measure(group)
         m = result.m
         eps = result.epsilon
         r = len(result.ms)
@@ -346,7 +376,7 @@ def test_criterion_08_level_recursion_independent(bundles):
         for level in range(r):
             m_cur = m_prev - m * (spread_prev + eps)
             assert result.ms[level] == m_cur
-            values = [nu(kernel, f, mu, -m_cur + eps) for f in fs]
+            values = [nu(kernel, f, -m_cur + eps) for f in fs]
             spread = max(values) - min(values)
             assert result.B < m_cur - m * (spread + eps)
             assert spread <= eps * (m ** (level + 1) - 1)
@@ -374,7 +404,7 @@ def test_criterion_09_bands_and_gaps(bundles):
                 for v in conv.values:
                     assert not (ml - eps < v < ml)
         for threshold in result.thresholds:
-            values = [nu(kernel, f, mu, -threshold) for f in fs]
+            values = [nu(kernel, f, -threshold) for f in fs]
             for a in range(len(values)):
                 for b in range(a + 1, len(values)):
                     assert abs(values[a] - values[b]) >= eps

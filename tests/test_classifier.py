@@ -8,17 +8,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshatter.classifier import (
-    build_nu_profile,
-    classify,
-    nu,
-    ranking_of_values,
-)
+from gshatter.classifier import build_nu_profiles, classify, ranking_of_values
 from gshatter.gfunc import GroupFunction, counting_measure, indicator
 from gshatter.groups import build_group
 from gshatter.orders import is_strict
 
-from references import piece_lists, profile_value, translate
+from references import nu, piece_lists, profile_value, table_value, translate
 
 
 def rationals(max_den: int = 8, max_num: int = 16) -> st.SearchStrategy[Fraction]:
@@ -40,10 +35,10 @@ class TestNu:
     # values can all be read off by hand.
     def test_hand_values(self):
         g = build_group("cyclic:3")
-        f, k, mu = _instance(g, [1, -1, 2], [1, 0, 0])
-        assert nu(k, f, mu, Fraction(0)) == 3  # ReLU terms 1 + 0 + 2
-        assert nu(k, f, mu, Fraction(-2)) == 0  # everything clipped
-        assert nu(k, f, mu, Fraction(-3, 2)) == Fraction(1, 2)  # only f=2 survives
+        f, k, _ = _instance(g, [1, -1, 2], [1, 0, 0])
+        assert nu(k, f, Fraction(0)) == 3  # ReLU terms 1 + 0 + 2
+        assert nu(k, f, Fraction(-2)) == 0  # everything clipped
+        assert nu(k, f, Fraction(-3, 2)) == Fraction(1, 2)  # only f=2 survives
 
     def test_zero_threshold_counts_as_negative(self):
         g = build_group("cyclic:3")
@@ -59,10 +54,9 @@ class TestNu:
         g = build_group("cyclic:5")
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(5)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(5)])
-        mu = counting_measure(g)
         c = data.draw(rationals(max_num=32))
         d = data.draw(rationals(max_num=8).filter(lambda x: x > 0))
-        lo, mid, hi = nu(k, f, mu, c - d), nu(k, f, mu, c), nu(k, f, mu, c + d)
+        lo, mid, hi = nu(k, f, c - d), nu(k, f, c), nu(k, f, c + d)
         assert lo <= mid <= hi
         assert lo + hi >= 2 * mid
 
@@ -70,33 +64,33 @@ class TestNu:
 class TestNuProfile:
     def test_breakpoints_and_slopes(self):
         g = build_group("cyclic:3")
-        f, k, mu = _instance(g, [1, -1, 2], [1, 0, 0])
-        profile = build_nu_profile(k, f, mu)
+        f, k, _ = _instance(g, [1, -1, 2], [1, 0, 0])
+        profile = build_nu_profiles(k, [f])[0]
         # conv = f = (1, -1, 2) so breakpoints at -2 < -1 < 1
         assert profile.den == 1
         breakpoints, slopes, _ = piece_lists(profile, profile.den)
         assert breakpoints == [-2, -1, 1]
         assert slopes == [0, 1, 2, 3]
         assert profile_value(profile, Fraction(0)) == 3
-        assert profile.at(Fraction(0)) == 3
+        assert table_value(profile, Fraction(0)) == 3
 
     def test_values_share_one_denominator(self):
         g = build_group("cyclic:3")
         f = GroupFunction.from_values(g, [Fraction(1, 2), Fraction(-1, 3), 2])
         k = indicator(g, 0)
-        profile = build_nu_profile(k, f, counting_measure(g))
+        profile = build_nu_profiles(k, [f])[0]
         # conv = f = (1/2, -1/3, 2) over den 6; xs sorted, masses its suffix sums.
         assert (profile.nums, profile.den) == ((3, -2, 12), 6)
         assert (profile.xs, profile.masses) == ([-2, 3, 12], [13, 15, 12, 0])
         # Each piece's slope counts its active terms; on t = 6c the
         # breakpoints are -x and the offsets the suffix sums.
         assert list(profile.pieces()) == [(-12, 1, 12), (-3, 2, 15), (2, 3, 13)]
-        assert profile.at(Fraction(0)) == Fraction(5, 2)
+        assert table_value(profile, Fraction(0)) == Fraction(5, 2)
 
     def test_constant_convolution_single_breakpoint(self):
         g = build_group("cyclic:4")
         f = k = GroupFunction.from_values(g, [1] * g.order)
-        profile = build_nu_profile(k, f, counting_measure(g))
+        profile = build_nu_profiles(k, [f])[0]
         breakpoints, slopes, _ = piece_lists(profile, profile.den)
         assert breakpoints == [-4]
         assert slopes == [0, 4]
@@ -109,15 +103,14 @@ class TestNuProfile:
         n = g.order
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(n)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(n)])
-        mu = counting_measure(g)
-        profile = build_nu_profile(k, f, mu)
+        profile = build_nu_profiles(k, [f])[0]
         for _ in range(6):
             c = data.draw(rationals(max_den=16, max_num=48))
-            assert profile_value(profile, c) == nu(k, f, mu, c)
+            assert profile_value(profile, c) == nu(k, f, c)
         # including exactly at each breakpoint
         for bp in piece_lists(profile, profile.den)[0]:
             c = Fraction(bp, profile.den)
-            assert profile_value(profile, c) == nu(k, f, mu, c)
+            assert profile_value(profile, c) == nu(k, f, c)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -127,7 +120,7 @@ class TestNuProfile:
         g = build_group(data.draw(st.sampled_from(["cyclic:1", "cyclic:6", "dihedral:3"])))
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(g.order)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(g.order)])
-        profile = build_nu_profile(k, f, counting_measure(g))
+        profile = build_nu_profiles(k, [f])[0]
         *_, (t, slope, offset) = profile.pieces()
         assert t == -min(profile.nums)
         assert (slope, offset) == (g.order, sum(profile.nums))
@@ -139,7 +132,7 @@ class TestNuProfile:
         mu = counting_measure(g)
         from gshatter.gfunc import convolve
 
-        profile = build_nu_profile(k, f, mu)
+        profile = build_nu_profiles(k, [f])[0]
         conv = tuple(Fraction(x, profile.den) for x in profile.nums)
         assert conv == convolve(f, k, mu).values
 
@@ -155,8 +148,8 @@ class TestStepFunction:
     # The step function is the profile's offsets, read piece by piece.
     def test_partial_sums(self):
         g = build_group("cyclic:3")
-        f, k, mu = _instance(g, [1, 2, 0], [1, 0, 0])
-        profile = build_nu_profile(k, f, mu)
+        f, k, _ = _instance(g, [1, 2, 0], [1, 0, 0])
+        profile = build_nu_profiles(k, [f])[0]
         # conv values 2 > 1 > 0 activate in that order as c grows.
         breakpoints, _, offsets = piece_lists(profile, profile.den)
         assert breakpoints == [-2, -1, 0]
@@ -164,8 +157,8 @@ class TestStepFunction:
 
     def test_left_continuity_at_breakpoints(self):
         g = build_group("cyclic:3")
-        f, k, mu = _instance(g, [1, 2, 0], [1, 0, 0])
-        profile = build_nu_profile(k, f, mu)
+        f, k, _ = _instance(g, [1, 2, 0], [1, 0, 0])
+        profile = build_nu_profiles(k, [f])[0]
         # At c = -2 the term with value 2 needs (f*K)(g) > 2: excluded.
         assert step_at(profile, Fraction(-2)) == 0
         assert step_at(profile, Fraction(-1)) == 2  # value 1 still excluded
@@ -178,7 +171,7 @@ class TestStepFunction:
         g = build_group("cyclic:6")
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(6)])
-        profile = build_nu_profile(k, f, counting_measure(g))
+        profile = build_nu_profiles(k, [f])[0]
         offsets = piece_lists(profile, profile.den)[2]
         assert len(set(offsets)) <= g.order + 1
 
@@ -191,7 +184,7 @@ class TestStepFunction:
         f = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(5)])
         k = GroupFunction.from_values(g, [data.draw(rationals()) for _ in range(5)])
         mu = counting_measure(g)
-        profile = build_nu_profile(k, f, mu)
+        profile = build_nu_profiles(k, [f])[0]
         conv = convolve(f, k, mu)
         c = data.draw(rationals(max_den=16, max_num=48))
         direct = sum(

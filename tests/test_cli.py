@@ -170,8 +170,8 @@ def shift_level_values(monkeypatch):
 
 
 def watch_profiles(monkeypatch):
-    """Keep a weakref to every profile built at the shatter and synth bindings
-    of build_nu_profiles, and count, when the cli writes its first file,
+    """Keep a weakref to every profile built at the cli, shatter and synth
+    bindings of build_nu_profiles, and count, when the cli writes its first file,
     how many are still alive; returns (refs, alive), alive holding that
     count once the first file is written."""
     refs, alive = [], []
@@ -187,8 +187,8 @@ def watch_profiles(monkeypatch):
             alive.append(sum(ref() is not None for ref in refs))
         return write(path, data)
 
-    monkeypatch.setattr(gshatter.shatter, "build_nu_profiles", watched)
-    monkeypatch.setattr(gshatter.synth, "build_nu_profiles", watched)
+    for module in (gshatter.cli, gshatter.shatter, gshatter.synth):
+        monkeypatch.setattr(module, "build_nu_profiles", watched)
     monkeypatch.setattr(gshatter.cli, "write_json_atomic", checked)
     return refs, alive
 
@@ -749,9 +749,9 @@ class TestSynthCommand:
 
         monkeypatch.setattr(gshatter.synth, "critical_set", no_sweep)
         sweeps = []
-        sweep = gshatter.shatter.critical_set
+        sweep = gshatter.cli.critical_set
         monkeypatch.setattr(
-            gshatter.shatter, "critical_set", lambda ps: sweeps.append(1) or sweep(ps)
+            gshatter.cli, "critical_set", lambda ps: sweeps.append(1) or sweep(ps)
         )
         code, _, _ = run(
             capsys, "synth", "--group", spec, "--m", "3", "--mode", mode,
@@ -1154,14 +1154,14 @@ class TestVerifyCommand:
     def test_a_stop_one_row_early_exits_5(self, capsys, bundle, monkeypatch):
         # A sweep that claims a complete set of rankings it does not have
         # must not pass as a negative verdict.
-        true_critical_points = gshatter.cli.critical_points
+        true_critical_set = gshatter.cli.critical_set
 
         def stopped_one_row_early(*args):
-            crit = true_critical_points(*args)
+            crit = true_critical_set(*args)
             assert crit.stopped
             return crit._replace(rows=dict(list(crit.rows.items())[:-1]))
 
-        monkeypatch.setattr(gshatter.cli, "critical_points", stopped_one_row_early)
+        monkeypatch.setattr(gshatter.cli, "critical_set", stopped_one_row_early)
         code, out, err = run(
             capsys,
             "verify",
@@ -1197,9 +1197,10 @@ class TestVerifyCommand:
 
     def test_family_cap_refused_before_the_sweep(self, capsys, tmp_path, monkeypatch):
         def no_sweep(*args, **kwargs):
-            raise AssertionError("critical_points reached past the cap")
+            raise AssertionError("the sweep reached past the cap")
 
-        monkeypatch.setattr(gshatter.cli, "critical_points", no_sweep)
+        monkeypatch.setattr(gshatter.cli, "build_nu_profiles", no_sweep)
+        monkeypatch.setattr(gshatter.cli, "critical_set", no_sweep)
         kernel, functions = self.write_family(tmp_path, VERIFY_M_CAP + 1)
         target = tmp_path / "verdict" / "verdict.json"
         for out in ([], ["--out", str(target)]):

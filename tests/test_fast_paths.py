@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import gshatter.shatter
 import gshatter.synth
 from gshatter.classifier import (
-    build_nu_profile,
     build_nu_profiles,
     nu_values,
     ranking_of_values,
@@ -58,6 +57,7 @@ from references import (
     masked,
     piece_lists,
     solve_k_vector,
+    table_value,
     termwise_relu_sum,
 )
 
@@ -148,7 +148,7 @@ def assert_sweep_matches(crit, points, probes, values) -> None:
 
 
 def assert_table_matches(profile, conv: GroupFunction) -> None:
-    """A profile's breakpoint table (`at`) against the term-by-term sums
+    """A profile's breakpoint table (`nu_values`) against the term-by-term sums
     at and around every floor threshold.
 
     c = -x/den sits exactly on a breakpoint; c = (-7x -+ 1)/(7 den) has a
@@ -163,24 +163,22 @@ def assert_table_matches(profile, conv: GroupFunction) -> None:
             Fraction(-7 * x - 1, 7 * den),
             Fraction(-7 * x + 1, 7 * den),
         ):
-            assert profile.at(c) == termwise_relu_sum(conv, c)
+            assert table_value(profile, c) == termwise_relu_sum(conv, c)
 
 
 def assert_matches_references(kernel, fs, mu) -> None:
     # The family's convolutions, made together, are each one's alone.
-    profiles = build_nu_profiles(kernel, fs, mu)
-    family_values = []
+    profiles = build_nu_profiles(kernel, fs)
     for f, p in zip(fs, profiles):
         values = convolve(f, kernel, mu).values
         assert values == dense_convolve(f, kernel)
         assert values == fraction_convolve(f, kernel)
         assert values == tuple(Fraction(x, p.den) for x in p.nums)
-        alone = build_nu_profile(kernel, f, mu)
+        alone = build_nu_profiles(kernel, [f])[0]
         assert values == tuple(Fraction(x, alone.den) for x in alone.nums)
-        assert alone.den == lcm(*(v.denominator for v in values))
-        family_values += values
-    # One denominator for the family, no larger than its values need.
-    assert {p.den for p in profiles} == {lcm(*(v.denominator for v in family_values))}
+        assert alone.den == f.den * kernel.den
+    # One common denominator for the family: its functions' lcm times K's.
+    assert {p.den for p in profiles} == {lcm(*(f.den for f in fs)) * kernel.den}
     refs = [fraction_build_nu_profile(kernel, f) for f in fs]
     for p, ref in zip(profiles, refs):
         assert_table_matches(p, ref.conv)
@@ -269,10 +267,10 @@ class TestAgainstReferences:
         kernel, fs, mu = instance
         for f in fs:
             conv = convolve(f, kernel, mu)
-            profile = build_nu_profile(kernel, f, mu)
+            profile = build_nu_profiles(kernel, [f])[0]
             for c in {-v + shift for v in conv.values} | {-v for v in conv.values}:
                 want = termwise_relu_sum(conv, c)
-                assert profile.at(c) == want
+                assert table_value(profile, c) == want
                 assert loop_relu_sum(profile, c) == want
                 assert fraction_relu_sum(conv, c) == want
 
@@ -281,18 +279,18 @@ class TestAgainstReferences:
     def test_relu_sum_at_and_around_the_floor_threshold(self, instance):
         kernel, fs, mu = instance
         for f in fs:
-            profile = build_nu_profile(kernel, f, mu)
+            profile = build_nu_profiles(kernel, [f])[0]
             assert_table_matches(profile, convolve(f, kernel, mu))
 
     @settings(max_examples=100, deadline=None)
     @given(instances())
     def test_scaled_above_the_profiles_own_scale(self, instance):
-        # A family's profiles share the lcm of their own scales, and adding
-        # f / 21 to the family usually lifts it above f's; the sweep reads
-        # the pieces on that one scale.
-        kernel, fs, mu = instance
+        # A family's profiles share one den, lcm(f.den ...) * K.den, and
+        # adding f / 21 to the family usually lifts it above f's; the sweep
+        # reads the pieces on that one scale.
+        kernel, fs, _ = instance
         fs = [*fs, GroupFunction.from_values(kernel.group, [v / 21 for v in fs[0].values])]
-        for f, p in zip(fs, build_nu_profiles(kernel, fs, mu)):
+        for f, p in zip(fs, build_nu_profiles(kernel, fs)):
             assert_pieces_match_reference(p, fraction_build_nu_profile(kernel, f))
 
     def test_three_nu_crossing_at_one_point(self):
@@ -309,7 +307,7 @@ class TestAgainstReferences:
             )
             for w in (1, 2, 3)
         ]
-        crit = critical_set(build_nu_profiles(kernel, fs, mu))
+        crit = critical_set(build_nu_profiles(kernel, fs))
         assert crit.points == (Fraction(-1, 3), 0, Fraction(1, 9), Fraction(1, 3), 10)
         assert_matches_references(kernel, fs, mu)
 
@@ -321,7 +319,7 @@ class TestAgainstReferences:
         for spec, value in (("cyclic:1", Fraction(3)), ("cyclic:2", Fraction(1, 2))):
             group = GROUPS[spec]
             f = GroupFunction.from_values(group, [value] * group.order)
-            profiles.append(build_nu_profile(indicator(group, 0), f, counting_measure(group)))
+            profiles.append(build_nu_profiles(indicator(group, 0), [f])[0])
         with pytest.raises(ValueError, match="different orders"):
             critical_set(profiles)
 
@@ -331,13 +329,13 @@ class TestAgainstReferences:
         group = GROUPS["cyclic:2"]
         kernel, mu = indicator(group, 0), counting_measure(group)
         fs = [GroupFunction.from_values(group, row) for row in ([1, 0], [Fraction(1, 2), 0])]
-        apart = [build_nu_profile(kernel, f, mu) for f in fs]
+        apart = [build_nu_profiles(kernel, [f])[0] for f in fs]
         assert [p.den for p in apart] == [1, 2]
         with pytest.raises(ValueError, match="different denominators"):
             critical_set(apart)
         with pytest.raises(ValueError, match="different denominators"):
             nu_values(apart, Fraction(0))
-        together = build_nu_profiles(kernel, fs, mu)
+        together = build_nu_profiles(kernel, fs)
         assert [p.den for p in together] == [2, 2]
         assert critical_set(together).points == (-1, Fraction(-1, 2), 0)
         assert_matches_references(kernel, fs, mu)
@@ -354,7 +352,7 @@ class TestAgainstReferences:
         ]
         kernel = indicator(group, group.identity)
         mu = counting_measure(group)
-        crit = critical_set(build_nu_profiles(kernel, fs, mu))
+        crit = critical_set(build_nu_profiles(kernel, fs))
         assert crit.points == (-4, -3, -2, 0)
         assert Fraction(-2) in crit.probes
         assert_matches_references(kernel, fs, mu)
@@ -362,7 +360,7 @@ class TestAgainstReferences:
         thirds = [
             GroupFunction.from_values(group, [v / 3 for v in f.values]) for f in fs
         ]
-        crit = critical_set(build_nu_profiles(kernel, thirds, mu))
+        crit = critical_set(build_nu_profiles(kernel, thirds))
         assert crit.points == tuple(Fraction(c, 3) for c in (-4, -3, -2, 0))
         assert_matches_references(kernel, thirds, mu)
 
@@ -374,7 +372,7 @@ class TestAgainstReferences:
         fs = [GroupFunction.from_values(group, row) for row in ([2, 0], [2, 1])]
         kernel = indicator(group, group.identity)
         mu = counting_measure(group)
-        crit = critical_set(build_nu_profiles(kernel, fs, mu))
+        crit = critical_set(build_nu_profiles(kernel, fs))
         assert crit.points == (-2, -1, 0)
         assert_matches_references(kernel, fs, mu)
 
@@ -390,7 +388,7 @@ class TestAgainstReferences:
         ]
         kernel = indicator(group, group.identity)
         mu = counting_measure(group)
-        crit = critical_set(build_nu_profiles(kernel, fs, mu))
+        crit = critical_set(build_nu_profiles(kernel, fs))
         refs = [fraction_build_nu_profile(kernel, f) for f in fs]
         _, _, values = bisect_critical_set(refs)
         every = list(dict.fromkeys(map(counted_ranks, values)))

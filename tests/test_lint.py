@@ -9,7 +9,9 @@ public function or class read in the package, its demos or its benchmark
 (exporting it from ``gshatter`` is no use) unless ``UNREAD_EXPORTS`` names
 it with its reason, a public method or property of a package class read
 as an attribute in the package, its demos or its benchmark, and an
-imported name read in the module that imports it.
+imported name read in the module that imports it.  The counting measure
+stays at the API's edge: `Measure`, `counting_measure` and a parameter
+`mu` occur only where ``MEASURE_SITES`` names them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ READERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted(
 UNREAD_EXPORTS = {
     "indicator": "K = 1_e, the kernel of the small-order capacity search",
     "lower_bound_at_most": "the exact lower-bound verdict of the bounds table",
+}
+
+
+# The only places, by module and top-level definition, that name the
+# measure: the entry points that still take one, and the imports they need.
+MEASURE_SITES = {
+    ("gfunc.py", "Measure"), ("gfunc.py", "counting_measure"), ("gfunc.py", "convolve"),
+    ("classifier.py", "import"), ("classifier.py", "classify"),
+    ("shatter.py", "import"), ("shatter.py", "critical_points"),
+    ("shatter.py", "is_shattered"), ("shatter.py", "check_order_criterion"),
+    ("__init__.py", "import"),
 }
 
 
@@ -298,3 +311,42 @@ def test_unread_public_method_is_caught():
     assert _attributes_read(tree) == {"p"}
     assert "u_tilde" in _attributes_read(ast.parse("tower.u_tilde(2, k)\n"))
     assert not _attributes_read(ast.parse("tower.u_tilde = None\n"))
+
+
+def _site(top: ast.stmt) -> str:
+    """A top-level statement's name: its definition's, "import", or its line."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return top.name
+    return "import" if isinstance(top, (ast.Import, ast.ImportFrom)) else f"line {top.lineno}"
+
+
+def _measure_sites(tree: ast.Module) -> set[str]:
+    """The top-level statements that name `Measure` or `counting_measure`,
+    define either, or take a parameter `mu`."""
+    names = {"Measure", "counting_measure"}
+    return {
+        _site(top)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
+        or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+        or isinstance(node, ast.arg) and node.arg == "mu"
+    }
+
+
+def test_the_measure_stays_at_the_edge():
+    found = {(path.name, site) for path in SOURCES for site in _measure_sites(_parse(path))}
+    assert found <= MEASURE_SITES, f"the measure reached further: {found - MEASURE_SITES}"
+
+
+def test_a_measure_past_the_edge_is_caught():
+    tree = ast.parse(
+        "from .gfunc import Measure, counting_measure\n"
+        "def build(kernel, fs, mu):\n    pass\n\n"
+        "def run(kernel, fs):\n    return build(kernel, fs, gfunc.counting_measure(kernel.group))\n\n"
+        "def mean(xs):\n    return sum(xs) / len(xs)\n\n"
+        "DEFAULT = Measure(group)\n"
+    )
+    assert _measure_sites(tree) == {"import", "build", "run", "line 11"}

@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 from gshatter import shatter
-from gshatter.classifier import classify, nu
+from gshatter.classifier import classify
 from gshatter.errors import InvariantError
 from gshatter.gfunc import GroupFunction, counting_measure, indicator
 from gshatter.groups import build_group
@@ -23,6 +23,8 @@ from gshatter.shatter import (
     is_shattered,
 )
 from gshatter.synth import synth_kernel
+
+from references import nu
 
 
 def delta_instance(spec: str, *value_rows):
@@ -141,7 +143,7 @@ class TestCriticalPoints:
                 rankings = {
                     tuple(
                         sorted(range(len(fs)),
-                               key=lambda i: nu(kernel, fs[i], mu, c))
+                               key=lambda i: nu(kernel, fs[i], c))
                     )
                     for c in samples
                 }
@@ -222,7 +224,7 @@ class TestEnumeration:
             swept = set()
             c1 = pts[0] - 1
             while c1 <= pts[-1] + 1:
-                values = [nu(kernel, f, mu, c1) for f in fs]
+                values = [nu(kernel, f, c1) for f in fs]
                 cuts = sorted(set(values), reverse=True)
                 cuts.append(cuts[-1] - 1)
                 for threshold in cuts:

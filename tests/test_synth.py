@@ -21,7 +21,7 @@ from gshatter.errors import (
     ModeElementError,
     SynthesisVerificationError,
 )
-from gshatter.gfunc import GroupFunction, counting_measure
+from gshatter.gfunc import GroupFunction
 from gshatter.groups import build_group
 from gshatter.orders import build_complete_orders
 from gshatter.shatter import certificate, critical_set
@@ -438,9 +438,7 @@ class TestVerification:
         verdicts = {c.name: (c.passed, c.detail) for c in report.checks}
         assert not verdicts["thresholds"][0] and not verdicts["orders-realized"][0]
         assert verdicts["shattering"] == (True, "32 of 32 label patterns witnessed")
-        profiles = build_nu_profiles(
-            broken.kernel, broken.family(), counting_measure(broken.group)
-        )
+        profiles = build_nu_profiles(broken.kernel, broken.family())
         assert report.certificate == certificate(critical_set(profiles))
 
     def test_certificate_reads_nu_once_per_distinct_c1(self, monkeypatch):
