@@ -206,13 +206,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     run.write(out_dir / "orders.json", order_set_to_json(report.orders))
     run.write(
         out_dir / "verify_report.json",
-        {
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        },
+        {"passed": report.passed, "checks": [c._asdict() for c in report.checks]},
     )
     run.write(
         out_dir / "shatter_certificate.json",

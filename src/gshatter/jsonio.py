@@ -217,7 +217,6 @@ def synth_result_from_json(data: dict[str, Any]) -> SynthResult:
         mode=data["mode"],
         B=fraction_from_str(data["B"]),
         C=fraction_from_str(data["C"]),
-        report=None,
     )
 
 

@@ -7,8 +7,11 @@ rational point inside every maximal piece — plus every breakpoint and
 crossing — visits every realizable label pattern.  Each witnessed
 pattern is re-verified before it enters a certificate: nu is evaluated
 at the witness from each profile's breakpoint table (`nu_values`), not
-read off the sweep's pieces, crossings, probes or cuts that found it,
-nor off synth's level cuts.
+read off the sweep's pieces, crossings, probes or cuts that found it.
+A row synth cut from its levels holds the very `nu_values` read, at the
+same c1, that the re-check repeats, so there it checks the cuts and
+each c2, not the values; re-deriving those is the independent checker
+of ROADMAP item 4.
 
 The sweep runs on integers over the family's one denominator: Fractions
 appear only in emitted (c1, c2) witnesses, and floats nowhere.  It ends
@@ -234,19 +237,21 @@ def certificate(critical: CriticalSet) -> ShatterCertificate:
 
     Every witness is re-verified by classify's rule, with nu evaluated at
     the witness from each of `critical.profiles`' breakpoint tables
-    (`nu_values`), not taken from the sweep's pieces or values nor from
-    synth's level cuts.  A row's witnesses are contiguous in discovery
-    order and share its c1, so nu is read once per distinct c1.  Each
-    witness is then decided by two products: the smallest nu on its
-    mask's +1 bits and the largest on its -1 bits against its cut.  A
-    witness that failed re-verification would mean an internal
+    (`nu_values`), not taken from the sweep's pieces or values.  A row that
+    synth cut from its levels was made by this very read, at the same c1, so
+    there the cuts and each c2 are re-checked, not the values (ROADMAP item
+    4 is the checker that re-derives them).  A row's witnesses are
+    contiguous in discovery order and share its c1, so nu is read once per
+    distinct c1.  Each witness is then decided by two products: the smallest
+    nu on its mask's +1 bits and the largest on its -1 bits against its cut.
+    A witness that failed re-verification would mean an internal
     inconsistency, so the first such one in discovery order raises
-    WitnessVerificationError, naming its first failing function, instead
-    of being silently dropped.  A sweep that stopped early claims a
-    complete set of rankings, so a pattern left without a witness there
-    raises InvariantError: a stop rule that fired too early never passes
-    as a negative verdict.  Entry i is mask i; a label tuple is formed
-    only for an entry or an error message.
+    WitnessVerificationError, naming its first failing function, instead of
+    being silently dropped.  A sweep that stopped early claims a complete
+    set of rankings, so a pattern left without a witness there raises
+    InvariantError: a stop rule that fired too early never passes as a
+    negative verdict.  Entry i is mask i; a label tuple is formed only for
+    an entry or an error message.
     """
     m = len(critical.profiles)
     bits = [1 << (m - 1 - k) for k in range(m)]

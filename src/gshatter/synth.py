@@ -158,8 +158,9 @@ def _check_subsets(
     g: int,
     subsets: Sequence[Sequence[int]],
     mode: str,
-) -> None:
-    """Raise unless the windows of all centres are pairwise disjoint.
+) -> Optional[str]:
+    """None when the windows of all centres are pairwise disjoint, else
+    the finding.
 
     Sets are pairwise disjoint exactly when their union is as large as
     their sizes added up; a repeated centre repeats its window.  The rule
@@ -169,13 +170,12 @@ def _check_subsets(
     window = LAYOUTS[mode].window
     windows = [set(_translates(group, g, h, window)) for sub in subsets for h in sub]
     if len(set().union(*windows)) != sum(len(w) for w in windows):
-        raise SynthesisVerificationError(
-            f"the windows of the {len(windows)} centres are not pairwise disjoint"
-        )
+        return f"the windows of the {len(windows)} centres are not pairwise disjoint"
+    return None
 
 
 class SynthResult:
-    # report is verify_synth's report on the kernel; None when read back from JSON.
+    # report is verify_synth's report, which synth_kernel attaches; None otherwise.
     __slots__ = ("kernel", "u", "subsets", "epsilon", "thresholds", "ms", "g", "mode",
                  "B", "C", "report")
 
@@ -191,12 +191,11 @@ class SynthResult:
         mode: str,
         B: Fraction,
         C: Fraction,
-        report: Optional[SynthReport],
     ):
         """The shape every reader may rely on; the values are verify_synth's."""
         self.kernel, self.u, self.subsets, self.epsilon = kernel, u, subsets, epsilon
         self.thresholds, self.ms, self.g, self.mode = thresholds, ms, g, mode
-        self.B, self.C, self.report = B, C, report
+        self.B, self.C, self.report = B, C, None
         if len(self.u) % 2 or len(self.u) < 4:
             raise ValueError(f"need 2m + 2 >= 4 tower functions, got {len(self.u)}")
         m, order = self.m, self.group.order
@@ -254,10 +253,11 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
     """Build a kernel realizing each target order o_l at bias -c_l.
 
     Checks m and the mode (ValueError), then |G| (GroupTooSmallError),
-    then finds g (ModeElementError).  The finished kernel goes through
-    verify_synth once, and the result carries that report.  Raises SynthesisVerificationError if any check other
-    than shattering fails; a failed shattering check is a verdict on the
-    kernel, left to the caller to read from the report.
+    then finds g (ModeElementError).  The one SynthResult built goes
+    through verify_synth once and then carries that report.  Raises
+    SynthesisVerificationError if any check other than shattering fails;
+    a failed shattering check is a verdict on the kernel, left to the
+    caller to read from the report.
     """
     B, C = LEVEL_INTERVAL
     # Every required size is at least 2m C(m, m // 2) >= 2^m.  Past m = 64
@@ -337,19 +337,10 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
         values = [0] * group.order
         values[group.identity], values[g] = int(a1 * den), int(a2 * den)
         u.append(GroupFunction(group, values, den))
-    fields = dict(
-        kernel=kernel,
-        u=tuple(u),
-        subsets=subsets,
-        epsilon=epsilon,
-        thresholds=tuple(thresholds),
-        ms=tuple(ms),
-        g=g,
-        mode=mode,
-        B=B,
-        C=C,
+    result = SynthResult(
+        kernel, tuple(u), subsets, epsilon, tuple(thresholds), tuple(ms), g, mode, B, C
     )
-    report = verify_synth(SynthResult(**fields, report=None))
+    report = verify_synth(result)
     failed = [
         c.name for c in report.checks if not c.passed and c.name != "shattering"
     ]
@@ -357,7 +348,8 @@ def synth_kernel(group: FiniteGroup, m: int, mode: str = "order_two") -> SynthRe
         raise SynthesisVerificationError(
             f"synthesized kernel failed self-checks: {', '.join(failed)}"
         )
-    return SynthResult(**fields, report=report)
+    result.report = report
+    return result
 
 
 class SynthCheck(NamedTuple):
@@ -437,13 +429,9 @@ def _layout_checks(result: SynthResult, tower: UTower) -> Iterator[SynthCheck]:
     squares_to_e = group.mul(g, g) == group.identity
     mode_ok = g != group.identity and squares_to_e == (result.mode == "order_two")
     yield SynthCheck("mode-element", mode_ok, f"g = {g} suits mode {result.mode}")
-    try:
-        _check_subsets(group, g, result.subsets, result.mode)
-    except SynthesisVerificationError as exc:
-        yield SynthCheck("subset-disjointness", False, str(exc))
-    else:
-        detail = f"{len(result.subsets)} rounds x {m} centres"
-        yield SynthCheck("subset-disjointness", True, detail)
+    finding = _check_subsets(group, g, result.subsets, result.mode)
+    detail = finding or f"{len(result.subsets)} rounds x {m} centres"
+    yield SynthCheck("subset-disjointness", finding is None, detail)
 
 
 def _recursion_checks(
@@ -532,8 +520,8 @@ def _value_checks(
     for p in profiles:
         i = bisect_right(p.xs, x_b)
         if i < len(p.xs):
-            above_b.append(Fraction(p.xs[i], den))
-    min_over_b = min(above_b, default=None)
+            above_b.append(p.xs[i])
+    min_over_b = Fraction(min(above_b), den) if above_b else None
     value = "None" if min_over_b is None else fraction_to_str(min_over_b)
     detail = f"smallest convolution value above B is {value}"
     yield SynthCheck("kernel-minimum-level", min_over_b == result.ms[-1], detail)

@@ -60,8 +60,10 @@ def translate(f: GroupFunction, a: int) -> GroupFunction:
 
 
 def edited(result: SynthResult, **changes) -> SynthResult:
-    """result with the fields in `changes` replaced, built anew."""
-    fields = {name: getattr(result, name) for name in SynthResult.__slots__}
+    """result with the fields in `changes` replaced, built anew, with no report."""
+    fields = {
+        name: getattr(result, name) for name in SynthResult.__slots__ if name != "report"
+    }
     return SynthResult(**(fields | changes))
 
 

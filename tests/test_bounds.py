@@ -60,6 +60,12 @@ class TestSimpleUpper:
             if k > 30:
                 assert 2**k >= n * n > 2 ** (k - 1)
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            upper_bound_simple(0)
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            upper_bound_simple_ceil(0)
+
 
 class TestRefinedUpper:
     def test_spot_values(self):
@@ -84,6 +90,8 @@ class TestLowerBound:
     def test_rejects_trivial_group(self):
         with pytest.raises(ValueError):
             lower_bound(1, True)
+        with pytest.raises(ValueError, match="need n > 1, got 1"):
+            lower_bound_at_most(1, True, 3)
 
     def test_at_most_exact_path(self):
         # 256 = 2^(2^3), so the bound is the exact integer 1.

@@ -208,3 +208,5 @@ class TestValuesAndMeasures:
     def test_indicator(self):
         g = build_group("cyclic:4")
         assert indicator(g, 2).values == (0, 0, 1, 0)
+        with pytest.raises(ValueError, match="element index 4 out of range for cyclic:4"):
+            indicator(g, g.order)

@@ -156,6 +156,8 @@ class TestStructures:
         back = synth_result_from_json(data)
         # Groups are rebuilt, so compare via a second serialization pass.
         assert synth_result_to_json(back) == data
+        # The bundle holds no report: verify_synth makes one from it.
+        assert result.report is not None and back.report is None
 
 
 @pytest.fixture(scope="module")

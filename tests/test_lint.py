@@ -11,7 +11,9 @@ it with its reason, a public method or property of a package class read
 as an attribute in the package, its demos or its benchmark, and an
 imported name read in the module that imports it.  The counting measure
 stays at the API's edge: `Measure`, `counting_measure` and a parameter
-`mu` occur only where ``MEASURE_SITES`` names them.
+`mu` occur only where ``MEASURE_SITES`` names them.  Only ``cli.py``
+catches a ``GShatterError``, to map it to an exit code: a check reports
+its finding by returning it, not by raising for its caller to catch.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import gshatter
+import gshatter.errors
 
 SOURCES = sorted(Path(gshatter.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -350,3 +353,44 @@ def test_a_measure_past_the_edge_is_caught():
         "DEFAULT = Measure(group)\n"
     )
     assert _measure_sites(tree) == {"import", "build", "run", "line 11"}
+
+
+# GShatterError and its subclasses, by name.
+PACKAGE_ERRORS = {
+    name
+    for name, obj in vars(gshatter.errors).items()
+    if isinstance(obj, type) and issubclass(obj, gshatter.errors.GShatterError)
+}
+
+
+def _package_errors_caught(tree: ast.Module) -> list[int]:
+    """Lines of the ``except`` clauses that name a package error."""
+    return sorted(
+        handler.lineno
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        and any(
+            isinstance(node, ast.Name) and node.id in PACKAGE_ERRORS
+            or isinstance(node, ast.Attribute) and node.attr in PACKAGE_ERRORS
+            for node in ast.walk(handler.type)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name
+)
+def test_only_the_command_line_catches_package_errors(path):
+    lines = _package_errors_caught(_parse(path))
+    assert not lines, f"{path.name}: a package error is caught at lines {lines}"
+
+
+def test_a_caught_package_error_is_caught():
+    tree = ast.parse(
+        "try:\n    check()\nexcept SynthesisVerificationError as exc:\n    pass\n"
+        "try:\n    check()\nexcept (ValueError, errors.GShatterError):\n    pass\n"
+        "try:\n    check()\nexcept ValueError:\n    pass\n"
+        "try:\n    check()\nexcept:\n    pass\n"
+    )
+    assert PACKAGE_ERRORS >= {"GShatterError", "SynthesisVerificationError"}
+    assert _package_errors_caught(tree) == [3, 7]

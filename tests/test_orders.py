@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, product
 from math import comb
 
@@ -202,6 +203,10 @@ class TestSeparation:
 
     def test_empty_set_incomplete(self):
         assert not is_complete(OrderSet(2, ()))
+
+    def test_a_ranking_of_another_length_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape("ranking (1,) does not have length m=2")):
+            OrderSet(2, ((1,),))
 
 
 class TestCompleteOrders:

@@ -16,11 +16,7 @@ import gshatter.shatter
 import gshatter.synth
 from gshatter.bounds import required_group_size
 from gshatter.classifier import build_nu_profiles
-from gshatter.errors import (
-    GroupTooSmallError,
-    ModeElementError,
-    SynthesisVerificationError,
-)
+from gshatter.errors import GroupTooSmallError, ModeElementError
 from gshatter.gfunc import GroupFunction
 from gshatter.groups import build_group
 from gshatter.orders import build_complete_orders
@@ -166,7 +162,7 @@ class TestSubsets:
     def test_general_windows_disjoint(self):
         g = build_group("cyclic:81")
         subsets = choose_subsets(g, 1, r=3, m=3, mode="general")
-        _check_subsets(g, 1, subsets, "general")  # must not raise
+        assert _check_subsets(g, 1, subsets, "general") is None
         flat = [h for sub in subsets for h in sub]
         windows = [
             {(h + shift) % 81 for shift in range(-2, 3)} for h in flat
@@ -178,21 +174,24 @@ class TestSubsets:
 
     def test_duplicate_centre_rejected(self):
         g = build_group("cyclic:8")
-        with pytest.raises(SynthesisVerificationError):
-            _check_subsets(g, 4, ((0, 0),), "order_two")
+        assert _check_subsets(g, 4, ((0, 0),), "order_two") == (
+            "the windows of the 2 centres are not pairwise disjoint"
+        )
 
     def test_translate_collision_rejected(self):
         g = build_group("cyclic:8")
         # 4 is the g-translate of 0, so the pair is not usable.
-        with pytest.raises(SynthesisVerificationError):
-            _check_subsets(g, 4, ((0, 4),), "order_two")
+        assert _check_subsets(g, 4, ((0, 4),), "order_two") == (
+            "the windows of the 2 centres are not pairwise disjoint"
+        )
 
     def test_general_window_overlap_rejected(self):
         g = build_group("cyclic:81")
         # The windows {79, .., 2} and {1, .., 5} share 1 and 2.
-        with pytest.raises(SynthesisVerificationError):
-            _check_subsets(g, 1, ((0, 3),), "general")
-        _check_subsets(g, 1, ((0, 5),), "general")  # must not raise
+        assert _check_subsets(g, 1, ((0, 3),), "general") == (
+            "the windows of the 2 centres are not pairwise disjoint"
+        )
+        assert _check_subsets(g, 1, ((0, 5),), "general") is None
 
     @pytest.mark.parametrize(
         "spec, mode", [("cyclic:18", "order_two"), ("cyclic:81", "general")]
@@ -229,6 +228,23 @@ class TestSynthesis:
         group = build_group(spec)
         result = synth_kernel(group, m, mode=mode)
         return group, result.report.orders, result
+
+    @pytest.mark.parametrize(
+        "spec, mode", [("cyclic:18", "order_two"), ("cyclic:81", "general")]
+    )
+    def test_one_result_per_synthesis(self, monkeypatch, spec, mode):
+        """The result verify_synth checked is the one returned, with its report."""
+        calls = []
+        original = gshatter.synth.SynthResult.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(gshatter.synth.SynthResult, "__init__", counting)
+        result = synth_kernel(build_group(spec), 3, mode=mode)
+        assert calls == [result]
+        assert result.report is not None and result.report.passed
 
     def test_m2_on_cyclic_8(self):
         group, orders, result = self._build("cyclic:8", 2)
